@@ -4,15 +4,15 @@
 //! `nanomap perf-diff` regression gate.
 //!
 //! Run: `cargo run -p nanomap-bench --release --bin perf --
-//!   [--out PATH] [--runs N] [--circuit NAME] [--sample-hz N]
-//!   [--profile-dir DIR]`
+//!   [--out PATH] [--runs N] [--circuit NAME] [--profile-dir DIR]`
 //!
 //! Defaults: 5 runs per circuit, output to `BENCH_perf.json` at the repo
 //! root (the committed perf trajectory point). `--circuit` restricts the
 //! sweep (CI's perf-smoke leg measures one benchmark against the
 //! full-suite baseline — `perf-diff` treats absent circuits as
-//! informational). `--profile-dir` additionally samples the final run of
-//! each circuit and writes `<circuit>.profile.json` + collapsed stacks.
+//! informational). `--profile-dir` additionally writes the exact span
+//! profile of each circuit's final run: `<circuit>.profile.json` +
+//! collapsed stacks.
 //!
 //! Every run is checked for `phase_times` self-consistency
 //! ([`nanomap::PhaseTimes::reconcile`]): the per-phase sum may undershoot
@@ -48,7 +48,6 @@ fn main() {
     let mut out = repo_root_default_out();
     let mut runs: u32 = 5;
     let mut only_circuit: Option<String> = None;
-    let mut sample_hz: u32 = 0;
     let mut profile_dir: Option<String> = None;
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -65,16 +64,11 @@ fn main() {
                 assert!(runs > 0, "--runs must be positive");
             }
             "--circuit" => only_circuit = Some(take("--circuit")),
-            "--sample-hz" => {
-                sample_hz = take("--sample-hz")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--sample-hz: {e}"));
-            }
             "--profile-dir" => profile_dir = Some(take("--profile-dir")),
             other => {
                 eprintln!(
-                    "usage: perf [--out PATH] [--runs N] [--circuit NAME] [--sample-hz N] \
-                     [--profile-dir DIR]  (unexpected `{other}`)"
+                    "usage: perf [--out PATH] [--runs N] [--circuit NAME] [--profile-dir DIR]  \
+                     (unexpected `{other}`)"
                 );
                 std::process::exit(2);
             }
@@ -97,57 +91,40 @@ fn main() {
         let mut peak_live_bytes: u64 = 0;
         let mut alloc_bytes: u64 = 0;
         for run in 0..runs {
-            // Fresh collector epoch and memory window per run; the
-            // profiler only rides on the last run so sampling overhead
-            // never contaminates the timing medians.
+            // Fresh collector epoch and memory window per run, so the
+            // final run's profile covers exactly that run.
             nanomap_observe::reset();
             nanomap_observe::set_enabled(true);
             nanomap_observe::reset_memory();
             nanomap_observe::set_memory_tracking(true);
-            let profiling = profile_dir.is_some() && run + 1 == runs;
-            if profiling && !nanomap_observe::start_sampler(sample_hz) {
-                eprintln!("warning: {}: profiler unavailable", bench.name);
-            }
             let report = flow
                 .map(&bench.network, Objective::MinAreaDelayProduct)
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-            if profiling {
-                if let Some(profile) = nanomap_observe::stop_sampler() {
-                    if let Some(dir) = &profile_dir {
-                        let json_path = format!("{dir}/{}.profile.json", bench.name);
-                        nanomap::atomic_write_text(
-                            Path::new(&json_path),
-                            &profile.to_json().to_pretty_string(),
-                        )
-                        .unwrap_or_else(|e| panic!("{e}"));
-                        nanomap::atomic_write_text(
-                            Path::new(&format!("{dir}/{}.collapsed", bench.name)),
-                            &profile.collapsed(),
-                        )
-                        .unwrap_or_else(|e| panic!("{e}"));
-                        eprintln!(
-                            "{}: profile {} samples ({:.2}% overhead) -> {json_path}",
-                            bench.name,
-                            profile.total_samples,
-                            profile.overhead_fraction() * 100.0
-                        );
-                    }
-                }
+            if let Some(dir) = profile_dir.as_ref().filter(|_| run + 1 == runs) {
+                let profile = nanomap_observe::snapshot().profile();
+                let json_path = format!("{dir}/{}.profile.json", bench.name);
+                nanomap::atomic_write_text(
+                    Path::new(&json_path),
+                    &profile.to_json().to_pretty_string(),
+                )
+                .unwrap_or_else(|e| panic!("{e}"));
+                nanomap::atomic_write_text(
+                    Path::new(&format!("{dir}/{}.collapsed", bench.name)),
+                    &profile.collapsed(),
+                )
+                .unwrap_or_else(|e| panic!("{e}"));
+                eprintln!(
+                    "{}: profile {} paths, {:.1} ms exact -> {json_path}",
+                    bench.name,
+                    profile.paths.len(),
+                    profile.total_us() as f64 / 1e3
+                );
             }
             nanomap_observe::set_memory_tracking(false);
             let t = report.phase_times;
             t.reconcile(RECONCILE_TOL_FRAC, RECONCILE_SLACK_MS)
                 .unwrap_or_else(|e| panic!("{} run {run}: {e}", bench.name));
-            for (name, value) in [
-                ("folding_select_ms", t.folding_select_ms),
-                ("fds_ms", t.fds_ms),
-                ("pack_ms", t.pack_ms),
-                ("place_ms", t.place_ms),
-                ("route_ms", t.route_ms),
-                ("bitmap_ms", t.bitmap_ms),
-                ("verify_ms", t.verify_ms),
-                ("total_ms", t.total_ms),
-            ] {
+            for (name, value) in t.keyed_ms() {
                 samples.entry(name.to_string()).or_default().push(value);
             }
             if let Some(memory) = &report.memory {

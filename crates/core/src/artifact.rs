@@ -121,7 +121,7 @@ pub mod versions {
     pub const CHECKPOINT: &str = "nanomap-checkpoint-v1";
     /// QoR explainability documents (`--explain`).
     pub const EXPLAIN: &str = "nanomap-explain-v1";
-    /// Sampling-profiler documents (`--profile`).
+    /// Span-path profile documents (`--profile`, `nanomap profile`).
     pub const PROFILE: &str = nanomap_observe::PROFILE_SCHEMA;
     /// Event-bus streams and ledger lines (`--live-status`, `runs`).
     pub const EVENTS: &str = nanomap_observe::EVENTS_SCHEMA;

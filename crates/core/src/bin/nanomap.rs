@@ -26,10 +26,9 @@
 //!                               unbounded; the time budget still applies)
 //!   --checkpoint-dir PATH       write a crash-safe checkpoint after each phase
 //!   --resume PATH               resume from a checkpoint file
-//!   --profile DIR               sample span stacks + memory; write
-//!                               DIR/<circuit>.profile.json (nanomap-profile-v1)
+//!   --profile DIR               profile the run's spans + memory; write
+//!                               DIR/<circuit>.profile.json (nanomap-profile-v2)
 //!                               and DIR/<circuit>.collapsed (flamegraph input)
-//!   --sample-hz N               profiler sampling rate (default 997)
 //!   --live-status PATH          stream nanomap-events-v1 NDJSON (run/phase
 //!                               lifecycle + progress) to PATH as the flow runs
 //!   --ledger PATH               append a one-line flight-recorder summary of
@@ -69,9 +68,9 @@
 //!   determinism gate for defect-free reruns).
 //!
 //! nanomap profile <design.vhd | design.blif> [flow options]
-//!                 [--sample-hz N] [--top-k N] [--out DIR]
-//!   Runs the flow under the sampling profiler and prints the top-K hot
-//!   span paths with each path's share of its phase. --out DIR
+//!                 [--top-k N] [--out DIR]
+//!   Runs the flow with spans recorded and prints the top-K span paths
+//!   by exact exclusive time, each with its share of its phase. --out DIR
 //!   additionally writes the profile JSON + collapsed stacks.
 //!
 //! nanomap perf-diff [--rel F] [--abs-ms F] <baseline.json> <new.json>
@@ -218,7 +217,6 @@ struct Args {
     checkpoint_dir: Option<String>,
     resume: Option<String>,
     profile_dir: Option<String>,
-    sample_hz: u32,
     live_status: Option<String>,
     ledger_path: Option<String>,
     progress: bool,
@@ -275,7 +273,6 @@ fn parse_args(cli: impl Iterator<Item = String>) -> Result<Args, String> {
         checkpoint_dir: None,
         resume: None,
         profile_dir: None,
-        sample_hz: 0,
         live_status: None,
         ledger_path: None,
         progress: false,
@@ -358,11 +355,6 @@ fn parse_args(cli: impl Iterator<Item = String>) -> Result<Args, String> {
             "--profile" => args.profile_dir = Some(value(&mut iter, "--profile")?),
             "--live-status" => args.live_status = Some(value(&mut iter, "--live-status")?),
             "--ledger" => args.ledger_path = Some(value(&mut iter, "--ledger")?),
-            "--sample-hz" => {
-                args.sample_hz = value(&mut iter, "--sample-hz")?
-                    .parse()
-                    .map_err(|e| format!("--sample-hz: {e}"))?
-            }
             "--optimize" => args.run_optimize = true,
             "--no-physical" => args.physical = false,
             "--verify" => args.verify = true,
@@ -701,8 +693,18 @@ fn write_profile_artifacts(dir: &str, circuit: &str, profile: &ProfileData) -> O
     }
 }
 
-/// `nanomap profile ...`: run the flow under the sampling profiler and
-/// print the top-K hot span paths.
+/// Opens the window a profile covers: clears the collector, so the
+/// profile holds exactly the mapping run, and starts memory tracking.
+/// Runs without `--profile` never call this, keeping their artifacts
+/// byte-identical.
+fn start_profiled_window() {
+    nanomap_observe::reset();
+    nanomap_observe::reset_memory();
+    nanomap_observe::set_memory_tracking(true);
+}
+
+/// `nanomap profile ...`: run the flow with spans recorded and print the
+/// top-K span paths by exact exclusive time.
 fn profile_main(cli: Vec<String>) -> ExitCode {
     let args = match parse_args(cli.into_iter()) {
         Ok(a) => a,
@@ -711,7 +713,7 @@ fn profile_main(cli: Vec<String>) -> ExitCode {
                 eprintln!("error: {message}\n");
             }
             eprintln!("usage: nanomap profile <design.vhd | design.blif> [flow options]");
-            eprintln!("       [--sample-hz N] [--top-k N] [--out DIR]");
+            eprintln!("       [--top-k N] [--out DIR]");
             return ExitCode::FAILURE;
         }
     };
@@ -722,11 +724,6 @@ fn profile_main(cli: Vec<String>) -> ExitCode {
         ..ArchParams::paper()
     };
     nanomap_observe::set_enabled(true);
-    nanomap_observe::reset_memory();
-    nanomap_observe::set_memory_tracking(true);
-    if !nanomap_observe::start_sampler(args.sample_hz) {
-        eprintln!("warning: continuing without the sampling profiler");
-    }
     let run = || -> Result<nanomap::MappingReport, String> {
         let mut net = load(&args.input, arch.lut_inputs)?;
         if args.run_optimize {
@@ -734,28 +731,23 @@ fn profile_main(cli: Vec<String>) -> ExitCode {
         }
         let objective = parse_objective(&args)?;
         let flow = apply_defects(NanoMap::new(arch), &args)?;
+        start_profiled_window();
         flow.map(&net, objective).map_err(|e| e.to_string())
     };
-    let result = run();
-    let profile = nanomap_observe::stop_sampler();
-    let report = match result {
+    let report = match run() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let profile = nanomap_observe::snapshot().profile();
     outln!("{}", report.summary());
-    match &profile {
-        Some(profile) => {
-            out!("{}", profile.render_top(top_k));
-            if let Some(dir) = &args.explain_out {
-                if let Some(path) = write_profile_artifacts(dir, &report.circuit, profile) {
-                    outln!("profile: -> {path}");
-                }
-            }
+    out!("{}", profile.render_top(top_k));
+    if let Some(dir) = &args.explain_out {
+        if let Some(path) = write_profile_artifacts(dir, &report.circuit, &profile) {
+            outln!("profile: -> {path}");
         }
-        None => eprintln!("warning: no profile collected"),
     }
     if let Some(memory) = &report.memory {
         outln!(
@@ -1483,11 +1475,10 @@ fn main() -> ExitCode {
             eprintln!("       [--defect-map PATH] [--time-budget-ms N] [--anytime]");
             eprintln!("       [--exact-recovery] [--sat-conflict-budget N]");
             eprintln!("       [--checkpoint-dir PATH] [--resume PATH] [--profile DIR]");
-            eprintln!("       [--sample-hz N] [--live-status PATH] [--ledger PATH]");
-            eprintln!("       [--progress] [--trace]");
+            eprintln!("       [--live-status PATH] [--ledger PATH] [--progress] [--trace]");
             eprintln!("       nanomap explain <design> [--out PATH] [--top-k N]");
             eprintln!("       nanomap explain --check <artifact.json>");
-            eprintln!("       nanomap profile <design> [--sample-hz N] [--top-k N] [--out DIR]");
+            eprintln!("       nanomap profile <design> [--top-k N] [--out DIR]");
             eprintln!("       nanomap qor-diff [--exact] <baseline.json> <new.json>");
             eprintln!("       nanomap perf-diff [--rel F] [--abs-ms F] <baseline.json> <new.json>");
             eprintln!("       nanomap runs <list | show ID | trend | regress | check-stream FILE>");
@@ -1523,16 +1514,6 @@ fn main() -> ExitCode {
         || args.trace
     {
         nanomap_observe::set_enabled(true);
-    }
-    // --profile: turn on memory tracking and the background sampler.
-    // Runs without the flag never touch either, keeping their artifacts
-    // byte-identical.
-    if args.profile_dir.is_some() {
-        nanomap_observe::reset_memory();
-        nanomap_observe::set_memory_tracking(true);
-        if !nanomap_observe::start_sampler(args.sample_hz) {
-            eprintln!("warning: continuing without the sampling profiler");
-        }
     }
     if args.trace {
         nanomap_observe::set_echo(Echo::Trace);
@@ -1616,6 +1597,9 @@ fn main() -> ExitCode {
     }
     let run_id = (args.live_status.is_some() || args.ledger_path.is_some())
         .then(|| flow.run_id(&net, objective));
+    if args.profile_dir.is_some() {
+        start_profiled_window();
+    }
     let result = match &args.resume {
         Some(path) => match Checkpoint::load(Path::new(path)) {
             Ok(checkpoint) => {
@@ -1638,13 +1622,6 @@ fn main() -> ExitCode {
             Err(err) => Err(FlowError::from(err)),
         },
         None => flow.map(&net, objective),
-    };
-    // The sampler stops whether the flow succeeded or not; its profile
-    // only gets written on success (failures leave no partial sinks).
-    let profile = if args.profile_dir.is_some() {
-        nanomap_observe::stop_sampler()
-    } else {
-        None
     };
     match result {
         Ok(report) => {
@@ -1716,13 +1693,15 @@ fn main() -> ExitCode {
                     ))
                 );
             }
-            if let (Some(dir), Some(profile)) = (&args.profile_dir, &profile) {
-                if let Some(path) = write_profile_artifacts(dir, &report.circuit, profile) {
+            // All JSON sinks render from one snapshot of the finished flow.
+            let snap = nanomap_observe::snapshot();
+            if let Some(dir) = &args.profile_dir {
+                let profile = snap.profile();
+                if let Some(path) = write_profile_artifacts(dir, &report.circuit, &profile) {
                     report!(
-                        "  profile: {} samples at {:.0} Hz effective ({:.2}% overhead) -> {path}",
-                        profile.total_samples,
-                        profile.effective_hz,
-                        profile.overhead_fraction() * 100.0
+                        "  profile: {} paths, {:.1} ms exact -> {path}",
+                        profile.paths.len(),
+                        profile.total_us() as f64 / 1e3
                     );
                 }
             }
@@ -1736,11 +1715,8 @@ fn main() -> ExitCode {
                 }
             }
             if args.progress || args.trace {
-                let snap = nanomap_observe::snapshot();
                 eprint!("{}", snap.render_tree());
             }
-            // All JSON sinks render from one snapshot of the finished flow.
-            let snap = nanomap_observe::snapshot();
             if let Some(path) = &args.metrics_path {
                 let doc = JsonValue::object()
                     .with("report", report.to_json())
@@ -1753,16 +1729,12 @@ fn main() -> ExitCode {
             }
             if let Some(path) = &args.chrome_trace_path {
                 // With --explain active the worst routed path rides along
-                // as flow ("s"/"t"/"f") arrows on the trace; with
-                // --profile the sampler's hits fold in as instant events.
-                let mut extra = report
+                // as flow ("s"/"t"/"f") arrows on the trace.
+                let extra = report
                     .explain
                     .as_ref()
                     .map(ExplainReport::chrome_flow_events)
                     .unwrap_or_default();
-                if let Some(profile) = &profile {
-                    extra.extend(profile.chrome_events());
-                }
                 let doc = snap.to_chrome_trace_with_events(extra);
                 if let Err(e) = write_sink(path, &doc.to_pretty_string()) {
                     eprintln!("error: {e}");

@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 
 use nanomap_arch::{ArchParams, Grid, SmbPos};
 use nanomap_netlist::{FfId, LutId, LutNetwork, SignalRef};
-use nanomap_observe::{json, JsonValue};
+use nanomap_observe::{json, Fnv1a, JsonValue};
 use nanomap_pack::{Packing, Slice};
 use nanomap_sched::Schedule;
 
@@ -129,82 +129,39 @@ impl CheckpointPhase {
 /// different netlist.
 pub fn netlist_fingerprint(net: &LutNetwork) -> u64 {
     let mut h = Fnv1a::new();
-    h.bytes(net.name().as_bytes());
-    h.u64(net.num_inputs() as u64);
-    h.u64(net.num_luts() as u64);
-    h.u64(net.num_ffs() as u64);
+    h.field(net.name().as_bytes())
+        .u64(net.num_inputs() as u64)
+        .u64(net.num_luts() as u64)
+        .u64(net.num_ffs() as u64);
     for (_, lut) in net.luts() {
-        h.u64(u64::from(lut.truth.num_inputs()));
-        h.u64(lut.truth.bits());
+        h.u64(u64::from(lut.truth.num_inputs()))
+            .u64(lut.truth.bits());
         for &input in &lut.inputs {
-            h.signal(input);
+            hash_signal(&mut h, input);
         }
     }
     for (_, ff) in net.ffs() {
-        h.signal(ff.d);
+        hash_signal(&mut h, ff.d);
         match ff.bank {
-            Some(bank) => {
-                h.byte(1);
-                h.u64(u64::from(bank));
-            }
+            Some(bank) => h.byte(1).u64(u64::from(bank)),
             None => h.byte(0),
-        }
+        };
     }
     for (name, signal) in net.outputs() {
-        h.bytes(name.as_bytes());
-        h.signal(*signal);
+        h.field(name.as_bytes());
+        hash_signal(&mut h, *signal);
     }
     h.finish()
 }
 
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.byte(b);
-        }
-        self.byte(0xFF); // separator: "ab","c" hashes differently from "a","bc"
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn signal(&mut self, s: SignalRef) {
-        match s {
-            SignalRef::Input(i) => {
-                self.byte(0);
-                self.u64(i.index() as u64);
-            }
-            SignalRef::Lut(i) => {
-                self.byte(1);
-                self.u64(i.index() as u64);
-            }
-            SignalRef::Ff(i) => {
-                self.byte(2);
-                self.u64(i.index() as u64);
-            }
-            SignalRef::Const(b) => {
-                self.byte(3);
-                self.byte(u8::from(b));
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Mixes one signal reference (a kind tag, then its index or value).
+fn hash_signal(h: &mut Fnv1a, s: SignalRef) {
+    match s {
+        SignalRef::Input(i) => h.byte(0).u64(i.index() as u64),
+        SignalRef::Lut(i) => h.byte(1).u64(i.index() as u64),
+        SignalRef::Ff(i) => h.byte(2).u64(i.index() as u64),
+        SignalRef::Const(b) => h.byte(3).byte(u8::from(b)),
+    };
 }
 
 /// One plane's frozen FDS schedule.

@@ -1183,8 +1183,8 @@ impl NanoMap {
             degraded: false,
             degradations: Vec::new(),
             phase_times: times,
-            // One RSS sample at flow end tightens the peak even when no
-            // background sampler ran; `memory_report()` stays `None`
+            // One RSS sample at flow end joins the per-phase samples
+            // taken at span boundaries; `memory_report()` stays `None`
             // (and the artifact byte-identical) unless the driver
             // enabled tracking.
             memory: {

@@ -86,20 +86,8 @@ impl QorReport {
             }
         }
         let t = report.phase_times;
-        let mut phase_times: BTreeMap<String, f64> = [
-            ("folding_select_ms", t.folding_select_ms),
-            ("fds_ms", t.fds_ms),
-            ("pack_ms", t.pack_ms),
-            ("place_ms", t.place_ms),
-            ("route_ms", t.route_ms),
-            ("bitmap_ms", t.bitmap_ms),
-            ("verify_ms", t.verify_ms),
-            ("explain_ms", t.explain_ms),
-            ("total_ms", t.total_ms),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
+        let mut phase_times: BTreeMap<String, f64> =
+            t.keyed_ms().map(|(k, v)| (k.to_string(), v)).collect();
         if let Some(remaining) = t.budget_ms_remaining {
             phase_times.insert("budget_ms_remaining".to_string(), remaining);
         }

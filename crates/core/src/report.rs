@@ -1,7 +1,7 @@
 //! Mapping reports.
 
 use nanomap_arch::{PowerEstimate, WireType};
-use nanomap_observe::{Degradation, JsonValue, MemoryReport};
+use nanomap_observe::{Degradation, JsonValue, MemoryReport, Phase, PHASES};
 use nanomap_route::InterconnectUsage;
 
 use crate::explain::ExplainReport;
@@ -91,17 +91,33 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
+    /// Each phase's milliseconds, in [`PHASES`] order.
+    pub fn by_phase(self) -> impl Iterator<Item = (Phase, f64)> {
+        let ms = [
+            self.folding_select_ms,
+            self.fds_ms,
+            self.pack_ms,
+            self.place_ms,
+            self.route_ms,
+            self.bitmap_ms,
+            self.verify_ms,
+            self.explain_ms,
+        ];
+        PHASES.into_iter().zip(ms)
+    }
+
+    /// Each phase's `(JSON key, milliseconds)` followed by
+    /// `("total_ms", total)` — the rows every phase-time sink writes.
+    pub fn keyed_ms(self) -> impl Iterator<Item = (&'static str, f64)> {
+        self.by_phase()
+            .map(|(phase, ms)| (phase.key, ms))
+            .chain([("total_ms", self.total_ms)])
+    }
+
     /// Sum of the per-phase wall-clock entries (everything except
     /// `total_ms` and the budget remainder).
     pub fn phase_sum_ms(self) -> f64 {
-        self.folding_select_ms
-            + self.fds_ms
-            + self.pack_ms
-            + self.place_ms
-            + self.route_ms
-            + self.bitmap_ms
-            + self.verify_ms
-            + self.explain_ms
+        self.by_phase().map(|(_, ms)| ms).sum()
     }
 
     /// Self-consistency check: the per-phase sum must not exceed the
@@ -128,16 +144,10 @@ impl PhaseTimes {
     /// emitted only for budgeted runs, so unbudgeted artifacts stay
     /// byte-identical to pre-budget baselines.
     pub fn to_json(self) -> JsonValue {
-        let times = JsonValue::object()
-            .with("folding_select_ms", self.folding_select_ms)
-            .with("fds_ms", self.fds_ms)
-            .with("pack_ms", self.pack_ms)
-            .with("place_ms", self.place_ms)
-            .with("route_ms", self.route_ms)
-            .with("bitmap_ms", self.bitmap_ms)
-            .with("verify_ms", self.verify_ms)
-            .with("explain_ms", self.explain_ms)
-            .with("total_ms", self.total_ms);
+        let mut times = JsonValue::object();
+        for (key, ms) in self.keyed_ms() {
+            times.set(key, ms);
+        }
         match self.budget_ms_remaining {
             Some(remaining) => times.with("budget_ms_remaining", remaining),
             None => times,
@@ -412,6 +422,22 @@ mod tests {
             budget_ms_remaining: None,
         };
         assert!((times.phase_sum_ms() - 95.0).abs() < 1e-12);
+        // Each field lands on its own row of the phase table.
+        let keyed: Vec<(&str, f64)> = times.keyed_ms().collect();
+        assert_eq!(
+            keyed,
+            [
+                ("folding_select_ms", 10.0),
+                ("fds_ms", 5.0),
+                ("pack_ms", 20.0),
+                ("place_ms", 30.0),
+                ("route_ms", 25.0),
+                ("bitmap_ms", 2.0),
+                ("verify_ms", 3.0),
+                ("explain_ms", 0.0),
+                ("total_ms", 100.0),
+            ]
+        );
         assert!(times.reconcile(0.10, 1.0).is_ok());
         // Undershoot is always fine (unitemized inter-phase work).
         let sparse = PhaseTimes {

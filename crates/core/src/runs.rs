@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use nanomap_observe::{json, JsonValue};
+use nanomap_observe::{json, Fnv1a, JsonValue};
 
 use crate::artifact::{atomic_write_text, versions};
 use crate::report::MappingReport;
@@ -42,17 +42,12 @@ const MAD_SIGMA: f64 = 1.4826;
 /// objective key and both physical seeds, rendered as 16 hex digits.
 /// The same netlist mapped the same way always gets the same id.
 pub fn run_id(fingerprint: u64, objective_key: &str, place_seed: u64, route_seed: u64) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        h = (h ^ 0xFF).wrapping_mul(0x100_0000_01b3); // field separator
-    };
-    eat(&fingerprint.to_le_bytes());
-    eat(objective_key.as_bytes());
-    eat(&place_seed.to_le_bytes());
-    eat(&route_seed.to_le_bytes());
+    let h = Fnv1a::new()
+        .field(&fingerprint.to_le_bytes())
+        .field(objective_key.as_bytes())
+        .field(&place_seed.to_le_bytes())
+        .field(&route_seed.to_le_bytes())
+        .finish();
     format!("{h:016x}")
 }
 
@@ -114,19 +109,10 @@ pub fn publish_run_end(run_id: &str, exit_code: i32, report: Option<&MappingRepo
         || (Vec::new(), 0.0),
         |r| {
             let t = r.phase_times;
-            let phases = [
-                ("folding_select_ms", t.folding_select_ms),
-                ("fds_ms", t.fds_ms),
-                ("pack_ms", t.pack_ms),
-                ("place_ms", t.place_ms),
-                ("route_ms", t.route_ms),
-                ("bitmap_ms", t.bitmap_ms),
-                ("verify_ms", t.verify_ms),
-                ("explain_ms", t.explain_ms),
-            ]
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
+            let phases = t
+                .by_phase()
+                .map(|(phase, ms)| (phase.key.to_string(), ms))
+                .collect();
             (phases, t.total_ms)
         },
     );
@@ -155,21 +141,11 @@ impl RunRecord {
             m("routed_delay_ns", p.routed_delay_ns);
             m("routed_wirelength", p.usage.total() as f64);
         }
-        let t = report.phase_times;
-        let phase_ms: BTreeMap<String, f64> = [
-            ("folding_select_ms", t.folding_select_ms),
-            ("fds_ms", t.fds_ms),
-            ("pack_ms", t.pack_ms),
-            ("place_ms", t.place_ms),
-            ("route_ms", t.route_ms),
-            ("bitmap_ms", t.bitmap_ms),
-            ("verify_ms", t.verify_ms),
-            ("explain_ms", t.explain_ms),
-            ("total_ms", t.total_ms),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
+        let phase_ms: BTreeMap<String, f64> = report
+            .phase_times
+            .keyed_ms()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
         let timestamp = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
@@ -1026,6 +1002,16 @@ mod tests {
             .into_iter()
             .collect(),
         }
+    }
+
+    /// Run ids key the ledger and the daemon's result cache: the hash
+    /// must never drift, or committed ledgers stop matching new runs.
+    #[test]
+    fn run_id_is_pinned() {
+        assert_eq!(
+            run_id(0x0123_4567_89ab_cdef, "min-at", 1, 2),
+            "014a5cef8bc1cc64"
+        );
     }
 
     #[test]

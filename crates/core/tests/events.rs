@@ -94,17 +94,13 @@ fn live_stream_validates_and_reconciles_with_the_report() {
     // run-end's totals are the report's own phase times, verbatim.
     let t = report.phase_times;
     assert_eq!(check.total_ms, t.total_ms);
-    for (name, expect) in [
-        ("folding_select_ms", t.folding_select_ms),
-        ("fds_ms", t.fds_ms),
-        ("pack_ms", t.pack_ms),
-        ("place_ms", t.place_ms),
-        ("route_ms", t.route_ms),
-        ("bitmap_ms", t.bitmap_ms),
-        ("verify_ms", t.verify_ms),
-        ("explain_ms", t.explain_ms),
-    ] {
-        assert_eq!(check.phase_ms.get(name), Some(&expect), "{name}");
+    for (phase, expect) in t.by_phase() {
+        assert_eq!(
+            check.phase_ms.get(phase.key),
+            Some(&expect),
+            "{}",
+            phase.key
+        );
     }
 }
 
@@ -183,16 +179,13 @@ fn every_artifact_embeds_its_registered_version() {
         "ledger line lost its schema"
     );
 
-    // Profiler artifact (schema constant shared with the observe crate).
-    if nanomap_observe::start_sampler(997) {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let profile = nanomap_observe::stop_sampler().expect("sampler was running");
-        let profile_json = profile.to_json().to_compact_string();
-        assert!(
-            profile_json.contains(versions::PROFILE),
-            "profile lost its schema"
-        );
-    }
+    // Profile artifact, a view of the same run's spans (schema constant
+    // shared with the observe crate).
+    let profile_json = snapshot.profile().to_json().to_compact_string();
+    assert!(
+        profile_json.contains(versions::PROFILE),
+        "profile lost its schema"
+    );
     assert_eq!(versions::PROFILE, nanomap_observe::PROFILE_SCHEMA);
     assert_eq!(versions::EVENTS, nanomap_observe::EVENTS_SCHEMA);
 

@@ -62,7 +62,7 @@ use nanomap::{
 };
 use nanomap_arch::{ArchParams, DefectMap};
 use nanomap_netlist::{blif, vhdl, LutNetwork};
-use nanomap_observe::{failpoint, EventKind, EventStream, HistogramHandle, JsonValue};
+use nanomap_observe::{failpoint, EventKind, EventStream, Fnv1a, HistogramHandle, JsonValue};
 use nanomap_techmap::{expand, ExpandOptions};
 
 use cache::ResultCache;
@@ -402,16 +402,11 @@ fn next_trace_id(shared: &Shared) -> String {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| (d.as_secs() << 30) ^ u64::from(d.subsec_nanos()));
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for bytes in [
-        u64::from(std::process::id()).to_le_bytes(),
-        seq.to_le_bytes(),
-        nanos.to_le_bytes(),
-    ] {
-        for b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
+    let h = Fnv1a::new()
+        .u64(u64::from(std::process::id()))
+        .u64(seq)
+        .u64(nanos)
+        .finish();
     format!("{h:016x}")
 }
 

@@ -10,8 +10,9 @@
 //! itself through a `thread_local` initializer deadlocks or recurses).
 //!
 //! RSS comes from `/proc/self/status` (`VmRSS`, reported in kB) on
-//! Linux; other platforms get a portable `None` fallback so every
-//! consumer stays optional-aware.
+//! Linux, read at the end of every phase span while tracking is on and
+//! once more when the flow finishes; other platforms get a portable
+//! `None` fallback so every consumer stays optional-aware.
 //!
 //! Nothing in this module panics and nothing allocates on the counting
 //! path.
@@ -20,28 +21,22 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use crate::json::JsonValue;
+use crate::phase::PHASES;
 
-/// Flow phases that allocation is attributed to. Index 0 is the
-/// catch-all for allocations outside any known phase span.
-pub const PHASE_NAMES: [&str; 9] = [
-    "other",
-    "folding-select",
-    "fds",
-    "pack",
-    "place",
-    "route",
-    "bitmap",
-    "verify",
-    "explain",
-];
+/// Allocation attribution slots: index 0 is the catch-all for
+/// allocations outside any phase span, index `i + 1` is `PHASES[i]`.
+const NUM_PHASES: usize = PHASES.len() + 1;
 
-const NUM_PHASES: usize = PHASE_NAMES.len();
+/// Name of attribution slot `idx`.
+fn phase_name(idx: usize) -> &'static str {
+    idx.checked_sub(1).map_or("other", |i| PHASES[i].span)
+}
 
 /// Master switch: when off, the allocator forwards with one relaxed
 /// load of overhead and reports stay `None`.
 static MEM_ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Index into [`PHASE_NAMES`] of the phase currently executing. Written
+/// Attribution slot of the phase currently executing. Written
 /// by the span layer, read by the allocator. A plain global (not a
 /// thread-local) on purpose: the flow runs its phases on one thread, and
 /// the allocator must not touch TLS.
@@ -89,39 +84,50 @@ pub fn reset_memory() {
 }
 
 /// Span-layer hook: marks `name` as the active phase when it is one of
-/// [`PHASE_NAMES`]. Returns the previous phase index for restoration.
+/// [`PHASES`]. Returns the previous phase slot for restoration.
 pub(crate) fn phase_enter(name: &str) -> Option<usize> {
     if !memory_tracking() {
         return None;
     }
-    let idx = PHASE_NAMES.iter().position(|&p| p == name)?;
+    let idx = PHASES.iter().position(|p| p.span == name)? + 1;
     Some(CURRENT_PHASE.swap(idx, Ordering::Relaxed))
 }
 
-/// Span-layer hook: restores the phase saved by [`phase_enter`].
+/// Span-layer hook: samples RSS as the phase ends (one read per
+/// boundary: each phase's end is the next one's start) and restores the
+/// phase saved by [`phase_enter`].
 pub(crate) fn phase_exit(previous: usize) {
+    sample_rss_kb();
     CURRENT_PHASE.store(previous, Ordering::Relaxed);
-}
-
-/// Records an externally observed RSS reading (the profiler's sampler
-/// feeds this), keeping the high-water mark.
-pub fn note_rss_kb(kb: u64) {
-    RSS_PEAK_KB.fetch_max(kb, Ordering::Relaxed);
 }
 
 /// Reads the process resident-set size in kB from `/proc/self/status`
 /// (`VmRSS`). Returns `None` off-Linux or when the read fails — RSS is
-/// best-effort telemetry, never load-bearing.
+/// best-effort telemetry, never load-bearing. Reads into a stack buffer,
+/// so a sample taken at a phase boundary adds nothing to the counted
+/// allocations.
 pub fn read_rss_kb() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        for line in status.lines() {
-            if let Some(rest) = line.strip_prefix("VmRSS:") {
-                return rest.split_whitespace().next().and_then(|n| n.parse().ok());
+        use std::io::Read as _;
+        let mut file = std::fs::File::open("/proc/self/status").ok()?;
+        let mut buf = [0u8; 4096];
+        let mut len = 0;
+        while len < buf.len() {
+            match file.read(&mut buf[len..]).ok()? {
+                0 => break,
+                n => len += n,
             }
         }
-        None
+        let rest = buf[..len]
+            .split(|&b| b == b'\n')
+            .find_map(|line| line.strip_prefix(b"VmRSS:"))?;
+        std::str::from_utf8(rest)
+            .ok()?
+            .split_whitespace()
+            .next()?
+            .parse()
+            .ok()
     }
     #[cfg(not(target_os = "linux"))]
     {
@@ -132,7 +138,7 @@ pub fn read_rss_kb() -> Option<u64> {
 /// Samples RSS once and folds it into the peak. Returns the reading.
 pub fn sample_rss_kb() -> Option<u64> {
     let kb = read_rss_kb()?;
-    note_rss_kb(kb);
+    RSS_PEAK_KB.fetch_max(kb, Ordering::Relaxed);
     Some(kb)
 }
 
@@ -154,8 +160,8 @@ pub struct MemoryReport {
     /// Peak RSS in kB, when the platform exposes it and at least one
     /// sample was taken.
     pub peak_rss_kb: Option<u64>,
-    /// Per-phase `(phase, allocations, bytes)`, in [`PHASE_NAMES`]
-    /// order, phases with zero activity omitted.
+    /// Per-phase `(phase, allocations, bytes)`: `other` first, then
+    /// [`PHASES`] order, phases with zero activity omitted.
     pub by_phase: Vec<(&'static str, u64, u64)>,
 }
 
@@ -191,13 +197,11 @@ pub fn memory_report() -> Option<MemoryReport> {
         return None;
     }
     let peak_rss = RSS_PEAK_KB.load(Ordering::Relaxed);
-    let by_phase = PHASE_NAMES
-        .iter()
-        .enumerate()
-        .filter_map(|(idx, &phase)| {
+    let by_phase = (0..NUM_PHASES)
+        .filter_map(|idx| {
             let count = PHASE_ALLOC_COUNT[idx].load(Ordering::Relaxed);
             let bytes = PHASE_ALLOC_BYTES[idx].load(Ordering::Relaxed);
-            (count > 0).then_some((phase, count, bytes))
+            (count > 0).then_some((phase_name(idx), count, bytes))
         })
         .collect();
     Some(MemoryReport {

@@ -50,6 +50,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use crate::hash::Fnv1a;
 use crate::rng::XorShift64Star;
 
 /// Environment variable holding the failpoint configuration string.
@@ -119,7 +120,9 @@ impl FailPoint {
             mode,
             evaluations: 0,
             fired: 0,
-            rng: XorShift64Star::new(seed ^ fnv1a(name.as_bytes())),
+            // Mixing the name in makes two points armed with the same
+            // global seed fire on independent schedules.
+            rng: XorShift64Star::new(seed ^ Fnv1a::new().bytes(name.as_bytes()).finish()),
         }
     }
 
@@ -137,18 +140,6 @@ impl FailPoint {
         }
         fire
     }
-}
-
-/// FNV-1a over a byte slice; mixes the failpoint name into its seed so
-/// two points armed with the same global seed fire on independent
-/// schedules.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Fast-path flag: true iff at least one failpoint is armed. Checked
@@ -274,6 +265,16 @@ mod tests {
 
     // The registry is process-global, so each test uses unique names
     // and the suite never calls `disarm_all` concurrently with others.
+
+    /// A fixed `NANOMAP_FAILPOINT_SEED` must keep reproducing the same
+    /// firing schedule, so the name-into-seed mix is pinned.
+    #[test]
+    fn seed_mix_is_pinned() {
+        let point = FailPoint::new("route.pathfinder", FailMode::Always, 0);
+        assert_eq!(point.rng, XorShift64Star::new(0xc998_5ef3_e8f3_d46b));
+        let point = FailPoint::new("route.pathfinder", FailMode::Always, 5);
+        assert_eq!(point.rng, XorShift64Star::new(0xc998_5ef3_e8f3_d46b ^ 5));
+    }
 
     #[test]
     fn disarmed_points_never_fire() {

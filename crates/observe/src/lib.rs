@@ -4,11 +4,12 @@
 //! wall-clock [spans](span!), monotonic [counters](counter) and
 //! [gauges](gauge), log-scale [histograms](histogram) with percentile
 //! readout, bounded time [series](series) for convergence trajectories,
-//! a thread-safe global [collector](snapshot), and three sinks —
-//! a human-readable per-phase tree ([`MetricsSnapshot::render_tree`]),
-//! a hand-rolled JSON emitter ([`MetricsSnapshot::to_json`], serde-free),
-//! and a Chrome trace-event exporter
-//! ([`MetricsSnapshot::to_chrome_trace`], loadable in Perfetto).
+//! a thread-safe global [collector](snapshot), and four views of its
+//! span records — a human-readable per-phase tree
+//! ([`MetricsSnapshot::render_tree`]), a hand-rolled JSON emitter
+//! ([`MetricsSnapshot::to_json`], serde-free), a Chrome trace-event
+//! exporter ([`MetricsSnapshot::to_chrome_trace`], loadable in Perfetto)
+//! and an exact span-path profile ([`MetricsSnapshot::profile`]).
 //!
 //! Everything is **off by default** and costs one relaxed atomic load per
 //! instrumentation site until [`set_enabled`]`(true)` — the flow's hot
@@ -16,7 +17,9 @@
 //!
 //! The crate also hosts the workspace's determinism substrate:
 //! [`rng::XorShift64Star`], the seeded PRNG that replaced the `rand`
-//! crate so annealing and routing runs reproduce from one logged seed.
+//! crate so annealing and routing runs reproduce from one logged seed,
+//! and [`Fnv1a`], the one hash behind fingerprints and run ids. The
+//! flow's timed phases are listed once, in [`PHASES`].
 //!
 //! ```
 //! use nanomap_observe as observe;
@@ -47,7 +50,9 @@ pub mod profile;
 pub mod rng;
 
 mod collector;
+mod hash;
 mod metrics;
+mod phase;
 mod series;
 mod span;
 mod trace;
@@ -67,11 +72,10 @@ pub use events::{
     drain_events, dropped_events, events_enabled, publish, reset_events, set_events_enabled, Event,
     EventKind, EventStream, StreamStats, EVENTS_SCHEMA, EVENT_QUEUE_CAPACITY,
 };
+pub use hash::Fnv1a;
 pub use json::JsonValue;
 pub use metrics::{Counter, Gauge, HistogramHandle, HistogramSnapshot};
-pub use profile::{
-    sampler_running, start_sampler, stop_sampler, HotPath, ProfileData, ProfilePath,
-    DEFAULT_SAMPLE_HZ, PROFILE_SCHEMA,
-};
+pub use phase::{Phase, PHASES};
+pub use profile::{HotPath, ProfileData, ProfilePath, PROFILE_SCHEMA};
 pub use series::{SeriesHandle, SeriesPoint, SeriesSnapshot, SERIES_CAPACITY};
 pub use span::{SpanAttr, SpanGuard, SpanRecord};

@@ -1,404 +1,43 @@
-//! Span-stack sampling profiler.
+//! Exact span-path profile: a view of the collector's span records.
 //!
-//! The span layer already measures *closed* spans; this module answers
-//! the complementary question — *where is the time going right now?* —
-//! without touching the hot path's instrumentation cost. Every thread
-//! that opens spans publishes its current span path (a stack of interned
-//! span names) into a lock-free shared slot guarded by a seqlock. A
-//! background sampler thread polls all slots at a configurable rate
-//! (default [`DEFAULT_SAMPLE_HZ`] = 997 Hz, prime so it cannot alias
-//! with millisecond-periodic work), accumulating one stack sample per
-//! thread per tick. Stopping the sampler yields a [`ProfileData`] with:
+//! Every closed span is attributed to its *path*, the span names along
+//! its parent chain (`flow;place;anneal`). A path's inclusive time is
+//! the summed duration of its spans; its exclusive time subtracts the
+//! durations of their direct children. Children run on the parent's
+//! thread and nest inside it, so exclusive times are never negative and
+//! tile each root span to the microsecond. [`MetricsSnapshot::profile`]
+//! yields a [`ProfileData`] with:
 //!
-//! * deterministic-schema `nanomap-profile-v1` JSON ([`ProfileData::to_json`]),
-//! * collapsed-stack text for standard flamegraph tooling
-//!   ([`ProfileData::collapsed`]),
-//! * instant events that fold the samples into the Chrome-trace export
-//!   ([`ProfileData::chrome_events`]),
+//! * deterministic-schema `nanomap-profile-v2` JSON ([`ProfileData::to_json`]),
+//! * collapsed-stack text weighted by exclusive µs, for standard
+//!   flamegraph tooling ([`ProfileData::collapsed`]),
 //! * a top-K hot-path table with per-phase attribution
 //!   ([`ProfileData::top_paths`]).
 //!
-//! Publishing costs two release stores per span open/close *only while a
-//! sampler is running*; otherwise a single relaxed load, preserving the
-//! crate's zero-cost-when-off contract. Sampler failures are reported,
-//! never propagated: a mapping run must finish whether or not its
-//! profiler does.
+//! The Chrome-trace export draws the same spans as slices, so the
+//! profile needs no trace events of its own.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::collections::{BTreeMap, HashMap};
 
-use crate::collector::since_epoch_us;
+use crate::collector::MetricsSnapshot;
 use crate::json::JsonValue;
-
-/// Default sampling frequency. Prime, so the sampler cannot phase-lock
-/// with work that happens to be periodic in round milliseconds.
-pub const DEFAULT_SAMPLE_HZ: u32 = 997;
-
-/// Deepest span path the shared slot can publish; deeper frames are
-/// dropped (the sample is attributed to the deepest published frame).
-pub const MAX_STACK_DEPTH: usize = 48;
+use crate::span::SpanRecord;
 
 /// Schema tag stamped on every profile artifact.
-pub const PROFILE_SCHEMA: &str = "nanomap-profile-v1";
+pub const PROFILE_SCHEMA: &str = "nanomap-profile-v2";
 
-/// How many sampler ticks between RSS reads (RSS moves far slower than
-/// the span stack, and reading `/proc` is comparatively expensive).
-const RSS_SAMPLE_STRIDE: u64 = 32;
-
-// ---------------------------------------------------------------------------
-// Span-name interning
-// ---------------------------------------------------------------------------
-
-struct InternTable {
-    by_name: BTreeMap<&'static str, u32>,
-    names: Vec<&'static str>,
-}
-
-fn intern_table() -> &'static Mutex<InternTable> {
-    static TABLE: OnceLock<Mutex<InternTable>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        Mutex::new(InternTable {
-            by_name: BTreeMap::new(),
-            names: Vec::new(),
-        })
-    })
-}
-
-/// Interns a span name, returning its stable small id.
-fn intern(name: &'static str) -> u32 {
-    let mut table = intern_table()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(&id) = table.by_name.get(name) {
-        return id;
-    }
-    let id = table.names.len() as u32;
-    table.names.push(name);
-    table.by_name.insert(name, id);
-    id
-}
-
-/// Resolves an interned id back to its span name (`"?"` for an id the
-/// table has never issued — impossible in practice, but the profiler
-/// never panics).
-fn name_of(id: u32) -> &'static str {
-    let table = intern_table()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    table.names.get(id as usize).copied().unwrap_or("?")
-}
-
-// ---------------------------------------------------------------------------
-// Per-thread shared span-path slot (seqlock)
-// ---------------------------------------------------------------------------
-
-/// One thread's published span path. Writers (the instrumented thread)
-/// bump `version` to odd, mutate, bump back to even; the sampler rejects
-/// any read that observes an odd or changed version (a torn sample).
-struct PathSlot {
-    tid: u32,
-    version: AtomicU64,
-    depth: AtomicUsize,
-    frames: [AtomicU32; MAX_STACK_DEPTH],
-}
-
-impl PathSlot {
-    fn new(tid: u32) -> Self {
-        Self {
-            tid,
-            version: AtomicU64::new(0),
-            depth: AtomicUsize::new(0),
-            frames: [(); MAX_STACK_DEPTH].map(|()| AtomicU32::new(0)),
-        }
-    }
-
-    /// Pushes an interned frame (writer side; only called from the
-    /// owning thread).
-    fn push(&self, id: u32) {
-        let depth = self.depth.load(Ordering::Relaxed);
-        self.version.fetch_add(1, Ordering::Release);
-        if depth < MAX_STACK_DEPTH {
-            self.frames[depth].store(id, Ordering::Relaxed);
-        }
-        self.depth.store(depth + 1, Ordering::Relaxed);
-        self.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// Pops the top frame (writer side).
-    fn pop(&self) {
-        let depth = self.depth.load(Ordering::Relaxed);
-        self.version.fetch_add(1, Ordering::Release);
-        self.depth.store(depth.saturating_sub(1), Ordering::Relaxed);
-        self.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// Sampler-side consistent read: `None` when the slot is idle (no
-    /// open span) or the read tore.
-    fn read(&self) -> Result<Option<Vec<u32>>, Torn> {
-        let before = self.version.load(Ordering::Acquire);
-        if before % 2 == 1 {
-            return Err(Torn);
-        }
-        let depth = self.depth.load(Ordering::Relaxed).min(MAX_STACK_DEPTH);
-        if depth == 0 {
-            // Still validate: an idle read racing a push must not count
-            // as a clean idle observation.
-            return if self.version.load(Ordering::Acquire) == before {
-                Ok(None)
-            } else {
-                Err(Torn)
-            };
-        }
-        let mut frames = Vec::with_capacity(depth);
-        for frame in self.frames.iter().take(depth) {
-            frames.push(frame.load(Ordering::Relaxed));
-        }
-        if self.version.load(Ordering::Acquire) == before {
-            Ok(Some(frames))
-        } else {
-            Err(Torn)
-        }
-    }
-}
-
-/// Marker: the seqlock read raced a writer.
-struct Torn;
-
-fn slot_registry() -> &'static Mutex<Vec<Arc<PathSlot>>> {
-    static SLOTS: OnceLock<Mutex<Vec<Arc<PathSlot>>>> = OnceLock::new();
-    SLOTS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static MY_SLOT: std::cell::OnceCell<Arc<PathSlot>> = const { std::cell::OnceCell::new() };
-}
-
-fn with_my_slot(f: impl FnOnce(&PathSlot)) {
-    MY_SLOT.with(|cell| {
-        let slot = cell.get_or_init(|| {
-            let slot = Arc::new(PathSlot::new(crate::collector::thread_ordinal()));
-            slot_registry()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(Arc::clone(&slot));
-            slot
-        });
-        f(slot);
-    });
-}
-
-/// Whether a sampler is currently publishing (one relaxed load — the
-/// span layer's only cost while profiling is off).
-static PUBLISHING: AtomicBool = AtomicBool::new(false);
-
-/// Whether span-path publishing is active (a sampler is running).
-#[inline]
-pub(crate) fn publishing() -> bool {
-    PUBLISHING.load(Ordering::Relaxed)
-}
-
-/// Span-open hook: publishes `name` onto this thread's shared path.
-/// Returns whether the frame was published (so the matching close pops
-/// exactly what it pushed, even if the sampler starts or stops mid-span).
-#[inline]
-pub(crate) fn frame_enter(name: &'static str) -> bool {
-    if !publishing() {
-        return false;
-    }
-    let id = intern(name);
-    with_my_slot(|slot| slot.push(id));
-    true
-}
-
-/// Span-close hook for a frame that [`frame_enter`] published.
-#[inline]
-pub(crate) fn frame_exit() {
-    with_my_slot(PathSlot::pop);
-}
-
-// ---------------------------------------------------------------------------
-// The sampler thread
-// ---------------------------------------------------------------------------
-
-/// One raw stack sample.
-struct RawSample {
-    /// Microseconds since the collector epoch.
-    t_us: u64,
-    /// Thread ordinal the sample was taken from.
-    tid: u32,
-    /// Index into the collected path table.
-    path: u32,
-}
-
-/// Everything the sampler thread accumulated.
-struct SamplerOutput {
-    paths: Vec<Vec<u32>>,
-    samples: Vec<RawSample>,
-    ticks: u64,
-    torn: u64,
-    idle: u64,
-    work_us: u64,
-    rss_peak_kb: Option<u64>,
-    started_us: u64,
-    stopped_us: u64,
-}
-
-struct SamplerControl {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<SamplerOutput>,
-    nominal_hz: u32,
-}
-
-fn sampler_state() -> &'static Mutex<Option<SamplerControl>> {
-    static STATE: OnceLock<Mutex<Option<SamplerControl>>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(None))
-}
-
-/// Starts the background sampler at `hz` samples per second (clamped to
-/// 1..=100_000; 0 selects [`DEFAULT_SAMPLE_HZ`]). Idempotent: when a
-/// sampler is already running this is a no-op returning `false`.
-///
-/// Spawn failures degrade to `false` — callers treat a missing profiler
-/// as a warning, never an abort.
-pub fn start_sampler(hz: u32) -> bool {
-    let mut state = sampler_state()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if state.is_some() {
-        return false;
-    }
-    let hz = if hz == 0 { DEFAULT_SAMPLE_HZ } else { hz }.clamp(1, 100_000);
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let spawned = std::thread::Builder::new()
-        .name("nanomap-sampler".into())
-        .spawn(move || sampler_loop(hz, &stop_flag));
-    match spawned {
-        Ok(handle) => {
-            PUBLISHING.store(true, Ordering::Relaxed);
-            *state = Some(SamplerControl {
-                stop,
-                handle,
-                nominal_hz: hz,
-            });
-            true
-        }
-        Err(e) => {
-            eprintln!("warning: profiler sampler thread failed to start: {e}");
-            false
-        }
-    }
-}
-
-/// Stops the sampler and returns its accumulated profile. Idempotent:
-/// `None` when no sampler is running (including a second stop).
-pub fn stop_sampler() -> Option<ProfileData> {
-    let control = sampler_state()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()?;
-    PUBLISHING.store(false, Ordering::Relaxed);
-    control.stop.store(true, Ordering::Relaxed);
-    match control.handle.join() {
-        Ok(output) => Some(ProfileData::from_output(control.nominal_hz, output)),
-        Err(_) => {
-            eprintln!("warning: profiler sampler thread panicked; profile discarded");
-            None
-        }
-    }
-}
-
-/// Whether a sampler is currently running.
-pub fn sampler_running() -> bool {
-    sampler_state()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .is_some()
-}
-
-fn sampler_loop(hz: u32, stop: &AtomicBool) -> SamplerOutput {
-    let period = Duration::from_nanos(1_000_000_000 / u64::from(hz));
-    let started_us = since_epoch_us(Instant::now());
-    let mut paths: Vec<Vec<u32>> = Vec::new();
-    let mut path_ids: BTreeMap<Vec<u32>, u32> = BTreeMap::new();
-    let mut samples: Vec<RawSample> = Vec::new();
-    let mut ticks = 0u64;
-    let mut torn = 0u64;
-    let mut idle = 0u64;
-    let mut work_us = 0u64;
-    let mut rss_peak_kb: Option<u64> = None;
-    let mut next = Instant::now() + period;
-    while !stop.load(Ordering::Relaxed) {
-        let work_start = Instant::now();
-        ticks += 1;
-        {
-            let slots = slot_registry()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for slot in slots.iter() {
-                match slot.read() {
-                    Ok(Some(frames)) => {
-                        let next_id = path_ids.len() as u32;
-                        let id = *path_ids.entry(frames.clone()).or_insert_with(|| {
-                            paths.push(frames);
-                            next_id
-                        });
-                        samples.push(RawSample {
-                            t_us: since_epoch_us(work_start),
-                            tid: slot.tid,
-                            path: id,
-                        });
-                    }
-                    Ok(None) => idle += 1,
-                    Err(Torn) => torn += 1,
-                }
-            }
-        }
-        if ticks % RSS_SAMPLE_STRIDE == 1 {
-            if let Some(kb) = crate::alloc::read_rss_kb() {
-                crate::alloc::note_rss_kb(kb);
-                rss_peak_kb = Some(rss_peak_kb.map_or(kb, |peak| peak.max(kb)));
-            }
-        }
-        work_us += work_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        let now = Instant::now();
-        if next > now {
-            std::thread::sleep(next - now);
-            next += period;
-        } else {
-            // Fell behind (debugger, heavy load): resynchronize instead
-            // of burning CPU trying to catch up.
-            next = now + period;
-        }
-    }
-    SamplerOutput {
-        paths,
-        samples,
-        ticks,
-        torn,
-        idle,
-        work_us,
-        rss_peak_kb,
-        started_us,
-        stopped_us: since_epoch_us(Instant::now()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ProfileData: aggregation + artifacts
-// ---------------------------------------------------------------------------
-
-/// One aggregated span path in a finished profile.
+/// One span path aggregated over every span recorded at it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfilePath {
     /// Span names from root to leaf.
     pub frames: Vec<&'static str>,
-    /// Samples whose deepest frame was exactly this path.
-    pub exclusive: u64,
-    /// Samples taken at this path or any descendant of it.
-    pub inclusive: u64,
+    /// Spans recorded at exactly this path.
+    pub spans: u64,
+    /// Their summed duration, children included, in microseconds.
+    pub inclusive_us: u64,
+    /// Their summed duration minus their direct children's, in
+    /// microseconds.
+    pub exclusive_us: u64,
 }
 
 impl ProfilePath {
@@ -408,150 +47,94 @@ impl ProfilePath {
     }
 }
 
-/// A finished sampling profile: aggregated span paths plus sampler
-/// health telemetry. Info-only by contract — nothing in here feeds the
-/// QoR gates.
-#[derive(Debug, Clone)]
+/// An exact profile: every recorded span path with its inclusive and
+/// exclusive time. Info-only by contract — nothing in here feeds the QoR
+/// gates.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileData {
-    /// Requested sampling frequency.
-    pub nominal_hz: u32,
-    /// Ticks actually achieved per second of sampler wall-clock.
-    pub effective_hz: f64,
-    /// Sampler wall-clock from start to stop, in microseconds.
-    pub duration_us: u64,
-    /// Total on-stack samples (sum of exclusive counts).
-    pub total_samples: u64,
-    /// Sampler wakeups.
-    pub ticks: u64,
-    /// Seqlock reads that raced a writer and were discarded.
-    pub torn_samples: u64,
-    /// Polls that found a thread with no open span.
-    pub idle_samples: u64,
-    /// Time the sampler spent doing work (its overhead), in microseconds.
-    pub overhead_us: u64,
-    /// Peak RSS observed by the sampler, when the platform exposes it.
-    pub rss_peak_kb: Option<u64>,
-    /// Aggregated paths sorted by collapsed key (deterministic given the
-    /// same sample multiset).
+    /// Aggregated paths sorted by collapsed key.
     pub paths: Vec<ProfilePath>,
-    /// Raw samples, kept for the Chrome-trace fold.
-    samples: Vec<(u64, u32, String)>,
+}
+
+impl MetricsSnapshot {
+    /// The exact span-path profile of this snapshot's spans.
+    pub fn profile(&self) -> ProfileData {
+        ProfileData::from_spans(&self.spans)
+    }
 }
 
 impl ProfileData {
-    fn from_output(nominal_hz: u32, output: SamplerOutput) -> Self {
-        // Resolve interned paths to name vectors once.
-        let named: Vec<Vec<&'static str>> = output
-            .paths
-            .iter()
-            .map(|p| p.iter().map(|&id| name_of(id)).collect())
-            .collect();
-        // Exclusive counts per sampled path.
-        let mut exclusive: BTreeMap<String, (Vec<&'static str>, u64)> = BTreeMap::new();
-        for sample in &output.samples {
-            if let Some(frames) = named.get(sample.path as usize) {
-                exclusive
-                    .entry(frames.join(";"))
-                    .or_insert_with(|| (frames.clone(), 0))
-                    .1 += 1;
+    /// Aggregates span records by path. A span whose parent was never
+    /// recorded (still open, or cleared by a reset) counts as a root.
+    pub fn from_spans(spans: &[SpanRecord]) -> Self {
+        let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
+        let mut child_us: HashMap<u64, u64> = HashMap::new();
+        for span in spans {
+            if let Some(parent) = span.parent.filter(|p| by_id.contains_key(p)) {
+                *child_us.entry(parent).or_default() += span.duration_us;
             }
         }
-        // Inclusive counts: every sample lands on each of its prefixes.
-        let mut inclusive: BTreeMap<String, (Vec<&'static str>, u64)> = BTreeMap::new();
-        for (frames, count) in exclusive.values() {
-            for depth in 1..=frames.len() {
-                let prefix = &frames[..depth];
-                inclusive
-                    .entry(prefix.join(";"))
-                    .or_insert_with(|| (prefix.to_vec(), 0))
-                    .1 += count;
+        let mut paths: BTreeMap<String, ProfilePath> = BTreeMap::new();
+        for span in spans {
+            let mut frames = vec![span.name];
+            let mut cursor = span.parent.and_then(|p| by_id.get(&p));
+            while let Some(ancestor) = cursor {
+                frames.push(ancestor.name);
+                cursor = ancestor.parent.and_then(|p| by_id.get(&p));
             }
+            frames.reverse();
+            let path = paths
+                .entry(frames.join(";"))
+                .or_insert_with(|| ProfilePath {
+                    frames,
+                    spans: 0,
+                    inclusive_us: 0,
+                    exclusive_us: 0,
+                });
+            let children = child_us.get(&span.id).copied().unwrap_or(0);
+            path.spans += 1;
+            path.inclusive_us += span.duration_us;
+            path.exclusive_us += span.duration_us.saturating_sub(children);
         }
-        let paths: Vec<ProfilePath> = inclusive
-            .iter()
-            .map(|(key, (frames, incl))| ProfilePath {
-                frames: frames.clone(),
-                exclusive: exclusive.get(key).map_or(0, |(_, n)| *n),
-                inclusive: *incl,
-            })
-            .collect();
-        let total_samples = output.samples.len() as u64;
-        let duration_us = output.stopped_us.saturating_sub(output.started_us);
-        let effective_hz = if duration_us > 0 {
-            output.ticks as f64 / (duration_us as f64 / 1e6)
-        } else {
-            0.0
-        };
-        let samples = output
-            .samples
-            .iter()
-            .filter_map(|s| {
-                named
-                    .get(s.path as usize)
-                    .and_then(|frames| frames.last())
-                    .map(|leaf| (s.t_us, s.tid, (*leaf).to_string()))
-            })
-            .collect();
         Self {
-            nominal_hz,
-            effective_hz,
-            duration_us,
-            total_samples,
-            ticks: output.ticks,
-            torn_samples: output.torn,
-            idle_samples: output.idle,
-            overhead_us: output.work_us,
-            rss_peak_kb: output.rss_peak_kb,
-            paths,
-            samples,
+            paths: paths.into_values().collect(),
         }
     }
 
-    /// Microseconds of wall-clock one sample represents (the effective
-    /// sampling period; 0 when nothing was sampled).
-    pub fn us_per_sample(&self) -> f64 {
-        if self.effective_hz > 0.0 {
-            1e6 / self.effective_hz
-        } else {
-            0.0
-        }
+    /// The path with collapsed key `key`, if any span was recorded there.
+    pub fn path(&self, key: &str) -> Option<&ProfilePath> {
+        self.paths.iter().find(|p| p.key() == key)
     }
 
-    /// Estimated inclusive milliseconds attributed to `path` (a
-    /// `a;b;c` collapsed key).
-    pub fn inclusive_ms(&self, key: &str) -> f64 {
+    /// Inclusive microseconds at `key` (0 when absent).
+    pub fn inclusive_us(&self, key: &str) -> u64 {
+        self.path(key).map_or(0, |p| p.inclusive_us)
+    }
+
+    /// Summed inclusive time of the root paths — the profiled wall-clock,
+    /// which the exclusive times tile exactly.
+    pub fn total_us(&self) -> u64 {
         self.paths
             .iter()
-            .find(|p| p.key() == key)
-            .map_or(0.0, |p| p.inclusive as f64 * self.us_per_sample() / 1e3)
+            .filter(|p| p.frames.len() == 1)
+            .map(|p| p.inclusive_us)
+            .sum()
     }
 
-    /// Sampler overhead as a fraction of its wall-clock (the measured
-    /// cost of profiling; the acceptance bar is < 5%).
-    pub fn overhead_fraction(&self) -> f64 {
-        if self.duration_us == 0 {
-            return 0.0;
-        }
-        self.overhead_us as f64 / self.duration_us as f64
-    }
-
-    /// Collapsed-stack text (`frames;joined;by;semicolons count` per
-    /// line, sorted) — the input format of standard flamegraph tooling.
+    /// Collapsed-stack text (`frames;joined;by;semicolons µs` per line,
+    /// sorted, weighted by exclusive microseconds) — the input format of
+    /// standard flamegraph tooling.
     pub fn collapsed(&self) -> String {
-        let mut out = String::new();
-        for path in &self.paths {
-            if path.exclusive > 0 {
-                out.push_str(&format!("{} {}\n", path.key(), path.exclusive));
-            }
-        }
-        out
+        self.paths
+            .iter()
+            .filter(|p| p.exclusive_us > 0)
+            .map(|p| format!("{} {}\n", p.key(), p.exclusive_us))
+            .collect()
     }
 
-    /// The `nanomap-profile-v1` JSON artifact. Key order is
-    /// deterministic; values depend on wall-clock sampling and are
-    /// info-only by contract.
+    /// The `nanomap-profile-v2` JSON artifact. Key order is
+    /// deterministic; values are wall-clock and info-only by contract.
     pub fn to_json(&self) -> JsonValue {
-        let us_per_sample = self.us_per_sample();
         let paths: Vec<JsonValue> = self
             .paths
             .iter()
@@ -559,57 +142,44 @@ impl ProfileData {
                 JsonValue::object()
                     .with("path", p.key())
                     .with("depth", p.frames.len())
-                    .with("exclusive_samples", p.exclusive)
-                    .with("inclusive_samples", p.inclusive)
-                    .with("exclusive_ms", p.exclusive as f64 * us_per_sample / 1e3)
-                    .with("inclusive_ms", p.inclusive as f64 * us_per_sample / 1e3)
+                    .with("spans", p.spans)
+                    .with("exclusive_us", p.exclusive_us)
+                    .with("inclusive_us", p.inclusive_us)
             })
             .collect();
-        let sampler = JsonValue::object()
-            .with("nominal_hz", self.nominal_hz)
-            .with("effective_hz", self.effective_hz)
-            .with("duration_us", self.duration_us)
-            .with("ticks", self.ticks)
-            .with("total_samples", self.total_samples)
-            .with("idle_samples", self.idle_samples)
-            .with("torn_samples", self.torn_samples)
-            .with("overhead_us", self.overhead_us)
-            .with("overhead_fraction", self.overhead_fraction())
-            .with("rss_peak_kb", self.rss_peak_kb);
         JsonValue::object()
             .with("schema", PROFILE_SCHEMA)
-            .with("sampler", sampler)
+            .with("total_us", self.total_us())
             .with("paths", JsonValue::Array(paths))
     }
 
-    /// The top `k` paths by exclusive samples, each with the fraction of
-    /// its enclosing phase's inclusive samples. The "phase" of a path is
-    /// its depth-2 prefix (`flow;<phase>`), or the path itself when
+    /// The top `k` paths by exclusive time, each with its share of its
+    /// enclosing phase's inclusive time. The "phase" of a path is its
+    /// depth-2 prefix (`flow;<phase>`), or the path itself when
     /// shallower.
     pub fn top_paths(&self, k: usize) -> Vec<HotPath> {
-        let mut hot: Vec<&ProfilePath> = self.paths.iter().filter(|p| p.exclusive > 0).collect();
-        hot.sort_by(|a, b| b.exclusive.cmp(&a.exclusive).then(a.key().cmp(&b.key())));
+        let mut hot: Vec<&ProfilePath> = self.paths.iter().filter(|p| p.exclusive_us > 0).collect();
+        hot.sort_by(|a, b| {
+            b.exclusive_us
+                .cmp(&a.exclusive_us)
+                .then(a.key().cmp(&b.key()))
+        });
         hot.iter()
             .take(k)
             .map(|p| {
-                let phase_depth = p.frames.len().min(2);
-                let phase_key = p.frames[..phase_depth].join(";");
-                let phase_inclusive = self
-                    .paths
-                    .iter()
-                    .find(|q| q.key() == phase_key)
-                    .map_or(0, |q| q.inclusive);
+                let phase = p.frames[..p.frames.len().min(2)].join(";");
+                let phase_us = self.inclusive_us(&phase);
                 HotPath {
                     key: p.key(),
-                    exclusive: p.exclusive,
-                    inclusive: p.inclusive,
-                    exclusive_ms: p.exclusive as f64 * self.us_per_sample() / 1e3,
-                    phase: phase_key,
-                    phase_fraction: if phase_inclusive > 0 {
-                        p.exclusive as f64 / phase_inclusive as f64
+                    spans: p.spans,
+                    exclusive_us: p.exclusive_us,
+                    inclusive_us: p.inclusive_us,
+                    phase_fraction: if phase_us > 0 {
+                        p.exclusive_us as f64 / phase_us as f64
                     } else {
                         0.0
                     },
+                    phase,
                 }
             })
             .collect()
@@ -618,59 +188,32 @@ impl ProfileData {
     /// Renders the top-K table for humans (the `nanomap profile`
     /// subcommand's output).
     pub fn render_top(&self, k: usize) -> String {
+        let spans: u64 = self.paths.iter().map(|p| p.spans).sum();
         let mut out = format!(
-            "profile: {} samples over {:.1} ms ({} requested, {:.0} Hz effective), \
-             overhead {:.2}%\n",
-            self.total_samples,
-            self.duration_us as f64 / 1e3,
-            format_args!("{} Hz", self.nominal_hz),
-            self.effective_hz,
-            self.overhead_fraction() * 100.0,
+            "profile: {spans} spans on {} paths, {:.3} ms exact\n",
+            self.paths.len(),
+            self.total_us() as f64 / 1e3,
         );
-        if let Some(kb) = self.rss_peak_kb {
-            out.push_str(&format!("memory: peak RSS {:.1} MiB\n", kb as f64 / 1024.0));
-        }
-        if self.total_samples == 0 {
-            out.push_str(
-                "no samples: the run finished between sampler ticks (try --sample-hz or a \
-                 larger design)\n",
-            );
+        if spans == 0 {
+            out.push_str("no spans recorded: the collector was disabled during the run\n");
             return out;
         }
         out.push_str(&format!(
-            "{:<4} {:>8} {:>9} {:>8}  {}\n",
-            "rank", "samples", "est ms", "% phase", "span path"
+            "{:<4} {:>10} {:>10} {:>8} {:>6}  {}\n",
+            "rank", "excl ms", "incl ms", "% phase", "spans", "span path"
         ));
         for (rank, hot) in self.top_paths(k).iter().enumerate() {
             out.push_str(&format!(
-                "{:<4} {:>8} {:>9.1} {:>7.1}%  {}\n",
+                "{:<4} {:>10.3} {:>10.3} {:>7.1}% {:>6}  {}\n",
                 rank + 1,
-                hot.exclusive,
-                hot.exclusive_ms,
+                hot.exclusive_us as f64 / 1e3,
+                hot.inclusive_us as f64 / 1e3,
                 hot.phase_fraction * 100.0,
+                hot.spans,
                 hot.key
             ));
         }
         out
-    }
-
-    /// Folds the samples into Chrome-trace instant events (`ph: "i"`) on
-    /// a dedicated sampler track, for
-    /// [`crate::MetricsSnapshot::to_chrome_trace_with_events`].
-    pub fn chrome_events(&self) -> Vec<JsonValue> {
-        self.samples
-            .iter()
-            .map(|(t_us, tid, leaf)| {
-                JsonValue::object()
-                    .with("name", leaf.as_str())
-                    .with("cat", "sample")
-                    .with("ph", "i")
-                    .with("s", "t")
-                    .with("pid", 1u32)
-                    .with("tid", *tid)
-                    .with("ts", *t_us)
-            })
-            .collect()
     }
 }
 
@@ -679,12 +222,12 @@ impl ProfileData {
 pub struct HotPath {
     /// Collapsed `a;b;c` path.
     pub key: String,
-    /// Exclusive samples.
-    pub exclusive: u64,
-    /// Inclusive samples.
-    pub inclusive: u64,
-    /// Estimated exclusive milliseconds.
-    pub exclusive_ms: f64,
+    /// Spans recorded at the path.
+    pub spans: u64,
+    /// Exclusive microseconds.
+    pub exclusive_us: u64,
+    /// Inclusive microseconds.
+    pub inclusive_us: u64,
     /// Collapsed key of the enclosing phase (depth-2 prefix).
     pub phase: String,
     /// `exclusive / phase inclusive` — this path's share of its phase.
@@ -695,71 +238,69 @@ pub struct HotPath {
 mod tests {
     use super::*;
 
-    /// Sampler tests mutate process-global state; serialize them.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// A span record with just the fields the profile reads.
+    fn span(id: u64, parent: Option<u64>, name: &'static str, duration_us: u64) -> SpanRecord {
+        SpanRecord {
+            id,
+            parent,
+            name,
+            attrs: Vec::new(),
+            depth: 0,
+            tid: 0,
+            start_us: 0,
+            duration_us,
+        }
     }
 
-    fn synthetic_profile(paths: &[(&[&'static str], u64)]) -> ProfileData {
-        let mut output = SamplerOutput {
-            paths: Vec::new(),
-            samples: Vec::new(),
-            ticks: 0,
-            torn: 0,
-            idle: 0,
-            work_us: 10,
-            rss_peak_kb: None,
-            started_us: 0,
-            stopped_us: 1_000_000,
-        };
-        for (idx, (frames, count)) in paths.iter().enumerate() {
-            output
-                .paths
-                .push(frames.iter().map(|&f| intern(f)).collect());
-            for _ in 0..*count {
-                output.ticks += 1;
-                output.samples.push(RawSample {
-                    t_us: output.ticks,
-                    tid: 0,
-                    path: idx as u32,
-                });
-            }
-        }
-        ProfileData::from_output(1000, output)
+    /// `flow` (100 µs) holding `pack` twice (30 + 10 µs, one with a
+    /// 10 µs `cluster` child) and `place` (50 µs), in close order.
+    fn flow_spans() -> Vec<SpanRecord> {
+        vec![
+            span(3, Some(2), "cluster", 10),
+            span(2, Some(1), "pack", 30),
+            span(4, Some(1), "pack", 10),
+            span(5, Some(1), "place", 50),
+            span(1, None, "flow", 100),
+        ]
     }
 
     #[test]
     fn inclusive_counts_telescope_over_prefixes() {
-        let profile = synthetic_profile(&[
-            (&["flow", "pack"], 30),
-            (&["flow", "pack", "cluster"], 10),
-            (&["flow", "place"], 60),
-        ]);
-        assert_eq!(profile.total_samples, 100);
+        let profile = ProfileData::from_spans(&flow_spans());
         let by_key: BTreeMap<String, &ProfilePath> =
             profile.paths.iter().map(|p| (p.key(), p)).collect();
-        assert_eq!(by_key["flow"].inclusive, 100);
-        assert_eq!(by_key["flow"].exclusive, 0);
-        assert_eq!(by_key["flow;pack"].inclusive, 40);
-        assert_eq!(by_key["flow;pack"].exclusive, 30);
-        assert_eq!(by_key["flow;pack;cluster"].inclusive, 10);
-        assert_eq!(by_key["flow;place"].exclusive, 60);
+        assert_eq!(by_key["flow"].inclusive_us, 100);
+        assert_eq!(by_key["flow"].exclusive_us, 10);
+        assert_eq!(by_key["flow;pack"].spans, 2);
+        assert_eq!(by_key["flow;pack"].inclusive_us, 40);
+        assert_eq!(by_key["flow;pack"].exclusive_us, 30);
+        assert_eq!(by_key["flow;pack;cluster"].exclusive_us, 10);
+        assert_eq!(by_key["flow;place"].exclusive_us, 50);
+        let exclusive: u64 = profile.paths.iter().map(|p| p.exclusive_us).sum();
+        assert_eq!(exclusive, profile.total_us());
+        assert_eq!(profile.total_us(), 100);
+    }
+
+    #[test]
+    fn spans_with_unrecorded_parents_are_roots() {
+        // The parent (id 9) is still open, so the child is a root.
+        let profile = ProfileData::from_spans(&[span(10, Some(9), "route", 7)]);
+        assert_eq!(profile.path("route").map(|p| p.exclusive_us), Some(7));
+        assert_eq!(profile.total_us(), 7);
     }
 
     #[test]
     fn collapsed_stacks_render_exclusive_counts_sorted() {
-        let profile = synthetic_profile(&[(&["flow", "route"], 5), (&["flow", "pack"], 7)]);
-        let collapsed = profile.collapsed();
-        // Sorted by key; only non-zero exclusive paths appear.
-        assert_eq!(collapsed, "flow;pack 7\nflow;route 5\n");
+        let collapsed = ProfileData::from_spans(&flow_spans()).collapsed();
+        assert_eq!(
+            collapsed,
+            "flow 10\nflow;pack 30\nflow;pack;cluster 10\nflow;place 50\n"
+        );
     }
 
     #[test]
     fn profile_json_has_schema_and_deterministic_paths() {
-        let profile = synthetic_profile(&[(&["flow", "fds"], 3)]);
-        let json = profile.to_json();
+        let json = ProfileData::from_spans(&flow_spans()).to_json();
         assert_eq!(
             json.get("schema").and_then(JsonValue::as_str),
             Some(PROFILE_SCHEMA)
@@ -768,75 +309,49 @@ mod tests {
         let reparsed = crate::json::parse(&text).expect("artifact parses");
         assert_eq!(text, reparsed.to_pretty_string(), "emitter round-trips");
         let paths = json.get("paths").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(paths.len(), 2); // flow and flow;fds
+        assert_eq!(paths.len(), 4);
     }
 
     #[test]
     fn top_paths_rank_by_exclusive_and_attribute_to_phase() {
-        let profile = synthetic_profile(&[
-            (&["flow", "place", "anneal"], 75),
-            (&["flow", "place"], 25),
-            (&["flow", "fds"], 10),
-        ]);
+        let profile = ProfileData::from_spans(&flow_spans());
         let top = profile.top_paths(2);
         assert_eq!(top.len(), 2);
-        assert_eq!(top[0].key, "flow;place;anneal");
+        assert_eq!(top[0].key, "flow;place");
         assert_eq!(top[0].phase, "flow;place");
-        assert!((top[0].phase_fraction - 0.75).abs() < 1e-9);
-        assert_eq!(top[1].key, "flow;place");
+        assert!((top[0].phase_fraction - 1.0).abs() < 1e-9);
+        assert_eq!(top[1].key, "flow;pack");
+        assert!((top[1].phase_fraction - 0.75).abs() < 1e-9);
     }
 
     #[test]
-    fn sampler_captures_live_span_stacks() {
-        let _guard = test_lock();
+    fn snapshot_profile_captures_live_span_stacks() {
         crate::set_enabled(true);
-        assert!(start_sampler(4000), "sampler starts");
         {
             let _outer = crate::span!("prof-outer");
             let _inner = crate::span!("prof-inner");
-            std::thread::sleep(Duration::from_millis(40));
+            std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let profile = stop_sampler().expect("profile comes back");
-        assert!(profile.total_samples > 0, "expected samples in 40 ms");
-        assert!(profile
-            .paths
-            .iter()
-            .any(|p| p.key().contains("prof-outer;prof-inner")));
-        // Inclusive time of the root must cover the inner path.
-        let outer = profile.inclusive_ms("prof-outer");
-        let inner = profile.inclusive_ms("prof-outer;prof-inner");
-        assert!(outer >= inner);
-        assert!(profile.overhead_fraction() < 0.5, "sampler dominated");
-    }
-
-    #[test]
-    fn sampler_start_stop_are_idempotent() {
-        let _guard = test_lock();
-        assert!(start_sampler(1000));
-        assert!(!start_sampler(1000), "second start is a no-op");
-        assert!(sampler_running());
-        assert!(stop_sampler().is_some());
-        assert!(stop_sampler().is_none(), "second stop yields nothing");
-        assert!(!sampler_running());
-        assert!(!publishing(), "publishing stops with the sampler");
-    }
-
-    #[test]
-    fn unpublished_frames_cost_one_load() {
-        let _guard = test_lock();
-        // No sampler running: frame_enter must refuse to publish so the
-        // matching exit never pops a frame it did not push.
-        assert!(!publishing());
-        assert!(!frame_enter("never-published"));
+        let snap = crate::snapshot();
+        let recorded = |name| snap.spans_named(name)[0].duration_us;
+        let (outer_us, inner_us) = (recorded("prof-outer"), recorded("prof-inner"));
+        let profile = snap.profile();
+        // Other tests record spans concurrently; these paths are ours.
+        let outer = profile.path("prof-outer").expect("outer path");
+        let inner = profile.path("prof-outer;prof-inner").expect("inner path");
+        assert_eq!(outer.inclusive_us, outer_us);
+        assert_eq!(inner.inclusive_us, inner_us);
+        assert!(inner.inclusive_us >= 2_000);
+        assert_eq!(outer.exclusive_us, outer_us - inner_us);
     }
 
     #[test]
     fn empty_profile_renders_without_panicking() {
-        let profile = synthetic_profile(&[]);
-        assert_eq!(profile.total_samples, 0);
+        let profile = ProfileData::from_spans(&[]);
+        assert_eq!(profile.total_us(), 0);
         assert_eq!(profile.collapsed(), "");
-        assert!(profile.render_top(5).contains("no samples"));
+        assert!(profile.render_top(5).contains("no spans recorded"));
         assert!(profile.top_paths(5).is_empty());
-        assert_eq!(profile.inclusive_ms("flow"), 0.0);
+        assert_eq!(profile.inclusive_us("flow"), 0);
     }
 }

@@ -63,10 +63,6 @@ struct OpenSpan {
     attrs: Vec<SpanAttr>,
     depth: u32,
     started: Instant,
-    /// Whether this span pushed a frame onto the profiler's shared
-    /// path slot (so drop pops exactly what it pushed, even if the
-    /// sampler started or stopped mid-span).
-    published: bool,
     /// Phase index to restore in the allocator's attribution slot, when
     /// this span switched it.
     saved_phase: Option<usize>,
@@ -89,7 +85,6 @@ impl SpanGuard {
             stack.push(id);
             (parent, depth)
         });
-        let published = crate::profile::frame_enter(name);
         let saved_phase = crate::alloc::phase_enter(name);
         let counter_base = if crate::events::events_enabled() {
             crate::events::publish(crate::events::EventKind::PhaseStart { phase: name, depth });
@@ -105,7 +100,6 @@ impl SpanGuard {
                 attrs,
                 depth,
                 started: Instant::now(),
-                published,
                 saved_phase,
                 counter_base,
             }),
@@ -127,9 +121,6 @@ impl Drop for SpanGuard {
             return;
         };
         let duration = open.started.elapsed();
-        if open.published {
-            crate::profile::frame_exit();
-        }
         if let Some(previous) = open.saved_phase {
             crate::alloc::phase_exit(previous);
         }

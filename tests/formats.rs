@@ -123,3 +123,18 @@ fn c5315_blif_round_trip() {
         assert_eq!(sim1.outputs(), sim2.outputs());
     }
 }
+
+/// Checkpoints and the flight-recorder ledger key on the netlist
+/// fingerprint; a drifting hash would orphan every committed artifact.
+#[test]
+fn netlist_fingerprint_is_pinned() {
+    let ex1 = nanomap_bench::circuits::paper_benchmarks()
+        .into_iter()
+        .find(|b| b.name == "ex1")
+        .expect("ex1 is a paper benchmark")
+        .network;
+    assert_eq!(
+        nanomap::checkpoint::netlist_fingerprint(&ex1),
+        0xd570_2c35_561e_6dbd
+    );
+}

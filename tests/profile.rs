@@ -1,9 +1,9 @@
-//! Integration tests for the performance-observability layer: the
-//! span-stack sampling profiler, allocation/RSS telemetry, and their
-//! contract with the flow's own `phase_times`.
+//! Integration tests for the performance-observability layer: the exact
+//! span-path profile, allocation/RSS telemetry, and their contract with
+//! the flow's own `phase_times`.
 //!
-//! The sampler and the memory counters are process-global, so every
-//! test that touches them serializes on [`obs_lock`].
+//! The collector and the memory counters are process-global, so every
+//! test that resets or toggles them serializes on [`obs_lock`].
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -26,38 +26,26 @@ fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Puts the global observability state back the way tier-1 tests expect
-/// it (collector counters are intentionally left alone — other tests own
-/// their own epochs via `reset`).
-fn teardown() {
-    observe::set_memory_tracking(false);
-    while observe::stop_sampler().is_some() {}
-}
-
 /// The acceptance-criteria test: a profiled flow emits a valid
-/// `nanomap-profile-v1` artifact whose per-phase inclusive times
-/// reconcile with the flow's independently measured `phase_times`.
+/// `nanomap-profile-v2` artifact whose exclusive times tile the `flow`
+/// root exactly and whose per-phase inclusive times reconcile with the
+/// flow's independently measured `phase_times`.
 #[test]
 fn profiled_flow_reconciles_with_phase_times() {
     let _guard = obs_lock();
-    observe::reset();
-    observe::set_enabled(true);
-    // Sample well above the default: the optimized test profile runs the
-    // paper's FIR filter in a couple hundred milliseconds, and the
-    // reconciliation below wants >= ~100 samples per checked phase.
-    assert!(observe::start_sampler(10_000), "sampler starts");
-
     let net = paper_benchmarks()
         .into_iter()
         .find(|b| b.name == "FIR")
         .expect("FIR is a paper benchmark")
         .network;
     let flow = NanoMap::new(ArchParams::paper());
+    observe::reset();
+    observe::set_enabled(true);
     let report = flow
         .map(&net, Objective::MinAreaDelayProduct)
         .expect("FIR maps");
-    let profile = observe::stop_sampler().expect("profile comes back");
-    teardown();
+    let snap = observe::snapshot();
+    let profile = snap.profile();
 
     // The artifact is schema-tagged, parseable, and deterministic in
     // shape (re-emitting the parsed JSON reproduces the text).
@@ -69,103 +57,102 @@ fn profiled_flow_reconciles_with_phase_times() {
     );
     assert_eq!(text, parsed.to_pretty_string());
 
-    // Sampler health: the overhead bar is < 5% of wall-clock; torn
-    // reads are possible but must be rare against a single-threaded flow.
-    assert!(
-        profile.overhead_fraction() < 0.05,
-        "overhead {:.4}",
-        profile.overhead_fraction()
-    );
-    assert!(profile.torn_samples <= profile.ticks / 10);
+    // Exclusive times tile the root exactly, in integer microseconds.
+    let flow_root = profile.path("flow").expect("flow root");
+    assert_eq!(flow_root.spans, 1);
+    let flow_span = snap.spans_named("flow")[0];
+    assert_eq!(flow_root.inclusive_us, flow_span.duration_us);
+    let exclusive: u64 = profile.paths.iter().map(|p| p.exclusive_us).sum();
+    assert_eq!(exclusive, flow_root.inclusive_us);
+    assert_eq!(profile.total_us(), flow_root.inclusive_us);
 
     let t = report.phase_times;
     t.reconcile(0.10, 5.0).expect("phase_times self-consistent");
 
-    // Sampling is statistical: only phases long enough to accumulate a
-    // meaningful sample count are held to the reconciliation bar, and
-    // the tolerance accounts for +-1-sample quantization on top of the
-    // 10% artifact bar.
-    let us_per_sample = profile.us_per_sample();
-    assert!(us_per_sample > 0.0, "no samples at all");
-    let min_ms = (us_per_sample / 1e3) * 100.0; // >= ~100 samples
+    // Every phase long enough for timer placement to be noise must
+    // reconcile within 25%; the `route` span also encloses `bitmap`,
+    // which phase_times itemizes separately.
     let phases = [
         ("folding-select", t.folding_select_ms),
         ("fds", t.fds_ms),
         ("pack", t.pack_ms),
         ("place", t.place_ms),
-        ("route", t.route_ms),
+        ("route", t.route_ms + t.bitmap_ms),
         ("verify", t.verify_ms),
     ];
     let mut checked = 0;
     for (phase, wall_ms) in phases {
-        if wall_ms < min_ms {
+        if wall_ms < 1.0 {
             continue;
         }
-        let sampled_ms = profile.inclusive_ms(&format!("flow;{phase}"));
-        let err = (sampled_ms - wall_ms).abs() / wall_ms;
+        let span_ms = profile.inclusive_us(&format!("flow;{phase}")) as f64 / 1e3;
+        let err = (span_ms - wall_ms).abs() / wall_ms;
         assert!(
             err < 0.25,
-            "{phase}: sampled {sampled_ms:.1} ms vs wall {wall_ms:.1} ms ({:.0}% off)",
+            "{phase}: spans {span_ms:.3} ms vs wall {wall_ms:.3} ms ({:.0}% off)",
             err * 100.0
         );
         checked += 1;
     }
-    // The flow root must always reconcile — in debug builds ex1 runs
-    // long enough for thousands of samples.
-    let flow_sampled = profile.inclusive_ms("flow");
-    if t.total_ms >= min_ms {
-        let err = (flow_sampled - t.total_ms).abs() / t.total_ms;
-        assert!(
-            err < 0.15,
-            "flow: sampled {flow_sampled:.1} ms vs wall {:.1} ms",
-            t.total_ms
-        );
-        checked += 1;
-    }
-    assert!(checked > 0, "flow too fast to validate any phase");
+    assert!(checked >= 3, "only {checked} phases ran for >= 1 ms");
+    let flow_ms = flow_root.inclusive_us as f64 / 1e3;
+    let err = (flow_ms - t.total_ms).abs() / t.total_ms;
+    assert!(
+        err < 0.15,
+        "flow: spans {flow_ms:.3} ms vs wall {:.3} ms",
+        t.total_ms
+    );
 
-    // Collapsed stacks render every exclusive path.
+    // Collapsed stacks render every path with exclusive time, weighted
+    // by exclusive microseconds, and add up to the root.
     let collapsed = profile.collapsed();
-    assert!(collapsed.lines().count() > 0);
+    let mut collapsed_us = 0;
     for line in collapsed.lines() {
-        let (path, count) = line.rsplit_once(' ').expect("`path count` shape");
-        assert!(!path.is_empty());
-        assert!(count.parse::<u64>().expect("count parses") > 0);
+        let (path, us) = line.rsplit_once(' ').expect("`path µs` shape");
+        assert!(path.starts_with("flow"), "{path}");
+        collapsed_us += us.parse::<u64>().expect("µs parse");
     }
+    assert_eq!(collapsed_us, flow_root.inclusive_us);
 }
 
-/// Deterministic ground-truth check: synthetic spans with known sleeps
-/// must come back with proportionate inclusive times.
+/// Ground truth: synthetic spans come back with exactly their own
+/// recorded durations.
 #[test]
-fn sampler_tracks_synthetic_span_durations() {
+fn profile_reports_synthetic_span_durations_exactly() {
     let _guard = obs_lock();
     observe::set_enabled(true);
-    assert!(observe::start_sampler(4000));
     {
         let _outer = observe::span!("it-outer");
         {
             let _a = observe::span!("it-long");
-            std::thread::sleep(Duration::from_millis(120));
+            std::thread::sleep(Duration::from_millis(12));
         }
         {
             let _b = observe::span!("it-short");
-            std::thread::sleep(Duration::from_millis(40));
+            std::thread::sleep(Duration::from_millis(4));
         }
     }
-    let profile = observe::stop_sampler().expect("profile comes back");
-    teardown();
-    let long_ms = profile.inclusive_ms("it-outer;it-long");
-    let short_ms = profile.inclusive_ms("it-outer;it-short");
-    let outer_ms = profile.inclusive_ms("it-outer");
-    assert!(
-        (long_ms - 120.0).abs() < 60.0,
-        "long {long_ms:.1} ms (expected ~120)"
+    // Other tests may record spans concurrently; profile only ours.
+    let snap = observe::snapshot();
+    let ours: Vec<observe::SpanRecord> = snap
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("it-"))
+        .cloned()
+        .collect();
+    let recorded = |name| snap.spans_named(name)[0].duration_us;
+    let (outer_us, long_us, short_us) = (
+        recorded("it-outer"),
+        recorded("it-long"),
+        recorded("it-short"),
     );
-    assert!(
-        (short_ms - 40.0).abs() < 30.0,
-        "short {short_ms:.1} ms (expected ~40)"
-    );
-    assert!(outer_ms >= long_ms + short_ms - 1.0);
+    let profile = observe::ProfileData::from_spans(&ours);
+    assert_eq!(profile.inclusive_us("it-outer;it-long"), long_us);
+    assert_eq!(profile.inclusive_us("it-outer;it-short"), short_us);
+    assert_eq!(profile.inclusive_us("it-outer"), outer_us);
+    let outer = profile.path("it-outer").expect("outer path");
+    assert_eq!(outer.exclusive_us, outer_us - long_us - short_us);
+    assert!(long_us >= 12_000 && short_us >= 4_000);
     // The longer span dominates the top-K ranking.
     let top = profile.top_paths(2);
     assert_eq!(
@@ -202,7 +189,7 @@ fn memory_telemetry_rides_the_report_only_when_tracked() {
     let tracked = flow
         .map(&net, Objective::MinAreaDelayProduct)
         .expect("ex1 maps");
-    teardown();
+    observe::set_memory_tracking(false);
     let memory = tracked.memory.clone().expect("memory report present");
     assert!(memory.alloc_count > 0, "flow allocates");
     assert!(memory.peak_live_bytes > 0);
@@ -213,7 +200,7 @@ fn memory_telemetry_rides_the_report_only_when_tracked() {
         "no phase attribution: {phases:?}"
     );
     if cfg!(target_os = "linux") {
-        // The flow samples RSS at least once at finalize time.
+        // The flow samples RSS at every phase boundary and at the end.
         assert!(memory.peak_rss_kb.expect("rss on linux") > 100);
     }
     // QoR artifacts remain identical either way: the tracked run's QoR
