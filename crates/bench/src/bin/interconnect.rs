@@ -9,6 +9,9 @@
 //!
 //! Run: `cargo run -p nanomap-bench --release --bin interconnect [circuits...]`
 
+use std::process::ExitCode;
+
+use nanomap::cli::{Args, Command, Error};
 use nanomap_arch::{ArchParams, ChannelConfig, TimingModel};
 use nanomap_bench::circuits::paper_benchmarks;
 use nanomap_bench::table::render;
@@ -81,24 +84,33 @@ fn run_physical(net: &LutNetwork, level: Option<u32>) -> Result<PhysicalRun, Str
     })
 }
 
-fn main() {
-    let requested: Vec<String> = std::env::args().skip(1).collect();
-    let default = ["ex1", "FIR", "ex2"];
-    let names: Vec<String> = if requested.is_empty() {
-        default.iter().map(|s| s.to_string()).collect()
-    } else {
-        requested
+static INTERCONNECT: Command = Command {
+    name: "interconnect",
+    operands: "[circuit...]",
+    about: "Routes each circuit (default ex1 FIR ex2) at no folding and at level-1\nfolding and compares the per-configuration interconnect usage.",
+    flags: &[],
+};
+
+fn main() -> ExitCode {
+    INTERCONNECT.run(std::env::args().skip(1), compare)
+}
+
+fn compare(args: Args) -> Result<ExitCode, Error> {
+    let default = ["ex1", "FIR", "ex2"].map(String::from);
+    let names = match args.operands() {
+        [] => &default[..],
+        names => names,
     };
     println!("Section 5 interconnect experiment: per-configuration interconnect");
     println!("usage, no-folding vs level-1 temporal folding\n");
 
     let benches = paper_benchmarks();
     let mut rows = Vec::new();
-    for name in &names {
+    for name in names {
         let bench = benches
             .iter()
             .find(|b| b.name.eq_ignore_ascii_case(name))
-            .unwrap_or_else(|| panic!("unknown circuit `{name}`"));
+            .ok_or_else(|| Error::usage(name, "unknown circuit"))?;
         eprintln!("routing {} (no-folding)...", bench.name);
         let nofold = match run_physical(&bench.network, None) {
             Ok(r) => r,
@@ -164,4 +176,5 @@ fn main() {
         )
     );
     println!("Paper: global interconnect usage down by more than 50% at level-1.");
+    Ok(ExitCode::SUCCESS)
 }

@@ -20,9 +20,11 @@
 //! tolerance — a sum above the total means a phase was double-counted.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
-use nanomap::perf::{PerfDocument, PerfReport};
+use nanomap::cli::{Args, Command, Error, Flag};
+use nanomap::perf::{write_profile_artifacts, PerfDocument, PerfReport};
 use nanomap::{NanoMap, Objective};
 use nanomap_arch::ArchParams;
 use nanomap_bench::circuits::paper_benchmarks;
@@ -37,52 +39,42 @@ static ALLOC: nanomap_observe::CountingAllocator = nanomap_observe::CountingAllo
 const RECONCILE_TOL_FRAC: f64 = 0.10;
 const RECONCILE_SLACK_MS: f64 = 5.0;
 
-fn repo_root_default_out() -> String {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_perf.json")
-        .display()
-        .to_string()
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag::value("--out", "PATH", "the perf document (default BENCH_perf.json at the repo root)"),
+    Flag::value("--runs", "N", "runs per circuit, at least 1 (default 5)"),
+    Flag::value("--circuit", "NAME", "measure one benchmark only"),
+    Flag::value("--profile-dir", "DIR", "also write each circuit's final-run span profile to DIR"),
+];
+
+static PERF: Command = Command {
+    name: "perf",
+    operands: "",
+    about: "Runs the full physical flow over every paper benchmark N times and writes
+one nanomap-perf-v1 document (per-phase median/p95 plus peak memory).",
+    flags: &[FLAGS],
+};
+
+fn main() -> ExitCode {
+    PERF.run(std::env::args().skip(1), measure)
 }
 
-fn main() {
-    let mut out = repo_root_default_out();
-    let mut runs: u32 = 5;
-    let mut only_circuit: Option<String> = None;
-    let mut profile_dir: Option<String> = None;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut take = |name: &str| {
-            iter.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--out" => out = take("--out"),
-            "--runs" => {
-                runs = take("--runs")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--runs: {e}"));
-                assert!(runs > 0, "--runs must be positive");
-            }
-            "--circuit" => only_circuit = Some(take("--circuit")),
-            "--profile-dir" => profile_dir = Some(take("--profile-dir")),
-            other => {
-                eprintln!(
-                    "usage: perf [--out PATH] [--runs N] [--circuit NAME] [--profile-dir DIR]  \
-                     (unexpected `{other}`)"
-                );
-                std::process::exit(2);
-            }
-        }
+fn measure(args: Args) -> Result<ExitCode, Error> {
+    args.exactly::<0>()?;
+    let default_out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf.json");
+    let out = args.get("--out").map_or(default_out, PathBuf::from);
+    let runs: u32 = args.num("--runs")?.unwrap_or(5);
+    if runs == 0 {
+        return Err(Error::usage("--runs", "must be at least 1"));
     }
-    if let Some(dir) = &profile_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {dir}: {e}"));
-    }
+    let only_circuit = args.get("--circuit");
+    let profile_dir = args.get("--profile-dir").map(Path::new);
 
     let flow = NanoMap::new(ArchParams::paper());
     let mut reports = Vec::new();
     let mut measured = 0usize;
     for bench in paper_benchmarks() {
-        if only_circuit.as_deref().is_some_and(|c| c != bench.name) {
+        if only_circuit.is_some_and(|c| c != bench.name) {
             continue;
         }
         measured += 1;
@@ -100,24 +92,16 @@ fn main() {
             let report = flow
                 .map(&bench.network, Objective::MinAreaDelayProduct)
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-            if let Some(dir) = profile_dir.as_ref().filter(|_| run + 1 == runs) {
+            if let Some(dir) = profile_dir.filter(|_| run + 1 == runs) {
                 let profile = nanomap_observe::snapshot().profile();
-                let json_path = format!("{dir}/{}.profile.json", bench.name);
-                nanomap::atomic_write_text(
-                    Path::new(&json_path),
-                    &profile.to_json().to_pretty_string(),
-                )
-                .unwrap_or_else(|e| panic!("{e}"));
-                nanomap::atomic_write_text(
-                    Path::new(&format!("{dir}/{}.collapsed", bench.name)),
-                    &profile.collapsed(),
-                )
-                .unwrap_or_else(|e| panic!("{e}"));
+                let json_path = write_profile_artifacts(dir, bench.name, &profile)
+                    .map_err(|e| format!("--profile-dir {e}"))?;
                 eprintln!(
-                    "{}: profile {} paths, {:.1} ms exact -> {json_path}",
+                    "{}: profile {} paths, {:.1} ms exact -> {}",
                     bench.name,
                     profile.paths.len(),
-                    profile.total_us() as f64 / 1e3
+                    profile.total_us() as f64 / 1e3,
+                    json_path.display()
                 );
             }
             nanomap_observe::set_memory_tracking(false);
@@ -150,8 +134,11 @@ fn main() {
         );
         reports.push(perf);
     }
-    assert!(measured > 0, "no circuit matched the --circuit filter");
+    if measured == 0 {
+        return Err(Error::usage("--circuit", "no benchmark matches"));
+    }
     let text = PerfDocument::new(reports).to_json().to_pretty_string();
-    nanomap::atomic_write_text(Path::new(&out), &text).unwrap_or_else(|e| panic!("{e}"));
-    eprintln!("perf document -> {out}");
+    nanomap::atomic_write_text(&out, &text).map_err(|e| e.to_string())?;
+    eprintln!("perf document -> {}", out.display());
+    Ok(ExitCode::SUCCESS)
 }

@@ -14,31 +14,38 @@
 //! Compare against the committed baseline with
 //! `nanomap qor-diff results/qor/bench.json <PATH>` (see `scripts/qor.sh`).
 
+use std::process::ExitCode;
+
+use nanomap::cli::{Args, Command, Error, Flag};
 use nanomap::qor::{QorDocument, QorReport};
 use nanomap::{NanoMap, Objective};
 use nanomap_arch::ArchParams;
 use nanomap_bench::circuits::paper_benchmarks;
 
-fn main() {
-    let mut out = None;
-    let mut explain_dir: Option<String> = None;
-    let mut ledger: Option<String> = None;
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => out = iter.next(),
-            "--explain-dir" => explain_dir = iter.next(),
-            "--ledger" => ledger = iter.next(),
-            other => {
-                eprintln!(
-                    "usage: qor [--out PATH] [--explain-dir DIR] [--ledger PATH]  (unexpected `{other}`)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(dir) = &explain_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {dir}: {e}"));
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag::value("--out", "PATH", "write the QoR document to PATH"),
+    Flag::value("--explain-dir", "DIR", "also write DIR/<circuit>.explain.json per benchmark"),
+    Flag::value("--ledger", "PATH", "append one flight-recorder line per benchmark"),
+];
+
+static QOR: Command = Command {
+    name: "qor",
+    operands: "",
+    about: "Maps every paper benchmark (AT product, k = 16, full physical flow) and
+writes one nanomap-qor-v1 document, to stdout unless --out is given.",
+    flags: &[FLAGS],
+};
+
+fn main() -> ExitCode {
+    QOR.run(std::env::args().skip(1), run_suite)
+}
+
+fn run_suite(args: Args) -> Result<ExitCode, Error> {
+    args.exactly::<0>()?;
+    let explain_dir = args.get("--explain-dir");
+    if let Some(dir) = explain_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
     }
 
     let mut flow = NanoMap::new(ArchParams::paper());
@@ -54,7 +61,7 @@ fn main() {
         let report = flow
             .map(&bench.network, Objective::MinAreaDelayProduct)
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-        if let (Some(dir), Some(explain)) = (&explain_dir, &report.explain) {
+        if let (Some(dir), Some(explain)) = (explain_dir, &report.explain) {
             explain
                 .validate()
                 .unwrap_or_else(|e| panic!("{}: explain invariant violated: {e}", bench.name));
@@ -69,13 +76,16 @@ fn main() {
         let mut qor = QorReport::from_mapping(&report, &flow.channels, &snapshot);
         // Key by the paper's circuit name, not the generator's netlist name.
         qor.circuit = bench.name.to_string();
-        if let Some(path) = &ledger {
+        if let Some(path) = args.get("--ledger") {
             let run_id = flow.run_id(&bench.network, Objective::MinAreaDelayProduct);
-            let mut record = nanomap::RunRecord::from_report(&report, run_id, 0);
+            let mut record = nanomap::RunRecord::for_run(
+                &report,
+                &flow,
+                Objective::MinAreaDelayProduct,
+                run_id,
+                0,
+            );
             record.circuit = bench.name.to_string();
-            record.objective = Objective::MinAreaDelayProduct.key();
-            record.place_seed = flow.place_options.seed;
-            record.route_seed = flow.route_options.seed;
             nanomap::append_run(std::path::Path::new(path), &record)
                 .unwrap_or_else(|e| panic!("{}: ledger: {e}", bench.name));
         }
@@ -92,12 +102,13 @@ fn main() {
         reports.push(qor);
     }
     let text = QorDocument::new(reports).to_json().to_pretty_string();
-    match out {
+    match args.get("--out") {
         Some(path) => {
-            nanomap::atomic_write_text(std::path::Path::new(&path), &text)
-                .unwrap_or_else(|e| panic!("{e}"));
+            nanomap::atomic_write_text(std::path::Path::new(path), &text)
+                .map_err(|e| e.to_string())?;
             eprintln!("qor document -> {path}");
         }
         None => println!("{text}"),
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -4,6 +4,9 @@
 //!
 //! Run: `cargo run -p nanomap-bench --release --bin table1 [--physical]`
 
+use std::process::ExitCode;
+
+use nanomap::cli::{Args, Command, Error, Flag};
 use nanomap::{MappingReport, NanoMap, Objective};
 use nanomap_arch::ArchParams;
 use nanomap_bench::circuits::paper_benchmarks;
@@ -21,8 +24,24 @@ fn variant_json(r: &MappingReport) -> JsonValue {
         .with("at_product", r.area_delay_product())
 }
 
-fn main() {
-    let physical = std::env::args().any(|a| a == "--physical");
+static TABLE1: Command = Command {
+    name: "table1",
+    operands: "",
+    about: "Reproduces Table 1 (AT-product optimization): no folding vs folding with
+unbounded NRAM sets vs folding with k = 16, written to results/table1.json.",
+    flags: &[&[Flag::switch(
+        "--physical",
+        "run clustering, placement and routing too",
+    )]],
+};
+
+fn main() -> ExitCode {
+    TABLE1.run(std::env::args().skip(1), reproduce)
+}
+
+fn reproduce(args: Args) -> Result<ExitCode, Error> {
+    args.exactly::<0>()?;
+    let physical = args.has("--physical");
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     let mut sums = [0.0f64; 6]; // [area_red_inf, at_inf, delay_inc_inf, area_red_16, at_16, delay_inc_16]
@@ -164,4 +183,5 @@ fn main() {
         );
     write_results_json("table1", body);
     println!("\njson: -> results/table1.json");
+    Ok(ExitCode::SUCCESS)
 }

@@ -6,6 +6,9 @@
 //!
 //! Run: `cargo run -p nanomap-bench --release --bin tradeoff [circuit]`
 
+use std::process::ExitCode;
+
+use nanomap::cli::{Args, Command, Error};
 use nanomap_arch::{estimate_power, PowerModel, TimingModel};
 use nanomap_bench::circuits::paper_benchmarks;
 use nanomap_bench::results::write_results_json;
@@ -14,13 +17,28 @@ use nanomap_netlist::PlaneSet;
 use nanomap_observe::JsonValue;
 use nanomap_sched::{schedule_fds, FdsOptions, ItemGraph, LeShape};
 
-fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "ex1".into());
+static TRADEOFF: Command = Command {
+    name: "tradeoff",
+    operands: "[circuit]",
+    about: "Sweeps the folding level of one paper benchmark (default ex1) and writes\nthe area-delay tradeoff to results/tradeoff.json.",
+    flags: &[],
+};
+
+fn main() -> ExitCode {
+    TRADEOFF.run(std::env::args().skip(1), sweep)
+}
+
+fn sweep(args: Args) -> Result<ExitCode, Error> {
+    let which = match args.operands() {
+        [] => "ex1",
+        [name] => name.as_str(),
+        _ => return Err(Error::usage(TRADEOFF.name, "takes at most one circuit")),
+    };
     let benches = paper_benchmarks();
     let bench = benches
         .iter()
-        .find(|b| b.name.eq_ignore_ascii_case(&which))
-        .unwrap_or_else(|| panic!("unknown circuit `{which}`"));
+        .find(|b| b.name.eq_ignore_ascii_case(which))
+        .ok_or_else(|| Error::usage(which, "unknown circuit"))?;
     let net = &bench.network;
     let planes = PlaneSet::extract(net).expect("extracts");
     let timing = TimingModel::nature_100nm();
@@ -155,4 +173,5 @@ fn main() {
             .with("levels", JsonValue::Array(json_rows)),
     );
     println!("\njson: -> results/tradeoff.json");
+    Ok(ExitCode::SUCCESS)
 }

@@ -18,6 +18,9 @@
 //! finite even on adversarial near-pigeonhole instances; an interrupted
 //! solve records a plain failure, never a fake UNSAT.
 
+use std::process::ExitCode;
+
+use nanomap::cli::{Args, Command, Error, Flag};
 use nanomap::{MappingReport, NanoMap, Objective};
 use nanomap_arch::{ArchParams, DefectMap};
 use nanomap_bench::circuits::paper_benchmarks;
@@ -33,52 +36,22 @@ const DEFAULT_RATES: [f64; 8] = [0.0, 0.02, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30];
 /// UNSAT row is still only ever a *completed* proof.
 const DEFAULT_SAT_CONFLICTS: u64 = 200_000;
 
-struct Cli {
-    rates: Vec<f64>,
-    seed: u64,
-    circuit: Option<String>,
-    exact: bool,
-    sat_conflicts: u64,
-}
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag::value("--rates", "F,F,...", "defect rates to sweep, each in 0..1\n(default 0,0.02,0.05,0.1,0.15,0.2,0.25,0.3)"),
+    Flag::value("--seed", "N", "defect-injection seed (default 1)"),
+    Flag::value("--circuit", "NAME", "sweep one benchmark only"),
+    Flag::switch("--no-exact", "leave the exact SAT recovery rung off"),
+    Flag::value("--sat-conflicts", "N", "conflict budget per SAT solve (default 200000; 0 = unbounded)"),
+];
 
-fn parse_cli() -> Result<Cli, String> {
-    let mut cli = Cli {
-        rates: DEFAULT_RATES.to_vec(),
-        seed: 1,
-        circuit: None,
-        exact: true,
-        sat_conflicts: DEFAULT_SAT_CONFLICTS,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--rates" => {
-                cli.rates = value("--rates")?
-                    .split(',')
-                    .map(|r| r.trim().parse::<f64>().map_err(|e| format!("--rates: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if cli.rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
-                    return Err("--rates: every rate must be in 0..1".into());
-                }
-            }
-            "--seed" => {
-                cli.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--circuit" => cli.circuit = Some(value("--circuit")?),
-            "--no-exact" => cli.exact = false,
-            "--sat-conflicts" => {
-                cli.sat_conflicts = value("--sat-conflicts")?
-                    .parse()
-                    .map_err(|e| format!("--sat-conflicts: {e}"))?
-            }
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    Ok(cli)
-}
+static YIELD: Command = Command {
+    name: "yield",
+    operands: "",
+    about: "Maps every paper benchmark across uniform fabric-defect rates and writes
+the per-rate yield and per-run recovery detail to results/yield.json.",
+    flags: &[FLAGS],
+};
 
 /// One benchmark mapped at one defect rate.
 fn map_at_rate(
@@ -134,42 +107,52 @@ struct RateTally {
     total: u32,
 }
 
-fn main() {
-    let cli = match parse_cli() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: yield [--rates 0,0.02,0.05,0.1] [--seed N] [--circuit NAME] \
-                 [--no-exact] [--sat-conflicts N]"
-            );
-            std::process::exit(1);
-        }
+fn main() -> ExitCode {
+    YIELD.run(std::env::args().skip(1), sweep)
+}
+
+fn sweep(args: Args) -> Result<ExitCode, Error> {
+    args.exactly::<0>()?;
+    let rates = match args.get("--rates") {
+        None => DEFAULT_RATES.to_vec(),
+        Some(list) => list
+            .split(',')
+            .map(|r| r.trim().parse::<f64>())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| Error::usage("--rates", format!("{list:?}: {e}")))?,
     };
+    if rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
+        return Err(Error::usage("--rates", "every rate must be in 0..1"));
+    }
+    let seed = args.num("--seed")?.unwrap_or(1);
+    let exact = !args.has("--no-exact");
+    let sat_conflicts = args
+        .num("--sat-conflicts")?
+        .unwrap_or(DEFAULT_SAT_CONFLICTS);
+    let circuit = args.get("--circuit");
     let benches: Vec<_> = paper_benchmarks()
         .into_iter()
-        .filter(|b| cli.circuit.as_deref().is_none_or(|c| c == b.name))
+        .filter(|b| circuit.is_none_or(|c| c == b.name))
         .collect();
     if benches.is_empty() {
-        eprintln!("error: no benchmark matches --circuit");
-        std::process::exit(1);
+        return Err(Error::usage("--circuit", "no benchmark matches"));
     }
 
     println!(
         "Yield sweep: {} benchmark(s) x defect rates {:?} (seed {})\n",
         benches.len(),
-        cli.rates,
-        cli.seed
+        rates,
+        seed
     );
 
     let mut rows = Vec::new();
     let mut json_runs = Vec::new();
     // Outcome attribution per rate, in rate order.
-    let mut per_rate: Vec<RateTally> = cli.rates.iter().map(|_| RateTally::default()).collect();
+    let mut per_rate: Vec<RateTally> = rates.iter().map(|_| RateTally::default()).collect();
 
     for bench in &benches {
         // The defect-free run anchors the QoR deltas.
-        let clean = match map_at_rate(&bench.network, 0.0, cli.seed, cli.exact, cli.sat_conflicts) {
+        let clean = match map_at_rate(&bench.network, 0.0, seed, exact, sat_conflicts) {
             MappingResult::Mapped(r) => r,
             MappingResult::Failed { error, .. } => {
                 panic!(
@@ -179,9 +162,9 @@ fn main() {
             }
         };
         let clean_delay = clean.physical.as_ref().map_or(0.0, |p| p.routed_delay_ns);
-        for (slot, &rate) in cli.rates.iter().enumerate() {
+        for (slot, &rate) in rates.iter().enumerate() {
             per_rate[slot].total += 1;
-            let result = map_at_rate(&bench.network, rate, cli.seed, cli.exact, cli.sat_conflicts);
+            let result = map_at_rate(&bench.network, rate, seed, exact, sat_conflicts);
             // Live progress on stderr: stdout is the (buffered) report.
             eprintln!(
                 "  {} @ {:>4.1}%: {}",
@@ -199,7 +182,7 @@ fn main() {
             let mut json = JsonValue::object()
                 .with("circuit", bench.name)
                 .with("rate", rate)
-                .with("seed", cli.seed);
+                .with("seed", seed);
             match result {
                 MappingResult::Mapped(r) => {
                     if r.recovery.succeeded_with == Some(nanomap::Remedy::ExactAssign) {
@@ -285,8 +268,7 @@ fn main() {
     println!("{}", render(&header, &rows));
 
     println!("Yield per defect rate (heuristic rungs / exact-assign rescues / proven UNSAT):");
-    let json_rates: Vec<JsonValue> = cli
-        .rates
+    let json_rates: Vec<JsonValue> = rates
         .iter()
         .zip(&per_rate)
         .map(|(&rate, tally)| {
@@ -315,10 +297,11 @@ fn main() {
     write_results_json(
         "yield",
         JsonValue::object()
-            .with("seed", cli.seed)
-            .with("exact_recovery", cli.exact)
+            .with("seed", seed)
+            .with("exact_recovery", exact)
             .with("rates", JsonValue::Array(json_rates))
             .with("runs", JsonValue::Array(json_runs)),
     );
     println!("\njson: -> results/yield.json");
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,44 +1,13 @@
 //! `nanomap` — command-line driver for the NanoMap flow.
 //!
-//! ```text
-//! nanomap <design.vhd | design.blif> [options]
-//!   --objective delay|area|at   optimization target (default: at)
-//!   --max-les N                 area budget in logic elements
-//!   --max-delay NS              delay budget in nanoseconds
-//!   --k N                       NRAM configuration sets (default 16; 0 = unbounded)
-//!   --ffs-per-le N              flip-flops per LE (default 2)
-//!   --optimize                  run the LUT-network cleanup passes first
-//!   --no-physical               skip clustering/placement/routing
-//!   --verify                    check folded execution against simulation
-//!   --bitmap PATH               write the packed binary bitstream to PATH
-//!   --metrics PATH              write spans/counters/report as JSON to PATH
-//!   --chrome-trace PATH         write a Perfetto-loadable trace to PATH
-//!   --qor PATH                  write a QoR document to PATH
-//!   --explain PATH              write the QoR attribution artifact to PATH
-//!   --defect-rate F             inject uniform fabric defects at rate F (0..1)
-//!   --defect-seed N             seed for the defect injection (default 1)
-//!   --defect-map PATH           load an explicit defect map instead
-//!   --time-budget-ms N          wall-clock budget for the whole mapping
-//!   --anytime                   accept a budget-degraded best-so-far mapping
-//!   --exact-recovery            after the heuristic recovery ladder fails, run
-//!                               the complete SAT-based slot-assignment rung
-//!   --sat-conflict-budget N     cap the SAT solver at N conflicts (default
-//!                               unbounded; the time budget still applies)
-//!   --checkpoint-dir PATH       write a crash-safe checkpoint after each phase
-//!   --resume PATH               resume from a checkpoint file
-//!   --profile DIR               profile the run's spans + memory; write
-//!                               DIR/<circuit>.profile.json (nanomap-profile-v2)
-//!                               and DIR/<circuit>.collapsed (flamegraph input)
-//!   --live-status PATH          stream nanomap-events-v1 NDJSON (run/phase
-//!                               lifecycle + progress) to PATH as the flow runs
-//!   --ledger PATH               append a one-line flight-recorder summary of
-//!                               this run to the ledger at PATH
-//!   --progress                  echo top-level phase timings to stderr
-//!   --trace                     echo every span to stderr as it closes
+//! Every command's flags live in one table below ([`nanomap::cli`]):
+//! `nanomap --help` and `nanomap <subcommand> --help` print them.
 //!
-//! PATH may be `-` for stdout (at most one of
-//! --metrics/--chrome-trace/--qor/--explain/--live-status; the
-//! human-readable report then moves to stderr).
+//! ```text
+//! nanomap <design.vhd | design.blif> [flow options] [output options]
+//!   Maps the design and prints the summary. An output PATH may be `-`
+//!   for stdout (at most one of --metrics/--chrome-trace/--qor/--explain/
+//!   --live-status; the human-readable report then moves to stderr).
 //!
 //! Exit codes:
 //!   0  mapping succeeded
@@ -49,8 +18,7 @@
 //!   5  --exact-recovery proved no defect-legal assignment exists (the
 //!      fabric, not the heuristics, is the limit; summary on stderr)
 //!
-//! nanomap explain <design.vhd | design.blif> [flow options]
-//!                 [--out PATH] [--top-k N]
+//! nanomap explain <design> [flow options] [--out PATH] [--top-k N]
 //!   Runs the flow and prints the QoR attribution report: congestion and
 //!   placement heatmaps, per-stage NRAM occupancy, and the top-K routed
 //!   critical paths hop by hop. --out additionally writes the JSON
@@ -61,55 +29,41 @@
 //!   delay sums, the delay identity, and the congestion/usage
 //!   reconciliation.
 //!
+//! nanomap profile <design> [flow options] [--top-k N] [--out DIR]
+//!   Runs the flow with spans recorded and prints the top-K span paths
+//!   by exact exclusive time, each with its share of its phase. --out DIR
+//!   additionally writes the profile JSON + collapsed stacks.
+//!
 //! nanomap qor-diff [--exact] <baseline.json> <new.json>
 //!   Compares two QoR documents metric-by-metric with per-metric
 //!   tolerances; exits non-zero when any gated metric regresses.
 //!   With --exact every gated metric must match bit for bit (the
 //!   determinism gate for defect-free reruns).
 //!
-//! nanomap profile <design.vhd | design.blif> [flow options]
-//!                 [--top-k N] [--out DIR]
-//!   Runs the flow with spans recorded and prints the top-K span paths
-//!   by exact exclusive time, each with its share of its phase. --out DIR
-//!   additionally writes the profile JSON + collapsed stacks.
-//!
 //! nanomap perf-diff [--rel F] [--abs-ms F] <baseline.json> <new.json>
 //!   Compares two nanomap-perf-v1 documents (from the bench `perf` leg).
 //!   One-sided gate: a phase median must slow down by more than BOTH the
-//!   relative tolerance (--rel, default 1.0 = 100%) and the absolute
-//!   guard band (--abs-ms, default 25 ms) to fail. p95, memory metrics
-//!   and circuits missing from the new document are informational.
+//!   relative tolerance and the absolute guard band to fail. p95, memory
+//!   metrics and circuits missing from the new document are informational.
 //!
 //! nanomap runs <list | show ID | trend | regress | check-stream FILE>
-//!              [--ledger PATH]
-//!   Flight-recorder queries over the cross-run ledger (default
-//!   results/runs/ledger.jsonl). `list` tabulates run history, `show`
-//!   prints one record by run-id prefix, `trend [--benchmark B]
-//!   [--field F]` renders per-circuit sparkline trends, `regress
-//!   [--field F] [--window N] [--k F]` flags rolling-median+MAD
-//!   outliers (exit 1 when any), and `check-stream` validates a
-//!   --live-status NDJSON capture.
-//!
-//! nanomap runs show --trace ID [--events PATH] [--ledger PATH]
-//!   Reconstructs one service request end to end: the `service` events
-//!   in a `nanomapd --events` NDJSON capture become a millisecond
-//!   timeline (queued/started/preempted/coalesced/completed), and the
+//!   Flight-recorder queries over the cross-run ledger. `list` tabulates
+//!   run history, `show` prints one record by run-id prefix, `trend`
+//!   renders per-circuit sparkline trends, `regress` flags
+//!   rolling-median+MAD outliers (exit 1 when any), and `check-stream`
+//!   validates a --live-status NDJSON capture. `show --trace ID` instead
+//!   reconstructs one service request end to end: the `service` events in
+//!   a `nanomapd --events` capture become a millisecond timeline, and the
 //!   ledger record stamped with the same trace id is printed after it.
 //!
-//! nanomap submit <design.vhd | design.blif> --addr HOST:PORT|SOCKET
-//!                [--objective delay|area|at] [--max-les N] [--max-delay NS]
-//!                [--time-budget-ms N] [--id STR] [--retries N]
-//!                [--backoff-ms MS] [--retry-seed N] [--report PATH|-]
-//!                [--trace-id STR]
+//! nanomap submit <design> --addr HOST:PORT|SOCKET [options]
 //!   Submits one mapping request to a running `nanomapd` with jittered
 //!   exponential backoff across connect failures and retryable
 //!   (`shed`/`shutdown`) rejections. Idempotent: the daemon's cache key
 //!   is the netlist fingerprint + objective + seeds, so re-submission
 //!   re-serves the same result byte for byte. The MappingReport JSON
-//!   goes to stdout (or --report PATH); lifecycle lines go to stderr.
-//!   Every attempt's server-assigned trace id is echoed on stderr (and
-//!   written into the --report error document on permanent rejection);
-//!   --trace-id propagates a caller-chosen id instead.
+//!   goes to stdout (or --report PATH); lifecycle lines and every
+//!   attempt's trace id go to stderr.
 //!   Exit codes: 0 served, 1 transport failure or retries exhausted,
 //!   2 permanent rejection (invalid/panic/failed), 3 budget rejection.
 //!
@@ -125,22 +79,24 @@
 // anywhere on this path is a bug.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+use std::fmt::Display;
 use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
-use nanomap::perf::{DEFAULT_ABS_GUARD_MS, DEFAULT_REL_TOLERANCE};
+use nanomap::cli::{Args, Command, Error, Flag};
+use nanomap::perf::{write_profile_artifacts, DEFAULT_ABS_GUARD_MS, DEFAULT_REL_TOLERANCE};
 use nanomap::qor::{diff_documents, diff_documents_exact, QorDocument, QorReport};
 use nanomap::runs::{self, Ledger, RunRecord, DEFAULT_LEDGER_PATH};
 use nanomap::{
     atomic_write, atomic_write_text, check_artifact, diff_perf, has_regression, render_diff_table,
-    Checkpoint, DiffEntry, DiffStatus, ExplainReport, FlowError, MappingReport, NanoMap, Objective,
-    PerfDocument, DEFAULT_TOP_K,
+    Checkpoint, DesignSource, DiffEntry, DiffStatus, ExplainReport, FlowError, MappingReport,
+    NanoMap, Objective, PerfDocument, DEFAULT_TOP_K,
 };
 use nanomap_arch::{ArchParams, DefectMap};
-use nanomap_netlist::{blif, vhdl, LutNetwork};
-use nanomap_observe::{json, Echo, EventStream, JsonValue, ProfileData};
-use nanomap_techmap::{expand, optimize, ExpandOptions};
+use nanomap_netlist::LutNetwork;
+use nanomap_observe::{json, Echo, EventStream, JsonValue, MemoryReport};
+use nanomap_techmap::{optimize, OptimizeStats};
 
 /// Count every heap round-trip the flow makes. Tracking is off (one
 /// relaxed load of overhead) until `--profile` turns it on.
@@ -158,6 +114,186 @@ const EXIT_BUDGET_EXHAUSTED: u8 = 3;
 const EXIT_DEGRADED: u8 = 4;
 /// Exit code: the exact rung proved the fabric unmappable.
 const EXIT_INFEASIBLE: u8 = 5;
+
+const DESIGN: &str = "<design.vhd | design.blif>";
+
+/// What to optimize under which budgets: the flow and `submit` both
+/// take these.
+#[rustfmt::skip]
+const OBJECTIVE_FLAGS: &[Flag] = &[
+    Flag::value("--objective", "delay|area|at", "optimization target (default: at)"),
+    Flag::value("--max-les", "N", "area budget in logic elements"),
+    Flag::value("--max-delay", "NS", "delay budget in nanoseconds"),
+    Flag::value("--time-budget-ms", "N", "wall-clock budget for the whole mapping"),
+];
+
+/// The rest of the flow configuration. The main flow, `explain` and
+/// `profile` apply it all, through [`setup`].
+#[rustfmt::skip]
+const FLOW_FLAGS: &[Flag] = &[
+    Flag::value("--k", "N", "NRAM configuration sets (default 16; 0 = unbounded)"),
+    Flag::value("--ffs-per-le", "N", "flip-flops per LE (default 2)"),
+    Flag::switch("--optimize", "run the LUT-network cleanup passes first"),
+    Flag::switch("--no-physical", "skip clustering/placement/routing"),
+    Flag::switch("--verify", "check folded execution against simulation"),
+    Flag::value("--defect-rate", "F", "inject uniform fabric defects at rate F (0..1)"),
+    Flag::value("--defect-seed", "N", "seed for the defect injection (default 1)"),
+    Flag::value("--defect-map", "PATH", "load an explicit defect map instead"),
+    Flag::switch("--anytime", "accept a budget-degraded best-so-far mapping"),
+    Flag::switch("--exact-recovery", "after the recovery ladder fails, run the\ncomplete SAT-based slot-assignment rung"),
+    Flag::value("--sat-conflict-budget", "N", "cap the SAT solver at N conflicts (default\nunbounded; the time budget still applies)"),
+    Flag::value("--checkpoint-dir", "PATH", "write a crash-safe checkpoint after each phase"),
+];
+
+/// The main flow's outputs and run modes.
+#[rustfmt::skip]
+const SINK_FLAGS: &[Flag] = &[
+    Flag::value("--bitmap", "PATH", "write the packed binary bitstream to PATH"),
+    Flag::value("--metrics", "PATH", "write spans/counters/report as JSON to PATH"),
+    Flag::value("--chrome-trace", "PATH", "write a Perfetto-loadable trace to PATH"),
+    Flag::value("--qor", "PATH", "write a QoR document to PATH"),
+    Flag::value("--explain", "PATH", "write the QoR attribution artifact to PATH"),
+    Flag::value("--resume", "PATH", "resume from a checkpoint file"),
+    Flag::value("--profile", "DIR", "profile the run's spans + memory; write\nDIR/<circuit>.profile.json and DIR/<circuit>.collapsed"),
+    Flag::value("--live-status", "PATH", "stream nanomap-events-v1 NDJSON (run/phase\nlifecycle + progress) to PATH as the flow runs"),
+    Flag::value("--ledger", "PATH", "append a one-line flight-recorder summary of\nthis run to the ledger at PATH"),
+    Flag::switch("--progress", "echo top-level phase timings to stderr"),
+    Flag::switch("--trace", "echo every span to stderr as it closes"),
+];
+
+/// The flags that need the span collector recording.
+const OBSERVED: [&str; 7] = [
+    "--metrics",
+    "--chrome-trace",
+    "--qor",
+    "--profile",
+    "--live-status",
+    "--progress",
+    "--trace",
+];
+
+/// The sinks that may claim stdout with `-`.
+const STDOUT_SINKS: [&str; 5] = [
+    "--metrics",
+    "--chrome-trace",
+    "--qor",
+    "--explain",
+    "--live-status",
+];
+
+static FLOW: Command = Command {
+    name: "nanomap",
+    operands: DESIGN,
+    about: "Maps a design and prints the summary. An output PATH may be `-` for stdout
+(at most one output; the human-readable report then moves to stderr).
+subcommands: explain, profile, qor-diff, perf-diff, runs, submit, top",
+    flags: &[OBJECTIVE_FLAGS, FLOW_FLAGS, SINK_FLAGS],
+};
+
+#[rustfmt::skip]
+const EXPLAIN_FLAGS: &[Flag] = &[
+    Flag::value("--out", "PATH", "also write the nanomap-explain-v1 artifact"),
+    Flag::value("--top-k", "N", "critical paths to print (default 5)"),
+    Flag::value("--check", "ARTIFACT", "re-validate ARTIFACT's invariants instead"),
+];
+
+static EXPLAIN: Command = Command {
+    name: "nanomap explain",
+    operands: DESIGN,
+    about: "Maps the design and prints the QoR attribution report.",
+    flags: &[OBJECTIVE_FLAGS, FLOW_FLAGS, EXPLAIN_FLAGS],
+};
+
+#[rustfmt::skip]
+const PROFILE_FLAGS: &[Flag] = &[
+    Flag::value("--out", "DIR", "also write the profile JSON + collapsed stacks"),
+    Flag::value("--top-k", "N", "hot paths to print (default 15)"),
+];
+
+static PROFILE: Command = Command {
+    name: "nanomap profile",
+    operands: DESIGN,
+    about: "Maps the design and prints the hottest span paths by exclusive time.",
+    flags: &[OBJECTIVE_FLAGS, FLOW_FLAGS, PROFILE_FLAGS],
+};
+
+#[rustfmt::skip]
+const QOR_DIFF_FLAGS: &[Flag] = &[
+    Flag::switch("--exact", "every gated metric must match bit for bit"),
+];
+
+static QOR_DIFF: Command = Command {
+    name: "nanomap qor-diff",
+    operands: "<baseline.json> <new.json>",
+    about: "Gates a QoR document against a baseline; exit 1 on a regression.",
+    flags: &[QOR_DIFF_FLAGS],
+};
+
+#[rustfmt::skip]
+const PERF_DIFF_FLAGS: &[Flag] = &[
+    Flag::value("--rel", "F", "relative tolerance (default 1.0 = 100%)"),
+    Flag::value("--abs-ms", "F", "absolute guard band in ms (default 25)"),
+];
+
+static PERF_DIFF: Command = Command {
+    name: "nanomap perf-diff",
+    operands: "<baseline.json> <new.json>",
+    about: "Gates phase medians against a baseline perf document: exit 1 when one
+slows down by more than both tolerances.",
+    flags: &[PERF_DIFF_FLAGS],
+};
+
+#[rustfmt::skip]
+const RUNS_FLAGS: &[Flag] = &[
+    Flag::value("--ledger", "PATH", "the ledger (default results/runs/ledger.jsonl)"),
+    Flag::value("--benchmark", "B", "only runs of circuit B"),
+    Flag::value("--field", "F", "metric to trend (repeatable) or regress on"),
+    Flag::value("--window", "N", "regress: rolling-median window (default 8)"),
+    Flag::value("--k", "F", "regress: MAD multiplier (default 4)"),
+    Flag::value("--trace", "ID", "show: the service request with this trace id"),
+    Flag::value("--events", "PATH", "show --trace: a nanomapd --events capture"),
+];
+
+static RUNS: Command = Command {
+    name: "nanomap runs",
+    operands: "<list | show ID | trend | regress | check-stream FILE>",
+    about: "Queries the flight-recorder ledger, or validates a --live-status capture.",
+    flags: &[RUNS_FLAGS],
+};
+
+#[rustfmt::skip]
+const SUBMIT_FLAGS: &[Flag] = &[
+    Flag::value("--addr", "HOST:PORT|SOCKET", "the daemon (required)"),
+    Flag::value("--id", "STR", "request id (default cli-<pid>)"),
+    Flag::value("--retries", "N", "attempts before giving up"),
+    Flag::value("--backoff-ms", "MS", "base backoff between attempts"),
+    Flag::value("--retry-seed", "N", "backoff jitter seed"),
+    Flag::value("--report", "PATH|-", "where the report goes (default stdout)"),
+    Flag::value("--trace-id", "STR", "propagate this trace id"),
+];
+
+static SUBMIT: Command = Command {
+    name: "nanomap submit",
+    operands: DESIGN,
+    about: "Submits one mapping request to a running nanomapd, retrying with backoff.
+exit codes: 0 served, 1 transport failure or retries exhausted,
+2 permanent rejection (invalid/panic/failed), 3 budget rejection",
+    flags: &[OBJECTIVE_FLAGS, SUBMIT_FLAGS],
+};
+
+#[rustfmt::skip]
+const TOP_FLAGS: &[Flag] = &[
+    Flag::value("--addr", "HOST:PORT|SOCKET", "the daemon (required)"),
+    Flag::value("--interval-ms", "N", "poll interval (default 1000)"),
+    Flag::switch("--once", "print one stats line and exit"),
+];
+
+static TOP: Command = Command {
+    name: "nanomap top",
+    operands: "",
+    about: "Live console for a running nanomapd; one stats JSON line when piped.",
+    flags: &[TOP_FLAGS],
+};
 
 /// Writes formatted text to stdout, tolerating a closed pipe: when the
 /// reader goes away (`nanomap --qor - | head`), the write is silently
@@ -190,224 +326,13 @@ macro_rules! out {
     ($($t:tt)*) => { stdout_write(format_args!($($t)*), false) };
 }
 
-struct Args {
-    input: String,
-    objective: String,
-    max_les: Option<u32>,
-    max_delay: Option<f64>,
-    k: u32,
-    ffs_per_le: u32,
-    run_optimize: bool,
-    physical: bool,
-    verify: bool,
-    bitmap_path: Option<String>,
-    metrics_path: Option<String>,
-    chrome_trace_path: Option<String>,
-    qor_path: Option<String>,
-    explain_path: Option<String>,
-    explain_out: Option<String>,
-    explain_top_k: Option<usize>,
-    defect_rate: Option<f64>,
-    defect_seed: u64,
-    defect_map_path: Option<String>,
-    time_budget_ms: Option<u64>,
-    anytime: bool,
-    exact_recovery: bool,
-    sat_conflict_budget: Option<u64>,
-    checkpoint_dir: Option<String>,
-    resume: Option<String>,
-    profile_dir: Option<String>,
-    live_status: Option<String>,
-    ledger_path: Option<String>,
-    progress: bool,
-    trace: bool,
-}
-
-impl Args {
-    /// The JSON sinks that may claim stdout via `-`, as (flag, path) pairs.
-    fn stdout_sinks(&self) -> Vec<&'static str> {
-        [
-            ("--metrics", &self.metrics_path),
-            ("--chrome-trace", &self.chrome_trace_path),
-            ("--qor", &self.qor_path),
-            ("--explain", &self.explain_path),
-            ("--live-status", &self.live_status),
-        ]
-        .into_iter()
-        .filter(|(_, path)| path.as_deref() == Some("-"))
-        .map(|(flag, _)| flag)
-        .collect()
-    }
-}
-
-/// Pulls the value following a `--flag VALUE` option off the iterator.
-fn value(iter: &mut impl Iterator<Item = String>, name: &str) -> Result<String, String> {
-    iter.next().ok_or_else(|| format!("{name} needs a value"))
-}
-
-fn parse_args(cli: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        input: String::new(),
-        objective: "at".into(),
-        max_les: None,
-        max_delay: None,
-        k: 16,
-        ffs_per_le: 2,
-        run_optimize: false,
-        physical: true,
-        verify: false,
-        bitmap_path: None,
-        metrics_path: None,
-        chrome_trace_path: None,
-        qor_path: None,
-        explain_path: None,
-        explain_out: None,
-        explain_top_k: None,
-        defect_rate: None,
-        defect_seed: 1,
-        defect_map_path: None,
-        time_budget_ms: None,
-        anytime: false,
-        exact_recovery: false,
-        sat_conflict_budget: None,
-        checkpoint_dir: None,
-        resume: None,
-        profile_dir: None,
-        live_status: None,
-        ledger_path: None,
-        progress: false,
-        trace: false,
-    };
-    let mut iter = cli;
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--objective" => args.objective = value(&mut iter, "--objective")?,
-            "--max-les" => {
-                args.max_les = Some(
-                    value(&mut iter, "--max-les")?
-                        .parse()
-                        .map_err(|e| format!("--max-les: {e}"))?,
-                )
-            }
-            "--max-delay" => {
-                args.max_delay = Some(
-                    value(&mut iter, "--max-delay")?
-                        .parse()
-                        .map_err(|e| format!("--max-delay: {e}"))?,
-                )
-            }
-            "--k" => {
-                args.k = value(&mut iter, "--k")?
-                    .parse()
-                    .map_err(|e| format!("--k: {e}"))?
-            }
-            "--ffs-per-le" => {
-                args.ffs_per_le = value(&mut iter, "--ffs-per-le")?
-                    .parse()
-                    .map_err(|e| format!("--ffs-per-le: {e}"))?
-            }
-            "--bitmap" => args.bitmap_path = Some(value(&mut iter, "--bitmap")?),
-            "--metrics" => args.metrics_path = Some(value(&mut iter, "--metrics")?),
-            "--chrome-trace" => args.chrome_trace_path = Some(value(&mut iter, "--chrome-trace")?),
-            "--qor" => args.qor_path = Some(value(&mut iter, "--qor")?),
-            "--explain" => args.explain_path = Some(value(&mut iter, "--explain")?),
-            "--out" => args.explain_out = Some(value(&mut iter, "--out")?),
-            "--top-k" => {
-                args.explain_top_k = Some(
-                    value(&mut iter, "--top-k")?
-                        .parse()
-                        .map_err(|e| format!("--top-k: {e}"))?,
-                )
-            }
-            "--defect-rate" => {
-                let rate: f64 = value(&mut iter, "--defect-rate")?
-                    .parse()
-                    .map_err(|e| format!("--defect-rate: {e}"))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(format!("--defect-rate: {rate} is outside 0..1"));
-                }
-                args.defect_rate = Some(rate);
-            }
-            "--defect-seed" => {
-                args.defect_seed = value(&mut iter, "--defect-seed")?
-                    .parse()
-                    .map_err(|e| format!("--defect-seed: {e}"))?
-            }
-            "--defect-map" => args.defect_map_path = Some(value(&mut iter, "--defect-map")?),
-            "--time-budget-ms" => {
-                args.time_budget_ms = Some(
-                    value(&mut iter, "--time-budget-ms")?
-                        .parse()
-                        .map_err(|e| format!("--time-budget-ms: {e}"))?,
-                )
-            }
-            "--anytime" => args.anytime = true,
-            "--exact-recovery" => args.exact_recovery = true,
-            "--sat-conflict-budget" => {
-                args.sat_conflict_budget = Some(
-                    value(&mut iter, "--sat-conflict-budget")?
-                        .parse()
-                        .map_err(|e| format!("--sat-conflict-budget: {e}"))?,
-                )
-            }
-            "--checkpoint-dir" => args.checkpoint_dir = Some(value(&mut iter, "--checkpoint-dir")?),
-            "--resume" => args.resume = Some(value(&mut iter, "--resume")?),
-            "--profile" => args.profile_dir = Some(value(&mut iter, "--profile")?),
-            "--live-status" => args.live_status = Some(value(&mut iter, "--live-status")?),
-            "--ledger" => args.ledger_path = Some(value(&mut iter, "--ledger")?),
-            "--optimize" => args.run_optimize = true,
-            "--no-physical" => args.physical = false,
-            "--verify" => args.verify = true,
-            "--progress" => args.progress = true,
-            "--trace" => args.trace = true,
-            "--help" | "-h" => return Err(String::new()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option `{other}` (see --help)"))
-            }
-            other => {
-                if !args.input.is_empty() {
-                    return Err("multiple input files".into());
-                }
-                args.input = other.to_string();
-            }
-        }
-    }
-    if args.input.is_empty() {
-        return Err("missing input file".into());
-    }
-    if args.defect_rate.is_some() && args.defect_map_path.is_some() {
-        return Err("--defect-rate and --defect-map are mutually exclusive".into());
-    }
-    if args.explain_path.is_some() && !args.physical {
-        return Err("--explain needs the physical flow (drop --no-physical)".into());
-    }
-    let claimed = args.stdout_sinks();
-    if claimed.len() > 1 {
-        return Err(format!(
-            "only one output may write to stdout: {} all say `-`",
-            claimed.join(" and ")
-        ));
-    }
-    Ok(args)
-}
-
-fn load(path: &str, lut_inputs: u32) -> Result<LutNetwork, String> {
+/// Reads `path` and parses it, prefixing either failure with the path.
+fn load_file<T, E: Display>(
+    path: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    if path.ends_with(".blif") {
-        blif::parse(&text).map_err(|e| format!("{path}: {e}"))
-    } else if path.ends_with(".vhd") || path.ends_with(".vhdl") {
-        let circuit = vhdl::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        expand(
-            &circuit,
-            ExpandOptions {
-                lut_inputs,
-                ..ExpandOptions::default()
-            },
-        )
-        .map_err(|e| format!("{path}: {e}"))
-    } else {
-        Err(format!("{path}: unknown extension (use .vhd/.vhdl/.blif)"))
-    }
+    parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Writes `text` to `path`, or to stdout when `path` is `-`. File writes
@@ -440,148 +365,147 @@ fn open_live_sink(path: &str) -> Result<Box<dyn std::io::Write + Send>, String> 
     }
 }
 
-/// Resolves the `--objective` string into a flow [`Objective`].
-fn parse_objective(args: &Args) -> Result<Objective, String> {
-    match args.objective.as_str() {
-        "delay" => Ok(Objective::MinDelay {
-            max_les: args.max_les,
-        }),
-        "area" => Ok(Objective::MinArea {
-            max_delay_ns: args.max_delay,
-        }),
-        "at" => Ok(Objective::MinAreaDelayProduct),
-        other => Err(format!("unknown objective `{other}` (delay|area|at)")),
-    }
+/// What the flow-configuration flags build.
+struct Setup {
+    net: LutNetwork,
+    objective: Objective,
+    flow: NanoMap,
+    /// The `--optimize` cleanup's statistics, when it ran.
+    optimized: Option<OptimizeStats>,
 }
 
-/// Applies the `--defect-rate`/`--defect-map` options to a flow.
-fn apply_defects(mut flow: NanoMap, args: &Args) -> Result<NanoMap, String> {
-    if let Some(path) = &args.defect_map_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let map = DefectMap::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        flow = flow.with_defects(map);
-    } else if let Some(rate) = args.defect_rate {
-        if rate > 0.0 {
-            flow = flow.with_defects(DefectMap::uniform(rate, args.defect_seed));
-        }
+/// Applies every flow-configuration flag ([`FLOW_FLAGS`]): checks them
+/// all, then loads (and optionally cleans up) the design and builds the
+/// flow for it.
+fn setup(args: &Args) -> Result<Setup, Error> {
+    let [input] = args.exactly()?;
+    let k = args.num("--k")?.unwrap_or(16);
+    let arch = ArchParams {
+        num_reconf: if k == 0 { u32::MAX } else { k },
+        ffs_per_le: args.num("--ffs-per-le")?.unwrap_or(2),
+        ..ArchParams::paper()
+    };
+    let objective = Objective::from_goal(
+        args.get("--objective").unwrap_or("at"),
+        args.num("--max-les")?,
+        args.num("--max-delay")?,
+    )
+    .map_err(|e| Error::usage("--objective", e))?;
+    let defect_rate: Option<f64> = args.num("--defect-rate")?;
+    if let Some(rate) = defect_rate.filter(|r| !(0.0..=1.0).contains(r)) {
+        return Err(Error::usage(
+            "--defect-rate",
+            format!("{rate} is outside 0..1"),
+        ));
     }
-    Ok(flow)
+    if defect_rate.is_some() && args.has("--defect-map") {
+        return Err(Error::usage(
+            "--defect-rate",
+            "cannot be combined with --defect-map (mutually exclusive)",
+        ));
+    }
+    let defect_seed = args.num("--defect-seed")?.unwrap_or(1);
+    let time_budget_ms = args.num("--time-budget-ms")?;
+    let sat_conflict_budget = args.num("--sat-conflict-budget")?;
+
+    let mut net = DesignSource::Path(input.to_string()).load(arch.lut_inputs)?;
+    let optimized = args.has("--optimize").then(|| {
+        let (cleaned, stats) = optimize(&net);
+        net = cleaned;
+        stats
+    });
+    let mut flow = NanoMap::new(arch);
+    if let Some(path) = args.get("--defect-map") {
+        flow = flow.with_defects(load_file(path, DefectMap::parse)?);
+    } else if let Some(rate) = defect_rate.filter(|r| *r > 0.0) {
+        flow = flow.with_defects(DefectMap::uniform(rate, defect_seed));
+    }
+    if args.has("--no-physical") {
+        flow = flow.without_physical();
+    }
+    if args.has("--verify") {
+        flow = flow.with_verification();
+    }
+    if let Some(budget) = time_budget_ms {
+        flow = flow.with_budget_ms(budget);
+    }
+    if args.has("--anytime") {
+        flow = flow.with_anytime();
+    }
+    if args.has("--exact-recovery") {
+        flow = flow.with_exact_recovery();
+    }
+    if let Some(budget) = sat_conflict_budget {
+        flow = flow.with_sat_conflict_budget(budget);
+    }
+    if let Some(dir) = args.get("--checkpoint-dir") {
+        flow = flow.with_checkpoint_dir(dir);
+    }
+    Ok(Setup {
+        net,
+        objective,
+        flow,
+        optimized,
+    })
 }
 
 /// `nanomap explain ...`: run the flow with QoR attribution enabled and
 /// print the heatmaps plus top-K critical paths; `--check FILE` instead
 /// re-validates an already-emitted artifact.
-fn explain_main(cli: Vec<String>) -> ExitCode {
-    if cli.first().map(String::as_str) == Some("--check") {
-        let [_, path] = &cli[..] else {
-            eprintln!("usage: nanomap explain --check <artifact.json>");
-            return ExitCode::FAILURE;
-        };
-        let checked = std::fs::read_to_string(path)
-            .map_err(|e| format!("{path}: {e}"))
-            .and_then(|text| json::parse(&text).map_err(|e| format!("{path}: {e}")))
-            .and_then(|doc| check_artifact(&doc).map_err(|e| format!("{path}: {e}")));
-        return match checked {
-            Ok(()) => {
-                outln!("{path}: OK");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let args = match parse_args(cli.into_iter()) {
-        Ok(a) => a,
-        Err(message) => {
-            if !message.is_empty() {
-                eprintln!("error: {message}\n");
-            }
-            eprintln!("usage: nanomap explain <design.vhd | design.blif> [flow options]");
-            eprintln!("       [--out PATH] [--top-k N]");
-            eprintln!("       nanomap explain --check <artifact.json>");
-            return ExitCode::FAILURE;
+fn explain_main(args: Args) -> Result<ExitCode, Error> {
+    if let Some(path) = args.get("--check") {
+        if !args.operands().is_empty() || args.flags().count() > 1 {
+            return Err(Error::usage("--check", "takes no design and no other flag"));
         }
-    };
-    if args.explain_path.is_some() {
-        eprintln!("error: the explain subcommand always builds the artifact; use --out PATH");
-        return ExitCode::FAILURE;
+        let doc = load_file(path, json::parse)?;
+        check_artifact(&doc).map_err(|e| format!("{path}: {e}"))?;
+        outln!("{path}: OK");
+        return Ok(ExitCode::SUCCESS);
     }
-    if !args.physical {
-        eprintln!("error: explain needs the physical flow (drop --no-physical)");
-        return ExitCode::FAILURE;
+    if args.has("--no-physical") {
+        return Err(Error::usage(
+            "--no-physical",
+            "explain needs the physical flow (drop --no-physical)",
+        ));
     }
-    let arch = ArchParams {
-        num_reconf: if args.k == 0 { u32::MAX } else { args.k },
-        ffs_per_le: args.ffs_per_le,
-        ..ArchParams::paper()
-    };
-    let top_k = args.explain_top_k.unwrap_or(DEFAULT_TOP_K);
-    let run = || -> Result<ExplainReport, String> {
-        let mut net = load(&args.input, arch.lut_inputs)?;
-        if args.run_optimize {
-            net = optimize(&net).0;
-        }
-        let objective = parse_objective(&args)?;
-        let mut flow = apply_defects(NanoMap::new(arch).with_explain(), &args)?;
-        flow.explain_top_k = top_k;
-        let report = flow.map(&net, objective).map_err(|e| e.to_string())?;
-        report
-            .explain
-            .ok_or_else(|| "flow finished without attribution data".to_string())
-    };
-    let explain = match run() {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = explain.validate() {
-        eprintln!("error: artifact invariant violated: {e}");
-        return ExitCode::FAILURE;
-    }
+    let top_k = args.num("--top-k")?.unwrap_or(DEFAULT_TOP_K);
+    let out_path = args.get("--out");
+    let setup = setup(&args)?;
+    let mut flow = setup.flow.with_explain();
+    flow.explain_top_k = top_k;
+    let report = flow
+        .map(&setup.net, setup.objective)
+        .map_err(|e| e.to_string())?;
+    let explain = report
+        .explain
+        .ok_or_else(|| "flow finished without attribution data".to_string())?;
+    explain
+        .validate()
+        .map_err(|e| format!("artifact invariant violated: {e}"))?;
     // When `--out -` claims stdout for the JSON, the text report moves to
     // stderr (mirroring the main flow's sink convention).
     let text = explain.render_text(top_k);
-    if args.explain_out.as_deref() == Some("-") {
+    if out_path == Some("-") {
         eprint!("{text}");
     } else {
         out!("{text}");
     }
-    if let Some(path) = &args.explain_out {
-        if let Err(e) = write_sink(path, &explain.to_json().to_pretty_string()) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = out_path {
+        write_sink(path, &explain.to_json().to_pretty_string())?;
         if path != "-" {
             outln!("\nartifact: -> {path}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `nanomap qor-diff [--exact] <baseline.json> <new.json>`: the
 /// regression gate (with `--exact`, the determinism gate).
-fn qor_diff_main(args: &[String]) -> ExitCode {
-    let exact = args.iter().any(|a| a == "--exact");
-    let paths: Vec<&String> = args.iter().filter(|a| *a != "--exact").collect();
-    let [baseline_path, new_path] = paths[..] else {
-        eprintln!("usage: nanomap qor-diff [--exact] <baseline.json> <new.json>");
-        return ExitCode::FAILURE;
-    };
-    let read_doc = |path: &String| -> Result<QorDocument, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        QorDocument::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (baseline, new) = match (read_doc(baseline_path), read_doc(new_path)) {
-        (Ok(b), Ok(n)) => (b, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn qor_diff_main(args: Args) -> Result<ExitCode, Error> {
+    let [baseline_path, new_path] = args.exactly()?;
+    let exact = args.has("--exact");
+    let baseline = load_file(baseline_path, QorDocument::parse)?;
+    let new = load_file(new_path, QorDocument::parse)?;
     let entries = if exact {
         diff_documents_exact(&baseline, &new)
     } else {
@@ -593,104 +517,68 @@ fn qor_diff_main(args: &[String]) -> ExitCode {
             || matches!(e.status, DiffStatus::MissingInBaseline)
             || e.tolerance.is_some()
     };
-    let (lines, failures) = render_diff_table(&entries, show);
+    let gate = if exact {
+        "QoR gate (exact)"
+    } else {
+        "QoR gate"
+    };
+    Ok(print_gate(gate, "", &entries, show))
+}
+
+/// Prints the diff rows `show` keeps, then the verdict line of `gate`
+/// (`detail` is appended inside its parentheses); exit 1 on a
+/// regression.
+fn print_gate(
+    gate: &str,
+    detail: &str,
+    entries: &[DiffEntry],
+    show: impl Fn(&DiffEntry) -> bool,
+) -> ExitCode {
+    let (lines, failures) = render_diff_table(entries, show);
     for line in lines {
         outln!("{line}");
     }
-    let mode = if exact { " (exact)" } else { "" };
-    if has_regression(&entries) {
-        outln!("QoR gate{mode}: FAIL ({failures} regressed metrics)");
+    if has_regression(entries) {
+        outln!("{gate}: FAIL ({failures} regressed metrics{detail})");
         ExitCode::FAILURE
     } else {
-        outln!("QoR gate{mode}: PASS ({} metrics compared)", entries.len());
+        outln!("{gate}: PASS ({} metrics compared{detail})", entries.len());
         ExitCode::SUCCESS
     }
 }
 
 /// `nanomap perf-diff [--rel F] [--abs-ms F] <baseline.json> <new.json>`:
 /// the performance regression gate over `nanomap-perf-v1` documents.
-fn perf_diff_main(cli: Vec<String>) -> ExitCode {
-    let mut rel = DEFAULT_REL_TOLERANCE;
-    let mut abs_ms = DEFAULT_ABS_GUARD_MS;
-    let mut paths: Vec<String> = Vec::new();
-    let mut iter = cli.into_iter();
-    let usage = || {
-        eprintln!("usage: nanomap perf-diff [--rel F] [--abs-ms F] <baseline.json> <new.json>");
-        ExitCode::FAILURE
+fn perf_diff_main(args: Args) -> Result<ExitCode, Error> {
+    let [baseline_path, new_path] = args.exactly()?;
+    let non_negative = |flag: &str, default: f64| match args.num::<f64>(flag)? {
+        Some(v) if v.is_nan() || v < 0.0 => Err(Error::usage(flag, format!("{v} must be >= 0"))),
+        v => Ok(v.unwrap_or(default)),
     };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--rel" => match value(&mut iter, "--rel")
-                .and_then(|v| v.parse::<f64>().map_err(|e| format!("--rel: {e}")))
-            {
-                Ok(v) if v >= 0.0 => rel = v,
-                _ => return usage(),
-            },
-            "--abs-ms" => match value(&mut iter, "--abs-ms")
-                .and_then(|v| v.parse::<f64>().map_err(|e| format!("--abs-ms: {e}")))
-            {
-                Ok(v) if v >= 0.0 => abs_ms = v,
-                _ => return usage(),
-            },
-            other if other.starts_with('-') => return usage(),
-            other => paths.push(other.to_string()),
-        }
-    }
-    let [baseline_path, new_path] = &paths[..] else {
-        return usage();
-    };
-    let read_doc = |path: &String| -> Result<PerfDocument, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        PerfDocument::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (baseline, new) = match (read_doc(baseline_path), read_doc(new_path)) {
-        (Ok(b), Ok(n)) => (b, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let rel = non_negative("--rel", DEFAULT_REL_TOLERANCE)?;
+    let abs_ms = non_negative("--abs-ms", DEFAULT_ABS_GUARD_MS)?;
+    let baseline = load_file(baseline_path, PerfDocument::parse)?;
+    let new = load_file(new_path, PerfDocument::parse)?;
     let entries = diff_perf(&baseline, &new, rel, abs_ms);
     // Show gated medians plus anything that failed; skip the
     // info-only p95/memory rows unless they are new metrics.
     let show = |e: &DiffEntry| e.status.fails() || e.tolerance.is_some();
-    let (lines, failures) = render_diff_table(&entries, show);
-    for line in lines {
-        outln!("{line}");
-    }
-    if has_regression(&entries) {
-        outln!("perf gate: FAIL ({failures} regressed metrics, rel {rel}, abs {abs_ms} ms)");
-        ExitCode::FAILURE
-    } else {
-        outln!(
-            "perf gate: PASS ({} metrics compared, rel {rel}, abs {abs_ms} ms)",
-            entries.len()
-        );
-        ExitCode::SUCCESS
-    }
+    let detail = format!(", rel {rel}, abs {abs_ms} ms");
+    Ok(print_gate("perf gate", &detail, &entries, show))
 }
 
-/// Writes `<dir>/<circuit>.profile.json` + `<dir>/<circuit>.collapsed`
-/// and reports where they went. Failures are warnings: the mapping
-/// already succeeded and its artifacts must survive a broken profile
-/// sink.
-fn write_profile_artifacts(dir: &str, circuit: &str, profile: &ProfileData) -> Option<String> {
-    let dir_path = Path::new(dir);
-    if let Err(e) = std::fs::create_dir_all(dir_path) {
-        eprintln!("warning: --profile {dir}: {e}");
-        return None;
-    }
-    let json_path = dir_path.join(format!("{circuit}.profile.json"));
-    let collapsed_path = dir_path.join(format!("{circuit}.collapsed"));
-    let written = atomic_write_text(&json_path, &profile.to_json().to_pretty_string())
-        .and_then(|()| atomic_write_text(&collapsed_path, &profile.collapsed()));
-    match written {
-        Ok(()) => Some(json_path.display().to_string()),
-        Err(e) => {
-            eprintln!("warning: --profile {dir}: {e}");
-            None
-        }
-    }
+/// One line of allocation counters (and peak RSS when measured).
+fn memory_summary(memory: &MemoryReport) -> String {
+    let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+    let rss = memory.peak_rss_kb.map_or(String::new(), |kb| {
+        format!(", peak RSS {:.1} MiB", kb as f64 / 1024.0)
+    });
+    format!(
+        "{} allocs, {:.1} MiB allocated, peak live {:.1} MiB{rss}",
+        memory.alloc_count,
+        mib(memory.alloc_bytes),
+        mib(memory.peak_live_bytes)
+    )
 }
 
 /// Opens the window a profile covers: clears the collector, so the
@@ -705,196 +593,70 @@ fn start_profiled_window() {
 
 /// `nanomap profile ...`: run the flow with spans recorded and print the
 /// top-K span paths by exact exclusive time.
-fn profile_main(cli: Vec<String>) -> ExitCode {
-    let args = match parse_args(cli.into_iter()) {
-        Ok(a) => a,
-        Err(message) => {
-            if !message.is_empty() {
-                eprintln!("error: {message}\n");
-            }
-            eprintln!("usage: nanomap profile <design.vhd | design.blif> [flow options]");
-            eprintln!("       [--top-k N] [--out DIR]");
-            return ExitCode::FAILURE;
-        }
-    };
-    let top_k = args.explain_top_k.unwrap_or(DEFAULT_PROFILE_TOP_K);
-    let arch = ArchParams {
-        num_reconf: if args.k == 0 { u32::MAX } else { args.k },
-        ffs_per_le: args.ffs_per_le,
-        ..ArchParams::paper()
-    };
+fn profile_main(args: Args) -> Result<ExitCode, Error> {
+    let top_k = args.num("--top-k")?.unwrap_or(DEFAULT_PROFILE_TOP_K);
     nanomap_observe::set_enabled(true);
-    let run = || -> Result<nanomap::MappingReport, String> {
-        let mut net = load(&args.input, arch.lut_inputs)?;
-        if args.run_optimize {
-            net = optimize(&net).0;
-        }
-        let objective = parse_objective(&args)?;
-        let flow = apply_defects(NanoMap::new(arch), &args)?;
-        start_profiled_window();
-        flow.map(&net, objective).map_err(|e| e.to_string())
-    };
-    let report = match run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let setup = setup(&args)?;
+    start_profiled_window();
+    let report = setup
+        .flow
+        .map(&setup.net, setup.objective)
+        .map_err(|e| e.to_string())?;
     let profile = nanomap_observe::snapshot().profile();
     outln!("{}", report.summary());
     out!("{}", profile.render_top(top_k));
-    if let Some(dir) = &args.explain_out {
-        if let Some(path) = write_profile_artifacts(dir, &report.circuit, &profile) {
-            outln!("profile: -> {path}");
+    if let Some(dir) = args.get("--out") {
+        match write_profile_artifacts(Path::new(dir), &report.circuit, &profile) {
+            Ok(path) => outln!("profile: -> {}", path.display()),
+            Err(e) => eprintln!("warning: --out {e}"),
         }
     }
     if let Some(memory) = &report.memory {
-        outln!(
-            "memory: {} allocations, {:.1} MiB allocated, peak live {:.1} MiB{}",
-            memory.alloc_count,
-            memory.alloc_bytes as f64 / (1024.0 * 1024.0),
-            memory.peak_live_bytes as f64 / (1024.0 * 1024.0),
-            memory.peak_rss_kb.map_or(String::new(), |kb| format!(
-                ", peak RSS {:.1} MiB",
-                kb as f64 / 1024.0
-            ))
-        );
+        outln!("memory: {}", memory_summary(memory));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `nanomap runs ...`: flight-recorder queries over the cross-run
 /// ledger — `list`, `show <id>`, `trend`, `regress`, `check-stream`.
-fn runs_main(cli: Vec<String>) -> ExitCode {
-    let usage = || {
-        eprintln!("usage: nanomap runs <list | show ID | trend | regress | check-stream FILE>");
-        eprintln!("       [--ledger PATH] [--benchmark B] [--field F] [--window N] [--k F]");
-        eprintln!("       runs show --trace ID [--events PATH] reconstructs one service");
-        eprintln!("       request's timeline from an event capture plus its ledger record");
-        ExitCode::FAILURE
+fn runs_main(args: Args) -> Result<ExitCode, Error> {
+    let ledger_path = args.get("--ledger").unwrap_or(DEFAULT_LEDGER_PATH);
+    let benchmark = args.get("--benchmark");
+    let fields = args.all("--field");
+    let window = args.num("--window")?.unwrap_or(runs::REGRESS_WINDOW);
+    let k = args.num("--k")?.unwrap_or(runs::REGRESS_K);
+    let wrong_operands = || Error::usage(RUNS.name, format!("expects {}", RUNS.operands));
+    // The verb is the first operand, so flags may come first.
+    let Some((verb, operands)) = args.operands().split_first() else {
+        return Err(wrong_operands());
     };
-    let mut iter = cli.into_iter();
-    let mut ledger_path = DEFAULT_LEDGER_PATH.to_string();
-    let mut benchmark: Option<String> = None;
-    let mut fields: Vec<String> = Vec::new();
-    let mut window = runs::REGRESS_WINDOW;
-    let mut k = runs::REGRESS_K;
-    let mut trace: Option<String> = None;
-    let mut events_path: Option<String> = None;
-    let mut positional: Vec<String> = Vec::new();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--ledger" => match value(&mut iter, "--ledger") {
-                Ok(v) => ledger_path = v,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            },
-            "--trace" => match value(&mut iter, "--trace") {
-                Ok(v) => trace = Some(v),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            },
-            "--events" => match value(&mut iter, "--events") {
-                Ok(v) => events_path = Some(v),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            },
-            "--benchmark" => match value(&mut iter, "--benchmark") {
-                Ok(v) => benchmark = Some(v),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            },
-            "--field" => match value(&mut iter, "--field") {
-                Ok(v) => fields.push(v),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            },
-            "--window" => match value(&mut iter, "--window")
-                .and_then(|v| v.parse::<usize>().map_err(|e| format!("--window: {e}")))
-            {
-                Ok(v) => window = v,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            },
-            "--k" => match value(&mut iter, "--k")
-                .and_then(|v| v.parse::<f64>().map_err(|e| format!("--k: {e}")))
-            {
-                Ok(v) => k = v,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            },
-            other if other.starts_with('-') && other != "-" => {
-                eprintln!("error: unknown option `{other}`");
-                return usage();
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    // The verb is the first non-flag argument, so flags may come first.
-    if positional.is_empty() {
-        return usage();
-    }
-    let verb = positional.remove(0);
     // check-stream reads an event capture, not the ledger.
     if verb == "check-stream" {
-        let [path] = &positional[..] else {
-            return usage();
+        let [path] = operands else {
+            return Err(wrong_operands());
         };
         let text = if path == "-" {
             let mut buf = String::new();
-            if let Err(e) = std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf) {
-                eprintln!("error: stdin: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf)
+                .map_err(|e| format!("stdin: {e}"))?;
             buf
         } else {
-            match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?
         };
-        return match runs::check_stream(&text) {
-            Ok(check) => {
-                outln!(
-                    "{path}: OK ({} events, run {}, exit {}, total {:.1} ms)",
-                    check.events,
-                    check.run_id,
-                    check.exit_code,
-                    check.total_ms
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let check = runs::check_stream(&text).map_err(|e| format!("{path}: {e}"))?;
+        outln!(
+            "{path}: OK ({} events, run {}, exit {}, total {:.1} ms)",
+            check.events,
+            check.run_id,
+            check.exit_code,
+            check.total_ms
+        );
+        return Ok(ExitCode::SUCCESS);
     }
-    let ledger = match Ledger::load(Path::new(&ledger_path)) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    if !matches!(verb.as_str(), "list" | "show" | "trend" | "regress") {
+        return Err(wrong_operands());
+    }
+    let ledger = Ledger::load(Path::new(ledger_path))?;
     if !ledger.skipped_lines.is_empty() {
         eprintln!(
             "warning: {ledger_path}: skipped {} malformed line(s): {:?}",
@@ -919,7 +681,7 @@ fn runs_main(cli: Vec<String>) -> ExitCode {
             let mut last_total: std::collections::BTreeMap<&str, f64> =
                 std::collections::BTreeMap::new();
             for r in &ledger.records {
-                if benchmark.as_deref().is_some_and(|b| b != r.circuit) {
+                if benchmark.is_some_and(|b| b != r.circuit) {
                     continue;
                 }
                 let total = r.phase_ms.get("total_ms").copied().unwrap_or(f64::NAN);
@@ -946,22 +708,16 @@ fn runs_main(cli: Vec<String>) -> ExitCode {
                 );
             }
             outln!("{} runs in {ledger_path}", ledger.records.len());
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        "show" => {
-            // --trace flips show from run-id lookup to service-request
-            // reconstruction: the event capture gives the timeline
-            // (queue/slice/coalesce stages), the ledger the run record.
-            if let Some(trace) = &trace {
+        // --trace flips show from run-id lookup to service-request
+        // reconstruction: the event capture gives the timeline
+        // (queue/slice/coalesce stages), the ledger the run record.
+        "show" => match args.get("--trace") {
+            Some(trace) => {
                 let mut found = false;
-                if let Some(path) = &events_path {
-                    let text = match std::fs::read_to_string(path) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!("error: {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
+                if let Some(path) = args.get("--events") {
+                    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
                     let timeline = runs::trace_timeline(&text, trace);
                     if timeline.is_empty() {
                         eprintln!("warning: no service events for trace {trace} in {path}");
@@ -974,48 +730,35 @@ fn runs_main(cli: Vec<String>) -> ExitCode {
                     }
                 }
                 match ledger.find_by_trace(trace) {
-                    Some(record) => {
-                        outln!("{}", record.to_json().to_pretty_string());
-                        ExitCode::SUCCESS
-                    }
-                    None if found => {
-                        eprintln!(
-                            "note: no ledger record stamped with trace {trace} in {ledger_path}"
-                        );
-                        ExitCode::SUCCESS
-                    }
-                    None => {
-                        eprintln!("error: trace {trace} not found in {ledger_path}");
-                        ExitCode::FAILURE
-                    }
+                    Some(record) => outln!("{}", record.to_json().to_pretty_string()),
+                    None if found => eprintln!(
+                        "note: no ledger record stamped with trace {trace} in {ledger_path}"
+                    ),
+                    None => return Err(format!("trace {trace} not found in {ledger_path}").into()),
                 }
-            } else {
-                let [prefix] = &positional[..] else {
-                    return usage();
-                };
-                match ledger.find(prefix) {
-                    Some(record) => {
-                        outln!("{}", record.to_json().to_pretty_string());
-                        ExitCode::SUCCESS
-                    }
-                    None => {
-                        eprintln!("error: no run matching `{prefix}` in {ledger_path}");
-                        ExitCode::FAILURE
-                    }
-                }
+                Ok(ExitCode::SUCCESS)
             }
-        }
+            None => {
+                let [prefix] = operands else {
+                    return Err(wrong_operands());
+                };
+                let record = ledger
+                    .find(prefix)
+                    .ok_or_else(|| format!("no run matching `{prefix}` in {ledger_path}"))?;
+                outln!("{}", record.to_json().to_pretty_string());
+                Ok(ExitCode::SUCCESS)
+            }
+        },
         "trend" => {
-            let defaults = ["num_les", "delay_ns", "total_ms"];
-            let names: Vec<&str> = if fields.is_empty() {
-                defaults.to_vec()
+            let names = if fields.is_empty() {
+                vec!["num_les", "delay_ns", "total_ms"]
             } else {
-                fields.iter().map(String::as_str).collect()
+                fields
             };
-            let rows = runs::trend(&ledger, benchmark.as_deref(), &names);
+            let rows = runs::trend(&ledger, benchmark, &names);
             if rows.is_empty() {
                 outln!("no matching runs in {ledger_path}");
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
             outln!(
                 "{:<14} {:<20} {:>4} {:>12} {:>12} {:>12}  trend",
@@ -1029,26 +772,24 @@ fn runs_main(cli: Vec<String>) -> ExitCode {
             for row in rows {
                 outln!("{}", row.render());
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        "regress" => {
-            let field = fields.first().map_or("total_ms", String::as_str);
-            let outliers = runs::regress(&ledger, benchmark.as_deref(), field, window, k);
+        _ => {
+            let field = fields.first().copied().unwrap_or("total_ms");
+            let outliers = runs::regress(&ledger, benchmark, field, window, k);
             if outliers.is_empty() {
                 outln!("regress: OK (field {field}, window {window}, k {k})");
-                ExitCode::SUCCESS
-            } else {
-                for o in &outliers {
-                    outln!("{}", o.render());
-                }
-                outln!(
-                    "regress: {} outlier(s) flagged (field {field}, window {window}, k {k})",
-                    outliers.len()
-                );
-                ExitCode::FAILURE
+                return Ok(ExitCode::SUCCESS);
             }
+            for o in &outliers {
+                outln!("{}", o.render());
+            }
+            outln!(
+                "regress: {} outlier(s) flagged (field {field}, window {window}, k {k})",
+                outliers.len()
+            );
+            Ok(ExitCode::FAILURE)
         }
-        _ => usage(),
     }
 }
 
@@ -1056,88 +797,28 @@ fn runs_main(cli: Vec<String>) -> ExitCode {
 /// client for a running `nanomapd`. Transport failures and retryable
 /// rejections back off with jitter; permanent rejections map to the
 /// same exit-code vocabulary the local flow uses.
-fn submit_main(args: Vec<String>) -> ExitCode {
-    fn usage() -> ExitCode {
-        eprintln!("usage: nanomap submit <design.vhd|design.blif> --addr HOST:PORT|SOCKET");
-        eprintln!("       [--objective delay|area|at] [--max-les N] [--max-delay NS]");
-        eprintln!("       [--time-budget-ms N] [--id STR] [--retries N] [--backoff-ms MS]");
-        eprintln!("       [--retry-seed N] [--report PATH|-] [--trace-id STR]");
-        ExitCode::FAILURE
-    }
-    let mut design: Option<String> = None;
-    let mut addr: Option<String> = None;
-    let mut objective = "at".to_string();
-    let mut max_les: Option<u32> = None;
-    let mut max_delay_ns: Option<f64> = None;
-    let mut time_budget_ms: Option<u64> = None;
-    let mut id: Option<String> = None;
-    let mut trace_id: Option<String> = None;
+fn submit_main(args: Args) -> Result<ExitCode, Error> {
+    let [design] = args.exactly()?;
+    let addr = args
+        .get("--addr")
+        .ok_or_else(|| Error::usage("--addr", "is required"))?;
     let mut policy = nanomap::RetryPolicy::default();
-    let mut report_sink: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        macro_rules! val {
-            () => {
-                match it.next() {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("error: {flag} needs a value");
-                        return usage();
-                    }
-                }
-            };
-        }
-        macro_rules! num {
-            () => {
-                match val!().parse() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        eprintln!("error: {flag} needs a number");
-                        return usage();
-                    }
-                }
-            };
-        }
-        match flag.as_str() {
-            "--addr" => addr = Some(val!()),
-            "--objective" => objective = val!(),
-            "--max-les" => max_les = Some(num!()),
-            "--max-delay" => max_delay_ns = Some(num!()),
-            "--time-budget-ms" => time_budget_ms = Some(num!()),
-            "--id" => id = Some(val!()),
-            "--trace-id" => trace_id = Some(val!()),
-            "--retries" => policy.max_attempts = num!(),
-            "--backoff-ms" => policy.base_backoff_ms = num!(),
-            "--retry-seed" => policy.seed = num!(),
-            "--report" => report_sink = Some(val!()),
-            other if !other.starts_with('-') && design.is_none() => {
-                design = Some(other.to_string());
-            }
-            other => {
-                eprintln!("error: unknown flag {other}");
-                return usage();
-            }
-        }
-    }
-    let (Some(design), Some(addr)) = (design, addr) else {
-        return usage();
-    };
+    policy.max_attempts = args.num("--retries")?.unwrap_or(policy.max_attempts);
+    policy.base_backoff_ms = args.num("--backoff-ms")?.unwrap_or(policy.base_backoff_ms);
+    policy.seed = args.num("--retry-seed")?.unwrap_or(policy.seed);
+    let report_sink = args.get("--report");
     let request = nanomap::MapRequest {
-        id: id.unwrap_or_else(|| format!("cli-{}", std::process::id())),
-        source: nanomap::DesignSource::Path(design),
-        objective,
-        max_les,
-        max_delay_ns,
-        time_budget_ms,
-        trace_id,
+        id: args
+            .get("--id")
+            .map_or_else(|| format!("cli-{}", std::process::id()), str::to_string),
+        source: DesignSource::Path(design.to_string()),
+        objective: args.get("--objective").unwrap_or("at").to_string(),
+        max_les: args.num("--max-les")?,
+        max_delay_ns: args.num("--max-delay")?,
+        time_budget_ms: args.num("--time-budget-ms")?,
+        trace_id: args.get("--trace-id").map(str::to_string),
     };
-    let submission = match nanomap::submit_with_retry(&addr, &request, &policy) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let submission = nanomap::submit_with_retry(addr, &request, &policy)?;
     // Retryable rejections absorbed along the way each carry the
     // server-assigned trace, so shed attempts stay attributable.
     for rejection in &submission.rejections {
@@ -1166,17 +847,14 @@ fn submit_main(args: Vec<String>) -> ExitCode {
             result.trace_id.as_deref().unwrap_or("-")
         );
         let report = result.report_text.as_deref().unwrap_or("{}");
-        match report_sink.as_deref() {
+        match report_sink {
             None | Some("-") => outln!("{report}"),
             Some(path) => {
-                if let Err(e) = atomic_write_text(Path::new(path), report) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
+                atomic_write_text(Path::new(path), report).map_err(|e| e.to_string())?;
                 eprintln!("submit: report -> {path}");
             }
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     eprintln!(
         "error: request rejected ({}): {} (trace {})",
@@ -1186,7 +864,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
     );
     // A rejection with --report still writes a small typed document so
     // scripted callers get the trace id without scraping stderr.
-    if let Some(path) = report_sink.as_deref().filter(|p| *p != "-") {
+    if let Some(path) = report_sink.filter(|p| *p != "-") {
         let mut doc = JsonValue::object()
             .with("schema", nanomap::SERVICE_SCHEMA)
             .with("status", "error")
@@ -1202,11 +880,11 @@ fn submit_main(args: Vec<String>) -> ExitCode {
             eprintln!("error: {e}");
         }
     }
-    match result.code.as_deref() {
+    Ok(match result.code.as_deref() {
         Some(nanomap::service::code::BUDGET) => ExitCode::from(EXIT_BUDGET_EXHAUSTED),
         Some(_) => ExitCode::from(EXIT_RECOVERY_EXHAUSTED),
         None => ExitCode::FAILURE,
-    }
+    })
 }
 
 /// Latency classes `top` tabulates, in the daemon's fixed schema order.
@@ -1331,55 +1009,19 @@ fn render_top_frame(addr: &str, doc: &JsonValue, histories: &[(&str, &[f64])]) -
 /// the daemon's `stats` op and redraws; `--once` (or a non-terminal
 /// stdout, so `nanomap top | head` just works) prints a single compact
 /// `nanomapd-stats-v1` line instead.
-fn top_main(args: Vec<String>) -> ExitCode {
-    fn usage() -> ExitCode {
-        eprintln!("usage: nanomap top --addr HOST:PORT|SOCKET [--interval-ms N] [--once]");
-        ExitCode::FAILURE
-    }
-    let mut addr: Option<String> = None;
-    let mut interval_ms: u64 = 1_000;
-    let mut once = false;
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = Some(v),
-                None => {
-                    eprintln!("error: --addr needs a value");
-                    return usage();
-                }
-            },
-            "--interval-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => interval_ms = v,
-                None => {
-                    eprintln!("error: --interval-ms needs a number");
-                    return usage();
-                }
-            },
-            "--once" => once = true,
-            other => {
-                eprintln!("error: unknown flag {other}");
-                return usage();
-            }
-        }
-    }
-    let Some(addr) = addr else {
-        return usage();
-    };
+fn top_main(args: Args) -> Result<ExitCode, Error> {
+    args.exactly::<0>()?;
+    let addr = args
+        .get("--addr")
+        .ok_or_else(|| Error::usage("--addr", "is required"))?;
+    let interval_ms: u64 = args.num("--interval-ms")?.unwrap_or(1_000);
     // A pipe or file on stdout degrades to single-snapshot NDJSON: the
     // ANSI dashboard is for humans at a terminal only.
-    let live = !once && std::io::IsTerminal::is_terminal(&std::io::stdout());
+    let live = !args.has("--once") && std::io::IsTerminal::is_terminal(&std::io::stdout());
     if !live {
-        return match nanomap::query_stats(&addr, 5_000) {
-            Ok(doc) => {
-                outln!("{}", doc.to_compact_string());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let doc = nanomap::query_stats(addr, 5_000)?;
+        outln!("{}", doc.to_compact_string());
+        return Ok(ExitCode::SUCCESS);
     }
     let mut util_history: Vec<f64> = Vec::new();
     let mut queue_history: Vec<f64> = Vec::new();
@@ -1387,7 +1029,7 @@ fn top_main(args: Vec<String>) -> ExitCode {
     let mut last_served: Option<i64> = None;
     let mut failures = 0u32;
     loop {
-        match nanomap::query_stats(&addr, 5_000) {
+        match nanomap::query_stats(addr, 5_000) {
             Ok(doc) => {
                 failures = 0;
                 let workers = stat_int(&doc, "gauges", "workers").max(1);
@@ -1412,7 +1054,7 @@ fn top_main(args: Vec<String>) -> ExitCode {
                 );
                 last_served = Some(served);
                 let frame = render_top_frame(
-                    &addr,
+                    addr,
                     &doc,
                     &[
                         ("util", &util_history),
@@ -1430,7 +1072,7 @@ fn top_main(args: Vec<String>) -> ExitCode {
                 failures += 1;
                 eprintln!("top: {e} ({failures}/3)");
                 if failures >= 3 {
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -1439,61 +1081,42 @@ fn top_main(args: Vec<String>) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut cli: Vec<String> = std::env::args().skip(1).collect();
-    if cli.first().map(String::as_str) == Some("qor-diff") {
-        return qor_diff_main(&cli.split_off(1));
-    }
-    if cli.first().map(String::as_str) == Some("perf-diff") {
-        return perf_diff_main(cli.split_off(1));
-    }
-    if cli.first().map(String::as_str) == Some("explain") {
-        return explain_main(cli.split_off(1));
-    }
-    if cli.first().map(String::as_str) == Some("profile") {
-        return profile_main(cli.split_off(1));
-    }
-    if cli.first().map(String::as_str) == Some("runs") {
-        return runs_main(cli.split_off(1));
-    }
-    if cli.first().map(String::as_str) == Some("submit") {
-        return submit_main(cli.split_off(1));
-    }
-    if cli.first().map(String::as_str) == Some("top") {
-        return top_main(cli.split_off(1));
-    }
-    let args = match parse_args(cli.into_iter()) {
-        Ok(a) => a,
-        Err(message) => {
-            if !message.is_empty() {
-                eprintln!("error: {message}\n");
-            }
-            eprintln!("usage: nanomap <design.vhd | design.blif> [--objective delay|area|at]");
-            eprintln!("       [--max-les N] [--max-delay NS] [--k N] [--ffs-per-le N]");
-            eprintln!("       [--optimize] [--no-physical] [--verify] [--bitmap PATH]");
-            eprintln!("       [--metrics PATH] [--chrome-trace PATH] [--qor PATH]");
-            eprintln!("       [--explain PATH] [--defect-rate F] [--defect-seed N]");
-            eprintln!("       [--defect-map PATH] [--time-budget-ms N] [--anytime]");
-            eprintln!("       [--exact-recovery] [--sat-conflict-budget N]");
-            eprintln!("       [--checkpoint-dir PATH] [--resume PATH] [--profile DIR]");
-            eprintln!("       [--live-status PATH] [--ledger PATH] [--progress] [--trace]");
-            eprintln!("       nanomap explain <design> [--out PATH] [--top-k N]");
-            eprintln!("       nanomap explain --check <artifact.json>");
-            eprintln!("       nanomap profile <design> [--top-k N] [--out DIR]");
-            eprintln!("       nanomap qor-diff [--exact] <baseline.json> <new.json>");
-            eprintln!("       nanomap perf-diff [--rel F] [--abs-ms F] <baseline.json> <new.json>");
-            eprintln!("       nanomap runs <list | show ID | trend | regress | check-stream FILE>");
-            eprintln!("       nanomap runs show --trace ID [--events PATH]");
-            eprintln!("       nanomap submit <design> --addr HOST:PORT|SOCKET [options]");
-            eprintln!("       nanomap top --addr HOST:PORT|SOCKET [--interval-ms N] [--once]");
-            return ExitCode::FAILURE;
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    type Main = fn(Args) -> Result<ExitCode, Error>;
+    let (command, body): (&'static Command, Main) = match argv.first().map(String::as_str) {
+        Some("explain") => (&EXPLAIN, explain_main),
+        Some("profile") => (&PROFILE, profile_main),
+        Some("qor-diff") => (&QOR_DIFF, qor_diff_main),
+        Some("perf-diff") => (&PERF_DIFF, perf_diff_main),
+        Some("runs") => (&RUNS, runs_main),
+        Some("submit") => (&SUBMIT, submit_main),
+        Some("top") => (&TOP, top_main),
+        _ => return FLOW.run(argv, flow_main),
     };
-    if args.explain_out.is_some() || args.explain_top_k.is_some() {
-        eprintln!("error: --out/--top-k belong to the explain subcommand");
-        return ExitCode::FAILURE;
+    command.run(argv.into_iter().skip(1), body)
+}
+
+/// The main flow: map one design, print the summary, write the sinks.
+fn flow_main(args: Args) -> Result<ExitCode, Error> {
+    let claimed: Vec<&str> = STDOUT_SINKS
+        .into_iter()
+        .filter(|flag| args.get(flag) == Some("-"))
+        .collect();
+    if let [first, _, ..] = claimed[..] {
+        let all = claimed.join(" and ");
+        let reason = format!("only one output may write to stdout: {all} all say `-`");
+        return Err(Error::usage(first, reason));
     }
+    let explain_path = args.get("--explain");
+    if explain_path.is_some() && args.has("--no-physical") {
+        return Err(Error::usage(
+            "--explain",
+            "needs the physical flow (drop --no-physical)",
+        ));
+    }
+    let (progress, trace) = (args.has("--progress"), args.has("--trace"));
     // The human-readable report moves to stderr when a JSON sink owns stdout.
-    let stdout_claimed = !args.stdout_sinks().is_empty();
+    let stdout_claimed = !claimed.is_empty();
     macro_rules! report {
         ($($t:tt)*) => {
             if stdout_claimed {
@@ -1505,35 +1128,21 @@ fn main() -> ExitCode {
     }
     // Observability: the JSON sinks need the collector recording; --progress
     // and --trace additionally echo spans to stderr as they close.
-    if args.metrics_path.is_some()
-        || args.chrome_trace_path.is_some()
-        || args.qor_path.is_some()
-        || args.profile_dir.is_some()
-        || args.live_status.is_some()
-        || args.progress
-        || args.trace
-    {
+    if OBSERVED.iter().any(|flag| args.has(flag)) {
         nanomap_observe::set_enabled(true);
     }
-    if args.trace {
+    if trace {
         nanomap_observe::set_echo(Echo::Trace);
-    } else if args.progress {
+    } else if progress {
         nanomap_observe::set_echo(Echo::Progress);
     }
-    let arch = ArchParams {
-        num_reconf: if args.k == 0 { u32::MAX } else { args.k },
-        ffs_per_le: args.ffs_per_le,
-        ..ArchParams::paper()
-    };
-    let mut net = match load(&args.input, arch.lut_inputs) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.run_optimize {
-        let (cleaned, stats) = optimize(&net);
+    let Setup {
+        net,
+        objective,
+        mut flow,
+        optimized,
+    } = setup(&args)?;
+    if let Some(stats) = optimized {
         report!(
             "optimize: {} -> {} LUTs ({:.1}% removed, {} iterations)",
             stats.luts_before,
@@ -1541,66 +1150,30 @@ fn main() -> ExitCode {
             100.0 * stats.reduction(),
             stats.iterations
         );
-        net = cleaned;
     }
-    let objective = match parse_objective(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut flow = match apply_defects(NanoMap::new(arch), &args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.explain_path.is_some() {
+    if explain_path.is_some() {
         flow = flow.with_explain();
     }
-    if !args.physical {
-        flow = flow.without_physical();
-    }
-    if args.bitmap_path.is_some() {
+    if args.has("--bitmap") {
         flow = flow.with_bitstream();
-    }
-    if args.verify {
-        flow = flow.with_verification();
-    }
-    if let Some(budget) = args.time_budget_ms {
-        flow = flow.with_budget_ms(budget);
-    }
-    if args.anytime {
-        flow = flow.with_anytime();
-    }
-    if args.exact_recovery {
-        flow = flow.with_exact_recovery();
-    }
-    if let Some(budget) = args.sat_conflict_budget {
-        flow = flow.with_sat_conflict_budget(budget);
-    }
-    if let Some(dir) = &args.checkpoint_dir {
-        flow = flow.with_checkpoint_dir(dir);
     }
     let channels = flow.channels;
     // --live-status: start the event-bus streaming thread before the
     // flow so run-start is the first line out. The stream never blocks
     // or fails the mapping — a broken sink degrades to a warning.
     let mut live: Option<EventStream> = None;
-    if let Some(path) = &args.live_status {
+    if let Some(path) = args.get("--live-status") {
         match open_live_sink(path) {
             Ok(sink) => live = Some(EventStream::spawn(sink)),
             Err(e) => eprintln!("warning: {e}"),
         }
     }
-    let run_id = (args.live_status.is_some() || args.ledger_path.is_some())
-        .then(|| flow.run_id(&net, objective));
-    if args.profile_dir.is_some() {
+    let run_id =
+        (args.has("--live-status") || args.has("--ledger")).then(|| flow.run_id(&net, objective));
+    if args.has("--profile") {
         start_profiled_window();
     }
-    let result = match &args.resume {
+    let result = match args.get("--resume") {
         Some(path) => match Checkpoint::load(Path::new(path)) {
             Ok(checkpoint) => {
                 report!(
@@ -1615,7 +1188,7 @@ fn main() -> ExitCode {
             // A torn or corrupt checkpoint is a typed error, and under
             // --anytime it degrades to a fresh run: losing a snapshot
             // costs time, never the result.
-            Err(err) if args.anytime => {
+            Err(err) if args.has("--anytime") => {
                 eprintln!("warning: checkpoint {path} unusable ({err}); --anytime restarts fresh");
                 flow.map(&net, objective)
             }
@@ -1623,161 +1196,33 @@ fn main() -> ExitCode {
         },
         None => flow.map(&net, objective),
     };
-    match result {
-        Ok(report) => {
-            report!("{}", report.summary());
-            report!(
-                "  sharing: {:?}, NRAM sets used: {}, AT product: {:.0}",
-                report.sharing,
-                report.nram_sets_used,
-                report.area_delay_product()
-            );
-            report!(
-                "  power: logic {:.2} mW + reconfiguration {:.2} mW + leakage {:.2} mW = {:.2} mW",
-                report.power.logic_mw,
-                report.power.reconfiguration_mw,
-                report.power.leakage_mw,
-                report.power.total_mw()
-            );
-            if let Some(p) = &report.physical {
-                report!(
-                    "  physical: {} SMBs on {}x{}, routed delay {:.2} ns, {} config bits",
-                    p.num_smbs,
-                    p.grid.0,
-                    p.grid.1,
-                    p.routed_delay_ns,
-                    p.bitmap_bits
-                );
-                report!(
-                    "  interconnect: {} direct, {} len-1, {} len-4, {} global",
-                    p.usage.direct,
-                    p.usage.length1,
-                    p.usage.length4,
-                    p.usage.global
-                );
-            }
-            if !report.recovery.attempts.is_empty() {
-                report!("  recovery: {}", report.recovery.summary());
-            }
-            if report.degraded {
-                report!("  DEGRADED: time budget expired; best-so-far mapping accepted");
-                for d in &report.degradations {
-                    report!("    {}", d.summary());
-                }
-            }
-            if args.verify {
-                report!("  folded-execution verification: PASSED");
-            }
-            let t = &report.phase_times;
-            report!(
-                "  time: total {:.1} ms (select {:.1}, fds {:.1}, pack {:.1}, place {:.1}, route {:.1}, bitmap {:.1}, verify {:.1}, explain {:.1})",
-                t.total_ms,
-                t.folding_select_ms,
-                t.fds_ms,
-                t.pack_ms,
-                t.place_ms,
-                t.route_ms,
-                t.bitmap_ms,
-                t.verify_ms,
-                t.explain_ms
-            );
-            if let Some(memory) = &report.memory {
-                report!(
-                    "  memory: {} allocs, {:.1} MiB allocated, peak live {:.1} MiB{}",
-                    memory.alloc_count,
-                    memory.alloc_bytes as f64 / (1024.0 * 1024.0),
-                    memory.peak_live_bytes as f64 / (1024.0 * 1024.0),
-                    memory.peak_rss_kb.map_or(String::new(), |kb| format!(
-                        ", peak RSS {:.1} MiB",
-                        kb as f64 / 1024.0
-                    ))
-                );
-            }
-            // All JSON sinks render from one snapshot of the finished flow.
-            let snap = nanomap_observe::snapshot();
-            if let Some(dir) = &args.profile_dir {
-                let profile = snap.profile();
-                if let Some(path) = write_profile_artifacts(dir, &report.circuit, &profile) {
-                    report!(
-                        "  profile: {} paths, {:.1} ms exact -> {path}",
-                        profile.paths.len(),
-                        profile.total_us() as f64 / 1e3
-                    );
-                }
-            }
-            if let (Some(path), Some(physical)) = (&args.bitmap_path, &report.physical) {
-                if let Some(bytes) = &physical.bitstream {
-                    if let Err(e) = atomic_write(Path::new(path), bytes) {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    report!("  bitstream: {} bytes -> {path}", bytes.len());
-                }
-            }
-            if args.progress || args.trace {
-                eprint!("{}", snap.render_tree());
-            }
-            if let Some(path) = &args.metrics_path {
-                let doc = JsonValue::object()
-                    .with("report", report.to_json())
-                    .with("metrics", snap.to_json());
-                if let Err(e) = write_sink(path, &doc.to_pretty_string()) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                report!("  metrics: -> {path}");
-            }
-            if let Some(path) = &args.chrome_trace_path {
-                // With --explain active the worst routed path rides along
-                // as flow ("s"/"t"/"f") arrows on the trace.
-                let extra = report
-                    .explain
-                    .as_ref()
-                    .map(ExplainReport::chrome_flow_events)
-                    .unwrap_or_default();
-                let doc = snap.to_chrome_trace_with_events(extra);
-                if let Err(e) = write_sink(path, &doc.to_pretty_string()) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                report!("  chrome trace: -> {path} (load at ui.perfetto.dev)");
-            }
-            if let Some(path) = &args.qor_path {
-                let qor = QorReport::from_mapping(&report, &channels, &snap);
-                let doc = QorDocument::new(vec![qor]).to_json();
-                if let Err(e) = write_sink(path, &doc.to_pretty_string()) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                report!("  qor: -> {path}");
-            }
-            if let Some(path) = &args.explain_path {
-                let Some(explain) = &report.explain else {
-                    eprintln!("error: flow finished without attribution data");
-                    return ExitCode::FAILURE;
-                };
-                if let Err(e) = explain.validate() {
-                    eprintln!("error: artifact invariant violated: {e}");
-                    return ExitCode::FAILURE;
-                }
-                if let Err(e) = write_sink(path, &explain.to_json().to_pretty_string()) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                report!("  explain: -> {path}");
-            }
-            let code = if report.degraded { EXIT_DEGRADED } else { 0 };
-            finish_run(
-                &args,
-                &flow,
-                objective,
-                run_id.as_deref(),
-                code,
-                Some(&report),
-                live,
-            );
-            ExitCode::from(code)
+    // Terminal flight-recorder bookkeeping shared by every flow outcome:
+    // publish the run-end event, shut the live stream down (reporting any
+    // backpressure drops), and append the ledger line. None of it can
+    // fail the run — a broken ledger or sink is a warning.
+    let finish = |code: u8, report: Option<&MappingReport>| {
+        let exit_code = i32::from(code);
+        if let Some(run_id) = &run_id {
+            runs::publish_run_end(run_id, exit_code, report);
         }
+        if let Some(stats) = live.map(EventStream::finish) {
+            if stats.dropped > 0 {
+                eprintln!(
+                    "warning: --live-status: {} events dropped under backpressure",
+                    stats.dropped
+                );
+            }
+        }
+        if let (Some(path), Some(run_id), Some(report)) = (args.get("--ledger"), &run_id, report) {
+            let record = RunRecord::for_run(report, &flow, objective, run_id.clone(), exit_code);
+            if let Err(e) = runs::append_run(Path::new(path), &record) {
+                eprintln!("warning: --ledger {path}: {e}");
+            }
+        }
+        ExitCode::from(code)
+    };
+    let report = match result {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");
             // A recovery-ladder failure carries its full attempt history;
@@ -1812,45 +1257,128 @@ fn main() -> ExitCode {
                 }
                 _ => 1,
             };
-            finish_run(&args, &flow, objective, run_id.as_deref(), code, None, live);
-            ExitCode::from(code)
+            return Ok(finish(code, None));
+        }
+    };
+    report!("{}", report.summary());
+    report!(
+        "  sharing: {:?}, NRAM sets used: {}, AT product: {:.0}",
+        report.sharing,
+        report.nram_sets_used,
+        report.area_delay_product()
+    );
+    report!(
+        "  power: logic {:.2} mW + reconfiguration {:.2} mW + leakage {:.2} mW = {:.2} mW",
+        report.power.logic_mw,
+        report.power.reconfiguration_mw,
+        report.power.leakage_mw,
+        report.power.total_mw()
+    );
+    if let Some(p) = &report.physical {
+        report!(
+            "  physical: {} SMBs on {}x{}, routed delay {:.2} ns, {} config bits",
+            p.num_smbs,
+            p.grid.0,
+            p.grid.1,
+            p.routed_delay_ns,
+            p.bitmap_bits
+        );
+        report!(
+            "  interconnect: {} direct, {} len-1, {} len-4, {} global",
+            p.usage.direct,
+            p.usage.length1,
+            p.usage.length4,
+            p.usage.global
+        );
+    }
+    if !report.recovery.attempts.is_empty() {
+        report!("  recovery: {}", report.recovery.summary());
+    }
+    if report.degraded {
+        report!("  DEGRADED: time budget expired; best-so-far mapping accepted");
+        for d in &report.degradations {
+            report!("    {}", d.summary());
         }
     }
-}
-
-/// Terminal flight-recorder bookkeeping shared by every flow outcome:
-/// publish the run-end event, shut the live stream down (reporting any
-/// backpressure drops), and append the ledger line. None of it can fail
-/// the run — a broken ledger or sink is a warning.
-fn finish_run(
-    args: &Args,
-    flow: &NanoMap,
-    objective: Objective,
-    run_id: Option<&str>,
-    exit_code: u8,
-    report: Option<&MappingReport>,
-    live: Option<EventStream>,
-) {
-    let exit_code = i32::from(exit_code);
-    if let Some(run_id) = run_id {
-        runs::publish_run_end(run_id, exit_code, report);
+    if args.has("--verify") {
+        report!("  folded-execution verification: PASSED");
     }
-    if let Some(stream) = live {
-        let stats = stream.finish();
-        if stats.dropped > 0 {
-            eprintln!(
-                "warning: --live-status: {} events dropped under backpressure",
-                stats.dropped
-            );
+    let t = &report.phase_times;
+    report!(
+        "  time: total {:.1} ms (select {:.1}, fds {:.1}, pack {:.1}, place {:.1}, route {:.1}, bitmap {:.1}, verify {:.1}, explain {:.1})",
+        t.total_ms,
+        t.folding_select_ms,
+        t.fds_ms,
+        t.pack_ms,
+        t.place_ms,
+        t.route_ms,
+        t.bitmap_ms,
+        t.verify_ms,
+        t.explain_ms
+    );
+    if let Some(memory) = &report.memory {
+        report!("  memory: {}", memory_summary(memory));
+    }
+    // All JSON sinks render from one snapshot of the finished flow.
+    let snap = nanomap_observe::snapshot();
+    if let Some(dir) = args.get("--profile") {
+        let profile = snap.profile();
+        // The mapping already succeeded: a broken profile sink is a warning.
+        match write_profile_artifacts(Path::new(dir), &report.circuit, &profile) {
+            Ok(path) => report!(
+                "  profile: {} paths, {:.1} ms exact -> {}",
+                profile.paths.len(),
+                profile.total_us() as f64 / 1e3,
+                path.display()
+            ),
+            Err(e) => eprintln!("warning: --profile {e}"),
         }
     }
-    if let (Some(path), Some(run_id), Some(report)) = (&args.ledger_path, run_id, report) {
-        let mut record = RunRecord::from_report(report, run_id.to_string(), exit_code);
-        record.objective = objective.key();
-        record.place_seed = flow.place_options.seed;
-        record.route_seed = flow.route_options.seed;
-        if let Err(e) = runs::append_run(Path::new(path), &record) {
-            eprintln!("warning: --ledger {path}: {e}");
+    if let (Some(path), Some(physical)) = (args.get("--bitmap"), &report.physical) {
+        if let Some(bytes) = &physical.bitstream {
+            atomic_write(Path::new(path), bytes).map_err(|e| e.to_string())?;
+            report!("  bitstream: {} bytes -> {path}", bytes.len());
         }
     }
+    if progress || trace {
+        eprint!("{}", snap.render_tree());
+    }
+    if let Some(path) = args.get("--metrics") {
+        let doc = JsonValue::object()
+            .with("report", report.to_json())
+            .with("metrics", snap.to_json());
+        write_sink(path, &doc.to_pretty_string())?;
+        report!("  metrics: -> {path}");
+    }
+    if let Some(path) = args.get("--chrome-trace") {
+        // With --explain active the worst routed path rides along
+        // as flow ("s"/"t"/"f") arrows on the trace.
+        let extra = report
+            .explain
+            .as_ref()
+            .map(ExplainReport::chrome_flow_events)
+            .unwrap_or_default();
+        let doc = snap.to_chrome_trace_with_events(extra);
+        write_sink(path, &doc.to_pretty_string())?;
+        report!("  chrome trace: -> {path} (load at ui.perfetto.dev)");
+    }
+    if let Some(path) = args.get("--qor") {
+        let qor = QorReport::from_mapping(&report, &channels, &snap);
+        let doc = QorDocument::new(vec![qor]).to_json();
+        write_sink(path, &doc.to_pretty_string())?;
+        report!("  qor: -> {path}");
+    }
+    if let Some(path) = explain_path {
+        let explain = report
+            .explain
+            .as_ref()
+            .ok_or_else(|| "flow finished without attribution data".to_string())?;
+        explain
+            .validate()
+            .map_err(|e| format!("artifact invariant violated: {e}"))?;
+        write_sink(path, &explain.to_json().to_pretty_string())?;
+        report!("  explain: -> {path}");
+    }
+    let code = if report.degraded { EXIT_DEGRADED } else { 0 };
+    Ok(finish(code, Some(&report)))
 }

@@ -54,6 +54,7 @@
 pub mod artifact;
 pub mod budget;
 pub mod checkpoint;
+pub mod cli;
 pub mod diff;
 mod error;
 pub mod exact;

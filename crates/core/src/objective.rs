@@ -31,6 +31,26 @@ pub enum Objective {
 }
 
 impl Objective {
+    /// Resolves a user-facing goal (`at`, `delay` or `area`, as the CLI
+    /// and the service protocol spell it) with the budget that goal
+    /// takes; the other budget is ignored.
+    ///
+    /// # Errors
+    ///
+    /// Describes an unknown goal.
+    pub fn from_goal(
+        goal: &str,
+        max_les: Option<u32>,
+        max_delay_ns: Option<f64>,
+    ) -> Result<Self, String> {
+        match goal {
+            "at" => Ok(Self::MinAreaDelayProduct),
+            "delay" => Ok(Self::MinDelay { max_les }),
+            "area" => Ok(Self::MinArea { max_delay_ns }),
+            other => Err(format!("unknown objective {other:?} (use at|delay|area)")),
+        }
+    }
+
     /// Stable serialization of the objective and its budgets, used to
     /// verify that a checkpoint is resumed under the same optimization
     /// target it was written under.

@@ -26,9 +26,11 @@
 //! circuit disappears from the flow itself.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
-use nanomap_observe::{json, JsonValue};
+use nanomap_observe::{json, JsonValue, ProfileData};
 
+use crate::artifact::atomic_write_text;
 use crate::diff::{DiffEntry, DiffStatus};
 
 /// Schema tag stamped on every perf document.
@@ -132,6 +134,27 @@ impl PerfReport {
             metrics,
         })
     }
+}
+
+/// Writes a span profile as `<dir>/<circuit>.profile.json` (the
+/// `nanomap-profile-v2` document) plus `<dir>/<circuit>.collapsed`
+/// (flamegraph input), creating `dir` first. Returns the JSON's path.
+///
+/// # Errors
+///
+/// The first I/O failure, prefixed with `dir`.
+pub fn write_profile_artifacts(
+    dir: &Path,
+    circuit: &str,
+    profile: &ProfileData,
+) -> Result<PathBuf, String> {
+    let fail = |e: &dyn std::fmt::Display| format!("{}: {e}", dir.display());
+    std::fs::create_dir_all(dir).map_err(|e| fail(&e))?;
+    let json_path = dir.join(format!("{circuit}.profile.json"));
+    atomic_write_text(&json_path, &profile.to_json().to_pretty_string()).map_err(|e| fail(&e))?;
+    let collapsed_path = dir.join(format!("{circuit}.collapsed"));
+    atomic_write_text(&collapsed_path, &profile.collapsed()).map_err(|e| fail(&e))?;
+    Ok(json_path)
 }
 
 /// Midpoint-interpolated percentile of an unsorted sample set (`q` in

@@ -22,6 +22,8 @@ use std::path::Path;
 use nanomap_observe::{json, Fnv1a, JsonValue};
 
 use crate::artifact::{atomic_write_text, versions};
+use crate::flow::NanoMap;
+use crate::objective::Objective;
 use crate::report::MappingReport;
 
 /// Default ledger location, relative to the working directory.
@@ -126,8 +128,16 @@ pub fn publish_run_end(run_id: &str, exit_code: i32, report: Option<&MappingRepo
 }
 
 impl RunRecord {
-    /// Builds a ledger record from a finished mapping.
-    pub fn from_report(report: &MappingReport, run_id: String, exit_code: i32) -> Self {
+    /// Builds the ledger record of a finished mapping: `report` as
+    /// produced by `flow` for `objective`, whose seeds and objective key
+    /// the record carries.
+    pub fn for_run(
+        report: &MappingReport,
+        flow: &NanoMap,
+        objective: Objective,
+        run_id: String,
+        exit_code: i32,
+    ) -> Self {
         let mut metrics = BTreeMap::new();
         let mut m = |name: &str, value: f64| {
             metrics.insert(name.to_string(), value);
@@ -152,9 +162,9 @@ impl RunRecord {
         Self {
             run_id,
             circuit: report.circuit.clone(),
-            objective: String::new(),
-            place_seed: 0,
-            route_seed: 0,
+            objective: objective.key(),
+            place_seed: flow.place_options.seed,
+            route_seed: flow.route_options.seed,
             timestamp,
             exit_code,
             degradations: report.degradations.len() as u64,

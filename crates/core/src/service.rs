@@ -39,11 +39,14 @@
 //! line and is spliced verbatim from the daemon's cache, so a repeat
 //! submission returns a byte-identical report ([`extract_report_text`]).
 
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, Write};
 use std::time::Duration;
 
+use nanomap_netlist::{blif, vhdl, LutNetwork};
 use nanomap_observe::rng::XorShift64Star;
 use nanomap_observe::{json, JsonValue};
+use nanomap_techmap::{expand, ExpandOptions};
 
 use crate::artifact::versions;
 use crate::objective::Objective;
@@ -80,6 +83,47 @@ pub enum DesignSource {
         /// The design source itself.
         text: String,
     },
+}
+
+impl DesignSource {
+    /// Reads and parses the design into a LUT network. The format is
+    /// the path's extension or the inline `format`: `blif` as is,
+    /// `vhd`/`vhdl` expanded to `lut_inputs`-input LUTs.
+    ///
+    /// # Errors
+    ///
+    /// Describes an unreadable file, an unknown format, or a parse or
+    /// expansion failure, prefixed with the path (or `inline <format>`).
+    pub fn load(&self, lut_inputs: u32) -> Result<LutNetwork, String> {
+        let (origin, format, text) = match self {
+            Self::Path(path) => {
+                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                let extension = path.rsplit_once('.').map_or("", |(_, ext)| ext);
+                (path.clone(), extension, Cow::Owned(text))
+            }
+            Self::Text { format, text } => (
+                format!("inline {format}"),
+                format.as_str(),
+                Cow::Borrowed(text.as_str()),
+            ),
+        };
+        let fail = |e: &dyn std::fmt::Display| format!("{origin}: {e}");
+        match format {
+            "blif" => blif::parse(&text).map_err(|e| fail(&e)),
+            "vhd" | "vhdl" => {
+                let circuit = vhdl::parse(&text).map_err(|e| fail(&e))?;
+                let options = ExpandOptions {
+                    lut_inputs,
+                    ..ExpandOptions::default()
+                };
+                expand(&circuit, options).map_err(|e| fail(&e))
+            }
+            _ if matches!(self, Self::Path(_)) => {
+                Err(fail(&"unknown extension (use .vhd/.vhdl/.blif)"))
+            }
+            other => Err(format!("unknown design format {other:?}")),
+        }
+    }
 }
 
 /// A `map` request as it travels on the wire.
@@ -124,16 +168,9 @@ impl MapRequest {
     ///
     /// Describes an unknown goal string.
     pub fn to_objective(&self) -> Result<Objective, String> {
-        match self.objective.as_str() {
-            "at" | "" => Ok(Objective::MinAreaDelayProduct),
-            "delay" => Ok(Objective::MinDelay {
-                max_les: self.max_les,
-            }),
-            "area" => Ok(Objective::MinArea {
-                max_delay_ns: self.max_delay_ns,
-            }),
-            other => Err(format!("unknown objective {other:?} (use at|delay|area)")),
-        }
+        // An absent goal on the wire means the default, `at`.
+        let goal = Some(self.objective.as_str()).filter(|g| !g.is_empty());
+        Objective::from_goal(goal.unwrap_or("at"), self.max_les, self.max_delay_ns)
     }
 
     /// Renders the request as one wire line (no trailing newline).

@@ -171,7 +171,7 @@ fn every_artifact_embeds_its_registered_version() {
 
     // Flight-recorder ledger line.
     let run_id = flow.run_id(&net, Objective::MinAreaDelayProduct);
-    let line = RunRecord::from_report(&report, run_id, 0)
+    let line = RunRecord::for_run(&report, &flow, Objective::MinAreaDelayProduct, run_id, 0)
         .to_json()
         .to_compact_string();
     assert!(

@@ -20,35 +20,35 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use nanomap::cli::{Args, Command, Error, Flag};
+use nanomap::DEFAULT_LEDGER_PATH;
 use nanomap_daemon::{exit, start, DaemonConfig};
 
-const USAGE: &str = "usage: nanomapd [options]
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag::value("--addr", "HOST:PORT|PATH", "bind address; a path binds a unix socket\n(default 127.0.0.1:0, prints the bound port)"),
+    Flag::value("--workers", "N", "mapping worker threads (default 2)"),
+    Flag::value("--queue-capacity", "N", "admission queue bound (default 16)"),
+    Flag::value("--free-admission-depth", "N", "depth above which time_budget_ms is required\n(default 4)"),
+    Flag::value("--state-dir", "DIR", "cache/ + checkpoints/ root (default nanomapd-state)"),
+    Flag::value("--ledger", "PATH", "append computed runs to this flight-recorder\nledger (default results/runs/ledger.jsonl)"),
+    Flag::switch("--no-ledger", "append no ledger lines"),
+    Flag::value("--preempt-slice-ms", "MS", "preemption time slice (default: off)"),
+    Flag::value("--events", "PATH", "capture nanomap-events-v1 NDJSON (service\nlifecycle + per-run events) to PATH"),
+    Flag::value("--stats-interval-ms", "MS", "nanomapd-stats-v1 snapshot cadence next to\nthe ledger (default 2000; 0 disables)"),
+    Flag::value("--read-timeout-ms", "MS", "slow-loris guard per request line (default 10000)"),
+    Flag::value("--drain-deadline-ms", "MS", "graceful-drain budget on shutdown (default 30000)"),
+    Flag::value("--lut-inputs", "K", "LUT size for technology mapping (default 4)"),
+    Flag::value("--defect-map", "PATH", "fabric defect map every request maps around"),
+    Flag::switch("--exact-recovery", "run the complete SAT assignment rung after\nthe heuristic recovery ladder fails"),
+];
 
-options:
-  --addr HOST:PORT|PATH     bind address; a path binds a unix socket
-                            (default 127.0.0.1:0, prints the bound port)
-  --workers N               mapping worker threads (default 2)
-  --queue-capacity N        admission queue bound (default 16)
-  --free-admission-depth N  depth above which time_budget_ms is required
-                            (default 4)
-  --state-dir DIR           cache/ + checkpoints/ root (default nanomapd-state)
-  --ledger PATH             append computed runs to this flight-recorder
-                            ledger (default results/runs/ledger.jsonl;
-                            --no-ledger disables)
-  --preempt-slice-ms MS     preemption time slice (default: off)
-  --events PATH             capture nanomap-events-v1 NDJSON (service
-                            lifecycle + per-run events) to PATH
-  --stats-interval-ms MS    nanomapd-stats-v1 snapshot cadence next to
-                            the ledger (default 2000; 0 disables)
-  --read-timeout-ms MS      slow-loris guard per request line (default 10000)
-  --drain-deadline-ms MS    graceful-drain budget on shutdown (default 30000)
-  --lut-inputs K            LUT size for technology mapping (default 4)
-  --defect-map PATH         fabric defect map every request maps around
-  --exact-recovery          run the complete SAT assignment rung after
-                            the heuristic recovery ladder fails
-  -h, --help                this text
-
-exit codes: 0 clean drain, 1 hard error, 4 degraded drain (shed at deadline)";
+static NANOMAPD: Command = Command {
+    name: "nanomapd",
+    operands: "",
+    about: "exit codes: 0 clean drain, 1 hard error, 4 degraded drain (shed at deadline)",
+    flags: &[FLAGS],
+};
 
 static TERM: AtomicBool = AtomicBool::new(false);
 
@@ -71,94 +71,45 @@ fn install_signal_handlers() {
     }
 }
 
-fn parse_args(args: &[String]) -> Result<(DaemonConfig, u64), String> {
-    let mut config = DaemonConfig {
-        ledger_path: Some(PathBuf::from("results/runs/ledger.jsonl")),
-        ..DaemonConfig::default()
-    };
-    let mut drain_deadline_ms = 30_000u64;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--workers" => config.workers = parse_num(&value("--workers")?, "--workers")?,
-            "--queue-capacity" => {
-                config.queue_capacity = parse_num(&value("--queue-capacity")?, "--queue-capacity")?;
-            }
-            "--free-admission-depth" => {
-                config.free_admission_depth =
-                    parse_num(&value("--free-admission-depth")?, "--free-admission-depth")?;
-            }
-            "--state-dir" => config.state_dir = PathBuf::from(value("--state-dir")?),
-            "--ledger" => config.ledger_path = Some(PathBuf::from(value("--ledger")?)),
-            "--no-ledger" => config.ledger_path = None,
-            "--preempt-slice-ms" => {
-                config.preempt_slice_ms = Some(parse_num(
-                    &value("--preempt-slice-ms")?,
-                    "--preempt-slice-ms",
-                )?);
-            }
-            "--events" => config.events_path = Some(PathBuf::from(value("--events")?)),
-            "--stats-interval-ms" => {
-                config.stats_interval_ms =
-                    parse_num(&value("--stats-interval-ms")?, "--stats-interval-ms")?;
-            }
-            "--read-timeout-ms" => {
-                config.read_timeout_ms =
-                    parse_num(&value("--read-timeout-ms")?, "--read-timeout-ms")?;
-            }
-            "--drain-deadline-ms" => {
-                drain_deadline_ms =
-                    parse_num(&value("--drain-deadline-ms")?, "--drain-deadline-ms")?;
-            }
-            "--lut-inputs" => {
-                config.lut_inputs = Some(parse_num(&value("--lut-inputs")?, "--lut-inputs")?);
-            }
-            "--defect-map" => {
-                config.defect_map_path = Some(PathBuf::from(value("--defect-map")?));
-            }
-            "--exact-recovery" => config.exact_recovery = true,
-            "-h" | "--help" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-        }
-    }
-    if config.workers == 0 || config.queue_capacity == 0 {
-        return Err("--workers and --queue-capacity must be at least 1".into());
-    }
-    Ok((config, drain_deadline_ms))
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
-    text.parse()
-        .map_err(|_| format!("{flag}: {text:?} is not a valid number"))
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (config, drain_deadline_ms) = match parse_args(&args) {
-        Ok(parsed) => parsed,
-        Err(msg) if msg.is_empty() => {
-            println!("{USAGE}");
-            return ExitCode::from(exit::CLEAN);
-        }
-        Err(msg) => {
-            eprintln!("nanomapd: {msg}");
-            return ExitCode::from(exit::ERROR);
-        }
+    NANOMAPD.run(std::env::args().skip(1), serve)
+}
+
+fn serve(args: Args) -> Result<ExitCode, Error> {
+    args.exactly::<0>()?;
+    let defaults = DaemonConfig::default();
+    let at_least_one = |flag: &str, default: usize| match args.num(flag)? {
+        Some(0) => Err(Error::usage(flag, "must be at least 1")),
+        n => Ok(n.unwrap_or(default)),
     };
+    let ledger_path = (!args.has("--no-ledger"))
+        .then(|| PathBuf::from(args.get("--ledger").unwrap_or(DEFAULT_LEDGER_PATH)));
+    let config = DaemonConfig {
+        addr: args.get("--addr").map_or(defaults.addr, str::to_string),
+        workers: at_least_one("--workers", defaults.workers)?,
+        queue_capacity: at_least_one("--queue-capacity", defaults.queue_capacity)?,
+        free_admission_depth: args
+            .num("--free-admission-depth")?
+            .unwrap_or(defaults.free_admission_depth),
+        state_dir: args
+            .get("--state-dir")
+            .map_or(defaults.state_dir, PathBuf::from),
+        ledger_path,
+        preempt_slice_ms: args.num("--preempt-slice-ms")?,
+        read_timeout_ms: args
+            .num("--read-timeout-ms")?
+            .unwrap_or(defaults.read_timeout_ms),
+        lut_inputs: args.num("--lut-inputs")?,
+        events_path: args.get("--events").map(PathBuf::from),
+        stats_interval_ms: args
+            .num("--stats-interval-ms")?
+            .unwrap_or(defaults.stats_interval_ms),
+        defect_map_path: args.get("--defect-map").map(PathBuf::from),
+        exact_recovery: args.has("--exact-recovery"),
+    };
+    let drain_deadline_ms = args.num("--drain-deadline-ms")?.unwrap_or(30_000);
     install_signal_handlers();
-    let handle = match start(config) {
-        Ok(handle) => handle,
-        Err(msg) => {
-            eprintln!("nanomapd: {msg}");
-            return ExitCode::from(exit::ERROR);
-        }
-    };
+    let handle = start(config)?;
     // The bound address goes to stdout first so wrappers (tests, the
     // daemon-smoke CI job) can read the resolved port of `:0` binds.
     println!("nanomapd listening on {}", handle.addr());
@@ -169,12 +120,12 @@ fn main() -> ExitCode {
     let outcome = handle.shutdown(Duration::from_millis(drain_deadline_ms));
     if outcome.clean {
         eprintln!("nanomapd: clean drain");
-        ExitCode::from(exit::CLEAN)
+        Ok(ExitCode::from(exit::CLEAN))
     } else {
         eprintln!(
             "nanomapd: degraded drain, {} request(s) shed at deadline",
             outcome.shed_at_deadline
         );
-        ExitCode::from(exit::DEGRADED)
+        Ok(ExitCode::from(exit::DEGRADED))
     }
 }

@@ -54,16 +54,14 @@ use std::time::{Duration, Instant};
 
 use nanomap::artifact::versions;
 use nanomap::service::{
-    code, render_error_result, render_lifecycle, render_ok_result, DesignSource, MapRequest,
-    Request,
+    code, render_error_result, render_lifecycle, render_ok_result, MapRequest, Request,
 };
 use nanomap::{
     append_run, atomic_write_text, checkpoint_file_name, Checkpoint, FlowError, NanoMap, RunRecord,
 };
 use nanomap_arch::{ArchParams, DefectMap};
-use nanomap_netlist::{blif, vhdl, LutNetwork};
 use nanomap_observe::{failpoint, EventKind, EventStream, Fnv1a, HistogramHandle, JsonValue};
-use nanomap_techmap::{expand, ExpandOptions};
+use nanomap_techmap::ExpandOptions;
 
 use cache::ResultCache;
 
@@ -1017,7 +1015,11 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
             return finish_error(job, shared, code::INVALID, &detail, None);
         }
     };
-    let net = match resolve_network(&job.request.source, shared.config.lut_inputs) {
+    let lut_inputs = shared
+        .config
+        .lut_inputs
+        .unwrap_or(ExpandOptions::default().lut_inputs);
+    let net = match job.request.source.load(lut_inputs) {
         Ok(net) => net,
         Err(detail) => {
             job.compute_us += resolve_start.elapsed().as_micros() as u64;
@@ -1146,7 +1148,7 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
         Ok(Ok(report)) => {
             let degraded = report.degraded;
             let record = shared.config.ledger_path.as_ref().map(|_| {
-                let mut record = RunRecord::from_report(&report, run_id.clone(), 0);
+                let mut record = RunRecord::for_run(&report, &flow, objective, run_id.clone(), 0);
                 record.trace_id = Some(trace.clone());
                 record
             });
@@ -1318,41 +1320,10 @@ fn send_line(conn: &mut dyn Write, line: &str) -> std::io::Result<()> {
     conn.flush()
 }
 
-/// Parses a design from its wire source into a LUT network.
-fn resolve_network(source: &DesignSource, lut_inputs: Option<u32>) -> Result<LutNetwork, String> {
-    let options = ExpandOptions {
-        lut_inputs: lut_inputs.unwrap_or(ExpandOptions::default().lut_inputs),
-        ..ExpandOptions::default()
-    };
-    match source {
-        DesignSource::Path(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            if path.ends_with(".blif") {
-                blif::parse(&text).map_err(|e| format!("{path}: {e}"))
-            } else if path.ends_with(".vhd") || path.ends_with(".vhdl") {
-                let circuit = vhdl::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-                expand(&circuit, options).map_err(|e| format!("{path}: {e}"))
-            } else {
-                Err(format!("{path}: unknown extension (use .vhd/.vhdl/.blif)"))
-            }
-        }
-        DesignSource::Text { format, text } => match format.as_str() {
-            "blif" => blif::parse(text).map_err(|e| format!("inline blif: {e}")),
-            "vhdl" | "vhd" => {
-                let circuit = vhdl::parse(text).map_err(|e| format!("inline vhdl: {e}"))?;
-                expand(&circuit, options).map_err(|e| format!("inline vhdl: {e}"))
-            }
-            other => Err(format!("unknown design format {other:?}")),
-        },
-    }
-}
-
 /// Exit codes the `nanomapd` binary documents and tests rely on.
 pub mod exit {
     /// Clean shutdown: every admitted request was answered.
     pub const CLEAN: u8 = 0;
-    /// Hard startup/runtime error (bind failure, bad flags).
-    pub const ERROR: u8 = 1;
     /// Drained under protest: the deadline shed admitted requests.
     pub const DEGRADED: u8 = 4;
 }

@@ -875,7 +875,32 @@ fn one_trace_id_links_submit_service_events_and_the_ledger() {
         .find_by_trace("feedfacecafebeef")
         .expect("ledger record stamped with the trace id");
     assert_eq!(Some(record.run_id.as_str()), sub.result.run_id.as_deref());
+    // It names the objective and the seeds the flow mapped with.
+    let flow = nanomap::NanoMap::new(nanomap::arch::ArchParams::paper_unbounded());
+    assert_eq!(
+        record.objective,
+        nanomap::Objective::MinAreaDelayProduct.key()
+    );
+    assert_eq!(record.place_seed, flow.place_options.seed);
+    assert_eq!(record.route_seed, flow.route_options.seed);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn binary_rejects_bad_flags_with_a_usage_error() {
+    for argv in [&["--workers", "x"][..], &["--workers", "0"], &["--bogus"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_nanomapd"))
+            .args(argv)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {}: ", argv[0])),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: nanomapd"), "{stderr}");
+    }
 }
 
 #[test]
