@@ -2,9 +2,9 @@
 //!
 //! With a checkpoint directory configured, the flow serializes a
 //! deterministic `nanomap-checkpoint-v1` snapshot after each completed
-//! phase of the current physical-design attempt: FDS (the winning
-//! candidate's schedules), pack (the temporal clustering) and place (the
-//! final SMB positions). Snapshots are written through
+//! phase of the current physical-design attempt: FDS (the attempt's
+//! candidate and its schedules), pack (the temporal clustering) and
+//! place (the final SMB positions). Snapshots are written through
 //! [`crate::artifact::atomic_write`], so a crash — even a SIGKILL mid
 //! write — leaves either the previous complete checkpoint or the new
 //! one, never a torn file.
@@ -35,7 +35,7 @@ use nanomap_arch::{ArchParams, Grid, SmbPos};
 use nanomap_netlist::{FfId, LutId, LutNetwork, SignalRef};
 use nanomap_observe::{json, Fnv1a, JsonValue};
 use nanomap_pack::{Packing, Slice};
-use nanomap_sched::Schedule;
+use nanomap_sched::{ItemGraph, Schedule};
 
 use crate::artifact::atomic_write_text;
 use crate::folding::{FoldingConfig, PlaneSharing};
@@ -94,7 +94,7 @@ impl std::error::Error for CheckpointError {}
 /// The last phase whose products the checkpoint holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CheckpointPhase {
-    /// FDS re-scheduling of the winning candidate is done.
+    /// The attempt's candidate and its FDS schedules are recorded.
     Fds,
     /// Temporal clustering is done (packing snapshot present).
     Pack,
@@ -769,6 +769,72 @@ impl Checkpoint {
             sharing: self.sharing,
         }
     }
+
+    /// Restores the per-plane schedules onto the item graphs rebuilt
+    /// for the pinned folding configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::Malformed`] unless there is one
+    /// schedule per plane, each covers its plane's items, and each has
+    /// the checkpoint's stage count.
+    pub fn restore_schedules(
+        &self,
+        graphs: &[ItemGraph],
+    ) -> Result<Vec<Schedule>, CheckpointError> {
+        let malformed = |detail: String| Err(CheckpointError::Malformed { detail });
+        if self.schedules.len() != graphs.len() {
+            return malformed(format!(
+                "checkpoint has {} schedules for a {}-plane netlist",
+                self.schedules.len(),
+                graphs.len()
+            ));
+        }
+        for (plane, (snapshot, graph)) in self.schedules.iter().zip(graphs).enumerate() {
+            if snapshot.stage_of.len() != graph.len() {
+                return malformed(format!(
+                    "plane {plane}: schedule covers {} items, plane has {}",
+                    snapshot.stage_of.len(),
+                    graph.len()
+                ));
+            }
+            if snapshot.stages != self.stages {
+                return malformed(format!(
+                    "plane {plane}: schedule has {} stages, checkpoint pins {}",
+                    snapshot.stages, self.stages
+                ));
+            }
+        }
+        Ok(self
+            .schedules
+            .iter()
+            .map(ScheduleSnapshot::restore)
+            .collect())
+    }
+
+    /// Restores the packing and placement snapshots, when present.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a placement snapshot that does not describe a grid.
+    pub(crate) fn restore_products(&self) -> Result<ResumeProducts, CheckpointError> {
+        Ok(ResumeProducts {
+            packing: self.packing.as_ref().map(PackSnapshot::restore),
+            placement: self
+                .placement
+                .as_ref()
+                .map(PlaceSnapshot::restore)
+                .transpose()?,
+        })
+    }
+}
+
+/// Phase products restored from a checkpoint; a resumed attempt consumes
+/// them instead of re-running the corresponding phases.
+#[derive(Default)]
+pub(crate) struct ResumeProducts {
+    pub(crate) packing: Option<Packing>,
+    pub(crate) placement: Option<(Grid, Vec<SmbPos>)>,
 }
 
 /// The checkpoint file name for a circuit (`<circuit>.ckpt.json`, with

@@ -40,7 +40,6 @@
 use std::time::Instant;
 
 use nanomap_arch::{ChannelConfig, DefectMap, Grid};
-use nanomap_netlist::{LutNetwork, PlaneSet};
 use nanomap_observe::span;
 use nanomap_pack::{extract_nets, pack, TemporalDesign};
 use nanomap_place::adopt_assignment;
@@ -48,12 +47,12 @@ use nanomap_sat::{
     solve_assignment, AssignOutcome, AssignmentProblem, CapacityGroup, SolverOptions,
 };
 
-use crate::budget::{CancelToken, Degradation};
+use crate::budget::Degradation;
+use crate::checkpoint::ResumeProducts;
 use crate::error::FlowError;
-use crate::flow::{NanoMap, ResumeProducts};
-use crate::folding::FoldingConfig;
-use crate::recovery::{RecoveryAttempt, RecoveryLog, Remedy};
-use crate::report::{MappingReport, PhaseTimes};
+use crate::flow::{physical_phase, Attempt, CandidateEval, NanoMap, Run};
+use crate::recovery::{RecoveryLog, Remedy};
+use crate::report::MappingReport;
 
 /// Grid growth factor between exact-rung sizing attempts.
 const GRID_GROWTH: f64 = 1.3;
@@ -177,47 +176,46 @@ impl NanoMap {
     /// a shallow folding with fewer NRAM sets is often solvable on a
     /// fabric where the deep preferred candidate is provably not.
     ///
-    /// Per grid size: re-evaluates the candidate (deterministic),
-    /// re-packs, encodes per-cluster slot domains from the precise
-    /// active-set view, solves, re-validates the model through
-    /// [`adopt_assignment`], and re-runs routing/timing on the adopted
-    /// placement. A routed model returns `Success`; a proof of
-    /// unsatisfiability on the largest grid (guards relaxed) returns
-    /// `Infeasible`; an interrupted solve or a model that will not
-    /// route returns `Exhausted`.
-    #[allow(clippy::too_many_arguments)]
+    /// Per grid size: packs the candidate's schedules, encodes
+    /// per-cluster slot domains from the precise active-set view,
+    /// solves, re-validates the model through [`adopt_assignment`], and
+    /// re-runs routing/timing on the adopted placement. A routed model
+    /// returns `Success`; a proof of unsatisfiability on the largest
+    /// grid (guards relaxed) returns `Infeasible`; an interrupted solve
+    /// or a model that will not route returns `Exhausted`.
     pub(crate) fn exact_assign_rung(
         &self,
-        net: &LutNetwork,
-        planes: &PlaneSet,
-        config: FoldingConfig,
-        cand_rank: usize,
-        times: PhaseTimes,
+        run: &Run,
+        rank: usize,
+        eval: &CandidateEval,
         base_degradations: &[Degradation],
         recovery: &mut RecoveryLog,
-        token: &CancelToken,
     ) -> ExactRungResult {
-        let overrides =
-            Remedy::ExactAssign.apply(self.place_options, self.route_options, self.channels);
+        let remedy = Remedy::ExactAssign;
+        let attempt = Attempt {
+            rank,
+            eval,
+            remedy,
+            overrides: remedy.apply(self.place_options, self.route_options, self.channels),
+        };
+        let overrides = attempt.overrides;
         let base_slack = overrides.place.grid_slack;
         let last = MAX_GRID_ATTEMPTS - 1;
         let mut sizing = 0u32;
         while sizing < MAX_GRID_ATTEMPTS {
-            if token.expired() {
+            if run.token.expired() {
                 return ExactRungResult::Exhausted;
             }
             let attempt_start = Instant::now();
             let slack = base_slack * GRID_GROWTH.powi(sizing as i32);
 
-            // Re-evaluate to own the schedules (FDS is deterministic,
-            // so this reproduces the heuristic rungs' logic mapping
-            // bit for bit), then build the temporal design and packing
-            // the encoder works from.
-            let (eval, _) = match self.evaluate_budgeted(net, planes, config, token) {
-                Ok(v) => v,
-                Err(e) => return ExactRungResult::Fatal(e),
-            };
-            let design = match TemporalDesign::new(net, planes, eval.graphs, eval.schedules) {
+            // The temporal design and packing the encoder works from.
+            let design = match TemporalDesign::new(
+                run.net,
+                run.planes,
+                eval.graphs.clone(),
+                eval.schedules.clone(),
+            ) {
                 Ok(d) => d,
                 Err(e) => return ExactRungResult::Fatal(e.into()),
             };
@@ -262,7 +260,7 @@ impl NanoMap {
             sat_span.attr("slots", u64::from(grid.num_slots()));
             sat_span.attr("sizing", u64::from(sizing));
             let (mut outcome, mut stats, num_vars) =
-                solve_assignment(&problem, options.clone(), token);
+                solve_assignment(&problem, options.clone(), run.token);
             // Capacity guards are heuristic; a completeness claim must
             // not rest on them. Relax and re-solve before believing an
             // UNSAT answer.
@@ -273,7 +271,7 @@ impl NanoMap {
                     allowed: problem.allowed.clone(),
                     groups: Vec::new(),
                 };
-                let (o, s, _) = solve_assignment(&bare, options, token);
+                let (o, s, _) = solve_assignment(&bare, options, run.token);
                 stats.decisions += s.decisions;
                 stats.conflicts += s.conflicts;
                 stats.propagations += s.propagations;
@@ -319,71 +317,42 @@ impl NanoMap {
                         }
                     };
                     drop(design);
-                    // Re-evaluate for the finishing pipeline (it
-                    // consumes the schedules) and inject the solver
-                    // placement; routing, timing, bitmaps and
-                    // verification all run the normal path.
-                    let (eval, fds_degradation) =
-                        match self.evaluate_budgeted(net, planes, config, token) {
-                            Ok(v) => v,
-                            Err(e) => return ExactRungResult::Fatal(e),
-                        };
+                    // Inject the solver placement; routing, timing,
+                    // bitmaps and verification all run the normal path.
                     let mut degradations = base_degradations.to_vec();
-                    degradations.extend(fds_degradation);
-                    match self.finish_candidate(
-                        net,
-                        planes,
-                        config,
-                        eval,
-                        times,
-                        &overrides,
-                        token,
-                        None,
-                        ResumeProducts {
-                            packing: Some(packing),
-                            placement: Some((grid, pos_of)),
-                        },
-                        &mut degradations,
-                    ) {
+                    degradations.extend(eval.degradation.clone());
+                    let adopted = ResumeProducts {
+                        packing: Some(packing),
+                        placement: Some((grid, pos_of)),
+                    };
+                    match self.finish_candidate(run, &attempt, None, adopted, &mut degradations) {
                         Ok(report) => {
                             nanomap_observe::incr("flow.exact_assign.rescues", 1);
                             return ExactRungResult::Success(Box::new(report), degradations);
                         }
-                        Err(e @ (FlowError::Place(_) | FlowError::Route(_))) => {
+                        Err(e) => match physical_phase(&e) {
                             // A legal assignment that will not route;
                             // try again with more room.
-                            recovery.record(RecoveryAttempt {
-                                attempt: recovery.total_attempts(),
-                                candidate: cand_rank,
-                                folding_level: config.level,
-                                stages: config.stages,
-                                remedy: Remedy::ExactAssign,
-                                phase: match &e {
-                                    FlowError::Place(_) => "place",
-                                    _ => "route",
-                                },
-                                error: e.to_string(),
-                                wall_us: attempt_start.elapsed().as_micros() as u64,
-                            });
-                            sizing += 1;
-                        }
-                        Err(e) => return ExactRungResult::Fatal(e),
+                            Some(phase) => {
+                                attempt.record_failure(
+                                    recovery,
+                                    phase,
+                                    e.to_string(),
+                                    attempt_start,
+                                );
+                                sizing += 1;
+                            }
+                            None => return ExactRungResult::Fatal(e),
+                        },
                     }
                 }
                 AssignOutcome::Infeasible(cause) => {
-                    recovery.record(RecoveryAttempt {
-                        attempt: recovery.total_attempts(),
-                        candidate: cand_rank,
-                        folding_level: config.level,
-                        stages: config.stages,
-                        remedy: Remedy::ExactAssign,
-                        phase: "exact-assign",
-                        error: format!(
-                            "infeasible on {}x{} grid: {cause}",
-                            grid.width, grid.height
-                        ),
-                        wall_us: attempt_start.elapsed().as_micros() as u64,
-                    });
+                    attempt.record_failure(
+                        recovery,
+                        "exact-assign",
+                        format!("infeasible on {}x{} grid: {cause}", grid.width, grid.height),
+                        attempt_start,
+                    );
                     if sizing < last {
                         // Feasibility is monotone in grid size: skip
                         // the intermediate size, go straight to the
@@ -426,16 +395,12 @@ impl NanoMap {
                     });
                 }
                 AssignOutcome::Interrupted(reason) => {
-                    recovery.record(RecoveryAttempt {
-                        attempt: recovery.total_attempts(),
-                        candidate: cand_rank,
-                        folding_level: config.level,
-                        stages: config.stages,
-                        remedy: Remedy::ExactAssign,
-                        phase: "exact-assign",
-                        error: format!("solver interrupted: {reason}"),
-                        wall_us: attempt_start.elapsed().as_micros() as u64,
-                    });
+                    attempt.record_failure(
+                        recovery,
+                        "exact-assign",
+                        format!("solver interrupted: {reason}"),
+                        attempt_start,
+                    );
                     return ExactRungResult::Exhausted;
                 }
             }
@@ -449,8 +414,10 @@ mod tests {
     use super::*;
     use nanomap_arch::{ArchParams, SmbPos};
     use nanomap_netlist::rtl::{CombOp, RtlBuilder, RtlCircuit};
+    use nanomap_netlist::{LutNetwork, PlaneSet};
     use nanomap_techmap::{expand, ExpandOptions};
 
+    use crate::budget::CancelToken;
     use crate::folding::candidate_configs;
     use crate::objective::Objective;
 
@@ -636,7 +603,7 @@ mod tests {
         );
         let token = CancelToken::with_budget_ms(None);
         for config in candidate_configs(&planes, flow.arch.num_reconf) {
-            let Ok((eval, _)) = flow.evaluate_budgeted(&net, &planes, config, &token) else {
+            let Ok(eval) = flow.evaluate_budgeted(&net, &planes, config, &token) else {
                 println!("{config:?}: infeasible");
                 continue;
             };
@@ -717,6 +684,41 @@ mod tests {
         let physical = report.physical.expect("the rescue is a full mapping");
         assert!(physical.routed_delay_ns > 0.0);
         assert!(physical.num_smbs >= 2);
+    }
+
+    /// Every candidate is scheduled once, during selection: no ladder
+    /// rung and no exact-rung grid sizing re-runs FDS, so every `fds`
+    /// span sits under a `candidate` span. Checked on a clean mapping,
+    /// on a heuristic ladder that climbs every rung of every candidate,
+    /// and on an exact-rung rescue.
+    #[test]
+    fn fds_runs_once_per_candidate() {
+        nanomap_observe::set_enabled(true);
+        let clean = NanoMap::new(ArchParams::paper_unbounded());
+        let ladder = clean.clone().with_defects(prefix_starved_fabric());
+        let rescue = ladder.clone().with_exact_recovery();
+        clean
+            .map(&gap_network(), Objective::MinAreaDelayProduct)
+            .expect("maps on a clean fabric");
+        ladder
+            .map(&gap_network(), Objective::MinAreaDelayProduct)
+            .expect_err("the heuristic ladder exhausts");
+        rescue
+            .map(&gap_network(), Objective::MinAreaDelayProduct)
+            .expect("the exact rung rescues");
+        // Span nesting is per thread; other tests map concurrently.
+        let snap = nanomap_observe::snapshot();
+        let tid = nanomap_observe::thread_ordinal();
+        let mine: Vec<_> = snap.spans.iter().filter(|s| s.tid == tid).collect();
+        let fds: Vec<_> = mine.iter().filter(|s| s.name == "fds").collect();
+        assert!(!fds.is_empty(), "no fds spans recorded");
+        for span in fds {
+            let parent = span
+                .parent
+                .and_then(|id| mine.iter().find(|s| s.id == id))
+                .map(|s| s.name);
+            assert_eq!(parent, Some("candidate"), "fds span {} re-ran", span.id);
+        }
     }
 
     /// Same seed, same fabric: the rescue is byte-deterministic through

@@ -14,12 +14,11 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use nanomap_arch::{
-    estimate_power, ArchParams, AreaModel, ChannelConfig, DefectMap, Grid, PowerModel, SmbPos,
-    TimingModel,
+    estimate_power, ArchParams, AreaModel, ChannelConfig, DefectMap, PowerModel, TimingModel,
 };
 use nanomap_netlist::rtl::RtlCircuit;
 use nanomap_netlist::{LutNetwork, PlaneSet};
-use nanomap_pack::{extract_nets, pack, PackOptions, Packing, TemporalDesign};
+use nanomap_pack::{extract_nets, pack, PackOptions, TemporalDesign};
 use nanomap_place::{place_with_defects_budgeted, PlaceOptions, Placement};
 use nanomap_route::{route_design_budgeted, RouteOptions};
 use nanomap_sched::{schedule_fds_budgeted, FdsOptions, ItemGraph, LeShape, Schedule};
@@ -28,11 +27,11 @@ use nanomap_techmap::{expand, ExpandOptions};
 use std::path::PathBuf;
 use std::time::Instant;
 
-use nanomap_observe::span;
+use nanomap_observe::{span, SpanGuard};
 
 use crate::budget::{CancelToken, Degradation};
 use crate::checkpoint::{
-    netlist_fingerprint, Checkpoint, CheckpointError, CheckpointPhase, CheckpointWriter,
+    netlist_fingerprint, Checkpoint, CheckpointPhase, CheckpointWriter, ResumeProducts,
     ScheduleSnapshot,
 };
 use crate::error::FlowError;
@@ -249,293 +248,34 @@ impl NanoMap {
     /// # Errors
     ///
     /// Returns [`FlowError::NoFeasibleFolding`] when no folding level
-    /// satisfies the constraints, or the first hard failure from a flow
-    /// stage.
+    /// satisfies the constraints, [`FlowError::BudgetExhausted`] when
+    /// the time budget expires mid-flow and anytime mode is off, or the
+    /// first hard failure from a flow stage.
     pub fn map(&self, net: &LutNetwork, objective: Objective) -> Result<MappingReport, FlowError> {
         let token = CancelToken::with_budget_ms(self.budget_ms);
-        self.map_with_token(net, objective, &token)
-    }
-
-    /// [`Self::map`] under an externally owned [`CancelToken`], letting
-    /// a caller share one deadline across several mappings or cancel
-    /// cooperatively from another thread.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::map`], plus [`FlowError::BudgetExhausted`] when
-    /// the token expires mid-flow and anytime mode is off.
-    pub fn map_with_token(
-        &self,
-        net: &LutNetwork,
-        objective: Objective,
-        token: &CancelToken,
-    ) -> Result<MappingReport, FlowError> {
         let total_start = Instant::now();
         self.publish_run_start(net, objective);
-        let mut flow_span = span!("flow", circuit = net.name());
-        let mut times = PhaseTimes::default();
+        let flow_span = span!("flow", circuit = net.name());
         let planes = PlaneSet::extract(net)?;
-        let candidates = candidate_configs(&planes, self.arch.num_reconf);
-
-        // --- Logic mapping: evaluate candidates (steps 2-6). ---
         let select_start = Instant::now();
-        let mut evaluated: Vec<(FoldingConfig, CandidateEval)> = Vec::new();
-        let mut select_degradation: Option<Degradation> = None;
-        {
-            let _select_span = span!("folding-select", candidates = candidates.len());
-            for config in &candidates {
-                // Budget gone: stop enumerating once at least one
-                // feasible candidate exists — a truncated preference
-                // order beats no mapping at all.
-                if token.expired()
-                    && evaluated
-                        .iter()
-                        .any(|(_, e)| objective.admits(e.les, e.delay_ns))
-                {
-                    select_degradation = Some(Degradation {
-                        phase: "folding-select".into(),
-                        reason: format!(
-                            "time budget expired after {} of {} folding candidates",
-                            evaluated.len(),
-                            candidates.len()
-                        ),
-                        completed_iterations: evaluated.len() as u64,
-                        qor_estimate: (candidates.len() - evaluated.len()) as f64,
-                    });
-                    break;
-                }
-                let mut cand_span = span!("candidate", stages = config.stages);
-                cand_span.attr("level", config.level);
-                nanomap_observe::incr("flow.candidates_evaluated", 1);
-                // During selection only the estimates matter, not the
-                // schedules; a budget-truncated FDS estimate is kept (its
-                // degradation resurfaces when the winning candidate is
-                // re-evaluated below).
-                match self.evaluate_budgeted(net, &planes, *config, token) {
-                    Ok((eval, _)) => evaluated.push((*config, eval)),
-                    Err(FlowError::Sched(_)) => {
-                        // Infeasible stage count.
-                        nanomap_observe::incr("flow.candidates_rejected_sched", 1);
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        times.folding_select_ms = select_start.elapsed().as_secs_f64() * 1e3;
-        if evaluated.is_empty() {
-            return Err(FlowError::NoFeasibleFolding {
-                reason: "no folding configuration schedules feasibly".into(),
-            });
-        }
-        // Order by objective preference among constraint-satisfying
-        // candidates; keep a constraint-violating fallback ordering too so
-        // physical failures can degrade gracefully.
-        let mut order: Vec<usize> = (0..evaluated.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ca, ea) = &evaluated[a];
-            let (cb, eb) = &evaluated[b];
-            let fa = objective.admits(ea.les, ea.delay_ns);
-            let fb = objective.admits(eb.les, eb.delay_ns);
-            match (fa, fb) {
-                (true, false) => std::cmp::Ordering::Less,
-                (false, true) => std::cmp::Ordering::Greater,
-                _ => {
-                    if objective.prefers(ea.les, ea.delay_ns, eb.les, eb.delay_ns) {
-                        std::cmp::Ordering::Less
-                    } else if objective.prefers(eb.les, eb.delay_ns, ea.les, ea.delay_ns) {
-                        std::cmp::Ordering::Greater
-                    } else {
-                        ca.stages.cmp(&cb.stages)
-                    }
-                }
-            }
-        });
-        let best_feasible = {
-            let (_, e) = &evaluated[order[0]];
-            objective.admits(e.les, e.delay_ns)
+        let (candidates, select_degradation) = self.select(net, &planes, objective, &token)?;
+        let run = Run {
+            net,
+            planes: &planes,
+            objective,
+            token: &token,
+            select_ms: select_start.elapsed().as_secs_f64() * 1e3,
+            total_start,
         };
-        if !best_feasible {
-            let (_, e) = &evaluated[order[0]];
-            return Err(FlowError::NoFeasibleFolding {
-                reason: format!(
-                    "best candidate needs {} LEs / {:.2} ns, outside the constraints",
-                    e.les, e.delay_ns
-                ),
-            });
-        }
-
-        // --- Physical design (steps 7-15) under the recovery ladder:
-        // per candidate escalate baseline → reseed → widen grid → widen
-        // channels, then fall back to the next folding configuration.
-        // Every failed attempt lands in the RecoveryLog. ---
-        let mut recovery = RecoveryLog::new();
-        let base_degradations: Vec<Degradation> = select_degradation.into_iter().collect();
-        'candidates: for (cand_rank, &idx) in order.iter().enumerate() {
-            let (config, cached) = &evaluated[idx];
-            let config = *config;
-            if !objective.admits(cached.les, cached.delay_ns) {
-                break; // remaining candidates violate constraints
-            }
-            if cand_rank > 0 {
-                recovery.record_candidate_fallback();
-            }
-            for &remedy in &LADDER {
-                if recovery.total_attempts() >= MAX_TOTAL_ATTEMPTS {
-                    break 'candidates;
-                }
-                // Budget gone: stop climbing once one physical attempt
-                // exists; anytime callers keep the degraded best-so-far,
-                // strict callers get BudgetExhausted below.
-                if token.expired() && !recovery.attempts.is_empty() {
-                    break 'candidates;
-                }
-                // Re-evaluate to own the schedules (cheap relative to
-                // P&R; finish_candidate consumes them).
-                let attempt_start = Instant::now();
-                let (eval, fds_degradation) =
-                    self.evaluate_budgeted(net, &planes, config, token)?;
-                times.fds_ms = attempt_start.elapsed().as_secs_f64() * 1e3;
-                let overrides = remedy.apply(self.place_options, self.route_options, self.channels);
-                let mut writer = self.checkpoint_writer(
-                    net,
-                    &objective,
-                    cand_rank,
-                    config,
-                    remedy,
-                    &overrides,
-                    &eval.schedules,
-                    &recovery,
-                )?;
-                if let Some(w) = writer.as_mut() {
-                    w.write_fds()?;
-                }
-                let mut attempt_degradations = base_degradations.clone();
-                attempt_degradations.extend(fds_degradation);
-                match self.finish_candidate(
-                    net,
-                    &planes,
-                    config,
-                    eval,
-                    times,
-                    &overrides,
-                    token,
-                    writer.as_mut(),
-                    ResumeProducts::default(),
-                    &mut attempt_degradations,
-                ) {
-                    Ok(report) => {
-                        flow_span.attr("folding_level", config.level);
-                        flow_span.attr("num_les", report.num_les);
-                        if !attempt_degradations.is_empty() {
-                            flow_span.attr("degraded", 1u64);
-                        }
-                        return self.finalize(
-                            report,
-                            recovery,
-                            remedy,
-                            attempt_degradations,
-                            token,
-                            total_start,
-                        );
-                    }
-                    Err(e @ (FlowError::Place(_) | FlowError::Route(_))) => {
-                        let phase = match &e {
-                            FlowError::Place(_) => "place",
-                            _ => "route",
-                        };
-                        recovery.record(RecoveryAttempt {
-                            attempt: recovery.total_attempts(),
-                            candidate: cand_rank,
-                            folding_level: config.level,
-                            stages: config.stages,
-                            remedy,
-                            phase,
-                            error: e.to_string(),
-                            wall_us: attempt_start.elapsed().as_micros() as u64,
-                        });
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            // The whole ladder failed for this candidate.
-            nanomap_observe::incr("flow.candidates_rejected_physical", 1);
-        }
-        // --- The complete final rung: exact SAT-based slot assignment,
-        // opt-in, run only once every heuristic rung of every candidate
-        // has failed and time remains. The rung walks the *whole*
-        // admitted candidate ladder in preference order — a shallow
-        // folding with fewer NRAM sets may be solvable where the best
-        // candidate is not — and claims infeasibility only when every
-        // candidate is proven unsatisfiable. ---
-        if self.exact_recovery && !token.expired() && !recovery.attempts.is_empty() {
-            let mut best_unsat = None;
-            let mut all_proven = true;
-            for (cand_rank, &idx) in order.iter().enumerate() {
-                let (config, cached) = &evaluated[idx];
-                if !objective.admits(cached.les, cached.delay_ns) {
-                    break; // remaining candidates violate constraints
-                }
-                if token.expired() {
-                    all_proven = false;
-                    break;
-                }
-                match self.exact_assign_rung(
-                    net,
-                    &planes,
-                    *config,
-                    cand_rank,
-                    times,
-                    &base_degradations,
-                    &mut recovery,
-                    token,
-                ) {
-                    ExactRungResult::Success(report, degradations) => {
-                        flow_span.attr("folding_level", config.level);
-                        flow_span.attr("num_les", report.num_les);
-                        flow_span.attr("exact_recovery", 1u64);
-                        return self.finalize(
-                            *report,
-                            recovery,
-                            Remedy::ExactAssign,
-                            degradations,
-                            token,
-                            total_start,
-                        );
-                    }
-                    ExactRungResult::Infeasible(summary) => {
-                        // Keep the preferred candidate's proof for the
-                        // error; later candidates still must be tried.
-                        if best_unsat.is_none() {
-                            best_unsat = Some(summary);
-                        }
-                    }
-                    ExactRungResult::Exhausted => all_proven = false,
-                    ExactRungResult::Fatal(e) => return Err(e),
-                }
-            }
-            // An interrupted or routing-starved candidate means the
-            // infeasibility claim would be unsound; fall through to the
-            // generic exhaustion errors instead.
-            if all_proven {
-                if let Some(summary) = best_unsat {
-                    return Err(FlowError::ExactAssignUnsat {
-                        log: recovery,
-                        summary,
-                    });
-                }
-            }
-        }
-        Err(if token.expired() {
-            nanomap_observe::incr("flow.budget_expired", 1);
-            FlowError::BudgetExhausted {
-                log: recovery,
-                degradations: base_degradations,
-            }
-        } else {
-            FlowError::RecoveryExhausted { log: recovery }
-        })
+        let plan = Plan {
+            candidates,
+            first_rank: 0,
+            start: Remedy::Baseline,
+            restored: ResumeProducts::default(),
+            recovery: RecoveryLog::new(),
+            degradations: select_degradation.into_iter().collect(),
+        };
+        self.climb(&run, plan, flow_span)
     }
 
     /// Resumes a mapping from a checkpoint written by a previous run with
@@ -564,201 +304,279 @@ impl NanoMap {
         self.publish_run_start(net, objective);
         let mut flow_span = span!("flow", circuit = net.name());
         flow_span.attr("resumed", 1u64);
-        let mut times = PhaseTimes::default();
         let planes = PlaneSet::extract(net)?;
-        let config = checkpoint.folding_config();
         // Rebuild the item graphs (cheap and deterministic) and restore
         // the checkpointed schedules onto them.
-        let level = config.level.unwrap_or_else(|| planes.depth_max().max(1));
-        let mut graphs = Vec::new();
-        for plane in planes.planes() {
-            graphs.push(ItemGraph::build(net, plane, level)?);
-        }
-        if checkpoint.schedules.len() != graphs.len() {
-            return Err(CheckpointError::Malformed {
-                detail: format!(
-                    "checkpoint has {} schedules for a {}-plane netlist",
-                    checkpoint.schedules.len(),
-                    graphs.len()
-                ),
-            }
-            .into());
-        }
-        let mut schedules = Vec::new();
-        for (plane_idx, (snapshot, graph)) in checkpoint.schedules.iter().zip(&graphs).enumerate() {
-            if snapshot.stage_of.len() != graph.len() {
-                return Err(CheckpointError::Malformed {
-                    detail: format!(
-                        "plane {plane_idx}: schedule covers {} items, plane has {}",
-                        snapshot.stage_of.len(),
-                        graph.len()
-                    ),
-                }
-                .into());
-            }
-            schedules.push(snapshot.restore());
-        }
+        let config = checkpoint.folding_config();
+        let graphs = item_graphs(net, &planes, config)?;
+        let schedules = checkpoint.restore_schedules(&graphs)?;
+        let (les, delay_ns) = self.assess(net, &planes, config, &graphs, &schedules);
+        let eval = CandidateEval {
+            config,
+            les,
+            delay_ns,
+            graphs,
+            schedules,
+            degradation: None,
+            fds_ms: 0.0,
+        };
         let mut recovery = checkpoint.recovery.clone();
         recovery.succeeded_with = None;
-        let start_rung = LADDER
-            .iter()
-            .position(|&r| r == checkpoint.remedy)
-            .unwrap_or(0);
-        // The first resumed rung consumes the restored products; any
-        // later rung re-runs its phases from scratch.
-        let mut restored = {
-            let (les, delay_ns) = self.assess(net, &planes, config, &graphs, &schedules);
-            let packing = checkpoint.packing.as_ref().map(|p| p.restore());
-            let placement = match checkpoint.placement.as_ref() {
-                Some(p) => Some(p.restore().map_err(FlowError::Checkpoint)?),
-                None => None,
-            };
-            Some((
-                CandidateEval {
-                    les,
-                    delay_ns,
-                    graphs,
-                    schedules,
-                },
-                ResumeProducts { packing, placement },
-            ))
+        let run = Run {
+            net,
+            planes: &planes,
+            objective,
+            token: &token,
+            select_ms: 0.0,
+            total_start,
         };
-        for &remedy in &LADDER[start_rung..] {
-            if recovery.total_attempts() >= MAX_TOTAL_ATTEMPTS {
-                break;
-            }
-            if token.expired() && !recovery.attempts.is_empty() {
-                break;
-            }
-            let attempt_start = Instant::now();
-            let overrides = remedy.apply(self.place_options, self.route_options, self.channels);
-            let (eval, resume, fds_degradation) = match restored.take() {
-                Some((eval, products)) => (eval, products, None),
-                None => {
-                    let fds_start = Instant::now();
-                    let (eval, d) = self.evaluate_budgeted(net, &planes, config, &token)?;
-                    times.fds_ms = fds_start.elapsed().as_secs_f64() * 1e3;
-                    (eval, ResumeProducts::default(), d)
-                }
-            };
-            let mut writer = self.checkpoint_writer(
-                net,
-                &objective,
-                checkpoint.candidate_rank,
-                config,
-                remedy,
-                &overrides,
-                &eval.schedules,
-                &recovery,
-            )?;
-            if let Some(w) = writer.as_mut() {
-                w.write_fds()?;
-            }
-            let mut attempt_degradations: Vec<Degradation> = fds_degradation.into_iter().collect();
-            match self.finish_candidate(
-                net,
-                &planes,
-                config,
-                eval,
-                times,
-                &overrides,
-                &token,
-                writer.as_mut(),
-                resume,
-                &mut attempt_degradations,
-            ) {
-                Ok(report) => {
-                    flow_span.attr("folding_level", config.level);
-                    flow_span.attr("num_les", report.num_les);
-                    if !attempt_degradations.is_empty() {
-                        flow_span.attr("degraded", 1u64);
-                    }
-                    return self.finalize(
-                        report,
-                        recovery,
-                        remedy,
-                        attempt_degradations,
-                        &token,
-                        total_start,
-                    );
-                }
-                Err(e @ (FlowError::Place(_) | FlowError::Route(_))) => {
-                    let phase = match &e {
-                        FlowError::Place(_) => "place",
-                        _ => "route",
-                    };
-                    recovery.record(RecoveryAttempt {
-                        attempt: recovery.total_attempts(),
-                        candidate: checkpoint.candidate_rank,
-                        folding_level: config.level,
-                        stages: config.stages,
-                        remedy,
-                        phase,
-                        error: e.to_string(),
-                        wall_us: attempt_start.elapsed().as_micros() as u64,
+        let plan = Plan {
+            candidates: vec![eval],
+            first_rank: checkpoint.candidate_rank,
+            start: checkpoint.remedy,
+            restored: checkpoint.restore_products()?,
+            recovery,
+            degradations: Vec::new(),
+        };
+        self.climb(&run, plan, flow_span)
+    }
+
+    /// Logic mapping (steps 2-6): evaluates every folding candidate and
+    /// returns the constraint-satisfying ones in objective preference
+    /// order, plus a degradation when the budget cut enumeration short.
+    fn select(
+        &self,
+        net: &LutNetwork,
+        planes: &PlaneSet,
+        objective: Objective,
+        token: &CancelToken,
+    ) -> Result<(Vec<CandidateEval>, Option<Degradation>), FlowError> {
+        let configs = candidate_configs(planes, self.arch.num_reconf);
+        let mut evaluated: Vec<CandidateEval> = Vec::new();
+        let mut degradation = None;
+        {
+            let _select_span = span!("folding-select", candidates = configs.len());
+            for &config in &configs {
+                // Budget gone: stop enumerating once at least one
+                // feasible candidate exists — a truncated preference
+                // order beats no mapping at all.
+                if token.expired()
+                    && evaluated
+                        .iter()
+                        .any(|e| objective.admits(e.les, e.delay_ns))
+                {
+                    degradation = Some(Degradation {
+                        phase: "folding-select".into(),
+                        reason: format!(
+                            "time budget expired after {} of {} folding candidates",
+                            evaluated.len(),
+                            configs.len()
+                        ),
+                        completed_iterations: evaluated.len() as u64,
+                        qor_estimate: (configs.len() - evaluated.len()) as f64,
                     });
-                    continue;
+                    break;
                 }
-                Err(e) => return Err(e),
+                let mut cand_span = span!("candidate", stages = config.stages);
+                cand_span.attr("level", config.level);
+                nanomap_observe::incr("flow.candidates_evaluated", 1);
+                // Each candidate is scheduled exactly once: a budget-
+                // truncated FDS keeps its degradation in the evaluation,
+                // and every later attempt reuses the schedules.
+                match self.evaluate_budgeted(net, planes, config, token) {
+                    Ok(eval) => evaluated.push(eval),
+                    Err(FlowError::Sched(_)) => {
+                        // Infeasible stage count.
+                        nanomap_observe::incr("flow.candidates_rejected_sched", 1);
+                    }
+                    Err(e) => return Err(e),
+                }
             }
         }
-        // A resumed run earns the same final rung as a fresh one.
-        if self.exact_recovery && !token.expired() && !recovery.attempts.is_empty() {
-            match self.exact_assign_rung(
-                net,
-                &planes,
-                config,
-                checkpoint.candidate_rank,
-                times,
-                &[],
-                &mut recovery,
-                &token,
-            ) {
-                ExactRungResult::Success(report, degradations) => {
-                    flow_span.attr("folding_level", config.level);
-                    flow_span.attr("num_les", report.num_les);
-                    flow_span.attr("exact_recovery", 1u64);
-                    return self.finalize(
-                        *report,
-                        recovery,
-                        Remedy::ExactAssign,
-                        degradations,
-                        &token,
-                        total_start,
-                    );
+        // Constraint-violating candidates sort last: they stay only long
+        // enough to name the best one when nothing is admitted.
+        evaluated.sort_by(|a, b| {
+            let fa = objective.admits(a.les, a.delay_ns);
+            let fb = objective.admits(b.les, b.delay_ns);
+            fb.cmp(&fa).then_with(|| {
+                if objective.prefers(a.les, a.delay_ns, b.les, b.delay_ns) {
+                    std::cmp::Ordering::Less
+                } else if objective.prefers(b.les, b.delay_ns, a.les, a.delay_ns) {
+                    std::cmp::Ordering::Greater
+                } else {
+                    a.config.stages.cmp(&b.config.stages)
                 }
-                ExactRungResult::Infeasible(summary) => {
+            })
+        });
+        let Some(best) = evaluated.first() else {
+            return Err(FlowError::NoFeasibleFolding {
+                reason: "no folding configuration schedules feasibly".into(),
+            });
+        };
+        if !objective.admits(best.les, best.delay_ns) {
+            return Err(FlowError::NoFeasibleFolding {
+                reason: format!(
+                    "best candidate needs {} LEs / {:.2} ns, outside the constraints",
+                    best.les, best.delay_ns
+                ),
+            });
+        }
+        evaluated.retain(|e| objective.admits(e.les, e.delay_ns));
+        Ok((evaluated, degradation))
+    }
+
+    /// Physical design (steps 7-15) under the recovery ladder: per
+    /// candidate escalate baseline → reseed → widen grid → widen
+    /// channels, then fall back to the next candidate of the plan. Once
+    /// every heuristic rung has failed, the opt-in exact rung walks the
+    /// plan again. Every failed attempt lands in the RecoveryLog.
+    fn climb(
+        &self,
+        run: &Run,
+        plan: Plan,
+        mut flow_span: SpanGuard,
+    ) -> Result<MappingReport, FlowError> {
+        let Plan {
+            candidates,
+            first_rank,
+            start,
+            mut restored,
+            mut recovery,
+            degradations: base,
+        } = plan;
+        let start_rung = LADDER.iter().position(|&r| r == start).unwrap_or(0);
+        let won = 'won: {
+            'ladder: for (i, eval) in candidates.iter().enumerate() {
+                if i > 0 {
+                    recovery.record_candidate_fallback();
+                }
+                let first_rung = if i == 0 { start_rung } else { 0 };
+                for &remedy in &LADDER[first_rung..] {
+                    if recovery.total_attempts() >= MAX_TOTAL_ATTEMPTS {
+                        break 'ladder;
+                    }
+                    // Budget gone: stop climbing once one physical
+                    // attempt exists; anytime callers keep the degraded
+                    // best-so-far, strict callers get BudgetExhausted
+                    // below.
+                    if run.token.expired() && !recovery.attempts.is_empty() {
+                        break 'ladder;
+                    }
+                    let attempt_start = Instant::now();
+                    let attempt = Attempt {
+                        rank: first_rank + i,
+                        eval,
+                        remedy,
+                        overrides: remedy.apply(
+                            self.place_options,
+                            self.route_options,
+                            self.channels,
+                        ),
+                    };
+                    let mut writer = self.checkpoint_writer(run, &attempt, &recovery)?;
+                    if let Some(w) = writer.as_mut() {
+                        w.write_fds()?;
+                    }
+                    let mut degradations = base.clone();
+                    degradations.extend(eval.degradation.clone());
+                    // Restored products belong to the first attempt only.
+                    let resume = std::mem::take(&mut restored);
+                    match self.finish_candidate(
+                        run,
+                        &attempt,
+                        writer.as_mut(),
+                        resume,
+                        &mut degradations,
+                    ) {
+                        Ok(report) => break 'won Some((report, remedy, degradations)),
+                        Err(e) => match physical_phase(&e) {
+                            Some(phase) => {
+                                attempt.record_failure(
+                                    &mut recovery,
+                                    phase,
+                                    e.to_string(),
+                                    attempt_start,
+                                );
+                            }
+                            None => return Err(e),
+                        },
+                    }
+                }
+                // The whole ladder failed for this candidate.
+                nanomap_observe::incr("flow.candidates_rejected_physical", 1);
+            }
+            // The complete final rung: exact SAT-based slot assignment,
+            // opt-in, run only once every heuristic rung has failed and
+            // time remains. It walks the *whole* plan in preference
+            // order — a shallow folding with fewer NRAM sets may be
+            // solvable where the best candidate is not — and claims
+            // infeasibility only when every candidate is proven
+            // unsatisfiable.
+            if self.exact_recovery && !run.token.expired() && !recovery.attempts.is_empty() {
+                let mut best_unsat = None;
+                let mut all_proven = true;
+                for (i, eval) in candidates.iter().enumerate() {
+                    if run.token.expired() {
+                        all_proven = false;
+                        break;
+                    }
+                    match self.exact_assign_rung(run, first_rank + i, eval, &base, &mut recovery) {
+                        ExactRungResult::Success(report, degradations) => {
+                            break 'won Some((*report, Remedy::ExactAssign, degradations));
+                        }
+                        // Keep the preferred candidate's proof for the
+                        // error; later candidates still must be tried.
+                        ExactRungResult::Infeasible(summary) => {
+                            best_unsat.get_or_insert(summary);
+                        }
+                        ExactRungResult::Exhausted => all_proven = false,
+                        ExactRungResult::Fatal(e) => return Err(e),
+                    }
+                }
+                // An interrupted or routing-starved candidate means the
+                // infeasibility claim would be unsound; fall through to
+                // the generic exhaustion errors instead.
+                if let (true, Some(summary)) = (all_proven, best_unsat) {
                     return Err(FlowError::ExactAssignUnsat {
                         log: recovery,
                         summary,
                     });
                 }
-                ExactRungResult::Exhausted => {}
-                ExactRungResult::Fatal(e) => return Err(e),
             }
+            None
+        };
+        let Some((report, remedy, degradations)) = won else {
+            return Err(if run.token.expired() {
+                nanomap_observe::incr("flow.budget_expired", 1);
+                FlowError::BudgetExhausted {
+                    log: recovery,
+                    degradations: base,
+                }
+            } else {
+                FlowError::RecoveryExhausted { log: recovery }
+            });
+        };
+        flow_span.attr("folding_level", report.folding_level);
+        flow_span.attr("num_les", report.num_les);
+        if !degradations.is_empty() {
+            flow_span.attr("degraded", 1u64);
         }
-        Err(if token.expired() {
-            nanomap_observe::incr("flow.budget_expired", 1);
-            FlowError::BudgetExhausted {
-                log: recovery,
-                degradations: Vec::new(),
-            }
-        } else {
-            FlowError::RecoveryExhausted { log: recovery }
-        })
+        if remedy == Remedy::ExactAssign {
+            flow_span.attr("exact_recovery", 1u64);
+        }
+        self.finalize(run, report, recovery, remedy, degradations)
     }
 
-    /// Success bookkeeping shared by fresh and resumed runs: fold the
-    /// degradation history into the report, route strict-mode expiry to
+    /// Success bookkeeping: fold the degradation history into the
+    /// report, route strict-mode expiry to
     /// [`FlowError::BudgetExhausted`], stamp totals.
     fn finalize(
         &self,
+        run: &Run,
         mut report: MappingReport,
         mut recovery: RecoveryLog,
         remedy: Remedy,
         degradations: Vec<Degradation>,
-        token: &CancelToken,
-        total_start: Instant,
     ) -> Result<MappingReport, FlowError> {
         let degraded = !degradations.is_empty();
         if degraded {
@@ -776,8 +594,8 @@ impl NanoMap {
         report.degraded = degraded;
         report.degradations = degradations;
         report.recovery = recovery;
-        report.phase_times.total_ms = total_start.elapsed().as_secs_f64() * 1e3;
-        report.phase_times.budget_ms_remaining = token.remaining_ms();
+        report.phase_times.total_ms = run.total_start.elapsed().as_secs_f64() * 1e3;
+        report.phase_times.budget_ms_remaining = run.token.remaining_ms();
         if nanomap_observe::events_enabled() {
             for d in &report.degradations {
                 nanomap_observe::publish(nanomap_observe::EventKind::Degraded {
@@ -818,38 +636,38 @@ impl NanoMap {
 
     /// Builds the checkpoint writer for one physical-design attempt,
     /// when a checkpoint directory is configured.
-    #[allow(clippy::too_many_arguments)]
     fn checkpoint_writer(
         &self,
-        net: &LutNetwork,
-        objective: &Objective,
-        candidate_rank: usize,
-        config: FoldingConfig,
-        remedy: Remedy,
-        overrides: &PhysicalOverrides,
-        schedules: &[Schedule],
+        run: &Run,
+        attempt: &Attempt,
         recovery: &RecoveryLog,
     ) -> Result<Option<CheckpointWriter>, FlowError> {
         let Some(dir) = &self.checkpoint_dir else {
             return Ok(None);
         };
+        let config = attempt.eval.config;
         let checkpoint = Checkpoint {
-            circuit: net.name().to_string(),
-            netlist_hash: netlist_fingerprint(net),
-            objective: objective.key(),
+            circuit: run.net.name().to_string(),
+            netlist_hash: netlist_fingerprint(run.net),
+            objective: run.objective.key(),
             lut_inputs: self.arch.lut_inputs,
             luts_per_le: self.arch.luts_per_le,
             ffs_per_le: self.arch.ffs_per_le,
             num_reconf: self.arch.num_reconf,
             phase: CheckpointPhase::Fds,
-            candidate_rank,
+            candidate_rank: attempt.rank,
             level: config.level,
             stages: config.stages,
             sharing: config.sharing,
-            remedy,
-            place_seed: overrides.place.seed,
-            route_seed: overrides.route.seed,
-            schedules: schedules.iter().map(ScheduleSnapshot::capture).collect(),
+            remedy: attempt.remedy,
+            place_seed: attempt.overrides.place.seed,
+            route_seed: attempt.overrides.route.seed,
+            schedules: attempt
+                .eval
+                .schedules
+                .iter()
+                .map(ScheduleSnapshot::capture)
+                .collect(),
             recovery: recovery.clone(),
             packing: None,
             placement: None,
@@ -859,34 +677,27 @@ impl NanoMap {
 
     /// Logic-mapping evaluation of one folding configuration: schedules
     /// every plane (polling the cancel token at FDS round boundaries)
-    /// and computes LE usage and analytical delay. Returns the merged
-    /// per-plane degradation when the budget truncated any FDS run.
+    /// and computes LE usage and analytical delay. A budget-truncated
+    /// FDS run leaves its merged per-plane degradation in the result.
     pub(crate) fn evaluate_budgeted(
         &self,
         net: &LutNetwork,
         planes: &PlaneSet,
         config: FoldingConfig,
         token: &CancelToken,
-    ) -> Result<(CandidateEval, Option<Degradation>), FlowError> {
-        let mut graphs = Vec::new();
+    ) -> Result<CandidateEval, FlowError> {
+        let start = Instant::now();
+        let graphs = item_graphs(net, planes, config)?;
         let mut schedules = Vec::new();
         let mut degradation: Option<Degradation> = None;
-        match config.level {
-            None => {
+        for graph in &graphs {
+            let schedule = match config.level {
                 // No folding: trivial single-stage schedules, nothing for
                 // the budget to truncate.
-                for plane in planes.planes() {
-                    let graph = ItemGraph::build(net, plane, planes.depth_max().max(1))?;
-                    let n = graph.len();
-                    graphs.push(graph);
-                    schedules.push(Schedule::new(vec![0; n], 1));
-                }
-            }
-            Some(p) => {
-                let stages = config.stages;
-                for plane in planes.planes() {
-                    let graph = ItemGraph::build(net, plane, p)?;
-                    let scheduled = schedule_fds_budgeted(net, &graph, stages, self.fds, token)?;
+                None => Schedule::new(vec![0; graph.len()], 1),
+                Some(_) => {
+                    let scheduled =
+                        schedule_fds_budgeted(net, graph, config.stages, self.fds, token)?;
                     let (schedule, plane_degradation) = scheduled.into_parts();
                     if let Some(d) = plane_degradation {
                         // Merge per-plane degradations: first reason wins,
@@ -899,21 +710,21 @@ impl NanoMap {
                             None => degradation = Some(d),
                         }
                     }
-                    graphs.push(graph);
-                    schedules.push(schedule);
+                    schedule
                 }
-            }
+            };
+            schedules.push(schedule);
         }
         let (les, delay_ns) = self.assess(net, planes, config, &graphs, &schedules);
-        Ok((
-            CandidateEval {
-                les,
-                delay_ns,
-                graphs,
-                schedules,
-            },
+        Ok(CandidateEval {
+            config,
+            les,
+            delay_ns,
+            graphs,
+            schedules,
             degradation,
-        ))
+            fds_ms: start.elapsed().as_secs_f64() * 1e3,
+        })
     }
 
     /// LE usage and analytical delay of a scheduled candidate — shared
@@ -987,30 +798,34 @@ impl NanoMap {
         }
     }
 
-    /// Clustering, placement, routing, bitmap and verification for the
-    /// chosen candidate, with the physical-design options of one
+    /// Clustering, placement, routing, bitmap and verification for one
+    /// attempt: a candidate under the physical-design options of one
     /// recovery-ladder rung.
     ///
-    /// Phases poll `token` at iteration boundaries and append their
-    /// [`Degradation`] to `degradations` when it expires; `resume`
+    /// Phases poll the run's token at iteration boundaries and append
+    /// their [`Degradation`] to `degradations` when it expires; `resume`
     /// products restored from a checkpoint skip their phase entirely,
     /// and each completed phase lands in `ckpt` when checkpointing is
     /// on.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_candidate(
         &self,
-        net: &LutNetwork,
-        planes: &PlaneSet,
-        config: FoldingConfig,
-        eval: CandidateEval,
-        mut times: PhaseTimes,
-        overrides: &PhysicalOverrides,
-        token: &CancelToken,
+        run: &Run,
+        attempt: &Attempt,
         mut ckpt: Option<&mut CheckpointWriter>,
         mut resume: ResumeProducts,
         degradations: &mut Vec<Degradation>,
     ) -> Result<MappingReport, FlowError> {
-        let design = TemporalDesign::new(net, planes, eval.graphs, eval.schedules)?;
+        let (net, planes, token) = (run.net, run.planes, run.token);
+        let (eval, overrides) = (attempt.eval, &attempt.overrides);
+        let config = eval.config;
+        // The candidate's FDS ran once, inside selection: report it as
+        // its own phase and the rest of selection as folding-select.
+        let mut times = PhaseTimes {
+            folding_select_ms: run.select_ms - eval.fds_ms,
+            fds_ms: eval.fds_ms,
+            ..PhaseTimes::default()
+        };
+        let design = TemporalDesign::new(net, planes, eval.graphs.clone(), eval.schedules.clone())?;
         {
             // The verify span is always emitted so the phase set is
             // complete; the attribute records whether it actually ran.
@@ -1197,20 +1012,100 @@ impl NanoMap {
     }
 }
 
-/// Per-candidate logic-mapping result.
+/// Per-candidate logic-mapping result, computed once during selection
+/// and shared by every attempt on the candidate.
 pub(crate) struct CandidateEval {
+    pub(crate) config: FoldingConfig,
     pub(crate) les: u32,
     pub(crate) delay_ns: f64,
     pub(crate) graphs: Vec<ItemGraph>,
     pub(crate) schedules: Vec<Schedule>,
+    /// Set when the budget truncated FDS.
+    pub(crate) degradation: Option<Degradation>,
+    /// Wall-clock of the evaluation (zero for a restored checkpoint).
+    pub(crate) fds_ms: f64,
 }
 
-/// Phase products restored from a checkpoint; a resumed attempt consumes
-/// them instead of re-running the corresponding phases.
-#[derive(Default)]
-pub(crate) struct ResumeProducts {
-    pub(crate) packing: Option<Packing>,
-    pub(crate) placement: Option<(Grid, Vec<SmbPos>)>,
+/// What every attempt of one mapping run shares.
+pub(crate) struct Run<'a> {
+    pub(crate) net: &'a LutNetwork,
+    pub(crate) planes: &'a PlaneSet,
+    objective: Objective,
+    pub(crate) token: &'a CancelToken,
+    /// Wall-clock of candidate selection (zero on resume).
+    select_ms: f64,
+    total_start: Instant,
+}
+
+/// What the ladder driver climbs: candidates in preference order, the
+/// rung to start on and what an interrupted run left behind.
+struct Plan {
+    candidates: Vec<CandidateEval>,
+    /// Preference rank of the first candidate.
+    first_rank: usize,
+    /// The rung the first candidate starts on (a remedy outside
+    /// [`LADDER`] starts at the baseline).
+    start: Remedy,
+    /// Products the first attempt consumes instead of re-running.
+    restored: ResumeProducts,
+    recovery: RecoveryLog,
+    /// Degradations every attempt inherits (a truncated selection).
+    degradations: Vec<Degradation>,
+}
+
+/// One physical-design attempt: a candidate under one rung's options.
+pub(crate) struct Attempt<'a> {
+    pub(crate) rank: usize,
+    pub(crate) eval: &'a CandidateEval,
+    pub(crate) remedy: Remedy,
+    pub(crate) overrides: PhysicalOverrides,
+}
+
+impl Attempt<'_> {
+    /// Records this attempt's failure in `recovery`.
+    pub(crate) fn record_failure(
+        &self,
+        recovery: &mut RecoveryLog,
+        phase: &'static str,
+        error: String,
+        start: Instant,
+    ) {
+        recovery.record(RecoveryAttempt {
+            attempt: recovery.total_attempts(),
+            candidate: self.rank,
+            folding_level: self.eval.config.level,
+            stages: self.eval.config.stages,
+            remedy: self.remedy,
+            phase,
+            error,
+            wall_us: start.elapsed().as_micros() as u64,
+        });
+    }
+}
+
+/// The phase of a failure the next ladder rung may cure (placement or
+/// routing); `None` for failures no rung can fix.
+pub(crate) fn physical_phase(e: &FlowError) -> Option<&'static str> {
+    match e {
+        FlowError::Place(_) => Some("place"),
+        FlowError::Route(_) => Some("route"),
+        _ => None,
+    }
+}
+
+/// Item graphs of every plane at a configuration's folding level (no
+/// folding builds them at the deepest plane's depth).
+fn item_graphs(
+    net: &LutNetwork,
+    planes: &PlaneSet,
+    config: FoldingConfig,
+) -> Result<Vec<ItemGraph>, FlowError> {
+    let level = config.level.unwrap_or_else(|| planes.depth_max().max(1));
+    planes
+        .planes()
+        .iter()
+        .map(|plane| Ok(ItemGraph::build(net, plane, level)?))
+        .collect()
 }
 
 /// Assigns every flip-flop to one plane (the plane it feeds, else the

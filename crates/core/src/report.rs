@@ -66,9 +66,13 @@ pub struct MappingReport {
 /// Wall-clock milliseconds per flow phase (zero when a phase did not run).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Candidate enumeration + FDS evaluation of every folding config.
+    /// Candidate enumeration and FDS evaluation of every folding config,
+    /// except the winning candidate's evaluation (that is `fds_ms`).
+    /// Together the two cover the `folding-select` span.
     pub folding_select_ms: f64,
-    /// Re-scheduling (FDS) of the winning candidate.
+    /// FDS evaluation of the winning candidate, measured during
+    /// selection: every candidate is scheduled once. Zero on resume,
+    /// which restores the schedules from the checkpoint.
     pub fds_ms: f64,
     /// Temporal clustering.
     pub pack_ms: f64,

@@ -6,9 +6,10 @@
 //! reproduces the uninterrupted run's report exactly.
 
 use nanomap::{
-    Checkpoint, CheckpointPhase, FlowError, MappingReport, NanoMap, Objective, PhaseTimes, Remedy,
+    Checkpoint, CheckpointError, CheckpointPhase, FlowError, MappingReport, NanoMap, Objective,
+    PhaseTimes, Remedy,
 };
-use nanomap_arch::ArchParams;
+use nanomap_arch::{ArchParams, DefectMap};
 use nanomap_netlist::rtl::{CombOp, RtlBuilder, RtlCircuit};
 use nanomap_netlist::LutNetwork;
 use nanomap_techmap::{expand, ExpandOptions};
@@ -114,40 +115,60 @@ fn zero_budget_anytime_yields_a_degraded_mapping() {
 #[test]
 fn resume_from_each_checkpoint_phase_reproduces_the_report() {
     let net = mac_net();
-    let dir = std::env::temp_dir().join(format!("nanomap-resume-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let flow = NanoMap::new(ArchParams::paper_unbounded()).with_checkpoint_dir(&dir);
-    let baseline = flow.map(&net, Objective::MinAreaDelayProduct).unwrap();
-    let path = dir.join("mac.ckpt.json");
-    let full = Checkpoint::load(&path).unwrap();
-    assert_eq!(full.phase, CheckpointPhase::Place);
-
-    // Resume from each phase prefix a crash could have left behind.
-    let resumer = NanoMap::new(ArchParams::paper_unbounded());
-    for phase in [
-        CheckpointPhase::Fds,
-        CheckpointPhase::Pack,
-        CheckpointPhase::Place,
+    // A clean fabric maps on the first attempt; this defective one
+    // climbs the ladder through four candidate fallbacks, so its final
+    // checkpoint pins a fallback candidate on an escalated rung.
+    for (tag, defects) in [
+        ("clean", DefectMap::none()),
+        ("defective", DefectMap::uniform(0.4, 4)),
     ] {
-        let mut ckpt = full.clone();
-        if phase < CheckpointPhase::Place {
-            ckpt.placement = None;
+        let dir = std::env::temp_dir().join(format!("nanomap-resume-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let flow = NanoMap::new(ArchParams::paper_unbounded())
+            .with_defects(defects.clone())
+            .with_checkpoint_dir(&dir);
+        let baseline = flow.map(&net, Objective::MinAreaDelayProduct).unwrap();
+        let path = dir.join("mac.ckpt.json");
+        let full = Checkpoint::load(&path).unwrap();
+        assert_eq!(full.phase, CheckpointPhase::Place);
+        if tag == "defective" {
+            assert!(
+                full.candidate_rank > 0,
+                "{tag}: pins the preferred candidate"
+            );
+            assert!(
+                !full.recovery.attempts.is_empty(),
+                "{tag}: empty recovery log"
+            );
         }
-        if phase < CheckpointPhase::Pack {
-            ckpt.packing = None;
+
+        // Resume from each phase prefix a crash could have left behind.
+        let resumer = NanoMap::new(ArchParams::paper_unbounded()).with_defects(defects);
+        for phase in [
+            CheckpointPhase::Fds,
+            CheckpointPhase::Pack,
+            CheckpointPhase::Place,
+        ] {
+            let mut ckpt = full.clone();
+            if phase < CheckpointPhase::Place {
+                ckpt.placement = None;
+            }
+            if phase < CheckpointPhase::Pack {
+                ckpt.packing = None;
+            }
+            ckpt.phase = phase;
+            let resumed = resumer
+                .map_resume(&net, Objective::MinAreaDelayProduct, &ckpt)
+                .unwrap();
+            assert_eq!(
+                normalized(&baseline),
+                normalized(&resumed),
+                "{tag}: resume from {} diverged",
+                phase.as_str()
+            );
         }
-        ckpt.phase = phase;
-        let resumed = resumer
-            .map_resume(&net, Objective::MinAreaDelayProduct, &ckpt)
-            .unwrap();
-        assert_eq!(
-            normalized(&baseline),
-            normalized(&resumed),
-            "resume from {} diverged",
-            phase.as_str()
-        );
+        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -208,5 +229,21 @@ fn resume_rejects_a_mismatched_netlist_or_objective() {
         .map_resume(&net, Objective::MinDelay { max_les: None }, &ckpt)
         .unwrap_err();
     assert!(matches!(err, FlowError::Checkpoint(_)), "{err}");
+
+    // Internally inconsistent: the pinned stage count disagrees with
+    // the schedules it carries, so resuming would misreport delay and
+    // NRAM usage.
+    let mut inconsistent = ckpt.clone();
+    inconsistent.stages = ckpt.schedules[0].stages + 5;
+    let err = flow
+        .map_resume(&net, Objective::MinAreaDelayProduct, &inconsistent)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            FlowError::Checkpoint(CheckpointError::Malformed { .. })
+        ),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

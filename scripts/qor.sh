@@ -21,7 +21,9 @@
 # must degrade gracefully (exit 0 or 4, never a hang or panic) and still
 # emit a parseable QoR artifact. The kill-and-resume leg SIGKILLs a run
 # mid-flight, then resumes from the crash-safe checkpoint and requires
-# the explain artifact to match the uninterrupted baseline byte for byte.
+# the explain artifact to match the uninterrupted baseline byte for byte;
+# a defective-fabric run that climbs the recovery ladder must resume to
+# the same bytes too.
 #
 # The perf leg re-measures the paper suite (bench `perf` bin, 3 runs)
 # and gates phase medians against results/perf/bench.json with
@@ -158,6 +160,16 @@ else
   ./target/release/nanomap designs/accumulator.vhd --resume CKPT_torn.json \
     --anytime --explain TORN_resume_explain.json >/dev/null 2>&1
   cmp BASE_explain.json TORN_resume_explain.json
+  # Defective fabric: the ladder fails 12 attempts over 4 candidates, so
+  # the final checkpoint pins a fallback candidate and carries a
+  # recovery log; resuming it must reproduce the run byte for byte.
+  rm -rf CKPT_defect
+  ./target/release/nanomap designs/accumulator.vhd --defect-rate 0.3 --defect-seed 1 \
+    --checkpoint-dir CKPT_defect --explain BASE_defect_explain.json >/dev/null
+  ./target/release/nanomap designs/accumulator.vhd --defect-rate 0.3 --defect-seed 1 \
+    --resume CKPT_defect/accumulator.ckpt.json \
+    --explain RESUME_defect_explain.json >/dev/null
+  cmp BASE_defect_explain.json RESUME_defect_explain.json
   echo "==> gate: perf (phase medians vs results/perf/bench.json)"
   ./target/release/perf --runs 3 --out BENCH_perf_new.json --profile-dir PERF_prof
   ./target/release/nanomap perf-diff --rel 2.0 --abs-ms 25 \
