@@ -134,7 +134,7 @@ fn main() {
             bar(dgs.storage[j])
         );
     }
-    let s_dist = DistributionGraphs::storage_distribution_of(&graph, &frames, &op, None);
+    let s_dist = DistributionGraphs::storage_distribution_of(&frames, &op, None);
     println!("  storage S distribution per cycle: {s_dist:.3?}");
 
     println!("\nAlgorithm 1: force-directed schedule");

@@ -5,9 +5,8 @@
 //! per circuit, the median and p95 of every phase's wall-clock over N
 //! repeated runs plus peak memory, and a [`PerfDocument`] bundles them
 //! under the `nanomap-perf-v1` schema tag. `crates/bench`'s `perf` bin
-//! generates these; committed baselines live in `results/perf/` next to
-//! the QoR baselines, with the latest trajectory point at the repo root
-//! as `BENCH_perf.json`.
+//! generates these; the committed baseline is `BENCH_perf.json` at the
+//! repo root.
 //!
 //! Unlike QoR, perf numbers are noisy — they measure the machine as much
 //! as the code — so the gate ([`diff_perf`]) is built differently:

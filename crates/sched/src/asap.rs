@@ -29,13 +29,45 @@ impl TimeFrames {
         stages: u32,
         pinned: &[Option<u32>],
     ) -> Result<Self, SchedError> {
+        Self::with_order(graph, &topo_order(graph)?, stages, pinned)
+    }
+
+    /// [`Self::compute`] over a precomputed topological order.
+    pub(crate) fn with_order(
+        graph: &ItemGraph,
+        order: &[usize],
+        stages: u32,
+        pinned: &[Option<u32>],
+    ) -> Result<Self, SchedError> {
+        let n = graph.len();
+        let mut frames = Self {
+            asap: vec![0; n],
+            alap: vec![0; n],
+            stages,
+        };
+        frames.update(graph, order, pinned)?;
+        Ok(frames)
+    }
+
+    /// Recomputes every frame in place after the pins changed, reusing
+    /// the buffers. `order` is a topological order of `graph`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::compute`]; the frames are then unspecified.
+    pub(crate) fn update(
+        &mut self,
+        graph: &ItemGraph,
+        order: &[usize],
+        pinned: &[Option<u32>],
+    ) -> Result<(), SchedError> {
         let n = graph.len();
         assert_eq!(pinned.len(), n, "one pin slot per item");
-        let order = topo_order(graph)?;
+        let stages = self.stages;
+        let Self { asap, alap, .. } = self;
 
         // ASAP: longest path from sources.
-        let mut asap = vec![0u32; n];
-        for &i in &order {
+        for &i in order {
             let mut earliest = 0;
             for &(p, lat) in &graph.preds[i] {
                 earliest = earliest.max(asap[p] + lat);
@@ -52,7 +84,6 @@ impl TimeFrames {
             asap[i] = earliest;
         }
         // ALAP: longest path to sinks, anchored at stages - 1.
-        let mut alap = vec![stages.saturating_sub(1); n];
         for &i in order.iter().rev() {
             let mut latest = stages.saturating_sub(1);
             for &(s, lat) in &graph.succs[i] {
@@ -83,7 +114,7 @@ impl TimeFrames {
                 });
             }
         }
-        Ok(Self { asap, alap, stages })
+        Ok(())
     }
 
     /// The time frame `[asap, alap]` of an item.

@@ -40,19 +40,21 @@ pub fn storage_ops(
     graph: &ItemGraph,
     mode: StorageWeightMode,
 ) -> Vec<StorageOp> {
+    // The fanout table spans the whole network: build it once, and only
+    // for the mode that reads it.
+    let fanouts = (mode == StorageWeightMode::BoundaryOutputs).then(|| net.fanouts());
     let mut ops = Vec::new();
     for (src, item) in graph.items.iter().enumerate() {
         let dests: BTreeSet<usize> = graph.succs[src].iter().map(|&(d, _)| d).collect();
         if dests.is_empty() {
             continue;
         }
-        let weight = match mode {
-            StorageWeightMode::ItemWeight => item.weight,
-            StorageWeightMode::BoundaryOutputs => {
+        let weight = match &fanouts {
+            None => item.weight,
+            Some(fanouts) => {
                 // Count member LUTs with at least one consumer outside the
                 // item (another plane item).
                 let member: BTreeSet<_> = item.luts.iter().copied().collect();
-                let fanouts = net.fanouts();
                 item.luts
                     .iter()
                     .filter(|&&l| {
@@ -84,96 +86,140 @@ pub struct DistributionGraphs {
 impl DistributionGraphs {
     /// Builds both DGs from the current time frames.
     pub fn build(graph: &ItemGraph, frames: &TimeFrames, ops: &[StorageOp]) -> Self {
+        let mut dgs = Self {
+            lut: Vec::new(),
+            storage: Vec::new(),
+        };
+        dgs.rebuild(graph, frames, &lifetimes(ops, frames));
+        dgs
+    }
+
+    /// Rebuilds both DGs in place from scratch, summing in item and op
+    /// order, so the result is bit-identical to [`Self::build`] over the
+    /// same frames. `lives` holds every op's lifetime under `frames`.
+    pub(crate) fn rebuild(&mut self, graph: &ItemGraph, frames: &TimeFrames, lives: &[Lifetime]) {
         let stages = frames.stages as usize;
-        let mut lut = vec![0.0; stages];
+        self.lut.clear();
+        self.lut.resize(stages, 0.0);
         for (i, item) in graph.items.iter().enumerate() {
             let (a, b) = frames.frame(i);
             let p = f64::from(item.weight) / f64::from(frames.frame_len(i));
-            for slot in lut.iter_mut().take(b as usize + 1).skip(a as usize) {
+            for slot in self.lut.iter_mut().take(b as usize + 1).skip(a as usize) {
                 *slot += p;
             }
         }
-        let mut storage = vec![0.0; stages];
-        for op in ops {
-            add_storage_distribution(&mut storage, graph, frames, op, None);
+        self.storage.clear();
+        self.storage.resize(stages, 0.0);
+        for life in lives {
+            life.add_to(&mut self.storage);
         }
-        Self { lut, storage }
     }
 
     /// The storage distribution contributed by a single op, optionally with
-    /// one item tentatively pinned to a cycle (used by force evaluation).
+    /// one item tentatively pinned to a cycle.
     pub fn storage_distribution_of(
-        graph: &ItemGraph,
         frames: &TimeFrames,
         op: &StorageOp,
         tentative: Option<(usize, u32)>,
     ) -> Vec<f64> {
         let mut dist = vec![0.0; frames.stages as usize];
-        add_storage_distribution(&mut dist, graph, frames, op, tentative);
+        Lifetime::of(op, |i| match tentative {
+            Some((t, c)) if t == i => (c, c),
+            _ => frames.frame(i),
+        })
+        .add_to(&mut dist);
         dist
     }
 }
 
-/// Implements Eqs. (6)–(10) for one storage operation.
-fn add_storage_distribution(
-    acc: &mut [f64],
-    _graph: &ItemGraph,
-    frames: &TimeFrames,
-    op: &StorageOp,
-    tentative: Option<(usize, u32)>,
-) {
-    let frame = |i: usize| -> (u32, u32) {
-        match tentative {
-            Some((t, c)) if t == i => (c, c),
-            _ => frames.frame(i),
-        }
-    };
-    let (src_asap, src_alap) = frame(op.src);
-    let dest_end_asap = op
-        .dests
-        .iter()
-        .map(|&d| frame(d).0)
-        .max()
-        .expect("non-empty");
-    let dest_end_alap = op
-        .dests
-        .iter()
-        .map(|&d| frame(d).1)
-        .max()
-        .expect("non-empty");
+/// Every op's lifetime under `frames`, in op order.
+pub(crate) fn lifetimes(ops: &[StorageOp], frames: &TimeFrames) -> Vec<Lifetime> {
+    ops.iter()
+        .map(|op| Lifetime::of(op, |i| frames.frame(i)))
+        .collect()
+}
 
-    // Lifetimes (Fig. 4): begin at the source cycle, end at the last
-    // destination cycle.
-    let asap_len = f64::from(dest_end_asap.saturating_sub(src_asap) + 1);
-    let alap_len = f64::from(dest_end_alap.saturating_sub(src_alap) + 1);
-    // Eq. (6).
-    let max_begin = src_asap;
-    let max_end = dest_end_alap.max(src_asap);
-    let max_len = f64::from(max_end - max_begin + 1);
-    // Eq. (7): overlap of ASAP_life and ALAP_life.
-    let overlap_begin = src_alap;
-    let overlap_end_incl = dest_end_asap;
-    let overlap_len = if overlap_end_incl >= overlap_begin {
-        f64::from(overlap_end_incl - overlap_begin + 1)
-    } else {
-        0.0
-    };
-    // Eq. (8).
-    let avg_life = (asap_len + alap_len + max_len) / 3.0;
+/// The storage lifetime of one op under some time frames (Fig. 4), and
+/// its expected live bits per cycle: Eqs. (6)–(10), the one copy shared
+/// by the storage DG and the storage force.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Lifetime {
+    /// First cycle of the maximum lifetime (Eq. 6).
+    pub(crate) begin: u32,
+    /// Last cycle of the maximum lifetime (Eq. 6).
+    pub(crate) end: u32,
+    /// Overlap of the ASAP and ALAP lifetimes (Eq. 7); empty when
+    /// `overlap.0 > overlap.1`.
+    overlap: (u32, u32),
+    /// Live bits inside the overlap (Eq. 10).
+    certain: f64,
+    /// Live bits elsewhere in the maximum lifetime (Eq. 9).
+    likely: f64,
+}
 
-    let weight = f64::from(op.weight);
-    for j in max_begin..=max_end {
-        let in_overlap = overlap_len > 0.0 && j >= overlap_begin && j <= overlap_end_incl;
-        let value = if in_overlap {
-            // Eq. (10): a bit is certainly live here.
-            weight
-        } else if max_len > overlap_len {
-            // Eq. (9).
+impl Lifetime {
+    /// The lifetime of `op` with each member item's frame read from
+    /// `frame`.
+    pub(crate) fn of(op: &StorageOp, frame: impl Fn(usize) -> (u32, u32)) -> Self {
+        let (src_asap, src_alap) = frame(op.src);
+        // The last destination cycle; `storage_ops` never emits an op
+        // without destinations.
+        let (dest_end_asap, dest_end_alap) = op.dests.iter().fold((0, 0), |(asap, alap), &d| {
+            let (a, b) = frame(d);
+            (asap.max(a), alap.max(b))
+        });
+
+        // Lifetimes (Fig. 4): begin at the source cycle, end at the last
+        // destination cycle.
+        let asap_len = f64::from(dest_end_asap.saturating_sub(src_asap) + 1);
+        let alap_len = f64::from(dest_end_alap.saturating_sub(src_alap) + 1);
+        // Eq. (6).
+        let begin = src_asap;
+        let end = dest_end_alap.max(src_asap);
+        let max_len = f64::from(end - begin + 1);
+        // Eq. (7): overlap of ASAP_life and ALAP_life.
+        let overlap = (src_alap, dest_end_asap);
+        let overlap_len = if overlap.1 >= overlap.0 {
+            f64::from(overlap.1 - overlap.0 + 1)
+        } else {
+            0.0
+        };
+        // Eq. (8).
+        let avg_life = (asap_len + alap_len + max_len) / 3.0;
+
+        let weight = f64::from(op.weight);
+        // Eq. (9).
+        let likely = if max_len > overlap_len {
             weight * (avg_life - overlap_len) / (max_len - overlap_len)
         } else {
             0.0
         };
-        acc[j as usize] += value.max(0.0);
+        Self {
+            begin,
+            end,
+            overlap,
+            // Eq. (10): a bit is certainly live in the overlap.
+            certain: weight,
+            likely: likely.max(0.0),
+        }
+    }
+
+    /// Expected live bits in cycle `j`; zero outside the lifetime.
+    pub(crate) fn at(&self, j: u32) -> f64 {
+        if j < self.begin || j > self.end {
+            0.0
+        } else if (self.overlap.0..=self.overlap.1).contains(&j) {
+            self.certain
+        } else {
+            self.likely
+        }
+    }
+
+    /// Adds the distribution to `acc`, cycle by cycle.
+    fn add_to(&self, acc: &mut [f64]) {
+        for j in self.begin..=self.end {
+            acc[j as usize] += self.at(j);
+        }
     }
 }
 
@@ -292,7 +338,7 @@ mod tests {
         // ASAP life = [0, 1] len 2; ALAP life = [1, 2] len 2;
         // max life = [0, 2] len 3; overlap = [1, 1] len 1;
         // avg = (2 + 2 + 3) / 3 = 7/3.
-        let dist = DistributionGraphs::storage_distribution_of(&g, &tf, &ops[0], None);
+        let dist = DistributionGraphs::storage_distribution_of(&tf, &ops[0], None);
         // Overlap cycle 1 gets full weight.
         assert!((dist[1] - 1.0).abs() < 1e-9);
         // Cycles 0 and 2: (avg - ov)/(max - ov) = (7/3 - 1)/2 = 2/3.
@@ -313,7 +359,7 @@ mod tests {
             dests: vec![2, 3],
             weight: 4,
         };
-        let dist = DistributionGraphs::storage_distribution_of(&g, &tf, &op, None);
+        let dist = DistributionGraphs::storage_distribution_of(&tf, &op, None);
         // Live cycles 0..=2 (src 0, last dest 2), weight 4 each.
         assert_eq!(dist, vec![4.0, 4.0, 4.0]);
     }
@@ -327,11 +373,63 @@ mod tests {
             dests: vec![2, 3],
             weight: 1,
         };
-        let free = DistributionGraphs::storage_distribution_of(&g, &tf, &op, None);
-        let pinned = DistributionGraphs::storage_distribution_of(&g, &tf, &op, Some((1, 1)));
+        let free = DistributionGraphs::storage_distribution_of(&tf, &op, None);
+        let pinned = DistributionGraphs::storage_distribution_of(&tf, &op, Some((1, 1)));
         assert_ne!(free, pinned);
         // Pinning the source to cycle 1 removes any cycle-0 storage.
         assert!(pinned[0].abs() < 1e-9);
+    }
+
+    /// The ops of c5315 (single-LUT items, where both weight modes agree)
+    /// and FIR (module clusters, where they differ) at every candidate
+    /// folding level, fingerprinted in both weight modes. The values are
+    /// pinned from the implementation that rebuilt the fanout table once
+    /// per item.
+    #[test]
+    fn storage_ops_are_pinned_in_both_modes() {
+        let fingerprint = |net: &nanomap_netlist::LutNetwork, mode| {
+            let planes = nanomap_netlist::PlaneSet::extract(net).unwrap();
+            let mut hash = nanomap_observe::Fnv1a::new();
+            for config in nanomap::candidate_configs(&planes, u32::MAX) {
+                let Some(level) = config.level else {
+                    continue;
+                };
+                for plane in planes.planes() {
+                    let graph = ItemGraph::build(net, plane, level).unwrap();
+                    for op in storage_ops(net, &graph, mode) {
+                        hash.u64(op.src as u64).u64(u64::from(op.weight));
+                        for d in op.dests {
+                            hash.u64(d as u64);
+                        }
+                        hash.byte(0xFF);
+                    }
+                }
+            }
+            hash.finish()
+        };
+        let pinned = [
+            ("FIR", 0x73e1_081d_2721_b004, 0xbc9a_28dd_c232_bed8),
+            ("c5315", 0xc6aa_4fe8_64ad_bfef, 0xc6aa_4fe8_64ad_bfef),
+        ];
+        for bench in nanomap_bench::circuits::paper_benchmarks() {
+            let Some(&(_, item_weight, boundary)) = pinned.iter().find(|p| p.0 == bench.name)
+            else {
+                continue;
+            };
+            let net = &bench.network;
+            assert_eq!(
+                fingerprint(net, StorageWeightMode::ItemWeight),
+                item_weight,
+                "{}",
+                bench.name
+            );
+            assert_eq!(
+                fingerprint(net, StorageWeightMode::BoundaryOutputs),
+                boundary,
+                "{}",
+                bench.name
+            );
+        }
     }
 
     #[test]

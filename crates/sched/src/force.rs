@@ -9,7 +9,7 @@
 //! their induced forces are added to the total.
 
 use crate::asap::TimeFrames;
-use crate::dg::{DistributionGraphs, StorageOp};
+use crate::dg::{DistributionGraphs, Lifetime, StorageOp};
 use crate::item::ItemGraph;
 
 /// Resource shape of an LE: `h` LUTs and `l` flip-flops (Eq. 14).
@@ -27,44 +27,37 @@ impl Default for LeShape {
     }
 }
 
-/// Force evaluator bound to one DG snapshot.
-#[derive(Debug)]
-pub struct ForceModel<'a> {
-    graph: &'a ItemGraph,
-    frames: &'a TimeFrames,
-    dgs: &'a DistributionGraphs,
-    ops: &'a [StorageOp],
-    /// Indices into `ops` touching each item (as src or dest).
-    ops_of_item: Vec<Vec<usize>>,
-    shape: LeShape,
-}
-
-impl<'a> ForceModel<'a> {
-    /// Creates an evaluator for the current frames and DGs.
-    pub fn new(
-        graph: &'a ItemGraph,
-        frames: &'a TimeFrames,
-        dgs: &'a DistributionGraphs,
-        ops: &'a [StorageOp],
-        shape: LeShape,
-    ) -> Self {
-        let mut ops_of_item = vec![Vec::new(); graph.len()];
-        for (k, op) in ops.iter().enumerate() {
-            ops_of_item[op.src].push(k);
-            for &d in &op.dests {
-                ops_of_item[d].push(k);
-            }
-        }
-        Self {
-            graph,
-            frames,
-            dgs,
-            ops,
-            ops_of_item,
-            shape,
+/// The storage ops touching each item (as source or destination), in op
+/// order. A run invariant of the FDS loop.
+pub(crate) fn ops_of_item(graph: &ItemGraph, ops: &[StorageOp]) -> Vec<Vec<usize>> {
+    let mut ops_of_item = vec![Vec::new(); graph.len()];
+    for (k, op) in ops.iter().enumerate() {
+        ops_of_item[op.src].push(k);
+        for &d in &op.dests {
+            ops_of_item[d].push(k);
         }
     }
+    ops_of_item
+}
 
+/// Force evaluator over one snapshot of time frames and DGs. It borrows
+/// everything and allocates nothing, so the FDS loop can rebuild it every
+/// round for free.
+#[derive(Debug)]
+pub(crate) struct ForceModel<'a> {
+    pub(crate) graph: &'a ItemGraph,
+    pub(crate) frames: &'a TimeFrames,
+    pub(crate) dgs: &'a DistributionGraphs,
+    pub(crate) ops: &'a [StorageOp],
+    /// [`ops_of_item`] of `graph` and `ops`.
+    pub(crate) ops_of_item: &'a [Vec<usize>],
+    /// Every op's lifetime under `frames`: the "before" side of each
+    /// storage force.
+    pub(crate) lives: &'a [Lifetime],
+    pub(crate) shape: LeShape,
+}
+
+impl ForceModel<'_> {
     /// Force of changing an item's LUT distribution from frame `old` to
     /// frame `new` (Eq. 13 generalized: `Σ DG(k) · ΔDG_i(k)` with the
     /// item's weight folded into the distribution change).
@@ -83,34 +76,41 @@ impl<'a> ForceModel<'a> {
     }
 
     /// LUT self-force of assigning `item` to cycle `j` (Eq. 13).
-    pub fn lut_self_force(&self, item: usize, j: u32) -> f64 {
+    fn lut_self_force(&self, item: usize, j: u32) -> f64 {
         self.lut_frame_force(item, self.frames.frame(item), (j, j))
     }
 
     /// Storage self-force of assigning `item` to cycle `j`: the change of
     /// the storage distributions of every op touching `item`, dotted with
     /// the storage DG.
-    pub fn storage_self_force(&self, item: usize, j: u32) -> f64 {
+    ///
+    /// Only the cycles of the two lifetimes are summed: every other cycle
+    /// adds an exact `+0.0` to a sum that is never `-0.0`, so the result
+    /// is bit-identical to a sum over all cycles. For the ops of
+    /// [`crate::storage_ops`] the tentative lifetime lies inside the
+    /// current one (a pin stays inside the item's frame, and a source's
+    /// ALAP never passes a destination's), so the force reads the storage
+    /// DG only inside the op's current lifetime.
+    fn storage_self_force(&self, item: usize, j: u32) -> f64 {
         let mut force = 0.0;
         for &k in &self.ops_of_item[item] {
-            let op = &self.ops[k];
-            let before =
-                DistributionGraphs::storage_distribution_of(self.graph, self.frames, op, None);
-            let after = DistributionGraphs::storage_distribution_of(
-                self.graph,
-                self.frames,
-                op,
-                Some((item, j)),
-            );
-            for (cycle, (&a, &b)) in after.iter().zip(&before).enumerate() {
-                force += self.dgs.storage[cycle] * (a - b);
+            let before = &self.lives[k];
+            let after = Lifetime::of(&self.ops[k], |i| {
+                if i == item {
+                    (j, j)
+                } else {
+                    self.frames.frame(i)
+                }
+            });
+            for cycle in before.begin.min(after.begin)..=before.end.max(after.end) {
+                force += self.dgs.storage[cycle as usize] * (after.at(cycle) - before.at(cycle));
             }
         }
         force
     }
 
     /// Combined self-force (Eq. 14): `max(LUT/h, storage/l)`.
-    pub fn self_force(&self, item: usize, j: u32) -> f64 {
+    fn self_force(&self, item: usize, j: u32) -> f64 {
         let lut = self.lut_self_force(item, j) / f64::from(self.shape.luts);
         let storage = self.storage_self_force(item, j) / f64::from(self.shape.ffs);
         lut.max(storage)
@@ -118,7 +118,7 @@ impl<'a> ForceModel<'a> {
 
     /// Predecessor and successor forces: frame clippings induced by
     /// assigning `item` to `j`, evaluated with Eq. (13) on the LUT DG.
-    pub fn neighbor_forces(&self, item: usize, j: u32) -> f64 {
+    fn neighbor_forces(&self, item: usize, j: u32) -> f64 {
         let mut force = 0.0;
         for &(p, lat) in &self.graph.preds[item] {
             let (a, b) = self.frames.frame(p);
@@ -144,7 +144,7 @@ impl<'a> ForceModel<'a> {
     }
 
     /// Total force of assigning `item` to cycle `j` (self + neighbors).
-    pub fn total_force(&self, item: usize, j: u32) -> f64 {
+    pub(crate) fn total_force(&self, item: usize, j: u32) -> f64 {
         self.self_force(item, j) + self.neighbor_forces(item, j)
     }
 }
@@ -152,9 +152,31 @@ impl<'a> ForceModel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dg::StorageWeightMode;
+    use crate::dg::{lifetimes, StorageWeightMode};
     use crate::item::{Item, ItemEdge, ItemKind};
     use nanomap_netlist::LutId;
+
+    /// Runs `f` on a model over `frames` and the DGs they induce.
+    fn with_model<R>(
+        graph: &ItemGraph,
+        frames: &TimeFrames,
+        ops: &[StorageOp],
+        shape: LeShape,
+        f: impl FnOnce(&ForceModel) -> R,
+    ) -> R {
+        let dgs = DistributionGraphs::build(graph, frames, ops);
+        let index = ops_of_item(graph, ops);
+        let lives = lifetimes(ops, frames);
+        f(&ForceModel {
+            graph,
+            frames,
+            dgs: &dgs,
+            ops,
+            ops_of_item: &index,
+            lives: &lives,
+            shape,
+        })
+    }
 
     /// Two independent weight-1 items over 2 cycles plus one heavy pinned
     /// item in cycle 0: the force must push the mobile items to cycle 1.
@@ -190,10 +212,10 @@ mod tests {
             &g,
             StorageWeightMode::ItemWeight,
         );
-        let dgs = DistributionGraphs::build(&g, &tf, &ops);
-        let model = ForceModel::new(&g, &tf, &dgs, &ops, LeShape::default());
         // Item 1 should feel a lower force in cycle 1 than cycle 0.
-        assert!(model.total_force(1, 1) < model.total_force(1, 0));
+        with_model(&g, &tf, &ops, LeShape::default(), |model| {
+            assert!(model.total_force(1, 1) < model.total_force(1, 0));
+        });
     }
 
     #[test]
@@ -202,11 +224,11 @@ mod tests {
         let mut pins = vec![None; 3];
         pins[0] = Some(0);
         let tf = TimeFrames::compute(&g, 2, &pins).unwrap();
-        let dgs = DistributionGraphs::build(&g, &tf, &[]);
-        let model = ForceModel::new(&g, &tf, &dgs, &[], LeShape::default());
         // Item 0's frame is already (0,0): re-assigning it there changes
         // nothing.
-        assert!(model.lut_self_force(0, 0).abs() < 1e-9);
+        with_model(&g, &tf, &[], LeShape::default(), |model| {
+            assert!(model.lut_self_force(0, 0).abs() < 1e-9);
+        });
     }
 
     #[test]
@@ -243,12 +265,11 @@ mod tests {
         let tf = TimeFrames::compute(&g, 3, &[None; 2]).unwrap();
         assert_eq!(tf.frame(0), (0, 1));
         assert_eq!(tf.frame(1), (1, 2));
-        let dgs = DistributionGraphs::build(&g, &tf, &[]);
-        let model = ForceModel::new(&g, &tf, &dgs, &[], LeShape::default());
         // Assigning 0 to cycle 1 must exert a successor force; to cycle 0
         // leaves the successor frame untouched.
-        let f_move = model.neighbor_forces(0, 1);
-        let f_stay = model.neighbor_forces(0, 0);
+        let (f_move, f_stay) = with_model(&g, &tf, &[], LeShape::default(), |model| {
+            (model.neighbor_forces(0, 1), model.neighbor_forces(0, 0))
+        });
         assert!(f_stay.abs() < 1e-9);
         assert!(f_move.abs() > 1e-9);
     }
@@ -263,12 +284,14 @@ mod tests {
             weight: 8,
         };
         let ops = vec![op];
-        let dgs = DistributionGraphs::build(&g, &tf, &ops);
-        let narrow = ForceModel::new(&g, &tf, &dgs, &ops, LeShape { luts: 1, ffs: 1 });
-        let wide = ForceModel::new(&g, &tf, &dgs, &ops, LeShape { luts: 1, ffs: 8 });
         // More FFs per LE shrink the storage force component.
-        let f_narrow = narrow.storage_self_force(1, 0) / 1.0;
-        let f_wide = wide.storage_self_force(1, 0) / 8.0;
+        let storage = |ffs| {
+            with_model(&g, &tf, &ops, LeShape { luts: 1, ffs }, |model| {
+                model.storage_self_force(1, 0) / f64::from(ffs)
+            })
+        };
+        let f_narrow = storage(1);
+        let f_wide = storage(8);
         if f_narrow.abs() > 1e-12 {
             assert!(f_wide.abs() < f_narrow.abs());
         }

@@ -11,7 +11,8 @@
 //! * [`TimeFrames`] — ASAP/ALAP schedules and mobility (Fig. 3);
 //! * [`DistributionGraphs`] — LUT computation and register storage DGs
 //!   (Eqs. 5–11, Fig. 5);
-//! * [`ForceModel`] — self and neighbour forces (Eqs. 12–14);
+//! * [`LeShape`] — the LE resource shape weighting the self and
+//!   neighbour forces (Eqs. 12–14);
 //! * [`schedule_fds`] — Algorithm 1;
 //! * [`schedule_asap`] / [`schedule_list`] — baselines for the ablation.
 //!
@@ -34,7 +35,7 @@ pub use asap::TimeFrames;
 pub use dg::{storage_ops, DistributionGraphs, StorageOp, StorageWeightMode};
 pub use error::SchedError;
 pub use fds::{schedule_fds, schedule_fds_budgeted, FdsOptions};
-pub use force::{ForceModel, LeShape};
+pub use force::LeShape;
 pub use item::{Item, ItemEdge, ItemGraph, ItemKind};
 pub use list::{schedule_asap, schedule_list};
 pub use schedule::{LeUsage, Schedule};

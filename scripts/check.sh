@@ -17,5 +17,5 @@ cargo test --workspace --offline -q
 echo "All checks passed."
 echo "(CI parity: .github/workflows/ci.yml additionally runs the QoR gate"
 echo " via scripts/qor.sh — which includes the perf-diff leg against"
-echo " results/perf/bench.json — and a perf-smoke job: 1 benchmark, loose"
+echo " BENCH_perf.json — and a perf-smoke job: 1 benchmark, loose"
 echo " catastrophe-only thresholds, profile-artifact validation.)"

@@ -26,12 +26,11 @@
 # the same bytes too.
 #
 # The perf leg re-measures the paper suite (bench `perf` bin, 3 runs)
-# and gates phase medians against results/perf/bench.json with
+# and gates phase medians against the committed BENCH_perf.json with
 # `nanomap perf-diff`. Thresholds are deliberately loose (2x relative
 # AND 25 ms absolute must both be exceeded) — this catches order-of-
 # magnitude regressions, not machine noise. `--rebase` also refreshes
-# the committed perf baselines (results/perf/bench.json and the repo-
-# root BENCH_perf.json trajectory point, 5 runs).
+# the committed perf baseline (the repo-root BENCH_perf.json, 5 runs).
 #
 # The runs-smoke leg exercises the structured event bus end to end: two
 # accumulator runs stream `--live-status` NDJSON (to a file and to
@@ -83,14 +82,12 @@ echo "==> accumulator QoR via the nanomap CLI"
 ./target/release/nanomap designs/accumulator.vhd --qor ACCUM_qor.json >/dev/null
 
 if [[ $REBASE -eq 1 ]]; then
-  mkdir -p results/qor results/perf
+  mkdir -p results/qor
   cp BENCH_qor.json results/qor/bench.json
   cp ACCUM_qor.json results/qor/accumulator.json
   echo "==> perf baselines: 5-run sweep of the paper suite"
   ./target/release/perf --runs 5 --out BENCH_perf.json
-  cp BENCH_perf.json results/perf/bench.json
-  echo "baselines rebased -> results/qor/{bench,accumulator}.json,"
-  echo "  results/perf/bench.json and BENCH_perf.json"
+  echo "baselines rebased -> results/qor/{bench,accumulator}.json and BENCH_perf.json"
   echo "review the diff and commit them with the change that moved the numbers"
 else
   echo "==> gate: bench circuits"
@@ -170,10 +167,10 @@ else
     --resume CKPT_defect/accumulator.ckpt.json \
     --explain RESUME_defect_explain.json >/dev/null
   cmp BASE_defect_explain.json RESUME_defect_explain.json
-  echo "==> gate: perf (phase medians vs results/perf/bench.json)"
+  echo "==> gate: perf (phase medians vs BENCH_perf.json)"
   ./target/release/perf --runs 3 --out BENCH_perf_new.json --profile-dir PERF_prof
   ./target/release/nanomap perf-diff --rel 2.0 --abs-ms 25 \
-    results/perf/bench.json BENCH_perf_new.json
+    BENCH_perf.json BENCH_perf_new.json
   echo "==> gate: runs smoke (live NDJSON stream + flight-recorder ledger)"
   # Stream to a file; the capture must parse, nest, and end in run-end.
   ./target/release/nanomap designs/accumulator.vhd \
