@@ -4,13 +4,13 @@
 //! `nanomap perf-diff` regression gate.
 //!
 //! Run: `cargo run -p nanomap-bench --release --bin perf --
-//!   [--out PATH] [--runs N] [--circuit NAME] [--profile-dir DIR]`
+//!   [--out PATH] [--runs N] [--circuit NAME] [--profile DIR]`
 //!
 //! Defaults: 5 runs per circuit, output to `BENCH_perf.json` at the repo
 //! root (the committed perf trajectory point). `--circuit` restricts the
 //! sweep (CI's perf-smoke leg measures one benchmark against the
 //! full-suite baseline — `perf-diff` treats absent circuits as
-//! informational). `--profile-dir` additionally writes the exact span
+//! informational). `--profile` additionally writes the exact span
 //! profile of each circuit's final run: `<circuit>.profile.json` +
 //! collapsed stacks.
 //!
@@ -44,7 +44,7 @@ const FLAGS: &[Flag] = &[
     Flag::value("--out", "PATH", "the perf document (default BENCH_perf.json at the repo root)"),
     Flag::value("--runs", "N", "runs per circuit, at least 1 (default 5)"),
     Flag::value("--circuit", "NAME", "measure one benchmark only"),
-    Flag::value("--profile-dir", "DIR", "also write each circuit's final-run span profile to DIR"),
+    Flag::value("--profile", "DIR", "also write each circuit's final-run span profile to DIR"),
 ];
 
 static PERF: Command = Command {
@@ -68,7 +68,7 @@ fn measure(args: Args) -> Result<ExitCode, Error> {
         return Err(Error::usage("--runs", "must be at least 1"));
     }
     let only_circuit = args.get("--circuit");
-    let profile_dir = args.get("--profile-dir").map(Path::new);
+    let profile_dir = args.get("--profile").map(Path::new);
 
     let flow = NanoMap::new(ArchParams::paper());
     let mut reports = Vec::new();
@@ -95,7 +95,7 @@ fn measure(args: Args) -> Result<ExitCode, Error> {
             if let Some(dir) = profile_dir.filter(|_| run + 1 == runs) {
                 let profile = nanomap_observe::snapshot().profile();
                 let json_path = write_profile_artifacts(dir, bench.name, &profile)
-                    .map_err(|e| format!("--profile-dir {e}"))?;
+                    .map_err(|e| format!("--profile {e}"))?;
                 eprintln!(
                     "{}: profile {} paths, {:.1} ms exact -> {}",
                     bench.name,

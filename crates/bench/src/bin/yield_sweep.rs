@@ -11,10 +11,10 @@
 //!
 //! Run: `cargo run -p nanomap-bench --release --bin yield`
 //!      `[-- --rates 0,0.05,0.1,0.2,0.3] [--seed 1] [--circuit NAME]`
-//!      `[--no-exact] [--sat-conflicts N]`
+//!      `[--no-exact] [--sat-conflict-budget N]`
 //!
 //! Each SAT solve is bounded by a conflict budget (default 200k,
-//! `--sat-conflicts`, 0 = unbounded) so the sweep's wall time stays
+//! `--sat-conflict-budget`, 0 = unbounded) so the sweep's wall time stays
 //! finite even on adversarial near-pigeonhole instances; an interrupted
 //! solve records a plain failure, never a fake UNSAT.
 
@@ -42,7 +42,7 @@ const FLAGS: &[Flag] = &[
     Flag::value("--seed", "N", "defect-injection seed (default 1)"),
     Flag::value("--circuit", "NAME", "sweep one benchmark only"),
     Flag::switch("--no-exact", "leave the exact SAT recovery rung off"),
-    Flag::value("--sat-conflicts", "N", "conflict budget per SAT solve (default 200000; 0 = unbounded)"),
+    Flag::value("--sat-conflict-budget", "N", "conflict budget per SAT solve (default 200000; 0 = unbounded)"),
 ];
 
 static YIELD: Command = Command {
@@ -66,10 +66,9 @@ fn map_at_rate(
         flow = flow.with_defects(DefectMap::uniform(rate, seed));
     }
     if exact {
-        flow = flow.with_exact_recovery();
-        if sat_conflicts > 0 {
-            flow = flow.with_sat_conflict_budget(sat_conflicts);
-        }
+        flow = flow
+            .with_exact_recovery()
+            .with_sat_conflict_budget(sat_conflicts);
     }
     match flow.map(network, Objective::MinAreaDelayProduct) {
         Ok(report) => MappingResult::Mapped(Box::new(report)),
@@ -127,7 +126,7 @@ fn sweep(args: Args) -> Result<ExitCode, Error> {
     let seed = args.num("--seed")?.unwrap_or(1);
     let exact = !args.has("--no-exact");
     let sat_conflicts = args
-        .num("--sat-conflicts")?
+        .num("--sat-conflict-budget")?
         .unwrap_or(DEFAULT_SAT_CONFLICTS);
     let circuit = args.get("--circuit");
     let benches: Vec<_> = paper_benchmarks()

@@ -141,7 +141,7 @@ const FLOW_FLAGS: &[Flag] = &[
     Flag::value("--defect-map", "PATH", "load an explicit defect map instead"),
     Flag::switch("--anytime", "accept a budget-degraded best-so-far mapping"),
     Flag::switch("--exact-recovery", "after the recovery ladder fails, run the\ncomplete SAT-based slot-assignment rung"),
-    Flag::value("--sat-conflict-budget", "N", "cap the SAT solver at N conflicts (default\nunbounded; the time budget still applies)"),
+    Flag::value("--sat-conflict-budget", "N", "cap the SAT solver at N conflicts (0 or\nomitted: unbounded; the time budget still applies)"),
     Flag::value("--checkpoint-dir", "PATH", "write a crash-safe checkpoint after each phase"),
 ];
 

@@ -899,12 +899,10 @@ impl CheckpointWriter {
                 detail: e.source.to_string(),
             },
         )?;
-        if nanomap_observe::events_enabled() {
-            nanomap_observe::publish(nanomap_observe::EventKind::Checkpoint {
-                phase: self.checkpoint.phase.as_str().to_string(),
-                path: self.path.display().to_string(),
-            });
-        }
+        nanomap_observe::publish(|| nanomap_observe::EventKind::Checkpoint {
+            phase: self.checkpoint.phase.as_str().to_string(),
+            path: self.path.display().to_string(),
+        });
         Ok(())
     }
 

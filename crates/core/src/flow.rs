@@ -217,9 +217,10 @@ impl NanoMap {
         self
     }
 
-    /// Bounds each SAT solve of the exact rung to a conflict budget.
+    /// Bounds each SAT solve of the exact rung to a conflict budget;
+    /// 0 leaves it unbounded (the time budget still applies).
     pub fn with_sat_conflict_budget(mut self, conflicts: u64) -> Self {
-        self.sat_conflict_budget = Some(conflicts);
+        self.sat_conflict_budget = (conflicts > 0).then_some(conflicts);
         self
     }
 
@@ -596,14 +597,12 @@ impl NanoMap {
         report.recovery = recovery;
         report.phase_times.total_ms = run.total_start.elapsed().as_secs_f64() * 1e3;
         report.phase_times.budget_ms_remaining = run.token.remaining_ms();
-        if nanomap_observe::events_enabled() {
-            for d in &report.degradations {
-                nanomap_observe::publish(nanomap_observe::EventKind::Degraded {
-                    phase: d.phase.clone(),
-                    reason: d.reason.clone(),
-                    completed_iterations: d.completed_iterations,
-                });
-            }
+        for d in &report.degradations {
+            nanomap_observe::publish(|| nanomap_observe::EventKind::Degraded {
+                phase: d.phase.clone(),
+                reason: d.reason.clone(),
+                completed_iterations: d.completed_iterations,
+            });
         }
         Ok(report)
     }
@@ -622,10 +621,7 @@ impl NanoMap {
 
     /// Announces the run on the event bus (first event of the stream).
     fn publish_run_start(&self, net: &LutNetwork, objective: Objective) {
-        if !nanomap_observe::events_enabled() {
-            return;
-        }
-        nanomap_observe::publish(nanomap_observe::EventKind::RunStart {
+        nanomap_observe::publish(|| nanomap_observe::EventKind::RunStart {
             run_id: self.run_id(net, objective),
             circuit: net.name().to_string(),
             objective: objective.key(),

@@ -226,16 +226,14 @@ impl RecoveryLog {
             u64::from(attempt.attempt),
             ladder_height(attempt.remedy) as f64,
         );
-        if nanomap_observe::events_enabled() {
-            nanomap_observe::publish(nanomap_observe::EventKind::Recovery {
-                attempt: u64::from(attempt.attempt),
-                candidate: attempt.candidate,
-                remedy: attempt.remedy.as_str().to_string(),
-                phase: attempt.phase.to_string(),
-                error: attempt.error.clone(),
-                wall_ms: attempt.wall_us as f64 / 1e3,
-            });
-        }
+        nanomap_observe::publish(|| nanomap_observe::EventKind::Recovery {
+            attempt: u64::from(attempt.attempt),
+            candidate: attempt.candidate,
+            remedy: attempt.remedy.as_str().to_string(),
+            phase: attempt.phase.to_string(),
+            error: attempt.error.clone(),
+            wall_ms: attempt.wall_us as f64 / 1e3,
+        });
         self.attempts.push(attempt);
     }
 

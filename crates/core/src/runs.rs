@@ -24,7 +24,7 @@ use nanomap_observe::{json, Fnv1a, JsonValue};
 use crate::artifact::{atomic_write_text, versions};
 use crate::flow::NanoMap;
 use crate::objective::Objective;
-use crate::report::MappingReport;
+use crate::report::{MappingReport, PhaseTimes};
 
 /// Default ledger location, relative to the working directory.
 pub const DEFAULT_LEDGER_PATH: &str = "results/runs/ledger.jsonl";
@@ -102,28 +102,21 @@ pub fn status_word(exit_code: i32) -> &'static str {
 
 /// Publishes the terminal `run-end` event of a stream. `report` is
 /// `None` when the run failed before producing one (phase totals are
-/// then empty and `total_ms` zero). No-op while the bus is disabled.
+/// then empty and `total_ms` zero).
 pub fn publish_run_end(run_id: &str, exit_code: i32, report: Option<&MappingReport>) {
-    if !nanomap_observe::events_enabled() {
-        return;
-    }
-    let (phase_ms, total_ms) = report.map_or_else(
-        || (Vec::new(), 0.0),
-        |r| {
-            let t = r.phase_times;
-            let phases = t
-                .by_phase()
+    nanomap_observe::publish(|| {
+        let t = report.map(|r| r.phase_times);
+        nanomap_observe::EventKind::RunEnd {
+            run_id: run_id.to_string(),
+            status: status_word(exit_code).to_string(),
+            exit_code,
+            phase_ms: t
+                .into_iter()
+                .flat_map(PhaseTimes::by_phase)
                 .map(|(phase, ms)| (phase.key.to_string(), ms))
-                .collect();
-            (phases, t.total_ms)
-        },
-    );
-    nanomap_observe::publish(nanomap_observe::EventKind::RunEnd {
-        run_id: run_id.to_string(),
-        status: status_word(exit_code).to_string(),
-        exit_code,
-        phase_ms,
-        total_ms,
+                .collect(),
+            total_ms: t.map_or(0.0, |t| t.total_ms),
+        }
     });
 }
 

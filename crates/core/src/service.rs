@@ -612,19 +612,7 @@ fn submit_once(
     request: &MapRequest,
     policy: &RetryPolicy,
 ) -> Result<(WireResult, Vec<Response>), String> {
-    let stream = connect(addr)?;
-    if policy.read_timeout_ms > 0 {
-        stream
-            .set_read_timeout(Some(Duration::from_millis(policy.read_timeout_ms)))
-            .map_err(|e| format!("set_read_timeout: {e}"))?;
-    }
-    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    let mut line = request.to_wire();
-    line.push('\n');
-    writer
-        .write_all(line.as_bytes())
-        .map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = send_request(addr, &request.to_wire(), policy.read_timeout_ms)?;
     let mut lifecycle = Vec::new();
     loop {
         let mut response_line = String::new();
@@ -642,20 +630,23 @@ fn submit_once(
     }
 }
 
+/// Connects, sends one request line and hands back the response side,
+/// reads bounded by `timeout_ms` (0 = unbounded).
+fn send_request(addr: &str, line: &str, timeout_ms: u64) -> Result<BufReader<Conn>, String> {
+    let mut conn = Conn::connect(addr)?;
+    if timeout_ms > 0 {
+        conn.set_read_timeout(Some(Duration::from_millis(timeout_ms)))
+            .map_err(|e| format!("set_read_timeout: {e}"))?;
+    }
+    conn.write_all(format!("{line}\n").as_bytes())
+        .map_err(|e| format!("send to {addr}: {e}"))?;
+    Ok(BufReader::new(conn))
+}
+
 /// Connects and performs one single-line op exchange (`ping`/`stats`):
 /// send the request line, read exactly one response line.
 fn query_once(addr: &str, request_line: &str, timeout_ms: u64) -> Result<Response, String> {
-    let stream = connect(addr)?;
-    if timeout_ms > 0 {
-        stream
-            .set_read_timeout(Some(Duration::from_millis(timeout_ms)))
-            .map_err(|e| format!("set_read_timeout: {e}"))?;
-    }
-    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    writer
-        .write_all(format!("{request_line}\n").as_bytes())
-        .map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = send_request(addr, request_line, timeout_ms)?;
     let mut line = String::new();
     let n = reader
         .read_line(&mut line)
@@ -683,23 +674,74 @@ pub fn query_stats(addr: &str, timeout_ms: u64) -> Result<JsonValue, String> {
     }
 }
 
-/// A connected stream: TCP for `host:port`, unix socket for paths.
-enum Conn {
+// ---------------------------------------------------------------------
+// Transport: the one place an address picks TCP or a unix socket.
+// ---------------------------------------------------------------------
+
+/// A connected stream: TCP for `host:port`, a unix socket for an
+/// address containing `/`. Client and daemon share it.
+#[derive(Debug)]
+pub enum Conn {
+    /// A TCP stream.
     Tcp(std::net::TcpStream),
+    /// A unix-domain stream.
     #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
 }
 
-impl Conn {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.set_read_timeout(timeout),
+/// Dispatches one expression over both [`Conn`] (or [`Listener`]) arms.
+macro_rules! each_transport {
+    ($value:expr, $s:ident => $body:expr) => {
+        match $value {
+            Self::Tcp($s) => $body,
             #[cfg(unix)]
-            Self::Unix(s) => s.set_read_timeout(timeout),
+            Self::Unix($s) => $body,
         }
+    };
+}
+
+/// The typed error for a unix-socket address on a platform without them.
+#[cfg(not(unix))]
+fn no_unix_sockets(addr: &str) -> String {
+    format!("unix socket {addr} unsupported on this platform")
+}
+
+impl Conn {
+    /// Connects to `addr`.
+    ///
+    /// # Errors
+    ///
+    /// Describes the connect failure.
+    pub fn connect(addr: &str) -> Result<Self, String> {
+        let failed = |e| format!("connect {addr}: {e}");
+        if addr.contains('/') {
+            #[cfg(not(unix))]
+            return Err(no_unix_sockets(addr));
+            #[cfg(unix)]
+            return std::os::unix::net::UnixStream::connect(addr)
+                .map(Self::Unix)
+                .map_err(failed);
+        }
+        std::net::TcpStream::connect(addr)
+            .map(Self::Tcp)
+            .map_err(failed)
     }
 
-    fn try_clone(&self) -> std::io::Result<Conn> {
+    /// Bounds every later read by `timeout` (`None` = block forever).
+    ///
+    /// # Errors
+    ///
+    /// When the socket refuses the option.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        each_transport!(self, s => s.set_read_timeout(timeout))
+    }
+
+    /// A second handle on the same stream (one side reads, one writes).
+    ///
+    /// # Errors
+    ///
+    /// When the descriptor cannot be duplicated.
+    pub fn try_clone(&self) -> std::io::Result<Self> {
         Ok(match self {
             Self::Tcp(s) => Self::Tcp(s.try_clone()?),
             #[cfg(unix)]
@@ -710,47 +752,81 @@ impl Conn {
 
 impl std::io::Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Self::Unix(s) => s.read(buf),
-        }
+        each_transport!(self, s => s.read(buf))
     }
 }
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Self::Unix(s) => s.write(buf),
-        }
+        each_transport!(self, s => s.write(buf))
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Self::Unix(s) => s.flush(),
-        }
+        each_transport!(self, s => s.flush())
     }
 }
 
-/// Addresses with a `/` are unix-socket paths; everything else is TCP.
-fn connect(addr: &str) -> Result<Conn, String> {
-    if addr.contains('/') {
-        #[cfg(unix)]
-        {
-            return std::os::unix::net::UnixStream::connect(addr)
-                .map(Conn::Unix)
-                .map_err(|e| format!("connect {addr}: {e}"));
+/// A bound, non-blocking listener on the address [`Conn::connect`]
+/// reaches.
+#[derive(Debug)]
+pub enum Listener {
+    /// A TCP listener.
+    Tcp(std::net::TcpListener),
+    /// A unix-domain listener; a stale socket file is replaced at bind.
+    #[cfg(unix)]
+    Unix(std::os::unix::net::UnixListener),
+}
+
+impl Listener {
+    /// Binds `addr` (TCP port 0 picks a free port) in non-blocking mode.
+    ///
+    /// # Errors
+    ///
+    /// Describes the bind failure.
+    pub fn bind(addr: &str) -> Result<Self, String> {
+        let listener = if addr.contains('/') {
+            #[cfg(not(unix))]
+            return Err(no_unix_sockets(addr));
+            #[cfg(unix)]
+            {
+                let _ = std::fs::remove_file(addr);
+                std::os::unix::net::UnixListener::bind(addr).map(Self::Unix)
+            }
+        } else {
+            std::net::TcpListener::bind(addr).map(Self::Tcp)
         }
-        #[cfg(not(unix))]
-        return Err(format!("unix socket {addr} unsupported on this platform"));
+        .map_err(|e| format!("bind {addr}: {e}"))?;
+        each_transport!(&listener, l => l.set_nonblocking(true))
+            .map_err(|e| format!("set_nonblocking: {e}"))?;
+        Ok(listener)
     }
-    std::net::TcpStream::connect(addr)
-        .map(Conn::Tcp)
-        .map_err(|e| format!("connect {addr}: {e}"))
+
+    /// The bound address: the resolved `host:port`, or the socket path.
+    #[must_use]
+    pub fn addr(&self) -> String {
+        match self {
+            Self::Tcp(l) => l.local_addr().map(|a| a.to_string()).unwrap_or_default(),
+            #[cfg(unix)]
+            Self::Unix(l) => l
+                .local_addr()
+                .ok()
+                .and_then(|a| a.as_pathname().map(|p| p.display().to_string()))
+                .unwrap_or_default(),
+        }
+    }
+
+    /// Accepts one pending connection; `WouldBlock` when none waits.
+    ///
+    /// # Errors
+    ///
+    /// `WouldBlock` or the accept failure.
+    pub fn accept(&self) -> std::io::Result<Conn> {
+        Ok(match self {
+            Self::Tcp(l) => Conn::Tcp(l.accept()?.0),
+            #[cfg(unix)]
+            Self::Unix(l) => Conn::Unix(l.accept()?.0),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -16,26 +16,27 @@ use nanomap::{NanoMap, Objective, PerfDocument, PerfReport, QorDocument, QorRepo
 use nanomap_arch::ArchParams;
 use nanomap_netlist::rtl::{CombOp, RtlBuilder, RtlCircuit};
 use nanomap_netlist::LutNetwork;
-use nanomap_observe::EventStream;
+use nanomap_observe::{json, EventStream, Fnv1a, JsonValue};
 use nanomap_techmap::{expand, ExpandOptions};
 
-/// A small multiplier-accumulator: big enough to fold, pack, place and
-/// route, small enough to map in well under a second.
+/// A small multiplier-accumulator: big enough to fold, pack, place
+/// (over more than one SMB, so the annealer runs) and route, small
+/// enough to map in well under a second.
 fn mac_circuit() -> RtlCircuit {
     let mut b = RtlBuilder::new("mac");
-    let a = b.input("a", 4);
-    let x = b.input("x", 4);
-    let acc = b.register("acc", 8);
+    let a = b.input("a", 6);
+    let x = b.input("x", 6);
+    let acc = b.register("acc", 12);
     let gnd = b.constant("gnd", 1, 0);
-    let mul = b.comb("mul", CombOp::Mul { width: 4 });
+    let mul = b.comb("mul", CombOp::Mul { width: 6 });
     b.connect(a, 0, mul, 0).unwrap();
     b.connect(x, 0, mul, 1).unwrap();
-    let add = b.comb("add", CombOp::Add { width: 8 });
+    let add = b.comb("add", CombOp::Add { width: 12 });
     b.connect(mul, 0, add, 0).unwrap();
     b.connect(acc, 0, add, 1).unwrap();
     b.connect(gnd, 0, add, 2).unwrap();
     b.connect(add, 0, acc, 0).unwrap();
-    let y = b.output("y", 8);
+    let y = b.output("y", 12);
     b.connect(acc, 0, y, 0).unwrap();
     b.finish().unwrap()
 }
@@ -44,8 +45,8 @@ fn mac_net() -> LutNetwork {
     expand(&mac_circuit(), ExpandOptions::default()).unwrap()
 }
 
-/// The event bus is process-global: tests that run a flow (which
-/// publishes when the bus is up) must not overlap.
+/// The event bus is process-global: tests that run any part of the
+/// flow (which publishes when the bus is up) must not overlap.
 fn serial() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock()
@@ -66,19 +67,23 @@ impl Write for SharedSink {
     }
 }
 
-#[test]
-fn live_stream_validates_and_reconciles_with_the_report() {
-    let _guard = serial();
+/// Maps the MAC with the event bus streaming, checks the capture and
+/// returns it. `collector` mirrors the two bus configurations the binaries
+/// use: `nanomap --live-status` also records spans (so phase and counter
+/// events flow), `nanomapd --events` turns on the bus alone.
+fn streamed_run(collector: bool) -> String {
     let net = mac_net();
     let flow = NanoMap::new(ArchParams::paper_unbounded());
     let run_id = flow.run_id(&net, Objective::MinAreaDelayProduct);
 
     nanomap_observe::reset_events();
+    nanomap_observe::set_enabled(collector);
     let sink = SharedSink::default();
     let stream = EventStream::spawn(Box::new(sink.clone()));
     let report = flow.map(&net, Objective::MinAreaDelayProduct).unwrap();
     runs::publish_run_end(&run_id, 0, Some(&report));
     let stats = stream.finish();
+    nanomap_observe::set_enabled(false);
 
     assert!(!stats.sink_broken);
     assert_eq!(
@@ -102,10 +107,75 @@ fn live_stream_validates_and_reconciles_with_the_report() {
             phase.key
         );
     }
+    text
+}
+
+/// FNV-1a over every event of a capture, in order, with the fields
+/// that vary run to run (sequence numbers, thread ordinals and
+/// wall-clock figures) dropped.
+fn fingerprint(text: &str) -> u64 {
+    const VOLATILE: [&str; 7] = [
+        "seq",
+        "tid",
+        "t_us",
+        "duration_us",
+        "wall_ms",
+        "phase_ms",
+        "total_ms",
+    ];
+    let mut hash = Fnv1a::new();
+    for line in text.lines() {
+        let Ok(JsonValue::Object(mut fields)) = json::parse(line) else {
+            panic!("not an event object: {line}");
+        };
+        fields.retain(|(key, _)| !VOLATILE.contains(&key.as_str()));
+        hash.field(JsonValue::Object(fields).to_compact_string().as_bytes());
+    }
+    hash.finish()
+}
+
+/// Phases that published at least one `phase-progress` event.
+fn progress_phases(text: &str) -> Vec<String> {
+    let mut phases: Vec<String> = text
+        .lines()
+        .map(|line| json::parse(line).unwrap())
+        .filter(|e| e.get("kind").and_then(JsonValue::as_str) == Some("phase-progress"))
+        .filter_map(|e| {
+            e.get("phase")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        })
+        .collect();
+    phases.sort();
+    phases.dedup();
+    phases
+}
+
+#[test]
+fn live_stream_validates_and_reconciles_with_the_report() {
+    let _guard = serial();
+    // Pinned fingerprints: any added, dropped or reordered event, or a
+    // changed non-timing field, moves them.
+    for (collector, pinned) in [
+        (true, 0x7f50_9367_1c73_41ca),
+        (false, 0x8f5d_d4ad_7ee3_c293),
+    ] {
+        let text = streamed_run(collector);
+        assert_eq!(
+            fingerprint(&text),
+            pinned,
+            "event stream changed (collector {collector}):\n{text}"
+        );
+        // Each kernel reports its iterations.
+        assert_eq!(progress_phases(&text), ["fds", "pack", "place", "route"]);
+    }
 }
 
 #[test]
 fn run_ids_are_stable_and_seed_sensitive() {
+    // Expanding the MAC opens spans too, which would interleave with a
+    // streamed run's events.
+    let _guard = serial();
     let net = mac_net();
     let flow = NanoMap::new(ArchParams::paper_unbounded());
     let id = flow.run_id(&net, Objective::MinAreaDelayProduct);

@@ -54,7 +54,8 @@ use std::time::{Duration, Instant};
 
 use nanomap::artifact::versions;
 use nanomap::service::{
-    code, render_error_result, render_lifecycle, render_ok_result, MapRequest, Request,
+    code, render_error_result, render_lifecycle, render_ok_result, Conn, Listener, MapRequest,
+    Request,
 };
 use nanomap::{
     append_run, atomic_write_text, checkpoint_file_name, Checkpoint, FlowError, NanoMap, RunRecord,
@@ -129,7 +130,7 @@ impl Default for DaemonConfig {
 /// A request that passed admission, waiting for (or back in) the queue.
 struct Job {
     request: MapRequest,
-    conn: Box<dyn Write + Send>,
+    conn: Conn,
     /// Preemption count: 0 on first service, +1 per expired slice.
     attempts: u32,
     /// Wall-clock budget left across slices (None = unbudgeted).
@@ -170,79 +171,46 @@ pub struct DaemonStats {
     pub preemptions: u64,
 }
 
+/// Accounting classes of end-to-end latency, in export order: `ok`
+/// and every typed rejection code.
+const CLASSES: [&str; 7] = [
+    "ok",
+    code::SHED,
+    code::SHUTDOWN,
+    code::INVALID,
+    code::PANIC,
+    code::BUDGET,
+    code::FAILED,
+];
+
+/// Lifecycle segments of every admitted request, in export order.
+const SEGMENTS: [&str; 4] = ["queue", "compute", "cache", "serialize"];
+
 /// Always-on latency accounting: standalone log₂ histograms detached
 /// from the observe registry's enable gate, so serving accounts even
 /// while flow observability is off. None of this alters response bytes
 /// — unobserved serving stays byte-identical.
 struct ServiceLatency {
-    /// End-to-end latency per accounting class, microseconds.
-    ok: HistogramHandle,
-    shed: HistogramHandle,
-    shutdown: HistogramHandle,
-    invalid: HistogramHandle,
-    panic: HistogramHandle,
-    budget: HistogramHandle,
-    failed: HistogramHandle,
-    /// Lifecycle segments across all requests, microseconds.
-    queue: HistogramHandle,
-    compute: HistogramHandle,
-    cache: HistogramHandle,
-    serialize: HistogramHandle,
+    /// End-to-end latency per [`CLASSES`] entry, microseconds.
+    classes: [HistogramHandle; CLASSES.len()],
+    /// Per-[`SEGMENTS`] time across all requests, microseconds.
+    segments: [HistogramHandle; SEGMENTS.len()],
 }
 
 impl ServiceLatency {
     fn new() -> Self {
         Self {
-            ok: HistogramHandle::standalone(),
-            shed: HistogramHandle::standalone(),
-            shutdown: HistogramHandle::standalone(),
-            invalid: HistogramHandle::standalone(),
-            panic: HistogramHandle::standalone(),
-            budget: HistogramHandle::standalone(),
-            failed: HistogramHandle::standalone(),
-            queue: HistogramHandle::standalone(),
-            compute: HistogramHandle::standalone(),
-            cache: HistogramHandle::standalone(),
-            serialize: HistogramHandle::standalone(),
+            classes: std::array::from_fn(|_| HistogramHandle::standalone()),
+            segments: std::array::from_fn(|_| HistogramHandle::standalone()),
         }
     }
 
-    /// The end-to-end histogram for an accounting class (`"ok"` or a
-    /// typed rejection code). Unknown codes land in `failed` rather
-    /// than losing the sample — reconciliation stays exact.
+    /// The end-to-end histogram for an accounting class. Unknown codes
+    /// land in `failed` rather than losing the sample — reconciliation
+    /// stays exact.
     fn class(&self, class: &str) -> &HistogramHandle {
-        match class {
-            "ok" => &self.ok,
-            code::SHED => &self.shed,
-            code::SHUTDOWN => &self.shutdown,
-            code::INVALID => &self.invalid,
-            code::PANIC => &self.panic,
-            code::BUDGET => &self.budget,
-            _ => &self.failed,
-        }
-    }
-
-    /// Every class in the deterministic export order.
-    fn classes(&self) -> [(&'static str, &HistogramHandle); 7] {
-        [
-            ("ok", &self.ok),
-            (code::SHED, &self.shed),
-            (code::SHUTDOWN, &self.shutdown),
-            (code::INVALID, &self.invalid),
-            (code::PANIC, &self.panic),
-            (code::BUDGET, &self.budget),
-            (code::FAILED, &self.failed),
-        ]
-    }
-
-    /// Every segment in the deterministic export order.
-    fn segments(&self) -> [(&'static str, &HistogramHandle); 4] {
-        [
-            ("queue", &self.queue),
-            ("compute", &self.compute),
-            ("cache", &self.cache),
-            ("serialize", &self.serialize),
-        ]
+        let i = CLASSES.iter().position(|&c| c == class);
+        &self.classes[i.unwrap_or(CLASSES.len() - 1)]
     }
 }
 
@@ -313,11 +281,11 @@ impl Shared {
             .with("cache_entries", self.cache.len() as u64)
             .with("cache_bytes", self.cache.bytes());
         let mut latency = JsonValue::object();
-        for (name, hist) in self.latency.classes() {
+        for (name, hist) in CLASSES.iter().zip(&self.latency.classes) {
             latency.set(name, hist_json(hist));
         }
         let mut segments = JsonValue::object();
-        for (name, hist) in self.latency.segments() {
+        for (name, hist) in SEGMENTS.iter().zip(&self.latency.segments) {
             segments.set(name, hist_json(hist));
         }
         JsonValue::object()
@@ -339,18 +307,6 @@ impl Shared {
     fn snapshot_age_ms(&self) -> Option<u64> {
         let last = self.last_snapshot_ms.load(Ordering::Relaxed);
         (last != SNAPSHOT_NEVER).then(|| self.uptime_ms().saturating_sub(last))
-    }
-
-    /// Records one finished request: lifecycle segments plus the
-    /// end-to-end sample in its accounting class.
-    fn record_request(&self, class: &str, job: &Job, serialize_us: u64) {
-        self.latency.queue.record_always(job.queue_us);
-        self.latency.compute.record_always(job.compute_us);
-        self.latency.cache.record_always(job.cache_us);
-        self.latency.serialize.record_always(serialize_us);
-        self.latency
-            .class(class)
-            .record_always(job.arrived.elapsed().as_micros() as u64);
     }
 }
 
@@ -408,8 +364,7 @@ fn next_trace_id(shared: &Shared) -> String {
     format!("{h:016x}")
 }
 
-/// Publishes one `service` lifecycle event. Guarded here so disabled
-/// runs pay one relaxed load, not the event's string allocations.
+/// Publishes one `service` lifecycle event.
 fn publish_service(
     trace: &str,
     request: &str,
@@ -419,10 +374,7 @@ fn publish_service(
     detail: Option<&str>,
     us: Option<u64>,
 ) {
-    if !nanomap_observe::events_enabled() {
-        return;
-    }
-    nanomap_observe::publish(EventKind::Service {
+    nanomap_observe::publish(|| EventKind::Service {
         trace_id: trace.to_string(),
         request: request.to_string(),
         stage: stage.to_string(),
@@ -505,12 +457,13 @@ impl DaemonHandle {
             // Queue-wait accrues up to the moment of the shed, so the
             // deadline sheds stay visible in the segment histograms.
             job.queue_us += job.enqueued_at.elapsed().as_micros() as u64;
-            finish_error(
-                job,
+            job.finish(
                 &self.shared,
-                code::SHUTDOWN,
-                "daemon stopped before this request ran",
-                Some(1_000),
+                Reply::error(
+                    code::SHUTDOWN,
+                    "daemon stopped before this request ran",
+                    Some(1_000),
+                ),
             );
         }
         for t in self.threads.drain(..) {
@@ -639,86 +592,22 @@ fn spawn_listener(
     addr: &str,
     shared: Arc<Shared>,
 ) -> Result<(String, std::thread::JoinHandle<()>, Option<PathBuf>), String> {
-    if addr.contains('/') {
-        #[cfg(unix)]
-        {
-            let path = PathBuf::from(addr);
-            let _ = std::fs::remove_file(&path);
-            let listener = std::os::unix::net::UnixListener::bind(&path)
-                .map_err(|e| format!("bind {addr}: {e}"))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| format!("set_nonblocking: {e}"))?;
-            let bound = addr.to_string();
-            let thread = std::thread::Builder::new()
-                .name("nanomapd-listener".into())
-                .spawn(move || loop {
-                    if shared.stop_now.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _)) => spawn_connection(Conn::Unix(stream), &shared),
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                })
-                .map_err(|e| format!("spawning listener: {e}"))?;
-            return Ok((bound, thread, Some(PathBuf::from(addr))));
-        }
-        #[cfg(not(unix))]
-        return Err(format!("unix socket {addr} unsupported on this platform"));
-    }
-    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
-    let bound = listener
-        .local_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| addr.to_string());
+    let listener = Listener::bind(addr)?;
+    let bound = listener.addr();
+    let unix_socket = (!matches!(listener, Listener::Tcp(_))).then(|| PathBuf::from(&bound));
     let thread = std::thread::Builder::new()
         .name("nanomapd-listener".into())
-        .spawn(move || loop {
-            if shared.stop_now.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => spawn_connection(Conn::Tcp(stream), &shared),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+        .spawn(move || {
+            while !shared.stop_now.load(Ordering::SeqCst) {
+                match listener.accept() {
+                    Ok(conn) => spawn_connection(conn, &shared),
+                    // Nothing pending (`WouldBlock`) or a transient failure.
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         })
         .map_err(|e| format!("spawning listener: {e}"))?;
-    Ok((bound, thread, None))
-}
-
-/// One accepted stream, TCP or unix.
-enum Conn {
-    Tcp(std::net::TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-}
-
-impl Conn {
-    fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.set_read_timeout(t),
-            #[cfg(unix)]
-            Self::Unix(s) => s.set_read_timeout(t),
-        }
-    }
-
-    fn split(self) -> std::io::Result<(Box<dyn std::io::Read + Send>, Box<dyn Write + Send>)> {
-        Ok(match self {
-            Self::Tcp(s) => (Box::new(s.try_clone()?), Box::new(s)),
-            #[cfg(unix)]
-            Self::Unix(s) => (Box::new(s.try_clone()?), Box::new(s)),
-        })
-    }
+    Ok((bound, thread, unix_socket))
 }
 
 fn spawn_connection(conn: Conn, shared: &Arc<Shared>) {
@@ -730,11 +619,11 @@ fn spawn_connection(conn: Conn, shared: &Arc<Shared>) {
         .spawn(move || handle_connection(conn, &shared));
 }
 
-fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
+fn handle_connection(mut conn: Conn, shared: &Arc<Shared>) {
     let arrived = Instant::now();
     let timeout = Duration::from_millis(shared.config.read_timeout_ms.max(1));
     let _ = conn.set_read_timeout(Some(timeout));
-    let Ok((reader, mut writer)) = conn.split() else {
+    let Ok(reader) = conn.try_clone() else {
         return;
     };
     let mut line = String::new();
@@ -744,57 +633,24 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
     // This path bumps the shed counter (and records under the `shed`
     // latency class) while answering with an `invalid` wire code — the
     // client never sent a valid request to reject more precisely.
-    if BufReader::new(reader).read_line(&mut line).is_err() || line.trim().is_empty() {
-        shared.shed.fetch_add(1, Ordering::Relaxed);
-        let trace = next_trace_id(shared);
-        publish_service(
-            &trace,
-            "-",
-            "shed",
-            None,
-            Some(code::INVALID),
-            Some("request line not received in time"),
-            Some(arrived.elapsed().as_micros() as u64),
-        );
-        let _ = send_line(
-            writer.as_mut(),
-            &render_error_result(
-                "-",
-                code::INVALID,
-                "request line not received in time",
-                None,
-                Some(&trace),
-            ),
-        );
-        shared
-            .latency
-            .class(code::SHED)
-            .record_always(arrived.elapsed().as_micros() as u64);
-        return;
-    }
-    let request = match Request::parse(line.trim_end()) {
+    let unparsed = if BufReader::new(reader).read_line(&mut line).is_err() || line.trim().is_empty()
+    {
+        Err((code::SHED, "request line not received in time".to_string()))
+    } else {
+        Request::parse(line.trim_end()).map_err(|detail| (code::INVALID, detail))
+    };
+    let request = match unparsed {
         Ok(r) => r,
-        Err(detail) => {
-            shared.failures.fetch_add(1, Ordering::Relaxed);
-            let trace = next_trace_id(shared);
-            publish_service(
-                &trace,
-                "-",
-                "completed",
-                None,
-                Some(code::INVALID),
-                Some(&detail),
-                Some(arrived.elapsed().as_micros() as u64),
-            );
-            let _ = send_line(
-                writer.as_mut(),
-                &render_error_result("-", code::INVALID, &detail, None, Some(&trace)),
-            );
-            shared
-                .latency
-                .class(code::INVALID)
-                .record_always(arrived.elapsed().as_micros() as u64);
-            return;
+        Err((class, detail)) => {
+            let outcome = Outcome {
+                request: "-",
+                trace: &next_trace_id(shared),
+                arrived,
+                segments: None,
+                class,
+                reply: Reply::error(code::INVALID, &detail, None),
+            };
+            return finish(shared, conn, outcome);
         }
     };
     match request {
@@ -812,7 +668,7 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
             if let Some(age) = shared.snapshot_age_ms() {
                 pong.set("snapshot_age_ms", age);
             }
-            let _ = send_line(writer.as_mut(), &pong.to_compact_string());
+            let _ = send_line(&mut conn, &pong.to_compact_string());
         }
         Request::Stats => {
             let line = JsonValue::object()
@@ -820,120 +676,62 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
                 .with("event", "stats")
                 .with("stats", shared.stats_json())
                 .to_compact_string();
-            let _ = send_line(writer.as_mut(), &line);
+            let _ = send_line(&mut conn, &line);
         }
         Request::Shutdown => {
             shared.draining.store(true, Ordering::SeqCst);
             shared.queue_cv.notify_all();
-            let _ = send_line(
-                writer.as_mut(),
-                &render_lifecycle("draining", "-", None, None),
-            );
+            let _ = send_line(&mut conn, &render_lifecycle("draining", "-", None, None));
         }
-        Request::Map(map) => admit(map, arrived, writer, shared),
+        Request::Map(map) => admit(map, arrived, conn, shared),
     }
-}
-
-/// Sheds a request at admission: counter, latency class, `service`
-/// event and the typed wire rejection — all stamped with the trace.
-#[allow(clippy::too_many_arguments)] // one call per admission outcome
-fn shed_at_admission(
-    writer: &mut dyn Write,
-    shared: &Shared,
-    request_id: &str,
-    trace: &str,
-    arrived: Instant,
-    error_code: &str,
-    detail: &str,
-    retry_after_ms: Option<u64>,
-) {
-    shared.shed.fetch_add(1, Ordering::Relaxed);
-    publish_service(
-        trace,
-        request_id,
-        "shed",
-        None,
-        Some(error_code),
-        Some(detail),
-        Some(arrived.elapsed().as_micros() as u64),
-    );
-    let _ = send_line(
-        writer,
-        &render_error_result(request_id, error_code, detail, retry_after_ms, Some(trace)),
-    );
-    shared
-        .latency
-        .class(error_code)
-        .record_always(arrived.elapsed().as_micros() as u64);
 }
 
 /// Admission control: shed when draining, over capacity, or unbudgeted
 /// past the free-admission line; otherwise enqueue with a `queued` echo.
-fn admit(
-    request: MapRequest,
-    arrived: Instant,
-    mut writer: Box<dyn Write + Send>,
-    shared: &Arc<Shared>,
-) {
+fn admit(request: MapRequest, arrived: Instant, mut conn: Conn, shared: &Arc<Shared>) {
     let trace = request
         .trace_id
         .clone()
         .unwrap_or_else(|| next_trace_id(shared));
-    if shared.draining.load(Ordering::SeqCst) {
-        shed_at_admission(
-            writer.as_mut(),
-            shared,
-            &request.id,
-            &trace,
-            arrived,
-            code::SHUTDOWN,
-            "daemon is draining for shutdown",
-            Some(1_000),
-        );
-        return;
-    }
     let mut queue = shared.queue.lock().unwrap();
     let depth = queue.len();
-    if depth >= shared.config.queue_capacity {
+    let shed = if shared.draining.load(Ordering::SeqCst) {
+        let detail = "daemon is draining for shutdown".to_string();
+        Some((code::SHUTDOWN, detail, 1_000))
+    } else if depth >= shared.config.queue_capacity {
+        let detail = format!("queue full (depth {depth})");
+        Some((code::SHED, detail, retry_hint_ms(depth)))
+    } else if depth >= shared.config.free_admission_depth && request.time_budget_ms.is_none() {
+        let detail = format!("queue depth {depth} requires time_budget_ms");
+        Some((code::SHED, detail, retry_hint_ms(depth)))
+    } else {
+        None
+    };
+    if let Some((class, detail, retry_after_ms)) = shed {
         drop(queue);
-        shed_at_admission(
-            writer.as_mut(),
-            shared,
-            &request.id,
-            &trace,
+        let outcome = Outcome {
+            request: &request.id,
+            trace: &trace,
             arrived,
-            code::SHED,
-            &format!("queue full (depth {depth})"),
-            Some(retry_hint_ms(depth)),
-        );
-        return;
+            segments: None,
+            class,
+            reply: Reply::error(class, &detail, Some(retry_after_ms)),
+        };
+        return finish(shared, conn, outcome);
     }
-    if depth >= shared.config.free_admission_depth && request.time_budget_ms.is_none() {
-        drop(queue);
-        shed_at_admission(
-            writer.as_mut(),
-            shared,
-            &request.id,
-            &trace,
-            arrived,
-            code::SHED,
-            &format!("queue depth {depth} requires time_budget_ms"),
-            Some(retry_hint_ms(depth)),
-        );
-        return;
-    }
-    // The queued echo goes out before the writer is handed to the job,
-    // while this thread still owns it; best-effort (a vanished client
-    // costs nothing but the eventual failed result write).
+    // The queued echo goes out before the connection is handed to the
+    // job, while this thread still owns it; best-effort (a vanished
+    // client costs nothing but the eventual failed result write).
     let _ = send_line(
-        writer.as_mut(),
+        &mut conn,
         &render_lifecycle("queued", &request.id, Some(depth as u64), Some(&trace)),
     );
     publish_service(&trace, &request.id, "queued", None, None, None, None);
     let budget = request.time_budget_ms;
     queue.push_back(Job {
         request,
-        conn: writer,
+        conn,
         attempts: 0,
         budget_left_ms: budget,
         trace,
@@ -1011,9 +809,7 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
     let resolve_start = Instant::now();
     let objective = match job.request.to_objective() {
         Ok(o) => o,
-        Err(detail) => {
-            return finish_error(job, shared, code::INVALID, &detail, None);
-        }
+        Err(detail) => return job.finish(shared, Reply::error(code::INVALID, &detail, None)),
     };
     let lut_inputs = shared
         .config
@@ -1023,7 +819,7 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
         Ok(net) => net,
         Err(detail) => {
             job.compute_us += resolve_start.elapsed().as_micros() as u64;
-            return finish_error(job, shared, code::INVALID, &detail, None);
+            return job.finish(shared, Reply::error(code::INVALID, &detail, None));
         }
     };
     let base_flow = NanoMap::new(ArchParams::paper_unbounded());
@@ -1035,31 +831,21 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
     let cache_start = Instant::now();
     let cached = shared.cache.load(&run_id);
     job.cache_us += cache_start.elapsed().as_micros() as u64;
-    if let Some(report_text) = cached {
-        shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-        shared.served.fetch_add(1, Ordering::Relaxed);
+    if let Some(report) = cached {
         publish_service(&trace, &id, "cache-hit", Some(&run_id), None, None, None);
         let _ = send_line(
-            job.conn.as_mut(),
+            &mut job.conn,
             &render_lifecycle(first_line, &id, None, Some(&trace)),
         );
-        let serialize_start = Instant::now();
-        let _ = send_line(
-            job.conn.as_mut(),
-            &render_ok_result(&id, &run_id, "hit", &trace, &report_text),
+        shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+        return job.finish(
+            shared,
+            Reply::Ok {
+                run_id: &run_id,
+                cache: "hit",
+                report: &report,
+            },
         );
-        let serialize_us = serialize_start.elapsed().as_micros() as u64;
-        shared.record_request("ok", &job, serialize_us);
-        publish_service(
-            &trace,
-            &id,
-            "completed",
-            Some(&run_id),
-            Some("ok"),
-            Some("cache hit"),
-            Some(job.arrived.elapsed().as_micros() as u64),
-        );
-        return;
     }
 
     // Thundering-herd guard: a second identical request arriving while
@@ -1083,7 +869,7 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
     };
     publish_service(&trace, &id, first_line, Some(&run_id), None, None, None);
     let _ = send_line(
-        job.conn.as_mut(),
+        &mut job.conn,
         &render_lifecycle(first_line, &id, None, Some(&trace)),
     );
 
@@ -1135,16 +921,14 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
     let elapsed_ms = slice_start.elapsed().as_millis() as u64;
     job.compute_us += slice_start.elapsed().as_micros() as u64;
     match outcome {
-        Err(_) => {
-            shared.panics.fetch_add(1, Ordering::Relaxed);
-            finish_error(
-                job,
-                shared,
+        Err(_) => job.finish(
+            shared,
+            Reply::error(
                 code::PANIC,
                 "worker panicked mapping this request; daemon unaffected",
                 None,
-            );
-        }
+            ),
+        ),
         Ok(Ok(report)) => {
             let degraded = report.degraded;
             let record = shared.config.ledger_path.as_ref().map(|_| {
@@ -1165,23 +949,12 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
                     eprintln!("nanomapd: ledger append for {run_id} failed: {e}");
                 }
             }
-            shared.served.fetch_add(1, Ordering::Relaxed);
-            let serialize_start = Instant::now();
-            let _ = send_line(
-                job.conn.as_mut(),
-                &render_ok_result(&id, &run_id, "miss", &trace, &report_text),
-            );
-            let serialize_us = serialize_start.elapsed().as_micros() as u64;
-            shared.record_request("ok", &job, serialize_us);
-            publish_service(
-                &trace,
-                &id,
-                "completed",
-                Some(&run_id),
-                Some("ok"),
-                None,
-                Some(job.arrived.elapsed().as_micros() as u64),
-            );
+            let reply = Reply::Ok {
+                run_id: &run_id,
+                cache: "miss",
+                report: &report_text,
+            };
+            job.finish(shared, reply);
         }
         Ok(Err(FlowError::BudgetExhausted { .. })) => {
             // Spend the slice against the request budget; preempt while
@@ -1191,14 +964,8 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
                 .budget_left_ms
                 .map(|b| b.saturating_sub(elapsed_ms.max(1)));
             if budget_left == Some(0) {
-                finish_error(
-                    job,
-                    shared,
-                    code::BUDGET,
-                    "time budget exhausted before a complete mapping",
-                    None,
-                );
-                return;
+                let detail = "time budget exhausted before a complete mapping";
+                return job.finish(shared, Reply::error(code::BUDGET, detail, None));
             }
             job.budget_left_ms = budget_left;
             job.attempts += 1;
@@ -1213,20 +980,14 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
                 Some(elapsed_ms.saturating_mul(1_000)),
             );
             let _ = send_line(
-                job.conn.as_mut(),
+                &mut job.conn,
                 &render_lifecycle("preempted", &id, None, Some(&trace)),
             );
             if shared.draining.load(Ordering::SeqCst) || shared.stop_now.load(Ordering::SeqCst) {
                 // Shutting down: the checkpoint persists for the next
                 // daemon; the client gets a retryable rejection.
-                finish_error(
-                    job,
-                    shared,
-                    code::SHUTDOWN,
-                    "preempted by shutdown; resume checkpoint persisted",
-                    Some(1_000),
-                );
-                return;
+                let detail = "preempted by shutdown; resume checkpoint persisted";
+                return job.finish(shared, Reply::error(code::SHUTDOWN, detail, Some(1_000)));
             }
             job.enqueued_at = Instant::now();
             let mut queue = shared.queue.lock().unwrap();
@@ -1234,10 +995,7 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
             drop(queue);
             shared.queue_cv.notify_one();
         }
-        Ok(Err(err)) => {
-            let detail = err.to_string();
-            finish_error(job, shared, code::FAILED, &detail, None);
-        }
+        Ok(Err(err)) => job.finish(shared, Reply::error(code::FAILED, &err.to_string(), None)),
     }
 }
 
@@ -1269,46 +1027,124 @@ impl Drop for ComputeSlot<'_> {
     }
 }
 
-/// Terminates a job with a typed rejection: counters (shed for the
-/// retryable codes, failures for permanent non-panic ones — panics
-/// count at the panic site), segment + per-class latency accounting,
-/// a `completed` service event, and the wire line.
-fn finish_error(
-    mut job: Job,
-    shared: &Arc<Shared>,
-    error_code: &str,
-    detail: &str,
-    retry_after_ms: Option<u64>,
-) {
-    match error_code {
-        code::SHED | code::SHUTDOWN => {
-            shared.shed.fetch_add(1, Ordering::Relaxed);
-        }
-        code::PANIC => {}
-        _ => {
-            shared.failures.fetch_add(1, Ordering::Relaxed);
+/// The final line a request gets.
+enum Reply<'a> {
+    /// A mapping result: `cache` is `hit` or `miss`, `report` the
+    /// report JSON spliced in verbatim.
+    Ok {
+        run_id: &'a str,
+        cache: &'static str,
+        report: &'a str,
+    },
+    /// A typed rejection.
+    Error {
+        code: &'a str,
+        detail: &'a str,
+        retry_after_ms: Option<u64>,
+    },
+}
+
+impl<'a> Reply<'a> {
+    fn error(code: &'a str, detail: &'a str, retry_after_ms: Option<u64>) -> Self {
+        Self::Error {
+            code,
+            detail,
+            retry_after_ms,
         }
     }
-    let line = render_error_result(
-        &job.request.id,
-        error_code,
-        detail,
-        retry_after_ms,
-        Some(&job.trace),
-    );
+
+    /// The result code: `ok` or the rejection code.
+    fn code(&self) -> &'a str {
+        match self {
+            Self::Ok { .. } => "ok",
+            Self::Error { code, .. } => code,
+        }
+    }
+}
+
+/// How a request ended, for [`finish`].
+struct Outcome<'a> {
+    /// Client request id (`-` when the request line never parsed).
+    request: &'a str,
+    trace: &'a str,
+    arrived: Instant,
+    /// Queue, compute and cache segments in µs, once the request was
+    /// admitted as a job.
+    segments: Option<[u64; 3]>,
+    /// Accounting class (`ok` or a rejection code): picks the counter
+    /// and the latency histogram. It is the reply's code, except for a
+    /// slow-loris drop, which counts as `shed` but answers `invalid`.
+    class: &'a str,
+    reply: Reply<'a>,
+}
+
+/// Records a request's terminal outcome; every final reply goes
+/// through here. The class counter is bumped before the reply is
+/// written, so a client holding its reply is already counted. Latency
+/// (the segments too, for a job) is recorded after the write, so it
+/// includes serialize time. Last comes the `service` event: `shed` for
+/// a request shed before it became a job, `completed` otherwise.
+fn finish(shared: &Shared, mut conn: Conn, outcome: Outcome<'_>) {
+    let Outcome { request, trace, .. } = outcome;
+    let counter = match outcome.class {
+        "ok" => &shared.served,
+        code::SHED | code::SHUTDOWN => &shared.shed,
+        code::PANIC => &shared.panics,
+        _ => &shared.failures,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
     let serialize_start = Instant::now();
-    let _ = send_line(job.conn.as_mut(), &line);
+    let (line, run_id, detail) = match outcome.reply {
+        Reply::Ok {
+            run_id,
+            cache,
+            report,
+        } => (
+            render_ok_result(request, run_id, cache, trace, report),
+            Some(run_id),
+            (cache == "hit").then_some("cache hit"),
+        ),
+        Reply::Error {
+            code,
+            detail,
+            retry_after_ms,
+        } => (
+            render_error_result(request, code, detail, retry_after_ms, Some(trace)),
+            None,
+            Some(detail),
+        ),
+    };
+    let _ = send_line(&mut conn, &line);
     let serialize_us = serialize_start.elapsed().as_micros() as u64;
-    shared.record_request(error_code, &job, serialize_us);
-    publish_service(
-        &job.trace,
-        &job.request.id,
-        "completed",
-        None,
-        Some(error_code),
-        Some(detail),
-        Some(job.arrived.elapsed().as_micros() as u64),
-    );
+    if let Some([queue, compute, cache]) = outcome.segments {
+        let segments = [queue, compute, cache, serialize_us];
+        for (hist, us) in shared.latency.segments.iter().zip(segments) {
+            hist.record_always(us);
+        }
+    }
+    let us = outcome.arrived.elapsed().as_micros() as u64;
+    shared.latency.class(outcome.class).record_always(us);
+    let stage = match outcome.class {
+        code::SHED | code::SHUTDOWN if outcome.segments.is_none() => "shed",
+        _ => "completed",
+    };
+    let code = Some(outcome.reply.code());
+    publish_service(trace, request, stage, run_id, code, detail, Some(us));
+}
+
+impl Job {
+    /// Ends the job through [`finish`], accounted under its reply code.
+    fn finish(self, shared: &Shared, reply: Reply<'_>) {
+        let outcome = Outcome {
+            request: &self.request.id,
+            trace: &self.trace,
+            arrived: self.arrived,
+            segments: Some([self.queue_us, self.compute_us, self.cache_us]),
+            class: reply.code(),
+            reply,
+        };
+        finish(shared, self.conn, outcome);
+    }
 }
 
 /// Writes one protocol line. The `socket.write` failpoint simulates a

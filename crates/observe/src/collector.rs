@@ -1,17 +1,21 @@
 //! The thread-safe global collector and its two sinks.
 //!
 //! One process-wide collector gathers finished spans and the metric
-//! registries. Reading happens through [`snapshot`], which freezes
+//! registries. Span open and close fan out from here: the event bus
+//! gets `phase-start`, `phase-end` and `counters`, the live echo gets
+//! the closing span. Reading happens through [`snapshot`], which freezes
 //! everything into a [`MetricsSnapshot`] with a tree renderer (human
 //! sink) and a JSON emitter (machine sink).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::events::{events_enabled, publish, EventKind};
 use crate::json::JsonValue;
-use crate::metrics::{Counter, Gauge, Histogram, HistogramHandle, HistogramSnapshot};
+use crate::metrics::{Counter, Histogram, HistogramHandle, HistogramSnapshot};
 use crate::series::{SeriesData, SeriesHandle, SeriesSnapshot};
 use crate::span::SpanRecord;
 
@@ -20,8 +24,14 @@ static ECHO: AtomicU8 = AtomicU8::new(0);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
+/// Counter values captured at span open, for the span's deltas.
+type CounterBase = Vec<(&'static str, u64)>;
+
 thread_local! {
     static TID: u32 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    /// This thread's open spans, innermost last: each id with, when the
+    /// bus was on at open, the span's counters at that moment.
+    static OPEN: RefCell<Vec<(u64, Option<CounterBase>)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Stable per-process ordinal of the calling thread (0 = first thread
@@ -41,15 +51,10 @@ pub(crate) fn since_epoch_us(at: Instant) -> u64 {
         .min(u128::from(u64::MAX)) as u64
 }
 
-pub(crate) fn next_span_id() -> u64 {
-    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
-}
-
 #[derive(Default)]
 struct Registry {
     spans: Vec<SpanRecord>,
     counters: BTreeMap<&'static str, Arc<AtomicU64>>,
-    gauges: BTreeMap<&'static str, Arc<AtomicU64>>,
     histograms: BTreeMap<&'static str, Arc<Histogram>>,
     series: BTreeMap<&'static str, Arc<Mutex<SeriesData>>>,
 }
@@ -104,7 +109,60 @@ pub fn set_echo(mode: Echo) {
     );
 }
 
-pub(crate) fn record_span(record: SpanRecord) {
+/// Opens a span on this thread under its innermost open span and
+/// publishes `phase-start`. Returns the span's id, parent and depth.
+pub(crate) fn open_span(name: &'static str) -> (u64, Option<u64>, u32) {
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    OPEN.with(|open| {
+        let mut open = open.borrow_mut();
+        let parent = open.last().map(|&(id, _)| id);
+        let depth = open.len() as u32;
+        let base = events_enabled().then(|| {
+            publish(|| EventKind::PhaseStart { phase: name, depth });
+            counters_with_prefix(&format!("{name}."))
+        });
+        open.push((id, base));
+        (id, parent, depth)
+    })
+}
+
+/// Closes a span opened by [`open_span`]: publishes `phase-end` and the
+/// deltas of the counters prefixed with its name, echoes it and stores
+/// the record.
+pub(crate) fn close_span(record: SpanRecord) {
+    let base = OPEN.with(|open| {
+        let mut open = open.borrow_mut();
+        // Spans close in LIFO order per thread; defend against misuse
+        // (a guard outliving its parent) by searching.
+        let pos = open.iter().rposition(|&(id, _)| id == record.id)?;
+        let base = open[pos].1.take();
+        open.truncate(pos);
+        base
+    });
+    if let Some(base) = base.filter(|_| events_enabled()) {
+        publish(|| EventKind::PhaseEnd {
+            phase: record.name,
+            depth: record.depth,
+            duration_us: record.duration_us,
+        });
+        let deltas: Vec<(&'static str, u64)> = counters_with_prefix(&format!("{}.", record.name))
+            .into_iter()
+            .map(|(name, value)| {
+                let before = base
+                    .iter()
+                    .find(|&&(b, _)| b == name)
+                    .map_or(0, |&(_, v)| v);
+                (name, value.saturating_sub(before))
+            })
+            .filter(|&(_, delta)| delta > 0)
+            .collect();
+        if !deltas.is_empty() {
+            publish(|| EventKind::Counters {
+                phase: record.name,
+                deltas,
+            });
+        }
+    }
     match ECHO.load(Ordering::Relaxed) {
         1 if record.depth <= 1 => echo_span(&record),
         2 => echo_span(&record),
@@ -139,11 +197,6 @@ pub fn counter(name: &'static str) -> Counter {
     Counter(Arc::clone(lock().counters.entry(name).or_default()))
 }
 
-/// Resolves (registering on first use) the gauge `name`.
-pub fn gauge(name: &'static str) -> Gauge {
-    Gauge(Arc::clone(lock().gauges.entry(name).or_default()))
-}
-
 /// Resolves (registering on first use) the histogram `name`.
 pub fn histogram(name: &'static str) -> HistogramHandle {
     HistogramHandle(Arc::clone(lock().histograms.entry(name).or_default()))
@@ -162,7 +215,7 @@ pub fn incr(name: &'static str, n: u64) {
 
 /// Current values of every counter whose name starts with `prefix`.
 /// Feeds the event bus's per-span counter-delta events.
-pub(crate) fn counters_with_prefix(prefix: &str) -> Vec<(&'static str, u64)> {
+fn counters_with_prefix(prefix: &str) -> Vec<(&'static str, u64)> {
     lock()
         .counters
         .iter()
@@ -178,9 +231,6 @@ pub fn reset() {
     let mut reg = lock();
     reg.spans.clear();
     for cell in reg.counters.values() {
-        cell.store(0, Ordering::Relaxed);
-    }
-    for cell in reg.gauges.values() {
         cell.store(0, Ordering::Relaxed);
     }
     for hist in reg.histograms.values() {
@@ -205,15 +255,13 @@ pub struct MetricsSnapshot {
     pub spans: Vec<SpanRecord>,
     /// Counter values by name.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<&'static str, f64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<&'static str, HistogramSnapshot>,
     /// Time-series snapshots by name.
     pub series: BTreeMap<&'static str, SeriesSnapshot>,
 }
 
-/// Takes a consistent snapshot of spans, counters, gauges and histograms.
+/// Takes a consistent snapshot of spans, counters, histograms and series.
 pub fn snapshot() -> MetricsSnapshot {
     let reg = lock();
     MetricsSnapshot {
@@ -222,11 +270,6 @@ pub fn snapshot() -> MetricsSnapshot {
             .counters
             .iter()
             .map(|(&name, cell)| (name, cell.load(Ordering::Relaxed)))
-            .collect(),
-        gauges: reg
-            .gauges
-            .iter()
-            .map(|(&name, cell)| (name, f64::from_bits(cell.load(Ordering::Relaxed))))
             .collect(),
         histograms: reg
             .histograms
@@ -264,7 +307,7 @@ impl MetricsSnapshot {
         self.series.get(name)
     }
 
-    /// The machine sink: spans, counters, gauges and histograms as one
+    /// The machine sink: spans, counters, histograms and series as one
     /// JSON object (serde-free; see [`crate::json`]).
     pub fn to_json(&self) -> JsonValue {
         let spans: Vec<JsonValue> = self
@@ -289,10 +332,6 @@ impl MetricsSnapshot {
         let mut counters = JsonValue::object();
         for (&name, &value) in &self.counters {
             counters.set(name, value);
-        }
-        let mut gauges = JsonValue::object();
-        for (&name, &value) in &self.gauges {
-            gauges.set(name, value);
         }
         let mut histograms = JsonValue::object();
         for (&name, snap) in &self.histograms {
@@ -335,7 +374,6 @@ impl MetricsSnapshot {
         JsonValue::object()
             .with("spans", JsonValue::Array(spans))
             .with("counters", counters)
-            .with("gauges", gauges)
             .with("histograms", histograms)
             .with("series", series)
     }

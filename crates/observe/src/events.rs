@@ -1,17 +1,19 @@
 //! Structured `nanomap-events-v1` event bus.
 //!
 //! A process-wide, bounded queue of typed flow events: run lifecycle,
-//! phase boundaries (published by [`crate::SpanGuard`]), fractional
-//! progress from the same iteration boundaries the budget system polls,
-//! counter deltas, degradations, recovery-ladder attempts and checkpoint
+//! phase boundaries (published by the collector as spans open and
+//! close), fractional progress from the kernels' [`progress`] hook at
+//! the same iteration boundaries the budget system polls, counter
+//! deltas, degradations, recovery-ladder attempts and checkpoint
 //! writes. Consumers either [`drain_events`] directly or attach an
 //! [`EventStream`] that forwards events as NDJSON lines to any writer
 //! (a file, stdout, a socket) on a background thread.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Never block the flow.** Publishing is a relaxed atomic load when
-//!    the bus is disabled, and a short mutex push when enabled. When the
+//! 1. **Never block the flow.** [`publish`] takes a closure, so while
+//!    the bus is disabled an event costs one relaxed atomic load and is
+//!    never built; enabled, it is a short mutex push. When the
 //!    queue is full, low-priority events (progress, counter deltas) are
 //!    dropped silently and counted; lifecycle events evict the oldest
 //!    low-priority event instead so run structure survives slow
@@ -64,7 +66,7 @@ pub fn set_events_enabled(on: bool) {
 
 /// Whether the event bus is currently accepting events.
 #[inline]
-pub fn events_enabled() -> bool {
+pub(crate) fn events_enabled() -> bool {
     EVENTS_ENABLED.load(Ordering::Relaxed)
 }
 
@@ -125,8 +127,8 @@ pub enum EventKind {
         completed: u64,
         /// Total iterations when known in advance.
         total: Option<u64>,
-        /// Fraction complete in `[0, 1]` when estimable.
-        fraction: Option<f64>,
+        /// Fraction complete in `[0, 1]`.
+        fraction: f64,
         /// Phase-specific figure of merit (best force, cost, overuse…).
         metric: f64,
     },
@@ -287,9 +289,7 @@ impl Event {
                 if let Some(total) = total {
                     obj.set("total", *total);
                 }
-                if let Some(fraction) = fraction {
-                    obj.set("fraction", *fraction);
-                }
+                obj.set("fraction", *fraction);
                 obj.set("metric", *metric);
             }
             EventKind::PhaseEnd {
@@ -384,12 +384,14 @@ impl Event {
     }
 }
 
-/// Publishes an event (no-op while the bus is disabled). Stamps the
-/// sequence number, timestamp and thread ordinal.
-pub fn publish(kind: EventKind) {
+/// Publishes the event `kind` builds, stamped with the sequence number,
+/// timestamp and thread ordinal. While the bus is disabled `kind` is
+/// never called, so callers need no guard of their own.
+pub fn publish(kind: impl FnOnce() -> EventKind) {
     if !events_enabled() {
         return;
     }
+    let kind = kind();
     let event = Event {
         seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
         t_us: collector::since_epoch_us(Instant::now()),
@@ -416,36 +418,41 @@ pub fn publish(kind: EventKind) {
     q.push_back(event);
 }
 
-/// Publishes a [`EventKind::PhaseProgress`] event from an iteration
-/// boundary. When `total` is known the fraction is derived; otherwise
-/// pass an explicit estimate through `fraction`.
-pub fn progress(
-    phase: &'static str,
-    completed: u64,
-    total: Option<u64>,
-    fraction: Option<f64>,
-    metric: f64,
-) {
-    if !events_enabled() {
-        return;
+/// How far a kernel's iterations reach, as [`progress`] reports it.
+#[derive(Debug, Clone, Copy)]
+pub enum Extent {
+    /// The iteration count is known; the fraction is derived from it.
+    Total(u64),
+    /// The kernel's own estimate of the fraction complete.
+    Fraction(f64),
+}
+
+/// The progress hook of an iterative kernel, called once per iteration
+/// boundary with the iteration index `x` and the figure of merit `y`.
+/// `series` names the kernel's convergence series (`fds.best_force`);
+/// while the collector is on, `(x, y)` is appended to it. A bare phase
+/// name (`pack`) records no series. While the bus is on, a
+/// `phase-progress` event goes out for the phase (the series name up to
+/// its first `.`) with `completed = x + 1` and `metric = y`. Disabled,
+/// the hook costs two relaxed atomic loads.
+pub fn progress(series: &'static str, x: u64, y: f64, extent: Extent) {
+    if collector::enabled() && series.contains('.') {
+        collector::series(series).record(x, y);
     }
-    let fraction = fraction
-        .or_else(|| {
-            total.map(|t| {
-                if t == 0 {
-                    1.0
-                } else {
-                    (completed as f64 / t as f64).min(1.0)
-                }
-            })
-        })
-        .map(|f| f.clamp(0.0, 1.0));
-    publish(EventKind::PhaseProgress {
-        phase,
-        completed,
-        total,
-        fraction,
-        metric,
+    publish(|| {
+        let completed = x + 1;
+        let (total, fraction) = match extent {
+            Extent::Total(0) => (Some(0), 1.0),
+            Extent::Total(t) => (Some(t), completed as f64 / t as f64),
+            Extent::Fraction(f) => (None, f),
+        };
+        EventKind::PhaseProgress {
+            phase: series.split_once('.').map_or(series, |(phase, _)| phase),
+            completed,
+            total,
+            fraction: fraction.clamp(0.0, 1.0),
+            metric: y,
+        }
     });
 }
 
@@ -568,11 +575,11 @@ mod tests {
         let _guard = serial();
         reset_events();
         set_events_enabled(false);
-        publish(EventKind::PhaseStart {
+        publish(|| EventKind::PhaseStart {
             phase: "noop",
             depth: 0,
         });
-        progress("noop", 1, Some(2), None, 0.0);
+        progress("noop", 0, 0.0, Extent::Total(2));
         assert!(drain_events().is_empty());
         assert_eq!(dropped_events(), 0);
     }
@@ -582,9 +589,9 @@ mod tests {
         let _guard = serial();
         reset_events();
         set_events_enabled(true);
-        progress("p", 5, Some(10), None, 1.5);
-        progress("p", 30, Some(10), None, 0.0); // over-complete clamps
-        progress("p", 1, None, Some(7.0), 0.0); // explicit estimate clamps
+        progress("p", 4, 1.5, Extent::Total(10));
+        progress("p", 29, 0.0, Extent::Total(10)); // over-complete clamps
+        progress("p", 0, 0.0, Extent::Fraction(7.0)); // explicit estimate clamps
         set_events_enabled(false);
         let events = drain_events();
         let fractions: Vec<f64> = events
@@ -594,7 +601,7 @@ mod tests {
                     phase: "p",
                     fraction,
                     ..
-                } => *fraction,
+                } => Some(*fraction),
                 _ => None,
             })
             .collect();
@@ -607,13 +614,13 @@ mod tests {
         reset_events();
         set_events_enabled(true);
         for i in 0..EVENT_QUEUE_CAPACITY + 10 {
-            progress("flood", i as u64, None, Some(0.5), 0.0);
+            progress("flood", i as u64, 0.0, Extent::Fraction(0.5));
         }
         // Other tests' spans may also publish while the bus is up, so
         // bound rather than pin the counts.
         assert!(dropped_events() >= 10);
         // A lifecycle event still gets in by evicting a progress event.
-        publish(EventKind::PhaseEnd {
+        publish(|| EventKind::PhaseEnd {
             phase: "flood",
             depth: 0,
             duration_us: 1,
@@ -637,21 +644,21 @@ mod tests {
             .map(|_| {
                 std::thread::spawn(|| {
                     for _ in 0..50 {
-                        publish(EventKind::PhaseStart {
+                        publish(|| EventKind::PhaseStart {
                             phase: "evt-outer",
                             depth: 0,
                         });
-                        publish(EventKind::PhaseStart {
+                        publish(|| EventKind::PhaseStart {
                             phase: "evt-inner",
                             depth: 1,
                         });
-                        progress("evt-inner", 1, Some(2), None, 0.0);
-                        publish(EventKind::PhaseEnd {
+                        progress("evt-inner", 0, 0.0, Extent::Total(2));
+                        publish(|| EventKind::PhaseEnd {
                             phase: "evt-inner",
                             depth: 1,
                             duration_us: 1,
                         });
-                        publish(EventKind::PhaseEnd {
+                        publish(|| EventKind::PhaseEnd {
                             phase: "evt-outer",
                             depth: 0,
                             duration_us: 2,
@@ -731,11 +738,11 @@ mod tests {
         reset_events();
         let sink = SharedSink::default();
         let stream = EventStream::spawn(Box::new(sink.clone()));
-        publish(EventKind::PhaseStart {
+        publish(|| EventKind::PhaseStart {
             phase: "streamed",
             depth: 0,
         });
-        publish(EventKind::PhaseEnd {
+        publish(|| EventKind::PhaseEnd {
             phase: "streamed",
             depth: 0,
             duration_us: 3,
@@ -759,11 +766,11 @@ mod tests {
         let _guard = serial();
         reset_events();
         let stream = EventStream::spawn(Box::new(BrokenSink));
-        publish(EventKind::PhaseStart {
+        publish(|| EventKind::PhaseStart {
             phase: "doomed",
             depth: 0,
         });
-        publish(EventKind::PhaseEnd {
+        publish(|| EventKind::PhaseEnd {
             phase: "doomed",
             depth: 0,
             duration_us: 1,

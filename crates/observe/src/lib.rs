@@ -1,10 +1,10 @@
 //! # nanomap-observe
 //!
 //! Zero-dependency observability for the NanoMap flow: hierarchical
-//! wall-clock [spans](span!), monotonic [counters](counter) and
-//! [gauges](gauge), log-scale [histograms](histogram) with percentile
-//! readout, bounded time [series](series) for convergence trajectories,
-//! a thread-safe global [collector](snapshot), and four views of its
+//! wall-clock [spans](span!), monotonic [counters](counter), log-scale
+//! [histograms](histogram) with percentile readout, bounded time
+//! [series](series) for convergence trajectories, a thread-safe global
+//! [collector](snapshot), and four views of its
 //! span records — a human-readable per-phase tree
 //! ([`MetricsSnapshot::render_tree`]), a hand-rolled JSON emitter
 //! ([`MetricsSnapshot::to_json`], serde-free), a Chrome trace-event
@@ -13,7 +13,10 @@
 //!
 //! Everything is **off by default** and costs one relaxed atomic load per
 //! instrumentation site until [`set_enabled`]`(true)` — the flow's hot
-//! paths stay hot with observability compiled in.
+//! paths stay hot with observability compiled in. The
+//! [`nanomap-events-v1` bus](events) is a second, independent switch;
+//! iterative kernels feed both through one [`progress`] call per
+//! iteration.
 //!
 //! The crate also hosts the workspace's determinism substrate:
 //! [`rng::XorShift64Star`], the seeded PRNG that replaced the `rand`
@@ -29,7 +32,7 @@
 //!     let _phase = observe::span!("fds", items = 12usize);
 //!     observe::counter("fds.force_evals").add(144);
 //!     observe::histogram("fds.round_us").record(250);
-//!     observe::series("fds.best_force").record(0, 3.5);
+//!     observe::progress("fds.best_force", 0, 3.5, observe::Extent::Total(12));
 //! }
 //! let snap = observe::snapshot();
 //! assert_eq!(snap.counter("fds.force_evals"), 144);
@@ -63,18 +66,18 @@ pub use alloc::{
 };
 pub use budget::{Anytime, CancelToken, Degradation};
 pub use collector::{
-    counter, enabled, gauge, histogram, incr, reset, series, set_echo, set_enabled, snapshot,
+    counter, enabled, histogram, incr, reset, series, set_echo, set_enabled, snapshot,
     thread_ordinal, Echo, MetricsSnapshot,
 };
 pub use failpoint::{FailMode, FAILPOINTS_ENV, FAILPOINT_SEED_ENV};
 
 pub use events::{
-    drain_events, dropped_events, events_enabled, publish, reset_events, set_events_enabled, Event,
-    EventKind, EventStream, StreamStats, EVENTS_SCHEMA, EVENT_QUEUE_CAPACITY,
+    drain_events, dropped_events, progress, publish, reset_events, set_events_enabled, Event,
+    EventKind, EventStream, Extent, StreamStats, EVENTS_SCHEMA, EVENT_QUEUE_CAPACITY,
 };
 pub use hash::Fnv1a;
 pub use json::JsonValue;
-pub use metrics::{Counter, Gauge, HistogramHandle, HistogramSnapshot};
+pub use metrics::{Counter, HistogramHandle, HistogramSnapshot};
 pub use phase::{Phase, PHASES};
 pub use profile::{HotPath, ProfileData, ProfilePath, PROFILE_SCHEMA};
 pub use series::{SeriesHandle, SeriesPoint, SeriesSnapshot, SERIES_CAPACITY};

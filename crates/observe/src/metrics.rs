@@ -1,4 +1,4 @@
-//! Counters, gauges and log-scale histograms.
+//! Counters and log-scale histograms.
 //!
 //! All metric types are lock-free on the hot path: handles wrap
 //! `Arc<Atomic…>` cells resolved once from the global registry, so an
@@ -33,25 +33,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge handle: latest-value semantics, stored as `f64` bits.
-#[derive(Debug, Clone)]
-pub struct Gauge(pub(crate) Arc<AtomicU64>);
-
-impl Gauge {
-    /// Sets the gauge (no-op while observability is disabled).
-    #[inline]
-    pub fn set(&self, value: f64) {
-        if enabled() {
-            self.0.store(value.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 

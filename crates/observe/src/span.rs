@@ -4,7 +4,6 @@
 //! guard drops. Nesting is tracked per thread, so concurrent flows build
 //! independent subtrees under the shared collector.
 
-use std::cell::RefCell;
 use std::time::Instant;
 
 use crate::collector::{self, enabled};
@@ -42,10 +41,6 @@ impl SpanRecord {
     }
 }
 
-thread_local! {
-    static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
 /// RAII guard for an open span. Created by [`crate::span!`] or
 /// [`SpanGuard::enter`]; records the span into the global collector on
 /// drop. Inert (zero-cost beyond one atomic load) while observability is
@@ -66,9 +61,6 @@ struct OpenSpan {
     /// Phase index to restore in the allocator's attribution slot, when
     /// this span switched it.
     saved_phase: Option<usize>,
-    /// Counter values (for counters prefixed `<name>.`) captured at
-    /// open, when the event bus was live — drop publishes the deltas.
-    counter_base: Option<Vec<(&'static str, u64)>>,
 }
 
 impl SpanGuard {
@@ -77,21 +69,8 @@ impl SpanGuard {
         if !enabled() {
             return Self { open: None };
         }
-        let id = collector::next_span_id();
-        let (parent, depth) = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let parent = stack.last().copied();
-            let depth = stack.len() as u32;
-            stack.push(id);
-            (parent, depth)
-        });
+        let (id, parent, depth) = collector::open_span(name);
         let saved_phase = crate::alloc::phase_enter(name);
-        let counter_base = if crate::events::events_enabled() {
-            crate::events::publish(crate::events::EventKind::PhaseStart { phase: name, depth });
-            Some(collector::counters_with_prefix(&format!("{name}.")))
-        } else {
-            None
-        };
         Self {
             open: Some(OpenSpan {
                 id,
@@ -101,7 +80,6 @@ impl SpanGuard {
                 depth,
                 started: Instant::now(),
                 saved_phase,
-                counter_base,
             }),
         }
     }
@@ -124,44 +102,9 @@ impl Drop for SpanGuard {
         if let Some(previous) = open.saved_phase {
             crate::alloc::phase_exit(previous);
         }
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Guards drop in LIFO order per thread; defend against
-            // misuse (a guard outliving its parent) by searching.
-            if let Some(pos) = stack.iter().rposition(|&id| id == open.id) {
-                stack.truncate(pos);
-            }
-        });
         let duration_us = duration.as_micros().min(u128::from(u64::MAX)) as u64;
-        if let Some(base) = &open.counter_base {
-            if crate::events::events_enabled() {
-                crate::events::publish(crate::events::EventKind::PhaseEnd {
-                    phase: open.name,
-                    depth: open.depth,
-                    duration_us,
-                });
-                let now = collector::counters_with_prefix(&format!("{}.", open.name));
-                let deltas: Vec<(&'static str, u64)> = now
-                    .iter()
-                    .map(|&(name, value)| {
-                        let before = base
-                            .iter()
-                            .find(|&&(b, _)| b == name)
-                            .map_or(0, |&(_, v)| v);
-                        (name, value.saturating_sub(before))
-                    })
-                    .filter(|&(_, delta)| delta > 0)
-                    .collect();
-                if !deltas.is_empty() {
-                    crate::events::publish(crate::events::EventKind::Counters {
-                        phase: open.name,
-                        deltas,
-                    });
-                }
-            }
-        }
         let start_us = collector::since_epoch_us(open.started);
-        collector::record_span(SpanRecord {
+        collector::close_span(SpanRecord {
             id: open.id,
             parent: open.parent,
             name: open.name,

@@ -149,7 +149,6 @@ mod tests {
         MetricsSnapshot {
             spans,
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             series,
         }

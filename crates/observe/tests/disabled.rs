@@ -11,13 +11,11 @@ fn everything_is_a_noop_while_disabled() {
         let _s = span!("ghost", attr = 1u32);
     }
     observe::counter("ghost.count").add(99);
-    observe::gauge("ghost.gauge").set(1.5);
     observe::histogram("ghost.hist").record(7);
 
     let snap = observe::snapshot();
     assert!(snap.spans.is_empty(), "no spans recorded while disabled");
     assert_eq!(snap.counter("ghost.count"), 0);
-    assert_eq!(snap.gauges.get("ghost.gauge").copied().unwrap_or(0.0), 0.0);
     assert_eq!(snap.histograms["ghost.hist"].count, 0);
 
     // The JSON sink still emits a valid (empty) document.

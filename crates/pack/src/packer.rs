@@ -16,6 +16,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use nanomap_arch::ArchParams;
 use nanomap_netlist::{FfId, LutId, SignalRef};
+use nanomap_observe::Extent;
 
 use crate::design::{Slice, TemporalDesign};
 use crate::error::PackError;
@@ -263,12 +264,11 @@ pub fn pack(
                 assign_lut(&mut packing, cand, smb, slice);
             }
         }
-        nanomap_observe::events::progress(
+        nanomap_observe::progress(
             "pack",
-            slice_idx as u64 + 1,
-            Some(total_slices),
-            None,
+            slice_idx as u64,
             f64::from(packing.num_smbs),
+            Extent::Total(total_slices),
         );
     }
 
@@ -429,11 +429,16 @@ fn find_ff_home(
 mod tests {
     use super::*;
     use nanomap_netlist::rtl::{CombOp, RtlBuilder};
-    use nanomap_netlist::PlaneSet;
+    use nanomap_netlist::{LutNetwork, PlaneSet};
     use nanomap_sched::{schedule_fds, FdsOptions, ItemGraph};
     use nanomap_techmap::{expand, ExpandOptions};
 
-    fn packed_adder(p: u32) -> (nanomap_netlist::LutNetwork, u32, Packing, u32) {
+    /// Packs an 8-bit registered adder folded at level `p` and hands the
+    /// network, the scheduled design and the packing to `inspect`.
+    fn inspect_packed_adder<R>(
+        p: u32,
+        inspect: impl FnOnce(&LutNetwork, &TemporalDesign<'_>, Packing) -> R,
+    ) -> R {
         let mut b = RtlBuilder::new("t");
         let a = b.input("a", 8);
         let c = b.input("b", 8);
@@ -453,11 +458,15 @@ mod tests {
         let graph = ItemGraph::build(&net, plane0, p).unwrap();
         let schedule = schedule_fds(&net, &graph, stages, FdsOptions::default()).unwrap();
         let design = TemporalDesign::new(&net, &planes, vec![graph], vec![schedule]).unwrap();
-        let arch = ArchParams::paper();
-        let packing = pack(&design, &arch, PackOptions::default()).unwrap();
-        let slices = design.num_slices();
-        let les = packing.les_used(&arch, &design);
-        (net, slices, packing, les)
+        let packing = pack(&design, &ArchParams::paper(), PackOptions::default()).unwrap();
+        inspect(&net, &design, packing)
+    }
+
+    fn packed_adder(p: u32) -> (LutNetwork, u32, Packing, u32) {
+        inspect_packed_adder(p, |net, design, packing| {
+            let les = packing.les_used(&ArchParams::paper(), design);
+            (net.clone(), design.num_slices(), packing, les)
+        })
     }
 
     #[test]
@@ -475,24 +484,21 @@ mod tests {
 
     #[test]
     fn le_slots_unique_within_slice() {
-        let (net, _, packing, _) = packed_adder(2);
-        let mut seen: std::collections::HashSet<(u32, u32, usize)> =
-            std::collections::HashSet::new();
-        for (id, _) in net.luts() {
-            let smb = packing.lut_smb[&id];
-            let le = packing.lut_le[&id];
-            // slot key includes producer slice via stage... approximate by
-            // (smb, le, lut-id-free) uniqueness check per slice done below.
-            let _ = (smb, le);
-        }
-        // Stronger check: occupancy counters match assigned LE slots.
-        for (id, _) in net.luts() {
-            let smb = packing.lut_smb[&id];
-            let le = packing.lut_le[&id];
-            assert!(le < 16);
-            seen.insert((smb, le, id.index()));
-        }
-        assert_eq!(seen.len(), net.num_luts());
+        inspect_packed_adder(2, |net, design, packing| {
+            let luts_per_smb = ArchParams::paper().luts_per_smb();
+            let mut seen = std::collections::HashSet::new();
+            for slice in design.slices() {
+                for lut in design.luts_in(slice) {
+                    let (smb, le) = (packing.lut_smb[&lut], packing.lut_le[&lut]);
+                    assert!(le < luts_per_smb, "{lut:?} in LE {le}");
+                    assert!(
+                        seen.insert((smb, slice, le)),
+                        "SMB {smb} LE {le} holds two LUTs in {slice:?}"
+                    );
+                }
+            }
+            assert_eq!(seen.len(), net.num_luts());
+        });
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use nanomap_arch::{Grid, SmbPos};
 use nanomap_observe::rng::XorShift64Star;
-use nanomap_observe::{CancelToken, Degradation};
+use nanomap_observe::{CancelToken, Degradation, Extent};
 
 use crate::cost::{net_hpwl, nets_of_smb, total_cost, FlatNet};
 
@@ -98,11 +98,10 @@ pub fn anneal_budgeted(
     token: &CancelToken,
 ) -> (f64, Option<Degradation>) {
     let n = pos_of.len();
-    let cost_series = nanomap_observe::series("place.cost");
     if n <= 1 || nets.is_empty() {
         // Nothing to move: the cost trajectory is a single point.
         let cost = total_cost(nets, pos_of);
-        cost_series.record(0, cost);
+        nanomap_observe::series("place.cost").record(0, cost);
         return (cost, None);
     }
     let net_index = nets_of_smb(nets, n as u32);
@@ -180,20 +179,17 @@ pub fn anneal_budgeted(
         accepted_ctr.add(accepted as u64);
         steps_ctr.incr();
         let rate = accepted as f64 / moves_per_t as f64;
-        // Convergence trajectory: one sample per temperature step.
-        cost_series.record(step, cost);
+        // Convergence trajectory: one sample per temperature step. The
+        // cooling schedule is geometric, so log-temperature is the
+        // natural progress axis: 1 at t_min, 0 at the start.
+        let fraction = if t_initial > t_min && temperature > t_min {
+            1.0 - (temperature / t_min).ln() / (t_initial / t_min).ln()
+        } else {
+            1.0
+        };
+        nanomap_observe::progress("place.cost", step, cost, Extent::Fraction(fraction));
         temp_series.record(step, temperature);
         rate_series.record(step, rate);
-        if nanomap_observe::events_enabled() {
-            // The cooling schedule is geometric, so log-temperature is
-            // the natural progress axis: 1 at t_min, 0 at the start.
-            let fraction = if t_initial > t_min && temperature > t_min {
-                1.0 - (temperature / t_min).ln() / (t_initial / t_min).ln()
-            } else {
-                1.0
-            };
-            nanomap_observe::events::progress("place", step + 1, None, Some(fraction), cost);
-        }
         step += 1;
         // VPR temperature update.
         temperature *= if rate > 0.96 {

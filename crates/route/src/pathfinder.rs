@@ -15,7 +15,7 @@ use std::collections::BinaryHeap;
 
 use nanomap_arch::{RrGraph, RrNodeId, SmbPos};
 use nanomap_observe::rng::XorShift64Star;
-use nanomap_observe::{Anytime, CancelToken, Degradation};
+use nanomap_observe::{Anytime, CancelToken, Degradation, Extent};
 use nanomap_pack::SliceNet;
 
 use crate::error::{describe_net, RouteError};
@@ -120,7 +120,6 @@ pub fn route_slice_budgeted(
     let iter_ctr = nanomap_observe::counter("route.iterations");
     let ripup_ctr = nanomap_observe::counter("route.ripups");
     let overflow_hist = nanomap_observe::histogram("route.overused_nodes");
-    let overuse_series = nanomap_observe::series("route.overuse");
     let pres_series = nanomap_observe::series("route.present_cost");
 
     for iteration in 0..options.max_iterations {
@@ -150,15 +149,13 @@ pub fn route_slice_budgeted(
         }
         overflow_hist.record(overused as u64);
         // Negotiation trajectory: one sample per rip-up iteration.
-        overuse_series.record(u64::from(iteration), overused as f64);
-        pres_series.record(u64::from(iteration), pres_fac);
-        nanomap_observe::events::progress(
-            "route",
-            u64::from(iteration) + 1,
-            Some(u64::from(options.max_iterations)),
-            None,
+        nanomap_observe::progress(
+            "route.overuse",
+            u64::from(iteration),
             overused as f64,
+            Extent::Total(u64::from(options.max_iterations)),
         );
+        pres_series.record(u64::from(iteration), pres_fac);
         if overused == 0 {
             return Ok(Anytime::Complete(routes.into_iter().flatten().collect()));
         }

@@ -27,7 +27,7 @@
 //!   cycle order with the same `1e-12` tie-break, which is not transitive,
 //!   so no per-item best can be cached.
 
-use nanomap_observe::{Anytime, CancelToken, Degradation};
+use nanomap_observe::{Anytime, CancelToken, Degradation, Extent};
 
 use crate::asap::{topo_order, TimeFrames};
 use crate::dg::{
@@ -109,12 +109,10 @@ pub fn schedule_fds_budgeted(
     options: FdsOptions,
     token: &CancelToken,
 ) -> Result<Anytime<Schedule>, SchedError> {
-    let force_series = nanomap_observe::series("fds.best_force");
     let n = graph.len() as u64;
     schedule_with(net, graph, stages, options, token, |round, force| {
         // Convergence trajectory: the committed (lowest) force per round.
-        force_series.record(round, force);
-        nanomap_observe::events::progress("fds", round + 1, Some(n), None, force);
+        nanomap_observe::progress("fds.best_force", round, force, Extent::Total(n));
     })
 }
 

@@ -168,7 +168,7 @@ else
     --explain RESUME_defect_explain.json >/dev/null
   cmp BASE_defect_explain.json RESUME_defect_explain.json
   echo "==> gate: perf (phase medians vs BENCH_perf.json)"
-  ./target/release/perf --runs 3 --out BENCH_perf_new.json --profile-dir PERF_prof
+  ./target/release/perf --runs 3 --out BENCH_perf_new.json --profile PERF_prof
   ./target/release/nanomap perf-diff --rel 2.0 --abs-ms 25 \
     BENCH_perf.json BENCH_perf_new.json
   echo "==> gate: runs smoke (live NDJSON stream + flight-recorder ledger)"

@@ -4,6 +4,10 @@
 
 use std::process::{Command, Output};
 
+use nanomap::{NanoMap, Objective, Remedy};
+use nanomap_arch::{ArchParams, DefectMap};
+use nanomap_techmap::{expand, ExpandOptions};
+
 fn run(exe: &str, args: &[&str]) -> Output {
     Command::new(exe)
         .args(args)
@@ -35,6 +39,42 @@ fn qor_out_without_a_value_is_a_usage_error() {
     let qor = env!("CARGO_BIN_EXE_qor");
     assert_usage_error(&run(qor, &["--out"]), "error: --out: needs a value");
     assert_usage_error(&run(qor, &["--bogus"]), "error: --bogus: unknown option");
+}
+
+#[test]
+fn retired_flag_names_are_usage_errors() {
+    assert_usage_error(
+        &run(env!("CARGO_BIN_EXE_perf"), &["--profile-dir", "prof"]),
+        "error: --profile-dir: unknown option",
+    );
+    assert_usage_error(
+        &run(env!("CARGO_BIN_EXE_yield"), &["--sat-conflicts", "0"]),
+        "error: --sat-conflicts: unknown option",
+    );
+}
+
+/// `--sat-conflict-budget 0` means unbounded in `nanomap` and `yield`
+/// alike: both pass the number to `with_sat_conflict_budget`, where 0
+/// leaves the solver unbounded. On ex2 at 20% defects (seed 4) every
+/// heuristic rung fails and the SAT rung needs conflicts to find the
+/// assignment, so a budget that gave up at the first conflict would
+/// fail this mapping.
+#[test]
+fn zero_sat_conflict_budget_maps_like_no_budget() {
+    let net = expand(&nanomap_bench::circuits::ex2(), ExpandOptions::default()).unwrap();
+    let flow = || {
+        NanoMap::new(ArchParams::paper())
+            .with_defects(DefectMap::uniform(0.2, 4))
+            .with_exact_recovery()
+    };
+    let zero = flow().with_sat_conflict_budget(0);
+    assert_eq!(zero.sat_conflict_budget, None);
+    let mapped = |flow: NanoMap| {
+        let report = flow.map(&net, Objective::MinAreaDelayProduct).unwrap();
+        assert_eq!(report.recovery.succeeded_with, Some(Remedy::ExactAssign));
+        format!("{} {:?}", report.num_les, report.physical)
+    };
+    assert_eq!(mapped(zero), mapped(flow()));
 }
 
 #[test]
