@@ -41,16 +41,14 @@ use std::time::Instant;
 
 use nanomap_arch::{ChannelConfig, DefectMap, Grid};
 use nanomap_observe::span;
-use nanomap_pack::{extract_nets, pack, TemporalDesign};
 use nanomap_place::adopt_assignment;
 use nanomap_sat::{
     solve_assignment, AssignOutcome, AssignmentProblem, CapacityGroup, SolverOptions,
 };
 
 use crate::budget::Degradation;
-use crate::checkpoint::ResumeProducts;
 use crate::error::FlowError;
-use crate::flow::{physical_phase, Attempt, CandidateEval, NanoMap, Run};
+use crate::flow::{physical_phase, Attempt, CandidateEval, NanoMap, Run, Shared};
 use crate::recovery::{RecoveryLog, Remedy};
 use crate::report::MappingReport;
 
@@ -176,13 +174,14 @@ impl NanoMap {
     /// a shallow folding with fewer NRAM sets is often solvable on a
     /// fabric where the deep preferred candidate is provably not.
     ///
-    /// Per grid size: packs the candidate's schedules, encodes
-    /// per-cluster slot domains from the precise active-set view,
-    /// solves, re-validates the model through [`adopt_assignment`], and
-    /// re-runs routing/timing on the adopted placement. A routed model
-    /// returns `Success`; a proof of unsatisfiability on the largest
-    /// grid (guards relaxed) returns `Infeasible`; an interrupted solve
-    /// or a model that will not route returns `Exhausted`.
+    /// The candidate is packed once, on the first grid size. Per grid
+    /// size the rung encodes per-cluster slot domains from the precise
+    /// active-set view, solves, re-validates the model through
+    /// [`adopt_assignment`], and re-runs routing/timing on the adopted
+    /// placement. A routed model returns `Success`; a proof of
+    /// unsatisfiability on the largest grid (guards relaxed) returns
+    /// `Infeasible`; an interrupted solve or a model that will not route
+    /// returns `Exhausted`.
     pub(crate) fn exact_assign_rung(
         &self,
         run: &Run,
@@ -201,6 +200,10 @@ impl NanoMap {
         let overrides = attempt.overrides;
         let base_slack = overrides.place.grid_slack;
         let last = MAX_GRID_ATTEMPTS - 1;
+        let mut shared = match Shared::new(run, eval, None) {
+            Ok(shared) => shared,
+            Err(e) => return ExactRungResult::Fatal(e),
+        };
         let mut sizing = 0u32;
         while sizing < MAX_GRID_ATTEMPTS {
             if run.token.expired() {
@@ -210,22 +213,14 @@ impl NanoMap {
             let slack = base_slack * GRID_GROWTH.powi(sizing as i32);
 
             // The temporal design and packing the encoder works from.
-            let design = match TemporalDesign::new(
-                run.net,
-                run.planes,
-                eval.graphs.clone(),
-                eval.schedules.clone(),
-            ) {
-                Ok(d) => d,
-                Err(e) => return ExactRungResult::Fatal(e.into()),
+            let (design, packed) = match shared.packed(self) {
+                Ok(products) => products,
+                Err(e) => return ExactRungResult::Fatal(e),
             };
-            let packing = match pack(&design, &self.arch, self.pack_options) {
-                Ok(p) => p,
-                Err(e) => return ExactRungResult::Fatal(e.into()),
-            };
+            let packing = &packed.packing;
             let n = packing.num_smbs;
             let grid = Grid::with_capacity(((f64::from(n) * slack).ceil() as u32).max(n));
-            let required = packing.required_sets(&design);
+            let required = packing.required_sets(design);
 
             // Per-cluster slot domains from the precise active-set
             // view; this is where the rung sees slots the heuristic
@@ -292,11 +287,10 @@ impl NanoMap {
                 AssignOutcome::Assigned(slot_of_smb) => {
                     // Trust boundary: re-validate the model from
                     // scratch before adopting it.
-                    let nets = extract_nets(&design, &packing);
                     let adopted = adopt_assignment(
-                        &design,
-                        &packing,
-                        &nets,
+                        design,
+                        packing,
+                        &packed.nets,
                         &overrides.channels,
                         &self.timing,
                         overrides.place.weights,
@@ -316,16 +310,18 @@ impl NanoMap {
                             });
                         }
                     };
-                    drop(design);
                     // Inject the solver placement; routing, timing,
                     // bitmaps and verification all run the normal path.
                     let mut degradations = base_degradations.to_vec();
                     degradations.extend(eval.degradation.clone());
-                    let adopted = ResumeProducts {
-                        packing: Some(packing),
-                        placement: Some((grid, pos_of)),
-                    };
-                    match self.finish_candidate(run, &attempt, None, adopted, &mut degradations) {
+                    match self.finish_candidate(
+                        run,
+                        &attempt,
+                        None,
+                        &mut shared,
+                        Some((grid, pos_of)),
+                        &mut degradations,
+                    ) {
                         Ok(report) => {
                             nanomap_observe::incr("flow.exact_assign.rescues", 1);
                             return ExactRungResult::Success(Box::new(report), degradations);
@@ -415,6 +411,7 @@ mod tests {
     use nanomap_arch::{ArchParams, SmbPos};
     use nanomap_netlist::rtl::{CombOp, RtlBuilder, RtlCircuit};
     use nanomap_netlist::{LutNetwork, PlaneSet};
+    use nanomap_pack::{pack, TemporalDesign};
     use nanomap_techmap::{expand, ExpandOptions};
 
     use crate::budget::CancelToken;

@@ -14,11 +14,12 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use nanomap_arch::{
-    estimate_power, ArchParams, AreaModel, ChannelConfig, DefectMap, PowerModel, TimingModel,
+    estimate_power, ArchParams, AreaModel, ChannelConfig, DefectMap, Grid, PowerModel, SmbPos,
+    TimingModel,
 };
 use nanomap_netlist::rtl::RtlCircuit;
 use nanomap_netlist::{LutNetwork, PlaneSet};
-use nanomap_pack::{extract_nets, pack, PackOptions, TemporalDesign};
+use nanomap_pack::{extract_nets, pack, PackOptions, Packing, SliceNets, TemporalDesign};
 use nanomap_place::{place_with_defects_budgeted, PlaceOptions, Placement};
 use nanomap_route::{route_design_budgeted, RouteOptions};
 use nanomap_sched::{schedule_fds_budgeted, FdsOptions, ItemGraph, LeShape, Schedule};
@@ -451,6 +452,9 @@ impl NanoMap {
                 if i > 0 {
                     recovery.record_candidate_fallback();
                 }
+                // Every rung reuses the candidate's design and packing; a
+                // restored checkpoint packing seeds the first candidate's.
+                let mut shared = Shared::new(run, eval, restored.packing.take())?;
                 let first_rung = if i == 0 { start_rung } else { 0 };
                 for &remedy in &LADDER[first_rung..] {
                     if recovery.total_attempts() >= MAX_TOTAL_ATTEMPTS {
@@ -480,13 +484,13 @@ impl NanoMap {
                     }
                     let mut degradations = base.clone();
                     degradations.extend(eval.degradation.clone());
-                    // Restored products belong to the first attempt only.
-                    let resume = std::mem::take(&mut restored);
+                    // A restored placement belongs to the first attempt only.
                     match self.finish_candidate(
                         run,
                         &attempt,
                         writer.as_mut(),
-                        resume,
+                        &mut shared,
+                        restored.placement.take(),
                         &mut degradations,
                     ) {
                         Ok(report) => break 'won Some((report, remedy, degradations)),
@@ -799,16 +803,18 @@ impl NanoMap {
     /// recovery-ladder rung.
     ///
     /// Phases poll the run's token at iteration boundaries and append
-    /// their [`Degradation`] to `degradations` when it expires; `resume`
-    /// products restored from a checkpoint skip their phase entirely,
-    /// and each completed phase lands in `ckpt` when checkpointing is
-    /// on.
+    /// their [`Degradation`] to `degradations` when it expires. The
+    /// candidate's design and packing come from `shared`, packed on the
+    /// first physical attempt; a given `placement` (restored or adopted)
+    /// skips placement. Each completed phase lands in `ckpt` when
+    /// checkpointing is on.
     pub(crate) fn finish_candidate(
         &self,
         run: &Run,
         attempt: &Attempt,
         mut ckpt: Option<&mut CheckpointWriter>,
-        mut resume: ResumeProducts,
+        shared: &mut Shared<'_>,
+        placement: Option<(Grid, Vec<SmbPos>)>,
         degradations: &mut Vec<Degradation>,
     ) -> Result<MappingReport, FlowError> {
         let (net, planes, token) = (run.net, run.planes, run.token);
@@ -821,14 +827,13 @@ impl NanoMap {
             fds_ms: eval.fds_ms,
             ..PhaseTimes::default()
         };
-        let design = TemporalDesign::new(net, planes, eval.graphs.clone(), eval.schedules.clone())?;
         {
             // The verify span is always emitted so the phase set is
             // complete; the attribute records whether it actually ran.
             let mut verify_span = span!("verify", skipped = !self.verify);
             if self.verify {
                 let verify_start = Instant::now();
-                let check = check_folded_execution(&design, self.verify_cycles, 0xFEED);
+                let check = check_folded_execution(&shared.design, self.verify_cycles, 0xFEED);
                 times.verify_ms = verify_start.elapsed().as_secs_f64() * 1e3;
                 verify_span.attr("cycles", self.verify_cycles as u64);
                 if let Some(detail) = check.failure {
@@ -838,25 +843,18 @@ impl NanoMap {
         }
         let mut explain = None;
         let physical = if self.run_physical {
-            let pack_start = Instant::now();
-            let packing = match resume.packing.take() {
-                Some(packing) => packing,
-                None => {
-                    let _span = span!("pack", slices = design.num_slices());
-                    pack(&design, &self.arch, self.pack_options)?
-                }
-            };
-            let nets = extract_nets(&design, &packing);
-            times.pack_ms = pack_start.elapsed().as_secs_f64() * 1e3;
+            let (design, packed) = shared.packed(self)?;
+            let (packing, nets) = (&packed.packing, &packed.nets);
+            times.pack_ms = packed.ms;
             if let Some(w) = ckpt.as_deref_mut() {
-                w.write_pack(&packing)?;
+                w.write_pack(packing)?;
             }
             let place_start = Instant::now();
-            let placement = match resume.placement.take() {
+            let placement = match placement {
                 Some((grid, pos_of)) => Placement::reconstruct(
-                    &design,
-                    &packing,
-                    &nets,
+                    design,
+                    packing,
+                    nets,
                     &overrides.channels,
                     &self.timing,
                     overrides.place.weights,
@@ -867,9 +865,9 @@ impl NanoMap {
                     let mut place_span = span!("place", smbs = packing.num_smbs);
                     place_span.attr("seed", overrides.place.seed);
                     let placed = place_with_defects_budgeted(
-                        &design,
-                        &packing,
-                        &nets,
+                        design,
+                        packing,
+                        nets,
                         &overrides.channels,
                         &self.timing,
                         overrides.place,
@@ -893,9 +891,9 @@ impl NanoMap {
                 let mut route_span = span!("route", slices = design.num_slices());
                 route_span.attr("seed", overrides.route.seed);
                 let routed = route_design_budgeted(
-                    &design,
-                    &packing,
-                    &nets,
+                    design,
+                    packing,
+                    nets,
                     &placement,
                     &overrides.channels,
                     &self.timing,
@@ -920,9 +918,9 @@ impl NanoMap {
                     let _span = span!("explain", top_k = self.explain_top_k as u64);
                     crate::explain::ExplainReport::build(
                         net.name(),
-                        &design,
-                        &packing,
-                        &nets,
+                        design,
+                        packing,
+                        nets,
                         &placement,
                         &routed,
                         &overrides.channels,
@@ -1020,6 +1018,73 @@ pub(crate) struct CandidateEval {
     pub(crate) degradation: Option<Degradation>,
     /// Wall-clock of the evaluation (zero for a restored checkpoint).
     pub(crate) fds_ms: f64,
+}
+
+/// What every attempt on one candidate shares: its temporal design and,
+/// from the first physical attempt on, its packing and inter-SMB nets.
+/// None of them depends on the recovery rung, so a walk of the plan
+/// builds them once per candidate, every rung and every exact-rung grid
+/// sizing reuses them, and the walk drops them when it moves on.
+pub(crate) struct Shared<'a> {
+    pub(crate) design: TemporalDesign<'a>,
+    packed: Option<Packed>,
+}
+
+/// A candidate's packing with its inter-SMB nets.
+pub(crate) struct Packed {
+    pub(crate) packing: Packing,
+    pub(crate) nets: SliceNets,
+    /// Wall-clock of clustering and net extraction: the candidate's
+    /// `pack_ms`.
+    ms: f64,
+}
+
+impl<'a> Shared<'a> {
+    /// The candidate's temporal design; a `restored` checkpoint packing
+    /// stands in for clustering.
+    pub(crate) fn new(
+        run: &Run<'a>,
+        eval: &CandidateEval,
+        restored: Option<Packing>,
+    ) -> Result<Self, FlowError> {
+        let design = TemporalDesign::new(
+            run.net,
+            run.planes,
+            eval.graphs.clone(),
+            eval.schedules.clone(),
+        )?;
+        let packed = restored.map(|packing| Packed::new(&design, packing, Instant::now()));
+        Ok(Self { design, packed })
+    }
+
+    /// The design with its packing and nets, clustered inside one `pack`
+    /// span on first use.
+    pub(crate) fn packed(
+        &mut self,
+        flow: &NanoMap,
+    ) -> Result<(&TemporalDesign<'a>, &Packed), FlowError> {
+        let packed = match self.packed.take() {
+            Some(packed) => packed,
+            None => {
+                let start = Instant::now();
+                let _span = span!("pack", slices = self.design.num_slices());
+                let packing = pack(&self.design, &flow.arch, flow.pack_options)?;
+                Packed::new(&self.design, packing, start)
+            }
+        };
+        Ok((&self.design, self.packed.insert(packed)))
+    }
+}
+
+impl Packed {
+    fn new(design: &TemporalDesign<'_>, packing: Packing, start: Instant) -> Self {
+        let nets = extract_nets(design, &packing);
+        Self {
+            packing,
+            nets,
+            ms: start.elapsed().as_secs_f64() * 1e3,
+        }
+    }
 }
 
 /// What every attempt of one mapping run shares.

@@ -74,7 +74,9 @@ pub struct PhaseTimes {
     /// selection: every candidate is scheduled once. Zero on resume,
     /// which restores the schedules from the checkpoint.
     pub fds_ms: f64,
-    /// Temporal clustering.
+    /// Temporal clustering and net extraction of the winning candidate,
+    /// measured once: every rung on the candidate reuses its packing.
+    /// Only net extraction on resume with a restored packing.
     pub pack_ms: f64,
     /// Two-step simulated-annealing placement.
     pub place_ms: f64,

@@ -1,7 +1,5 @@
 //! The temporal design: all planes' schedules stitched together.
 
-use std::collections::HashMap;
-
 use nanomap_netlist::{LutId, LutNetwork, PlaneSet};
 use nanomap_sched::{ItemGraph, Schedule};
 
@@ -30,8 +28,8 @@ pub struct TemporalDesign<'a> {
     pub schedules: Vec<Schedule>,
     /// Folding stages per plane.
     pub stages: u32,
-    /// Slice of every LUT.
-    slice_of_lut: HashMap<LutId, Slice>,
+    /// Slice of every LUT, indexed by [`LutId::index`].
+    slice_of_lut: Vec<Slice>,
 }
 
 impl<'a> TemporalDesign<'a> {
@@ -40,8 +38,8 @@ impl<'a> TemporalDesign<'a> {
     /// # Errors
     ///
     /// Returns an error if the number of graphs/schedules does not match
-    /// the planes, the stage counts disagree, or a schedule violates its
-    /// item graph.
+    /// the planes, the stage counts disagree, a schedule violates its
+    /// item graph, or the item graphs do not cover every LUT of `net`.
     pub fn new(
         net: &'a LutNetwork,
         planes: &'a PlaneSet,
@@ -68,15 +66,32 @@ impl<'a> TemporalDesign<'a> {
                 return Err(PackError::InvalidSchedule { plane: p });
             }
         }
-        let mut slice_of_lut = HashMap::new();
+        let mut slice_of_lut = vec![None; net.num_luts()];
         for (p, g) in graphs.iter().enumerate() {
             for (i, item) in g.items.iter().enumerate() {
                 let stage = schedules[p].stage_of[i];
                 for &lut in &item.luts {
-                    slice_of_lut.insert(lut, Slice { plane: p, stage });
+                    let Some(slot) = slice_of_lut.get_mut(lut.index()) else {
+                        return Err(PackError::Inconsistent(format!(
+                            "plane {p} schedules {lut}, which is not in the network"
+                        )));
+                    };
+                    *slot = Some(Slice { plane: p, stage });
                 }
             }
         }
+        let slice_of_lut = slice_of_lut
+            .into_iter()
+            .enumerate()
+            .map(|(l, slice)| {
+                slice.ok_or_else(|| {
+                    PackError::Inconsistent(format!(
+                        "{} is in no plane's item graph",
+                        LutId::new(l)
+                    ))
+                })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             net,
             planes,
@@ -91,10 +106,9 @@ impl<'a> TemporalDesign<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the LUT is not part of any plane (should not happen for
-    /// validated designs).
+    /// Panics if the LUT is not part of the network.
     pub fn slice_of(&self, lut: LutId) -> Slice {
-        self.slice_of_lut[&lut]
+        self.slice_of_lut[lut.index()]
     }
 
     /// All slices in execution order.
@@ -182,6 +196,19 @@ mod tests {
         let (net, planes) = adder_design();
         let err = TemporalDesign::new(&net, &planes, vec![], vec![]).unwrap_err();
         assert!(matches!(err, PackError::Inconsistent(_)));
+    }
+
+    #[test]
+    fn uncovered_lut_rejected() {
+        let (net, planes) = adder_design();
+        let graph = ItemGraph::build(&net, &planes.planes()[0], 2).unwrap();
+        let schedule = schedule_fds(&net, &graph, 2, FdsOptions::default()).unwrap();
+        // A LUT the planes (and so the item graphs) never saw.
+        let mut grown = net.clone();
+        let x = grown.add_input("x");
+        grown.add_lut(nanomap_netlist::TruthTable::buffer(), vec![x]);
+        let err = TemporalDesign::new(&grown, &planes, vec![graph], vec![schedule]).unwrap_err();
+        assert!(matches!(err, PackError::Inconsistent(_)), "{err}");
     }
 
     #[test]

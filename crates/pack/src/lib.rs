@@ -14,6 +14,7 @@
 //!   placement and routing.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod design;
 mod error;

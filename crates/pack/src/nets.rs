@@ -71,9 +71,8 @@ pub fn extract_nets(design: &TemporalDesign<'_>, packing: &Packing) -> SliceNets
                         let store = packing
                             .stored_smb
                             .get(&u)
-                            .or_else(|| packing.lut_smb.get(&u))
                             .copied()
-                            .expect("packed producer");
+                            .unwrap_or_else(|| packing.lut_smb[&u]);
                         add(slice, store, my_smb);
                     }
                 }

@@ -11,7 +11,20 @@
 //! After LUT packing, stored LUT outputs (values crossing folding cycles)
 //! and architectural flip-flops are placed into SMB flip-flop capacity,
 //! preferring the producer's SMB so cross-cycle reads stay local.
+//!
+//! LUT packing works on dense state: every per-LUT table is a `Vec`
+//! indexed by [`LutId::index`], and the neighbour lists are one CSR
+//! table built once per pack. Slices are packed one after another, and
+//! the member lists follow one invariant: while slice `s` is packed,
+//! `members[smb]` holds exactly the LUTs of `s` assigned to `smb`, in
+//! assignment order. That is the `(smb, s)` member list. A member's
+//! position is its LE slot and the list's length is the `(smb, s)` LUT
+//! occupancy. `assign` is the only writer, and the lists are cleared
+//! before the next slice starts. Shared-input attraction therefore
+//! scans one SMB's members in the live slice, not every LUT packed so
+//! far. The [`Packing`] maps are filled from this state at the end.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
 use nanomap_arch::ArchParams;
@@ -110,6 +123,9 @@ impl Packing {
     }
 }
 
+/// SMB of a LUT not packed yet.
+const UNPACKED: u32 = u32::MAX;
+
 /// Runs temporal clustering.
 ///
 /// # Errors
@@ -124,133 +140,65 @@ pub fn pack(
     let attraction_ctr = nanomap_observe::counter("pack.attraction_evals");
     let smb_fill_hist = nanomap_observe::histogram("pack.smb_lut_fill");
 
-    let cap_luts = arch.luts_per_smb();
+    let cap_luts = arch.luts_per_smb() as usize;
+    let has_room = |members: &Vec<LutId>| members.len() < cap_luts;
     let cap_ffs = arch.ffs_per_smb();
     let net = design.net;
     let fanouts = net.fanouts();
-
-    // LUT-level undirected adjacency + shared-input counting support.
-    let lut_inputs: Vec<BTreeSet<SignalRef>> = net
-        .luts()
-        .map(|(_, l)| l.inputs.iter().copied().collect())
-        .collect();
-    let neighbors = |l: LutId| -> Vec<LutId> {
-        let mut out: Vec<LutId> = fanouts.lut_to_luts[l.index()].clone();
-        for input in &net.lut(l).inputs {
-            if let SignalRef::Lut(u) = input {
-                out.push(*u);
-            }
-        }
-        out
-    };
-
-    // Mobility per LUT (criticality = 1 / (1 + mobility)).
-    let mut mobility: HashMap<LutId, u32> = HashMap::new();
-    for (p, g) in design.graphs.iter().enumerate() {
-        // Item frames in the final schedule are singletons, so use the
-        // unpinned frames for criticality.
-        if let Ok(tf) =
-            nanomap_sched::TimeFrames::compute(g, design.schedules[p].stages, &vec![None; g.len()])
-        {
-            for (i, item) in g.items.iter().enumerate() {
-                for &l in &item.luts {
-                    mobility.insert(l, tf.mobility(i));
-                }
-            }
-        }
-    }
-
-    let mut packing = Packing {
-        num_smbs: 0,
-        lut_smb: HashMap::new(),
-        lut_le: HashMap::new(),
-        stored_smb: HashMap::new(),
-        ff_smb: HashMap::new(),
-        lut_occupancy: HashMap::new(),
-        ff_occupancy: HashMap::new(),
-    };
+    let mut packer = Packer::new(design, &fanouts.lut_to_luts, options);
+    let mut lut_occupancy = HashMap::new();
 
     // ---- Phase 1: LUT packing, slice by slice. ----
     let slices = design.slices();
     let total_slices = slices.len() as u64;
-    for (slice_idx, slice) in slices.into_iter().enumerate() {
+    for (slice_idx, &slice) in slices.iter().enumerate() {
+        packer.members.iter_mut().for_each(Vec::clear);
         let mut unassigned: Vec<LutId> = design.luts_in(slice);
         unassigned.sort();
-        while !unassigned.is_empty() {
-            // Seed: the LUT with the most inputs (T-VPack), ties by id.
-            let seed_pos = unassigned
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &l)| (net.lut(l).inputs.len(), std::cmp::Reverse(l.index())))
-                .map(|(pos, _)| pos)
-                .expect("non-empty");
+        // Seed: the LUT with the most inputs (T-VPack), ties by id.
+        while let Some(seed_pos) = unassigned
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &l)| (net.lut(l).inputs.len(), std::cmp::Reverse(l.index())))
+            .map(|(pos, _)| pos)
+        {
             let seed = unassigned.swap_remove(seed_pos);
 
             // Target SMB: highest temporal attraction with free capacity,
             // else a fresh SMB.
-            let target = (0..packing.num_smbs)
-                .filter(|&smb| {
-                    packing
-                        .lut_occupancy
-                        .get(&(smb, slice))
-                        .copied()
-                        .unwrap_or(0)
-                        < cap_luts
-                })
-                .map(|smb| {
+            let target = packer
+                .members
+                .iter()
+                .enumerate()
+                .filter(|(_, members)| has_room(members))
+                .map(|(smb, _)| {
                     let affinity = if options.temporal_attraction {
-                        temporal_affinity(&packing, &neighbors, seed, smb)
+                        packer.temporal_affinity(seed, smb)
                     } else {
                         0.0
                     };
                     (smb, affinity)
                 })
                 .filter(|&(_, a)| a > 0.0)
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+                .max_by(|a, b| a.1.total_cmp(&b.1))
                 .map(|(smb, _)| smb);
             // Without affinity, reuse the lowest-index SMB with free
             // capacity in this slice (temporal sharing is the point);
             // open a fresh SMB only when all are full.
             let smb = target
-                .or_else(|| {
-                    (0..packing.num_smbs).find(|&smb| {
-                        packing
-                            .lut_occupancy
-                            .get(&(smb, slice))
-                            .copied()
-                            .unwrap_or(0)
-                            < cap_luts
-                    })
-                })
+                .or_else(|| packer.members.iter().position(has_room))
                 .unwrap_or_else(|| {
-                    packing.num_smbs += 1;
-                    packing.num_smbs - 1
+                    packer.members.push(Vec::new());
+                    packer.members.len() - 1
                 });
-            assign_lut(&mut packing, seed, smb, slice);
+            packer.assign(seed, smb);
 
             // Grow the SMB greedily by attraction.
-            while packing
-                .lut_occupancy
-                .get(&(smb, slice))
-                .copied()
-                .unwrap_or(0)
-                < cap_luts
-                && !unassigned.is_empty()
-            {
+            while has_room(&packer.members[smb]) && !unassigned.is_empty() {
                 let mut best: Option<(f64, usize)> = None;
                 attraction_ctr.add(unassigned.len() as u64);
                 for (pos, &cand) in unassigned.iter().enumerate() {
-                    let a = attraction(
-                        &packing,
-                        design,
-                        &lut_inputs,
-                        &neighbors,
-                        &mobility,
-                        cand,
-                        smb,
-                        slice,
-                        options,
-                    );
+                    let a = packer.attraction(cand, smb, slice);
                     match best {
                         Some((b, _)) if b >= a => {}
                         _ => best = Some((a, pos)),
@@ -261,15 +209,37 @@ pub fn pack(
                     break;
                 }
                 let cand = unassigned.swap_remove(pos);
-                assign_lut(&mut packing, cand, smb, slice);
+                packer.assign(cand, smb);
+            }
+        }
+        for (smb, members) in packer.members.iter().enumerate() {
+            if !members.is_empty() {
+                lut_occupancy.insert((smb as u32, slice), members.len() as u32);
             }
         }
         nanomap_observe::progress(
             "pack",
             slice_idx as u64,
-            f64::from(packing.num_smbs),
+            packer.members.len() as f64,
             Extent::Total(total_slices),
         );
+    }
+
+    let lut_smb = packer.lut_smb;
+    let mut packing = Packing {
+        num_smbs: packer.members.len() as u32,
+        lut_smb: HashMap::with_capacity(lut_smb.len()),
+        lut_le: HashMap::with_capacity(lut_smb.len()),
+        stored_smb: HashMap::new(),
+        ff_smb: HashMap::new(),
+        lut_occupancy,
+        ff_occupancy: HashMap::new(),
+    };
+    for (l, (&smb, &le)) in lut_smb.iter().zip(&packer.lut_le).enumerate() {
+        if smb != UNPACKED {
+            packing.lut_smb.insert(LutId::new(l), smb);
+            packing.lut_le.insert(LutId::new(l), le);
+        }
     }
 
     // Per-(SMB, slice) LUT fill levels feed the packing-density histogram.
@@ -298,7 +268,7 @@ pub fn pack(
                 stage,
             })
             .collect();
-        let home = packing.lut_smb[&id];
+        let home = lut_smb[id.index()];
         let smb = find_ff_home(&packing, home, &live, cap_ffs, &mut || packing.num_smbs);
         if smb == packing.num_smbs {
             packing.num_smbs += 1;
@@ -310,19 +280,16 @@ pub fn pack(
     }
 
     // ---- Phase 3: architectural flip-flops (live in every slice). ----
-    let all_slices = design.slices();
     for (fid, ff) in net.ffs() {
         let home = match ff.d {
-            SignalRef::Lut(l) => packing.lut_smb.get(&l).copied().unwrap_or(0),
+            SignalRef::Lut(l) => lut_smb[l.index()],
             _ => 0,
         };
-        let smb = find_ff_home(&packing, home, &all_slices, cap_ffs, &mut || {
-            packing.num_smbs
-        });
+        let smb = find_ff_home(&packing, home, &slices, cap_ffs, &mut || packing.num_smbs);
         if smb == packing.num_smbs {
             packing.num_smbs += 1;
         }
-        for &s in &all_slices {
+        for &s in &slices {
             *packing.ff_occupancy.entry((smb, s)).or_insert(0) += 1;
         }
         packing.ff_smb.insert(fid, smb);
@@ -331,73 +298,160 @@ pub fn pack(
     Ok(packing)
 }
 
-fn assign_lut(packing: &mut Packing, lut: LutId, smb: u32, slice: Slice) {
-    let occupancy = packing.lut_occupancy.entry((smb, slice)).or_insert(0);
-    packing.lut_le.insert(lut, *occupancy);
-    *occupancy += 1;
-    packing.lut_smb.insert(lut, smb);
-}
-
-/// Connectivity of `lut` to SMB members in *any* slice (the "max over all
-/// the cycles" rule of Section 4.3; any-cycle connectivity as 0/1 per
-/// neighbour).
-fn temporal_affinity(
-    packing: &Packing,
-    neighbors: &impl Fn(LutId) -> Vec<LutId>,
-    lut: LutId,
-    smb: u32,
-) -> f64 {
-    neighbors(lut)
-        .into_iter()
-        .filter(|n| packing.lut_smb.get(n) == Some(&smb))
-        .count() as f64
-}
-
-#[allow(clippy::too_many_arguments)]
-fn attraction(
-    packing: &Packing,
-    design: &TemporalDesign<'_>,
-    lut_inputs: &[BTreeSet<SignalRef>],
-    neighbors: &impl Fn(LutId) -> Vec<LutId>,
-    mobility: &HashMap<LutId, u32>,
-    cand: LutId,
-    smb: u32,
-    slice: Slice,
+/// The LUT-packing phase's working state: per-LUT tables indexed by
+/// [`LutId::index`], fixed for the pack, and the assignment so far (see
+/// the module doc for the member-list invariant).
+struct Packer<'d> {
+    design: &'d TemporalDesign<'d>,
     options: PackOptions,
-) -> f64 {
-    let mut direct = 0u32;
-    let mut temporal = 0u32;
-    for n in neighbors(cand) {
-        if packing.lut_smb.get(&n) == Some(&smb) {
-            if design.slice_of(n) == slice {
-                direct += 1;
-            } else {
-                temporal += 1;
+    /// Sorted, deduplicated input signals of every LUT.
+    inputs: Vec<Vec<SignalRef>>,
+    /// `adj[adj_at[l]..adj_at[l + 1]]` are LUT `l`'s LUT fanouts, then its
+    /// LUT inputs, repeats kept.
+    adj_at: Vec<usize>,
+    adj: Vec<LutId>,
+    /// Criticality `1 / (1 + mobility)` of every LUT.
+    crit: Vec<f64>,
+    /// SMB of every LUT, [`UNPACKED`] until assigned.
+    lut_smb: Vec<u32>,
+    /// LE slot of every packed LUT.
+    lut_le: Vec<u32>,
+    /// Members of every SMB in the slice being packed.
+    members: Vec<Vec<LutId>>,
+}
+
+impl<'d> Packer<'d> {
+    fn new(
+        design: &'d TemporalDesign<'d>,
+        lut_to_luts: &[Vec<LutId>],
+        options: PackOptions,
+    ) -> Self {
+        let net = design.net;
+        let n = net.num_luts();
+        let mut inputs = Vec::with_capacity(n);
+        let mut adj_at = Vec::with_capacity(n + 1);
+        let mut adj = Vec::new();
+        adj_at.push(0);
+        for (id, lut) in net.luts() {
+            let mut sorted = lut.inputs.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            inputs.push(sorted);
+            adj.extend_from_slice(&lut_to_luts[id.index()]);
+            adj.extend(lut.inputs.iter().filter_map(|input| match *input {
+                SignalRef::Lut(u) => Some(u),
+                _ => None,
+            }));
+            adj_at.push(adj.len());
+        }
+
+        // A LUT without time frames counts as mobility 0.
+        let mut crit = vec![1.0; n];
+        for (p, g) in design.graphs.iter().enumerate() {
+            // Item frames in the final schedule are singletons, so use the
+            // unpinned frames for criticality.
+            if let Ok(tf) = nanomap_sched::TimeFrames::compute(
+                g,
+                design.schedules[p].stages,
+                &vec![None; g.len()],
+            ) {
+                for (i, item) in g.items.iter().enumerate() {
+                    for &l in &item.luts {
+                        crit[l.index()] = 1.0 / (1.0 + f64::from(tf.mobility(i)));
+                    }
+                }
+            }
+        }
+
+        Self {
+            design,
+            options,
+            inputs,
+            adj_at,
+            adj,
+            crit,
+            lut_smb: vec![UNPACKED; n],
+            lut_le: vec![0; n],
+            members: Vec::new(),
+        }
+    }
+
+    fn neighbors(&self, lut: LutId) -> &[LutId] {
+        &self.adj[self.adj_at[lut.index()]..self.adj_at[lut.index() + 1]]
+    }
+
+    /// Packs `lut` into the next LE slot of `smb` in the live slice.
+    fn assign(&mut self, lut: LutId, smb: usize) {
+        let members = &mut self.members[smb];
+        self.lut_le[lut.index()] = members.len() as u32;
+        self.lut_smb[lut.index()] = smb as u32;
+        members.push(lut);
+    }
+
+    /// Connectivity of `lut` to SMB members in *any* slice (the "max over
+    /// all the cycles" rule of Section 4.3; any-cycle connectivity as 0/1
+    /// per neighbour).
+    fn temporal_affinity(&self, lut: LutId, smb: usize) -> f64 {
+        self.neighbors(lut)
+            .iter()
+            .filter(|n| self.lut_smb[n.index()] == smb as u32)
+            .count() as f64
+    }
+
+    /// Attraction of `cand` to `smb` while `slice` is packed.
+    fn attraction(&self, cand: LutId, smb: usize, slice: Slice) -> f64 {
+        let options = self.options;
+        let mut direct = 0u32;
+        let mut temporal = 0u32;
+        for &n in self.neighbors(cand) {
+            if self.lut_smb[n.index()] == smb as u32 {
+                if self.design.slice_of(n) == slice {
+                    direct += 1;
+                } else {
+                    temporal += 1;
+                }
+            }
+        }
+        // Shared inputs with same-slice members of the SMB.
+        let mine = &self.inputs[cand.index()];
+        let mut shared = 0u32;
+        for &other in &self.members[smb] {
+            if other != cand {
+                shared += shared_signals(mine, &self.inputs[other.index()]);
+            }
+        }
+        let crit = self.crit[cand.index()];
+        let temporal_term = if options.temporal_attraction {
+            options.w_temporal * f64::from(temporal)
+        } else {
+            0.0
+        };
+        let base = options.w_direct * f64::from(direct)
+            + options.w_shared * f64::from(shared)
+            + temporal_term;
+        if base > 0.0 {
+            base + options.w_crit * crit
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Number of signals two sorted, deduplicated input lists share.
+fn shared_signals(a: &[SignalRef], b: &[SignalRef]) -> u32 {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
             }
         }
     }
-    // Shared inputs with same-slice members of the SMB.
-    let mut shared = 0u32;
-    for (&other, &other_smb) in &packing.lut_smb {
-        if other_smb == smb && design.slice_of(other) == slice && other != cand {
-            shared += lut_inputs[cand.index()]
-                .intersection(&lut_inputs[other.index()])
-                .count() as u32;
-        }
-    }
-    let crit = 1.0 / (1.0 + f64::from(mobility.get(&cand).copied().unwrap_or(0)));
-    let temporal_term = if options.temporal_attraction {
-        options.w_temporal * f64::from(temporal)
-    } else {
-        0.0
-    };
-    let base =
-        options.w_direct * f64::from(direct) + options.w_shared * f64::from(shared) + temporal_term;
-    if base > 0.0 {
-        base + options.w_crit * crit
-    } else {
-        0.0
-    }
+    shared
 }
 
 /// Finds an SMB whose FF capacity admits a bit live in `live` slices:
@@ -424,6 +478,9 @@ fn find_ff_home(
     }
     next_fresh()
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -213,8 +213,15 @@ fn flow_records_phase_spans_and_metrics_json() {
             snap.spans.iter().map(|s| s.name).collect::<Vec<_>>()
         );
     }
-    // Nesting: bitmap generation happens inside routing.
-    let bitmap = snap.spans_named("bitmap")[0];
+    // Nesting: bitmap generation happens inside routing. Only this
+    // thread's spans: a flow on another thread that opened `route` before
+    // the collector was switched on records a parentless `bitmap`.
+    let tid = nanomap_observe::thread_ordinal();
+    let bitmap = snap
+        .spans_named("bitmap")
+        .into_iter()
+        .find(|s| s.tid == tid)
+        .expect("this thread's flow recorded a bitmap span");
     let parent_id = bitmap.parent.expect("bitmap has a parent span");
     let parent = snap
         .spans
