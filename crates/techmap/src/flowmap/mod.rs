@@ -10,18 +10,50 @@
 //!    is `p` iff the fanin cone of `t`, with all label-`p` nodes collapsed
 //!    into `t`, has a K-feasible cut (max-flow ≤ k); otherwise `p + 1`.
 //! 2. **Mapping** — walking from the outputs, realize each needed node as
-//!    one LUT whose inputs are its stored min-cut, enumerating the cone
-//!    between cut and node to derive the truth table.
+//!    one LUT whose inputs are its stored cut, evaluating the cone between
+//!    cut and node to derive the truth table.
 //!
 //! The input network must be k-bounded; [`decompose`] rewrites arbitrary
 //! fanin gates into two-input form first.
+//!
+//! # Dense layout
+//!
+//! Every signal that can sit in a cone has a dense *signal index*:
+//! primary inputs `0..num_inputs`, then gate `g` at `num_inputs + g`.
+//! Both phases keep their working state in arrays over that index,
+//! reused from gate to gate: a stamp array marks cone membership (a slot
+//! belongs to the current cone iff its stamp equals the current mark, so
+//! nothing is cleared between gates), one cone `Vec` and one
+//! `FlowGraph` serve every labeling step, and mapping keeps one word
+//! per signal.
+//!
+//! The flow network of gate `t` numbers its nodes by the cone sorted by
+//! signal index, collapsed nodes skipped. Collapsed are `t` itself and
+//! the gates labeled `p`; primary inputs never are. Edges go in a fixed
+//! order (split and source edges in cone order, then fanin edges in cone
+//! order × input order), and the breadth-first augmenting-path search
+//! follows that adjacency order, so it is what decides *which* minimum
+//! cut is found.
+//!
+//! # Cone evaluation
+//!
+//! A LUT's truth table comes from one bit-parallel pass over its cone:
+//! cut entry `i` holds the projection word of variable `i` (`0xAAAA…`,
+//! `0xCCCC…`, …), and each cone gate, in topological order, folds its
+//! input words with `&`, `|` or `^`, inverted where its kind requires.
+//! Bit `r` of the root's word is the LUT's output on row `r`. Every cut
+//! entry is the variable at its position — a `Const` entry too, since
+//! the `p == 0` and `p + 1` cuts copy the gate's own inputs — and when a
+//! signal repeats in a cut, its last position is the one that counts.
+
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod flow;
-
-use std::collections::HashMap;
+#[cfg(test)]
+mod reference;
 
 use nanomap_netlist::gate::{GateKind, GateNetwork, GateSignal};
-use nanomap_netlist::{GateId, LutNetwork, SignalRef, TruthTable};
+use nanomap_netlist::{GateId, LutNetwork, NetlistError, SignalRef, TruthTable};
 
 use crate::error::TechmapError;
 use flow::{FlowGraph, INF};
@@ -53,7 +85,12 @@ pub struct FlowMapResult {
 /// Rewrites a network so no gate has more than two inputs.
 ///
 /// `And`/`Or`/`Xor` chains decompose associatively; `Nand`/`Nor`/`Xnor`
-/// become a decomposed base tree followed by an inverter.
+/// become a decomposed base tree whose last gate inverts.
+///
+/// # Errors
+///
+/// Returns an error if the network is malformed: cyclic, with an illegal
+/// gate arity, or with a gate or output that names a missing signal.
 ///
 /// # Examples
 ///
@@ -61,70 +98,72 @@ pub struct FlowMapResult {
 /// use nanomap_netlist::gate::{GateKind, GateNetwork};
 /// use nanomap_techmap::flowmap::decompose;
 ///
+/// # fn main() -> Result<(), nanomap_techmap::TechmapError> {
 /// let mut net = GateNetwork::new("wide");
 /// let inputs: Vec<_> = (0..5).map(|i| net.add_input(format!("i{i}"))).collect();
 /// let g = net.add_gate(GateKind::And, inputs);
 /// net.add_output("y", g);
-/// let two = decompose(&net);
+/// let two = decompose(&net)?;
 /// assert!(two.iter().all(|(_, g)| g.inputs.len() <= 2));
+/// # Ok(())
+/// # }
 /// ```
-pub fn decompose(net: &GateNetwork) -> GateNetwork {
+pub fn decompose(net: &GateNetwork) -> Result<GateNetwork, TechmapError> {
+    net.validate()?;
+    for (name, sig) in net.outputs() {
+        let dangling = match *sig {
+            GateSignal::Input(i) => i >= net.num_inputs(),
+            GateSignal::Gate(g) => g.index() >= net.num_gates(),
+            GateSignal::Const(_) => false,
+        };
+        if dangling {
+            return Err(NetlistError::Invalid(format!(
+                "output `{name}` references unknown signal {sig:?}"
+            ))
+            .into());
+        }
+    }
     let mut out = GateNetwork::new(net.name());
     // Inputs keep their indices.
     for name in net.input_names() {
         out.add_input(name.clone());
     }
-    let order = net.topo_order().expect("validated networks are acyclic");
-    let mut mapped: HashMap<GateId, GateSignal> = HashMap::new();
-    let resolve = |sig: GateSignal, mapped: &HashMap<GateId, GateSignal>| match sig {
-        GateSignal::Gate(g) => mapped[&g],
+    // The rewritten signal of every gate, filled in topological order.
+    let mut mapped = vec![GateSignal::Const(false); net.num_gates()];
+    let resolve = |sig: GateSignal, mapped: &[GateSignal]| match sig {
+        GateSignal::Gate(g) => mapped[g.index()],
         other => other,
     };
-    for id in order {
+    for id in net.topo_order()? {
         let gate = net.gate(id);
-        let ins: Vec<GateSignal> = gate.inputs.iter().map(|&s| resolve(s, &mapped)).collect();
-        let sig = if ins.len() <= 2 {
-            out.add_named_gate(gate.kind, ins, gate.name.clone())
-        } else {
-            let (base, invert) = match gate.kind {
-                GateKind::And => (GateKind::And, false),
-                GateKind::Nand => (GateKind::And, true),
-                GateKind::Or => (GateKind::Or, false),
-                GateKind::Nor => (GateKind::Or, true),
-                GateKind::Xor => (GateKind::Xor, false),
-                GateKind::Xnor => (GateKind::Xor, true),
-                k => unreachable!("unary gate {k:?} cannot have >2 inputs"),
+        let mut level: Vec<GateSignal> = gate.inputs.iter().map(|&s| resolve(s, &mapped)).collect();
+        if level.len() > 2 {
+            // The tree's last gate keeps the original kind, so it is the
+            // one that inverts.
+            let base = match gate.kind {
+                GateKind::And | GateKind::Nand => GateKind::And,
+                GateKind::Or | GateKind::Nor => GateKind::Or,
+                GateKind::Xor | GateKind::Xnor => GateKind::Xor,
+                GateKind::Not | GateKind::Buf => {
+                    unreachable!("validated unary gates have one input")
+                }
             };
-            let mut level = ins;
             while level.len() > 2 {
-                let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                for chunk in level.chunks(2) {
-                    if chunk.len() == 2 {
-                        next.push(out.add_gate(base, chunk.to_vec()));
-                    } else {
-                        next.push(chunk[0]);
-                    }
-                }
-                level = next;
+                level = level
+                    .chunks(2)
+                    .map(|chunk| match *chunk {
+                        [a, b] => out.add_gate(base, vec![a, b]),
+                        _ => chunk[0],
+                    })
+                    .collect();
             }
-            let last_kind = if invert {
-                match base {
-                    GateKind::And => GateKind::Nand,
-                    GateKind::Or => GateKind::Nor,
-                    GateKind::Xor => GateKind::Xnor,
-                    _ => unreachable!(),
-                }
-            } else {
-                base
-            };
-            out.add_named_gate(last_kind, level, gate.name.clone())
-        };
-        mapped.insert(id, sig);
+        }
+        mapped[id.index()] = out.add_named_gate(gate.kind, level, gate.name.clone());
     }
     for (name, sig) in net.outputs() {
         out.add_output(name.clone(), resolve(*sig, &mapped));
     }
-    out
+    Ok(out)
 }
 
 /// Maps a gate network onto k-input LUTs with optimal depth.
@@ -160,50 +199,128 @@ pub fn map_network(
     net: &GateNetwork,
     options: FlowMapOptions,
 ) -> Result<FlowMapResult, TechmapError> {
+    let mut span = nanomap_observe::span!("techmap-flowmap");
     let k = options.lut_inputs;
     if !(2..=6).contains(&k) {
         return Err(TechmapError::BadLutSize(k));
     }
-    net.validate()?;
-    let net = decompose(net);
+    let net = decompose(net)?;
     let order = net.topo_order()?;
-    let n = net.num_gates();
-    let num_inputs = net.num_inputs();
+    let (labels, cuts) = label(&net, &order, k);
 
-    // Flow-network node ids: every "signal node" is a PI or a gate.
-    // sig_index: PIs 0..num_inputs, gates num_inputs + gate_index.
-    let sig_index = |sig: GateSignal| -> Option<usize> {
-        match sig {
-            GateSignal::Input(i) => Some(i),
-            GateSignal::Gate(g) => Some(num_inputs + g.index()),
-            GateSignal::Const(_) => None,
+    // --- Mapping phase. ---
+    let mut out = LutNetwork::new(net.name());
+    let input_sigs: Vec<SignalRef> = net
+        .input_names()
+        .iter()
+        .map(|name| out.add_input(name.clone()))
+        .collect();
+    let mut realized: Vec<Option<SignalRef>> = vec![None; net.num_gates()];
+    let mut cones = ConeEvaluator::new(&net, &order);
+    // Worklist of gates needing LUTs, from the outputs backwards: a gate
+    // whose cut gates are not all realized goes back under them.
+    let mut need: Vec<GateId> = net
+        .outputs()
+        .iter()
+        .filter_map(|&(_, s)| match s {
+            GateSignal::Gate(g) => Some(g),
+            _ => None,
+        })
+        .collect();
+    while let Some(t) = need.pop() {
+        if realized[t.index()].is_some() {
+            continue;
+        }
+        let cut = &cuts[t.index()];
+        need.push(t);
+        let waiting = need.len();
+        need.extend(cut.iter().filter_map(|&s| match s {
+            GateSignal::Gate(g) if realized[g.index()].is_none() => Some(g),
+            _ => None,
+        }));
+        if need.len() > waiting {
+            continue;
+        }
+        need.pop();
+        let truth = cones.truth(&net, t, cut);
+        let inputs = cut
+            .iter()
+            .map(|&s| mapped_signal(s, &input_sigs, &realized))
+            .collect();
+        let name = net.gate(t).name.clone();
+        realized[t.index()] = Some(out.add_lut_full(truth, inputs, None, name));
+    }
+    for (name, sig) in net.outputs() {
+        out.add_output(name.clone(), mapped_signal(*sig, &input_sigs, &realized));
+    }
+    let depth = net
+        .outputs()
+        .iter()
+        .filter_map(|&(_, s)| match s {
+            GateSignal::Gate(g) => Some(labels[g.index()]),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    span.attr("gates", net.num_gates());
+    span.attr("luts", out.num_luts());
+    span.attr("depth", depth);
+    Ok(FlowMapResult {
+        network: out,
+        labels,
+        depth,
+    })
+}
+
+/// The LUT-network signal of a gate-network signal. Cut and output
+/// gates are realized before they are read.
+#[cfg_attr(not(test), allow(clippy::expect_used))]
+fn mapped_signal(
+    sig: GateSignal,
+    input_sigs: &[SignalRef],
+    realized: &[Option<SignalRef>],
+) -> SignalRef {
+    match sig {
+        GateSignal::Input(i) => input_sigs[i],
+        GateSignal::Gate(g) => realized[g.index()].expect("cut gates are realized first"),
+        GateSignal::Const(c) => SignalRef::Const(c),
+    }
+}
+
+/// Flow-node position of a collapsed cone entry.
+const COLLAPSED: u32 = u32::MAX;
+
+/// Labeling phase: the depth label and the LUT-input cut of every gate
+/// of the two-input network `net`, visited in topological `order`.
+fn label(net: &GateNetwork, order: &[GateId], k: u32) -> (Vec<u32>, Vec<Vec<GateSignal>>) {
+    let num_inputs = net.num_inputs();
+    let signals = num_inputs + net.num_gates();
+    let index = |sig: GateSignal| match sig {
+        GateSignal::Input(i) => Some(i),
+        GateSignal::Gate(g) => Some(num_inputs + g.index()),
+        GateSignal::Const(_) => None,
+    };
+    let signal = |idx: usize| {
+        if idx < num_inputs {
+            GateSignal::Input(idx)
+        } else {
+            GateSignal::Gate(GateId::new(idx - num_inputs))
         }
     };
 
-    let mut labels = vec![0u32; n];
-    // Best K-feasible cut per gate: the LUT input signals.
-    let mut cuts: Vec<Vec<GateSignal>> = vec![Vec::new(); n];
+    let mut labels = vec![0u32; net.num_gates()];
+    let mut cuts: Vec<Vec<GateSignal>> = vec![Vec::new(); net.num_gates()];
+    // Per signal index: the step whose cone holds it, and its flow-node
+    // position in that cone (or `COLLAPSED`).
+    let mut stamp = vec![0u32; signals];
+    let mut node = vec![COLLAPSED; signals];
+    let mut cone: Vec<usize> = Vec::new();
+    let mut stack: Vec<usize> = Vec::new();
+    let mut graph = FlowGraph::default();
 
-    // Transitive-fanin cone cache is unnecessary; recompute per gate.
-    for &t in &order {
-        // Collect cone (gates + PIs) via DFS over fanins.
-        let mut in_cone = HashMap::new(); // sig_index -> GateSignal
-        let mut stack = vec![GateSignal::Gate(t)];
-        while let Some(sig) = stack.pop() {
-            let Some(idx) = sig_index(sig) else { continue };
-            if in_cone.contains_key(&idx) {
-                continue;
-            }
-            in_cone.insert(idx, sig);
-            if let GateSignal::Gate(g) = sig {
-                for &f in &net.gate(g).inputs {
-                    stack.push(f);
-                }
-            }
-        }
-        let p = net
-            .gate(t)
-            .inputs
+    for (step, &t) in order.iter().enumerate() {
+        let inputs = &net.gate(t).inputs;
+        let p = inputs
             .iter()
             .filter_map(|&s| match s {
                 GateSignal::Gate(g) => Some(labels[g.index()]),
@@ -216,222 +333,205 @@ pub fn map_network(
             // All fanins are PIs/constants; a single LUT always suffices
             // (two-input decomposed, k >= 2).
             labels[t.index()] = 1;
-            cuts[t.index()] = net.gate(t).inputs.clone();
+            cuts[t.index()] = inputs.clone();
             continue;
         }
 
-        // Build the flow network: source + 2 nodes per cone signal + sink.
-        // Collapsed nodes (label == p gates, and t itself) merge into sink.
-        // Sort by signal index: the flow-network node numbering (and with
-        // it, which of several min-cuts max-flow finds) must not depend on
-        // HashMap iteration order, or mapping results change run to run.
-        let mut cone: Vec<(usize, GateSignal)> = in_cone.iter().map(|(&i, &s)| (i, s)).collect();
-        cone.sort_unstable_by_key(|&(i, _)| i);
-        let collapsed_set: std::collections::HashSet<usize> = cone
-            .iter()
-            .filter_map(|&(idx, sig)| match sig {
-                GateSignal::Gate(g) if g == t || labels[g.index()] == p => Some(idx),
-                _ => None,
-            })
-            .collect();
-        let collapsed = move |sig: GateSignal| -> bool {
-            match sig_index(sig) {
-                Some(idx) => collapsed_set.contains(&idx),
-                None => false,
-            }
-        };
-        // Flow node numbering: 0 = source, 1 = sink, then v_in = 2 + 2*j,
-        // v_out = 3 + 2*j for cone position j (skipping collapsed nodes).
-        let mut pos_of: HashMap<usize, usize> = HashMap::new();
-        let mut j = 0;
-        for &(idx, sig) in &cone {
-            if !collapsed(sig) {
-                pos_of.insert(idx, j);
-                j += 1;
-            }
-        }
-        let mut graph = FlowGraph::new(2 + 2 * j);
-        let v_in = |idx: usize, pos_of: &HashMap<usize, usize>| 2 + 2 * pos_of[&idx];
-        let v_out = |idx: usize, pos_of: &HashMap<usize, usize>| 3 + 2 * pos_of[&idx];
-        for &(idx, sig) in &cone {
-            if collapsed(sig) {
-                continue;
-            }
-            graph.add_edge(v_in(idx, &pos_of), v_out(idx, &pos_of), 1);
-            if matches!(sig, GateSignal::Input(_)) {
-                graph.add_edge(0, v_in(idx, &pos_of), INF);
-            }
-        }
-        // Wire fanin edges.
-        for &(idx, sig) in &cone {
-            let GateSignal::Gate(g) = sig else { continue };
-            let dst_collapsed = collapsed(sig);
-            for &f in &net.gate(g).inputs {
-                let Some(fidx) = sig_index(f) else { continue };
-                if collapsed(f) {
-                    // Edges out of collapsed nodes stay inside the sink.
-                    continue;
+        // The transitive fanin cone of `t`, PIs included, by signal index.
+        let mark = step as u32 + 1;
+        let root = num_inputs + t.index();
+        cone.clear();
+        stamp[root] = mark;
+        stack.push(root);
+        while let Some(idx) = stack.pop() {
+            cone.push(idx);
+            if idx >= num_inputs {
+                let fanins = &net.gate(GateId::new(idx - num_inputs)).inputs;
+                for fidx in fanins.iter().filter_map(|&f| index(f)) {
+                    if stamp[fidx] != mark {
+                        stamp[fidx] = mark;
+                        stack.push(fidx);
+                    }
                 }
-                let from = v_out(fidx, &pos_of);
-                let to = if dst_collapsed { 1 } else { v_in(idx, &pos_of) };
-                graph.add_edge(from, to, INF);
-                let _ = idx;
             }
         }
-        let flow = graph.max_flow_bounded(0, 1, i64::from(k));
-        if flow <= i64::from(k) {
+        cone.sort_unstable();
+
+        // Flow nodes: 0 = source, 1 = sink (with every collapsed node
+        // merged into it), then v_in = 2 + 2j and v_out = 3 + 2j for the
+        // j-th uncollapsed cone entry.
+        let mut j = 0;
+        for &idx in &cone {
+            let collapsed = idx == root || (idx >= num_inputs && labels[idx - num_inputs] == p);
+            node[idx] = if collapsed {
+                COLLAPSED
+            } else {
+                let position = j;
+                j += 1;
+                position
+            };
+        }
+        let v_in = |idx: usize| 2 + 2 * node[idx] as usize;
+        graph.reset(2 + 2 * j as usize);
+        for &idx in &cone {
+            if node[idx] != COLLAPSED {
+                graph.add_edge(v_in(idx), v_in(idx) + 1, 1);
+                if idx < num_inputs {
+                    graph.add_edge(0, v_in(idx), INF);
+                }
+            }
+        }
+        for &idx in cone.iter().filter(|&&idx| idx >= num_inputs) {
+            let to = if node[idx] == COLLAPSED { 1 } else { v_in(idx) };
+            for &f in &net.gate(GateId::new(idx - num_inputs)).inputs {
+                // Edges out of collapsed nodes stay inside the sink.
+                if let Some(fidx) = index(f).filter(|&fidx| node[fidx] != COLLAPSED) {
+                    graph.add_edge(v_in(fidx) + 1, to, INF);
+                }
+            }
+        }
+        if graph.max_flow_bounded(0, 1, i64::from(k)) <= i64::from(k) {
             labels[t.index()] = p;
             // Min cut: split edges from residual-reachable v_in to
-            // unreachable v_out.
+            // unreachable v_out. An empty cut is legal for constant-fed
+            // cones: the LUT becomes a constant generator.
             let reach = graph.residual_reachable(0);
-            let mut cut = Vec::new();
-            for &(idx, sig) in &cone {
-                if collapsed(sig) {
-                    continue;
-                }
-                if reach[v_in(idx, &pos_of)] && !reach[v_out(idx, &pos_of)] {
-                    cut.push(sig);
-                }
-            }
+            let cut: Vec<GateSignal> = cone
+                .iter()
+                .filter(|&&idx| node[idx] != COLLAPSED && reach[v_in(idx)] && !reach[v_in(idx) + 1])
+                .map(|&idx| signal(idx))
+                .collect();
             debug_assert!(cut.len() as u32 <= k);
-            // An empty cut is legal for constant-fed cones: the LUT becomes
-            // a constant generator.
             cuts[t.index()] = cut;
         } else {
             labels[t.index()] = p + 1;
-            cuts[t.index()] = net.gate(t).inputs.clone();
+            cuts[t.index()] = inputs.clone();
         }
     }
-
-    // --- Mapping phase. ---
-    let mut out = LutNetwork::new(net.name());
-    let input_sigs: Vec<SignalRef> = net
-        .input_names()
-        .iter()
-        .map(|name| out.add_input(name.clone()))
-        .collect();
-    let mut realized: HashMap<GateId, SignalRef> = HashMap::new();
-    // Worklist of gates needing LUTs, from outputs backwards; realize in
-    // topological order by processing after all cut gates realized — use
-    // recursion via explicit stack.
-    let mut need: Vec<GateId> = net
-        .outputs()
-        .iter()
-        .filter_map(|&(_, s)| match s {
-            GateSignal::Gate(g) => Some(g),
-            _ => None,
-        })
-        .collect();
-    while let Some(t) = need.pop() {
-        if realized.contains_key(&t) {
-            continue;
-        }
-        // Ensure cut gates are realized first.
-        let missing: Vec<GateId> = cuts[t.index()]
-            .iter()
-            .filter_map(|&s| match s {
-                GateSignal::Gate(g) if !realized.contains_key(&g) => Some(g),
-                _ => None,
-            })
-            .collect();
-        if !missing.is_empty() {
-            need.push(t);
-            need.extend(missing);
-            continue;
-        }
-        let cut = &cuts[t.index()];
-        let truth = cone_truth(&net, t, cut);
-        let inputs: Vec<SignalRef> = cut
-            .iter()
-            .map(|&s| match s {
-                GateSignal::Input(i) => input_sigs[i],
-                GateSignal::Gate(g) => realized[&g],
-                GateSignal::Const(c) => SignalRef::Const(c),
-            })
-            .collect();
-        let name = net.gate(t).name.clone();
-        let sig = out.add_lut_full(truth, inputs, None, name);
-        realized.insert(t, sig);
-    }
-    for (name, sig) in net.outputs() {
-        let mapped = match *sig {
-            GateSignal::Input(i) => input_sigs[i],
-            GateSignal::Gate(g) => realized[&g],
-            GateSignal::Const(c) => SignalRef::Const(c),
-        };
-        out.add_output(name.clone(), mapped);
-    }
-    let depth = net
-        .outputs()
-        .iter()
-        .filter_map(|&(_, s)| match s {
-            GateSignal::Gate(g) => Some(labels[g.index()]),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    Ok(FlowMapResult {
-        network: out,
-        labels,
-        depth,
-    })
+    (labels, cuts)
 }
 
-/// Truth table of the cone rooted at `t` with the cut signals as inputs.
-fn cone_truth(net: &GateNetwork, t: GateId, cut: &[GateSignal]) -> TruthTable {
-    // Gather cone gates between cut and t (t inclusive, cut exclusive).
-    let cut_pos: HashMap<GateSignal, usize> =
-        cut.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    let mut cone: Vec<GateId> = Vec::new();
-    let mut seen: HashMap<GateId, bool> = HashMap::new();
-    let mut stack = vec![t];
-    while let Some(g) = stack.pop() {
-        if seen.contains_key(&g) || cut_pos.contains_key(&GateSignal::Gate(g)) {
-            continue;
+/// Projection words: bit `r` of `PROJECTION[i]` is bit `i` of row `r`.
+const PROJECTION: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// Mapping-phase truth-table evaluator, its buffers reused across LUTs.
+///
+/// Slots are signal indices, plus one slot for each constant so that a
+/// constant can be a cut variable like any other entry.
+struct ConeEvaluator {
+    num_inputs: usize,
+    /// Topological position of every gate.
+    position: Vec<u32>,
+    /// Slot belongs to the current cut or cone iff its stamp is `mark`.
+    stamp: Vec<u32>,
+    mark: u32,
+    /// Truth word of every stamped slot.
+    word: Vec<u64>,
+    cone: Vec<GateId>,
+    stack: Vec<GateId>,
+}
+
+impl ConeEvaluator {
+    fn new(net: &GateNetwork, order: &[GateId]) -> Self {
+        let mut position = vec![0u32; net.num_gates()];
+        for (pos, g) in order.iter().enumerate() {
+            position[g.index()] = pos as u32;
         }
-        seen.insert(g, true);
-        cone.push(g);
-        for &f in &net.gate(g).inputs {
-            if let GateSignal::Gate(fg) = f {
-                if !cut_pos.contains_key(&f) {
-                    stack.push(fg);
-                }
-            }
+        let slots = net.num_inputs() + net.num_gates() + 2;
+        Self {
+            num_inputs: net.num_inputs(),
+            position,
+            stamp: vec![0; slots],
+            mark: 0,
+            word: vec![0; slots],
+            cone: Vec::new(),
+            stack: Vec::new(),
         }
     }
-    // Topologically order the cone subset.
-    let order = net.topo_order().expect("acyclic");
-    let in_cone: HashMap<GateId, ()> = cone.iter().map(|&g| (g, ())).collect();
-    let cone_order: Vec<GateId> = order
-        .into_iter()
-        .filter(|g| in_cone.contains_key(g))
-        .collect();
 
-    TruthTable::from_fn(cut.len() as u32, |assignment| {
-        let mut values: HashMap<GateId, bool> = HashMap::new();
-        let value = |sig: GateSignal, values: &HashMap<GateId, bool>| -> bool {
-            if let Some(&pos) = cut_pos.get(&sig) {
-                return assignment[pos];
+    fn slot(&self, sig: GateSignal) -> usize {
+        match sig {
+            GateSignal::Input(i) => i,
+            GateSignal::Gate(g) => self.num_inputs + g.index(),
+            GateSignal::Const(c) => self.num_inputs + self.position.len() + usize::from(c),
+        }
+    }
+
+    /// Truth table of the cone rooted at `t` with the cut signals as
+    /// inputs, variable `i` being `cut[i]`.
+    fn truth(&mut self, net: &GateNetwork, t: GateId, cut: &[GateSignal]) -> TruthTable {
+        self.mark += 1;
+        // A repeated entry ends up with the word of its last position.
+        for (&sig, &word) in cut.iter().zip(&PROJECTION) {
+            let slot = self.slot(sig);
+            self.stamp[slot] = self.mark;
+            self.word[slot] = word;
+        }
+        // The gates between cut (exclusive) and `t` (inclusive).
+        self.cone.clear();
+        self.stack.push(t);
+        while let Some(g) = self.stack.pop() {
+            let slot = self.num_inputs + g.index();
+            if self.stamp[slot] == self.mark {
+                continue;
             }
-            match sig {
-                GateSignal::Const(c) => c,
-                GateSignal::Gate(g) => values[&g],
-                GateSignal::Input(_) => {
-                    unreachable!("PIs inside the cone must be cut inputs")
+            self.stamp[slot] = self.mark;
+            self.cone.push(g);
+            for &f in &net.gate(g).inputs {
+                if let GateSignal::Gate(fg) = f {
+                    if self.stamp[self.num_inputs + fg.index()] != self.mark {
+                        self.stack.push(fg);
+                    }
                 }
             }
-        };
-        for &g in &cone_order {
-            let ins: Vec<bool> = net
-                .gate(g)
-                .inputs
-                .iter()
-                .map(|&s| value(s, &values))
-                .collect();
-            values.insert(g, net.gate(g).kind.eval(&ins));
         }
-        value(GateSignal::Gate(t), &values)
-    })
+        let position = &self.position;
+        self.cone.sort_unstable_by_key(|g| position[g.index()]);
+        for ci in 0..self.cone.len() {
+            let g = self.cone[ci];
+            let gate = net.gate(g);
+            let word = gate_word(gate.kind, gate.inputs.iter().map(|&s| self.value(s)));
+            self.word[self.num_inputs + g.index()] = word;
+        }
+        TruthTable::new(cut.len() as u32, self.word[self.num_inputs + t.index()])
+    }
+
+    /// The word of an input of a cone gate: a cut variable, an evaluated
+    /// cone gate, or a constant outside the cut.
+    fn value(&self, sig: GateSignal) -> u64 {
+        let slot = self.slot(sig);
+        if self.stamp[slot] == self.mark {
+            return self.word[slot];
+        }
+        debug_assert!(
+            matches!(sig, GateSignal::Const(_)),
+            "cone inputs outside the cut must be constants, got {sig:?}"
+        );
+        if sig == GateSignal::Const(true) {
+            !0
+        } else {
+            0
+        }
+    }
+}
+
+/// A gate's output word from its input words, row by row.
+fn gate_word(kind: GateKind, inputs: impl Iterator<Item = u64>) -> u64 {
+    match kind {
+        GateKind::And | GateKind::Buf => inputs.fold(!0, |a, w| a & w),
+        GateKind::Nand | GateKind::Not => !inputs.fold(!0, |a, w| a & w),
+        GateKind::Or => inputs.fold(0, |a, w| a | w),
+        GateKind::Nor => !inputs.fold(0, |a, w| a | w),
+        GateKind::Xor => inputs.fold(0, |a, w| a ^ w),
+        GateKind::Xnor => !inputs.fold(0, |a, w| a ^ w),
+    }
 }
 
 #[cfg(test)]
@@ -490,8 +590,8 @@ mod tests {
     #[test]
     fn depth_is_optimal_for_xor_tree() {
         // 8-input XOR tree of 2-input gates: depth 3 in gates; with 4-LUTs
-        // an optimal mapping reaches depth 2 (4 + 4 inputs, then combine
-        // wait: 8 inputs -> two 4-input XORs + one 2-input = depth 2).
+        // an optimal mapping reaches depth 2 (two 4-input XORs, then one
+        // 2-input XOR).
         let mut net = GateNetwork::new("xor8");
         let mut level: Vec<_> = (0..8).map(|i| net.add_input(format!("i{i}"))).collect();
         while level.len() > 1 {
@@ -561,7 +661,7 @@ mod tests {
     fn labels_monotone_along_paths() {
         let net = ripple_adder_gates(6);
         let result = map_network(&net, FlowMapOptions::default()).unwrap();
-        for (id, gate) in decompose(&net).iter() {
+        for (id, gate) in decompose(&net).unwrap().iter() {
             for &input in &gate.inputs {
                 if let GateSignal::Gate(g) = input {
                     assert!(
@@ -584,5 +684,38 @@ mod tests {
     fn bad_lut_size_rejected() {
         let net = ripple_adder_gates(1);
         assert!(map_network(&net, FlowMapOptions { lut_inputs: 9 }).is_err());
+    }
+
+    #[test]
+    fn malformed_networks_are_errors_not_panics() {
+        // A two-gate combinational loop.
+        let mut cyclic = GateNetwork::new("loop");
+        let a = cyclic.add_input("a");
+        let g0 = cyclic.add_gate(GateKind::And, vec![a, GateSignal::Gate(GateId::new(1))]);
+        let g1 = cyclic.add_gate(GateKind::Or, vec![a, g0]);
+        cyclic.add_output("y", g1);
+        assert!(matches!(
+            decompose(&cyclic),
+            Err(TechmapError::Netlist(
+                NetlistError::CombinationalCycle { .. }
+            ))
+        ));
+        assert!(map_network(&cyclic, FlowMapOptions::default()).is_err());
+
+        // Gate and output references past the end of the network.
+        let mut dangling_gate = GateNetwork::new("dangling");
+        let a = dangling_gate.add_input("a");
+        let g = dangling_gate.add_gate(GateKind::And, vec![a, GateSignal::Gate(GateId::new(7))]);
+        dangling_gate.add_output("y", g);
+        assert!(decompose(&dangling_gate).is_err());
+
+        let mut dangling_output = GateNetwork::new("dangling");
+        let a = dangling_output.add_input("a");
+        let g = dangling_output.add_gate(GateKind::Not, vec![a]);
+        dangling_output.add_output("y", g);
+        dangling_output.add_output("z", GateSignal::Gate(GateId::new(3)));
+        dangling_output.add_output("w", GateSignal::Input(2));
+        assert!(decompose(&dangling_output).is_err());
+        assert!(map_network(&dangling_output, FlowMapOptions::default()).is_err());
     }
 }
