@@ -118,7 +118,7 @@ pub mod versions {
     /// Perf-gate documents (`bench/perf`, committed baselines).
     pub const PERF: &str = "nanomap-perf-v1";
     /// Mid-flow checkpoints (`--checkpoint-dir`).
-    pub const CHECKPOINT: &str = "nanomap-checkpoint-v1";
+    pub const CHECKPOINT: &str = "nanomap-checkpoint-v2";
     /// QoR explainability documents (`--explain`).
     pub const EXPLAIN: &str = "nanomap-explain-v1";
     /// Span-path profile documents (`--profile`, `nanomap profile`).

@@ -1179,7 +1179,7 @@ fn flow_main(args: Args) -> Result<ExitCode, Error> {
                 report!(
                     "resume: {} from after {} (candidate {}, remedy {})",
                     path,
-                    checkpoint.phase.as_str(),
+                    checkpoint.phase(),
                     checkpoint.candidate_rank,
                     checkpoint.remedy.as_str()
                 );

@@ -1,22 +1,25 @@
 //! Crash-safe checkpoint/resume for the mapping flow.
 //!
 //! With a checkpoint directory configured, the flow serializes a
-//! deterministic `nanomap-checkpoint-v1` snapshot after each completed
-//! phase of the current physical-design attempt: FDS (the attempt's
-//! candidate and its schedules), pack (the temporal clustering) and
-//! place (the final SMB positions). Snapshots are written through
+//! deterministic `nanomap-checkpoint-v2` snapshot of the decisions that
+//! are costly to recompute: after FDS, the attempt's pinned candidate,
+//! ladder rung and per-plane schedules; after placement, also one slot
+//! per SMB. Snapshots are written through
 //! [`crate::artifact::atomic_write`], so a crash — even a SIGKILL mid
 //! write — leaves either the previous complete checkpoint or the new
 //! one, never a torn file.
 //!
 //! `nanomap --resume PATH` reloads the snapshot, verifies that the
 //! netlist (by FNV-1a fingerprint), objective and architecture match,
-//! and restarts the flow from the last completed phase: restored
-//! schedules skip FDS, a restored packing skips clustering, a restored
-//! placement is reconstructed bit-exactly (placement cost, routability
-//! and delay are pure recomputations). Because placement and routing are
-//! seeded deterministically, the resumed run reproduces the
-//! uninterrupted run's `MappingReport` exactly.
+//! and restarts the flow from the last completed phase. Everything else
+//! is re-derived: restored schedules skip FDS, the packing is recomputed
+//! from them (clustering is a pure function of the schedules, the
+//! architecture and the pack options), and a restored placement is
+//! admitted only through [`nanomap_place::adopt_assignment`] — the same
+//! validator SAT models pass — against this run's packing and defect
+//! map. Because every phase is seeded deterministically, a resumed run
+//! reproduces the uninterrupted run's `MappingReport` exactly, and a
+//! placement that does not fit this run is a typed error.
 //!
 //! A checkpoint pins one folding candidate and one recovery-ladder rung;
 //! resume restarts the ladder at that rung and climbs from there. It
@@ -27,14 +30,12 @@
 // must surface as typed errors, never panics.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use nanomap_arch::{ArchParams, Grid, SmbPos};
-use nanomap_netlist::{FfId, LutId, LutNetwork, SignalRef};
+use nanomap_netlist::{LutNetwork, SignalRef};
 use nanomap_observe::{json, Fnv1a, JsonValue};
-use nanomap_pack::{Packing, Slice};
 use nanomap_sched::{ItemGraph, Schedule};
 
 use crate::artifact::atomic_write_text;
@@ -90,37 +91,6 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-/// The last phase whose products the checkpoint holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CheckpointPhase {
-    /// The attempt's candidate and its FDS schedules are recorded.
-    Fds,
-    /// Temporal clustering is done (packing snapshot present).
-    Pack,
-    /// Placement is done (packing + placement snapshots present).
-    Place,
-}
-
-impl CheckpointPhase {
-    /// Stable lowercase name for serialization.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Fds => "fds",
-            Self::Pack => "pack",
-            Self::Place => "place",
-        }
-    }
-
-    fn parse(name: &str) -> Option<Self> {
-        match name {
-            "fds" => Some(Self::Fds),
-            "pack" => Some(Self::Pack),
-            "place" => Some(Self::Place),
-            _ => None,
-        }
-    }
-}
 
 /// FNV-1a 64-bit fingerprint of a LUT network's full structure: inputs,
 /// every LUT's truth table and connections, every flip-flop's data input
@@ -188,99 +158,18 @@ impl ScheduleSnapshot {
     }
 }
 
-/// Frozen temporal clustering, with the `HashMap`s flattened into sorted
-/// arrays for deterministic serialization.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackSnapshot {
-    /// SMB count.
-    pub num_smbs: u32,
-    /// `(lut, smb)` pairs, sorted by LUT id.
-    pub lut_smb: Vec<(u32, u32)>,
-    /// `(lut, le)` pairs, sorted by LUT id.
-    pub lut_le: Vec<(u32, u32)>,
-    /// `(producer lut, smb)` pairs for cross-cycle stored values.
-    pub stored_smb: Vec<(u32, u32)>,
-    /// `(ff, smb)` pairs, sorted by flip-flop id.
-    pub ff_smb: Vec<(u32, u32)>,
-    /// `(smb, plane, stage, count)` LUT occupancy entries.
-    pub lut_occupancy: Vec<(u32, u32, u32, u32)>,
-    /// `(smb, plane, stage, count)` flip-flop occupancy entries.
-    pub ff_occupancy: Vec<(u32, u32, u32, u32)>,
-}
-
-impl PackSnapshot {
-    /// Freezes a packing.
-    pub fn capture(packing: &Packing) -> Self {
-        fn id_map<K: Copy>(map: &HashMap<K, u32>, index: impl Fn(K) -> u32) -> Vec<(u32, u32)> {
-            let mut v: Vec<(u32, u32)> = map.iter().map(|(&k, &s)| (index(k), s)).collect();
-            v.sort_unstable();
-            v
-        }
-        fn occ_map(map: &HashMap<(u32, Slice), u32>) -> Vec<(u32, u32, u32, u32)> {
-            let mut v: Vec<(u32, u32, u32, u32)> = map
-                .iter()
-                .map(|(&(smb, slice), &n)| (smb, slice.plane as u32, slice.stage, n))
-                .collect();
-            v.sort_unstable();
-            v
-        }
-        Self {
-            num_smbs: packing.num_smbs,
-            lut_smb: id_map(&packing.lut_smb, |l: LutId| l.0),
-            lut_le: id_map(&packing.lut_le, |l: LutId| l.0),
-            stored_smb: id_map(&packing.stored_smb, |l: LutId| l.0),
-            ff_smb: id_map(&packing.ff_smb, |f: FfId| f.0),
-            lut_occupancy: occ_map(&packing.lut_occupancy),
-            ff_occupancy: occ_map(&packing.ff_occupancy),
-        }
-    }
-
-    /// Rebuilds the packing.
-    pub fn restore(&self) -> Packing {
-        fn occ_map(entries: &[(u32, u32, u32, u32)]) -> HashMap<(u32, Slice), u32> {
-            entries
-                .iter()
-                .map(|&(smb, plane, stage, n)| {
-                    (
-                        (
-                            smb,
-                            Slice {
-                                plane: plane as usize,
-                                stage,
-                            },
-                        ),
-                        n,
-                    )
-                })
-                .collect()
-        }
-        Packing {
-            num_smbs: self.num_smbs,
-            lut_smb: self.lut_smb.iter().map(|&(l, s)| (LutId(l), s)).collect(),
-            lut_le: self.lut_le.iter().map(|&(l, s)| (LutId(l), s)).collect(),
-            stored_smb: self
-                .stored_smb
-                .iter()
-                .map(|&(l, s)| (LutId(l), s))
-                .collect(),
-            ff_smb: self.ff_smb.iter().map(|&(f, s)| (FfId(f), s)).collect(),
-            lut_occupancy: occ_map(&self.lut_occupancy),
-            ff_occupancy: occ_map(&self.ff_occupancy),
-        }
-    }
-}
-
-/// Frozen placement: the grid and every SMB's position. Cost,
-/// routability and delay are recomputed on restore (they are pure
-/// functions of the positions), so the snapshot stays small and exact.
+/// Frozen placement: the grid and one slot per SMB. Resume admits it
+/// through [`nanomap_place::adopt_assignment`], which re-checks every
+/// slot against the resumed run's packing and defect map and recomputes
+/// cost, routability and delay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlaceSnapshot {
     /// Grid width.
     pub width: u16,
     /// Grid height.
     pub height: u16,
-    /// `(x, y)` of every SMB, indexed by SMB id.
-    pub pos: Vec<(u16, u16)>,
+    /// Row-major slot index of every SMB, indexed by SMB id.
+    pub slots: Vec<u32>,
 }
 
 impl PlaceSnapshot {
@@ -289,41 +178,28 @@ impl PlaceSnapshot {
         Self {
             width: grid.width,
             height: grid.height,
-            pos: pos_of.iter().map(|p| (p.x, p.y)).collect(),
+            slots: pos_of.iter().map(|&p| grid.index(p) as u32).collect(),
         }
     }
 
-    /// Rebuilds the grid and positions.
+    /// The snapshot's grid.
     ///
     /// # Errors
     ///
-    /// Rejects an empty grid or out-of-grid positions.
-    pub fn restore(&self) -> Result<(Grid, Vec<SmbPos>), CheckpointError> {
+    /// Rejects an empty grid; slot ranges are the adopter's to check.
+    pub fn grid(&self) -> Result<Grid, CheckpointError> {
         if self.width == 0 || self.height == 0 {
             return Err(CheckpointError::Malformed {
                 detail: format!("placement grid {}x{} is empty", self.width, self.height),
             });
         }
-        for &(x, y) in &self.pos {
-            if x >= self.width || y >= self.height {
-                return Err(CheckpointError::Malformed {
-                    detail: format!(
-                        "SMB position ({x}, {y}) is outside the {}x{} grid",
-                        self.width, self.height
-                    ),
-                });
-            }
-        }
-        Ok((
-            Grid::new(self.width, self.height),
-            self.pos.iter().map(|&(x, y)| SmbPos::new(x, y)).collect(),
-        ))
+        Ok(Grid::new(self.width, self.height))
     }
 }
 
 /// A complete flow checkpoint: identity (netlist hash, objective,
-/// architecture), the pinned candidate and ladder rung, the per-phase
-/// products completed so far, and the recovery history.
+/// architecture), the pinned candidate and ladder rung, its schedules,
+/// the placement once placed, and the recovery history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Circuit name (for the file name and human eyes; identity is the
@@ -341,8 +217,6 @@ pub struct Checkpoint {
     pub ffs_per_le: u32,
     /// NRAM configuration sets.
     pub num_reconf: u32,
-    /// The last completed phase.
-    pub phase: CheckpointPhase,
     /// Preference-order rank of the pinned folding candidate.
     pub candidate_rank: usize,
     /// Folding level of that candidate (`None` = no folding).
@@ -353,23 +227,16 @@ pub struct Checkpoint {
     pub sharing: PlaneSharing,
     /// The recovery-ladder rung the attempt runs with.
     pub remedy: Remedy,
-    /// Effective placement seed of the attempt (RNG state: annealing is
-    /// a pure function of this seed and the inputs).
-    pub place_seed: u64,
-    /// Effective routing seed of the attempt.
-    pub route_seed: u64,
     /// Per-plane FDS schedules of the candidate.
     pub schedules: Vec<ScheduleSnapshot>,
     /// Ladder history up to the checkpoint.
     pub recovery: RecoveryLog,
-    /// Clustering products (phases `pack` and later).
-    pub packing: Option<PackSnapshot>,
-    /// Placement products (phase `place`).
+    /// The attempt's placement, once placed.
     pub placement: Option<PlaceSnapshot>,
 }
 
-/// Hex form of a 64-bit value (JSON integers are `i64`; hashes and
-/// derived seeds overflow them).
+/// Hex form of a 64-bit value (JSON integers are `i64`; hashes overflow
+/// them).
 fn hex64(v: u64) -> String {
     format!("{v:016x}")
 }
@@ -380,65 +247,22 @@ fn parse_hex64(s: &str, what: &str) -> Result<u64, CheckpointError> {
     })
 }
 
-fn pairs_to_json(pairs: &[(u32, u32)]) -> JsonValue {
-    JsonValue::from(
-        pairs
-            .iter()
-            .map(|&(a, b)| JsonValue::from(vec![JsonValue::from(a), JsonValue::from(b)]))
-            .collect::<Vec<_>>(),
-    )
-}
-
-fn quads_to_json(quads: &[(u32, u32, u32, u32)]) -> JsonValue {
-    JsonValue::from(
-        quads
-            .iter()
-            .map(|&(a, b, c, d)| {
-                JsonValue::from(vec![
-                    JsonValue::from(a),
-                    JsonValue::from(b),
-                    JsonValue::from(c),
-                    JsonValue::from(d),
-                ])
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-fn int_row(value: &JsonValue, arity: usize, what: &str) -> Result<Vec<u32>, CheckpointError> {
-    let row = value.as_array().ok_or_else(|| CheckpointError::Malformed {
-        detail: format!("`{what}` entry is not an array"),
-    })?;
-    if row.len() != arity {
-        return Err(CheckpointError::Malformed {
-            detail: format!("`{what}` entry has {} fields, expected {arity}", row.len()),
-        });
-    }
-    row.iter()
+fn u32_array(value: &JsonValue, field: &str) -> Result<Vec<u32>, CheckpointError> {
+    value
+        .get(field)
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| CheckpointError::Malformed {
+            detail: format!("missing array `{field}`"),
+        })?
+        .iter()
         .map(|v| {
             v.as_int()
                 .filter(|&i| i >= 0 && i <= i64::from(u32::MAX))
                 .map(|i| i as u32)
                 .ok_or_else(|| CheckpointError::Malformed {
-                    detail: format!("`{what}` entry holds a non-u32 value"),
+                    detail: format!("`{field}` holds a non-u32 value"),
                 })
         })
-        .collect()
-}
-
-fn int_rows<T>(
-    value: Option<&JsonValue>,
-    what: &str,
-    arity: usize,
-    build: impl Fn(&[u32]) -> T,
-) -> Result<Vec<T>, CheckpointError> {
-    value
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| CheckpointError::Malformed {
-            detail: format!("missing array `{what}`"),
-        })?
-        .iter()
-        .map(|row| Ok(build(&int_row(row, arity, what)?)))
         .collect()
 }
 
@@ -478,30 +302,16 @@ impl Checkpoint {
                 )
             })
             .collect();
-        let packing = self.packing.as_ref().map(|p| {
-            JsonValue::object()
-                .with("num_smbs", p.num_smbs)
-                .with("lut_smb", pairs_to_json(&p.lut_smb))
-                .with("lut_le", pairs_to_json(&p.lut_le))
-                .with("stored_smb", pairs_to_json(&p.stored_smb))
-                .with("ff_smb", pairs_to_json(&p.ff_smb))
-                .with("lut_occupancy", quads_to_json(&p.lut_occupancy))
-                .with("ff_occupancy", quads_to_json(&p.ff_occupancy))
-        });
         let placement = self.placement.as_ref().map(|p| {
             JsonValue::object()
                 .with("width", p.width)
                 .with("height", p.height)
                 .with(
-                    "pos",
-                    JsonValue::from(
-                        p.pos
-                            .iter()
-                            .map(|&(x, y)| {
-                                JsonValue::from(vec![JsonValue::from(x), JsonValue::from(y)])
-                            })
-                            .collect::<Vec<_>>(),
-                    ),
+                    "slots",
+                    p.slots
+                        .iter()
+                        .map(|&v| JsonValue::from(v))
+                        .collect::<Vec<_>>(),
                 )
         });
         JsonValue::object()
@@ -517,7 +327,6 @@ impl Checkpoint {
                     .with("ffs_per_le", self.ffs_per_le)
                     .with("num_reconf", self.num_reconf),
             )
-            .with("phase", self.phase.as_str())
             .with("candidate_rank", self.candidate_rank as u64)
             .with("folding_level", self.level)
             .with("stages", self.stages)
@@ -529,11 +338,8 @@ impl Checkpoint {
                 },
             )
             .with("remedy", self.remedy.as_str())
-            .with("place_seed", hex64(self.place_seed))
-            .with("route_seed", hex64(self.route_seed))
             .with("schedules", schedules)
             .with("recovery", self.recovery.to_json())
-            .with("packing", packing)
             .with("placement", placement)
     }
 
@@ -541,7 +347,7 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Rejects anything without the `nanomap-checkpoint-v1` schema tag,
+    /// Rejects anything without the `nanomap-checkpoint-v2` schema tag,
     /// or with missing/ill-typed fields.
     pub fn from_json(value: &JsonValue) -> Result<Self, CheckpointError> {
         let schema = get_str(value, "schema")?;
@@ -550,11 +356,6 @@ impl Checkpoint {
                 detail: format!("schema is `{schema}`, expected `{CHECKPOINT_SCHEMA}`"),
             });
         }
-        let phase_name = get_str(value, "phase")?;
-        let phase =
-            CheckpointPhase::parse(phase_name).ok_or_else(|| CheckpointError::Malformed {
-                detail: format!("unknown phase `{phase_name}`"),
-            })?;
         let sharing = match get_str(value, "sharing")? {
             "shared" => PlaneSharing::Shared,
             "per-plane" => PlaneSharing::PerPlane,
@@ -581,22 +382,7 @@ impl Checkpoint {
                 detail: "missing array `schedules`".into(),
             })?
         {
-            let stage_of = s
-                .get("stage_of")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| CheckpointError::Malformed {
-                    detail: "schedule missing array `stage_of`".into(),
-                })?
-                .iter()
-                .map(|v| {
-                    v.as_int()
-                        .filter(|&i| i >= 0 && i <= i64::from(u32::MAX))
-                        .map(|i| i as u32)
-                        .ok_or_else(|| CheckpointError::Malformed {
-                            detail: "`stage_of` holds a non-u32 value".into(),
-                        })
-                })
-                .collect::<Result<Vec<u32>, _>>()?;
+            let stage_of = u32_array(s, "stage_of")?;
             let stages = get_u32(s, "stages")?;
             if let Some(&bad) = stage_of.iter().find(|&&st| st >= stages) {
                 return Err(CheckpointError::Malformed {
@@ -613,22 +399,6 @@ impl Checkpoint {
             .and_then(|v| {
                 RecoveryLog::from_json(v).map_err(|detail| CheckpointError::Malformed { detail })
             })?;
-        let packing = match value.get("packing") {
-            None | Some(JsonValue::Null) => None,
-            Some(p) => Some(PackSnapshot {
-                num_smbs: get_u32(p, "num_smbs")?,
-                lut_smb: int_rows(p.get("lut_smb"), "lut_smb", 2, |r| (r[0], r[1]))?,
-                lut_le: int_rows(p.get("lut_le"), "lut_le", 2, |r| (r[0], r[1]))?,
-                stored_smb: int_rows(p.get("stored_smb"), "stored_smb", 2, |r| (r[0], r[1]))?,
-                ff_smb: int_rows(p.get("ff_smb"), "ff_smb", 2, |r| (r[0], r[1]))?,
-                lut_occupancy: int_rows(p.get("lut_occupancy"), "lut_occupancy", 4, |r| {
-                    (r[0], r[1], r[2], r[3])
-                })?,
-                ff_occupancy: int_rows(p.get("ff_occupancy"), "ff_occupancy", 4, |r| {
-                    (r[0], r[1], r[2], r[3])
-                })?,
-            }),
-        };
         let placement = match value.get("placement") {
             None | Some(JsonValue::Null) => None,
             Some(p) => {
@@ -642,20 +412,10 @@ impl Checkpoint {
                 Some(PlaceSnapshot {
                     width: dim("width")?,
                     height: dim("height")?,
-                    pos: int_rows(p.get("pos"), "pos", 2, |r| (r[0] as u16, r[1] as u16))?,
+                    slots: u32_array(p, "slots")?,
                 })
             }
         };
-        if phase >= CheckpointPhase::Pack && packing.is_none() {
-            return Err(CheckpointError::Malformed {
-                detail: format!("phase `{}` requires a packing snapshot", phase.as_str()),
-            });
-        }
-        if phase >= CheckpointPhase::Place && placement.is_none() {
-            return Err(CheckpointError::Malformed {
-                detail: "phase `place` requires a placement snapshot".into(),
-            });
-        }
         Ok(Self {
             circuit: get_str(value, "circuit")?.to_string(),
             netlist_hash: parse_hex64(get_str(value, "netlist_hash")?, "netlist_hash")?,
@@ -664,7 +424,6 @@ impl Checkpoint {
             luts_per_le: get_u32(arch, "luts_per_le")?,
             ffs_per_le: get_u32(arch, "ffs_per_le")?,
             num_reconf: get_u32(arch, "num_reconf")?,
-            phase,
             candidate_rank: get_u32(value, "candidate_rank")? as usize,
             level: value
                 .get("folding_level")
@@ -673,11 +432,8 @@ impl Checkpoint {
             stages: get_u32(value, "stages")?,
             sharing,
             remedy,
-            place_seed: parse_hex64(get_str(value, "place_seed")?, "place_seed")?,
-            route_seed: parse_hex64(get_str(value, "route_seed")?, "route_seed")?,
             schedules,
             recovery,
-            packing,
             placement,
         })
     }
@@ -761,6 +517,16 @@ impl Checkpoint {
         Ok(())
     }
 
+    /// The last completed phase: `"place"` once the placement is
+    /// recorded, `"fds"` before.
+    pub fn phase(&self) -> &'static str {
+        if self.placement.is_some() {
+            "place"
+        } else {
+            "fds"
+        }
+    }
+
     /// The folding configuration the checkpoint pins.
     pub fn folding_config(&self) -> FoldingConfig {
         FoldingConfig {
@@ -811,30 +577,6 @@ impl Checkpoint {
             .map(ScheduleSnapshot::restore)
             .collect())
     }
-
-    /// Restores the packing and placement snapshots, when present.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a placement snapshot that does not describe a grid.
-    pub(crate) fn restore_products(&self) -> Result<ResumeProducts, CheckpointError> {
-        Ok(ResumeProducts {
-            packing: self.packing.as_ref().map(PackSnapshot::restore),
-            placement: self
-                .placement
-                .as_ref()
-                .map(PlaceSnapshot::restore)
-                .transpose()?,
-        })
-    }
-}
-
-/// Phase products restored from a checkpoint; a resumed attempt consumes
-/// them instead of re-running the corresponding phases.
-#[derive(Default)]
-pub(crate) struct ResumeProducts {
-    pub(crate) packing: Option<Packing>,
-    pub(crate) placement: Option<(Grid, Vec<SmbPos>)>,
 }
 
 /// The checkpoint file name for a circuit (`<circuit>.ckpt.json`, with
@@ -854,10 +596,10 @@ pub fn checkpoint_file_name(circuit: &str) -> String {
 }
 
 /// Incremental checkpoint writer owned by one physical-design attempt:
-/// the flow calls [`CheckpointWriter::write_fds`] /
-/// [`CheckpointWriter::write_pack`] / [`CheckpointWriter::write_place`]
-/// as phases complete, each call atomically replacing the single
-/// `<circuit>.ckpt.json` file with a snapshot of everything done so far.
+/// the flow calls [`CheckpointWriter::write_fds`] and
+/// [`CheckpointWriter::write_place`] as phases complete, each call
+/// atomically replacing the single `<circuit>.ckpt.json` file with a
+/// snapshot of everything decided so far.
 #[derive(Debug)]
 pub struct CheckpointWriter {
     path: PathBuf,
@@ -900,7 +642,7 @@ impl CheckpointWriter {
             },
         )?;
         nanomap_observe::publish(|| nanomap_observe::EventKind::Checkpoint {
-            phase: self.checkpoint.phase.as_str().to_string(),
+            phase: self.checkpoint.phase().to_string(),
             path: self.path.display().to_string(),
         });
         Ok(())
@@ -913,20 +655,6 @@ impl CheckpointWriter {
     ///
     /// Propagates write failures.
     pub fn write_fds(&mut self) -> Result<(), CheckpointError> {
-        self.checkpoint.phase = CheckpointPhase::Fds;
-        self.checkpoint.packing = None;
-        self.checkpoint.placement = None;
-        self.flush()
-    }
-
-    /// Records clustering completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn write_pack(&mut self, packing: &Packing) -> Result<(), CheckpointError> {
-        self.checkpoint.phase = CheckpointPhase::Pack;
-        self.checkpoint.packing = Some(PackSnapshot::capture(packing));
         self.flush()
     }
 
@@ -936,7 +664,6 @@ impl CheckpointWriter {
     ///
     /// Propagates write failures.
     pub fn write_place(&mut self, grid: Grid, pos_of: &[SmbPos]) -> Result<(), CheckpointError> {
-        self.checkpoint.phase = CheckpointPhase::Place;
         self.checkpoint.placement = Some(PlaceSnapshot::capture(grid, pos_of));
         self.flush()
     }
@@ -969,32 +696,20 @@ mod tests {
             luts_per_le: 1,
             ffs_per_le: 2,
             num_reconf: 16,
-            phase: CheckpointPhase::Place,
             candidate_rank: 1,
             level: Some(2),
             stages: 6,
             sharing: PlaneSharing::Shared,
             remedy: Remedy::Reseed,
-            place_seed: 0xFFFF_FFFF_FFFF_FFFF,
-            route_seed: 1,
             schedules: vec![ScheduleSnapshot {
                 stages: 6,
                 stage_of: vec![0, 3, 5],
             }],
             recovery: RecoveryLog::default(),
-            packing: Some(PackSnapshot {
-                num_smbs: 2,
-                lut_smb: vec![(0, 0), (1, 1)],
-                lut_le: vec![(0, 3), (1, 0)],
-                stored_smb: vec![(0, 1)],
-                ff_smb: vec![(0, 0)],
-                lut_occupancy: vec![(0, 0, 0, 2), (1, 0, 3, 1)],
-                ff_occupancy: vec![(0, 0, 0, 1)],
-            }),
             placement: Some(PlaceSnapshot {
                 width: 2,
                 height: 1,
-                pos: vec![(0, 0), (1, 0)],
+                slots: vec![0, 1],
             }),
         }
     }
@@ -1012,25 +727,16 @@ mod tests {
     }
 
     #[test]
-    fn pack_snapshot_round_trips_the_packing() {
-        let packing = sample().packing.unwrap().restore();
-        assert_eq!(PackSnapshot::capture(&packing), sample().packing.unwrap());
-        assert_eq!(packing.lut_smb[&LutId(1)], 1);
-        assert_eq!(packing.lut_occupancy[&(1, Slice { plane: 0, stage: 3 })], 1);
-    }
-
-    #[test]
     fn place_snapshot_validates_bounds() {
         let good = sample().placement.unwrap();
-        let (grid, pos) = good.restore().unwrap();
+        let grid = good.grid().unwrap();
         assert_eq!((grid.width, grid.height), (2, 1));
-        assert_eq!(pos, vec![SmbPos::new(0, 0), SmbPos::new(1, 0)]);
-        let bad = PlaceSnapshot {
-            pos: vec![(5, 0)],
-            ..good
-        };
+        let pos = [SmbPos::new(1, 0), SmbPos::new(0, 0)];
+        assert_eq!(PlaceSnapshot::capture(grid, &pos).slots, vec![1, 0]);
+        // Slot ranges are the adopter's to check; an empty grid is not.
+        let empty = PlaceSnapshot { width: 0, ..good };
         assert!(matches!(
-            bad.restore(),
+            empty.grid(),
             Err(CheckpointError::Malformed { .. })
         ));
     }
@@ -1081,12 +787,6 @@ mod tests {
         let doc = nanomap_observe::json::parse(&text).expect("valid JSON");
         let e = Checkpoint::from_json(&doc).unwrap_err();
         assert!(e.to_string().contains("nanomap-checkpoint-v9"), "{e}");
-        // A pack-phase checkpoint without a packing snapshot is invalid.
-        let mut truncated = sample();
-        truncated.phase = CheckpointPhase::Pack;
-        truncated.packing = None;
-        truncated.placement = None;
-        assert!(Checkpoint::from_json(&truncated.to_json()).is_err());
     }
 
     #[test]
@@ -1094,20 +794,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nanomap-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut ckpt = sample();
-        ckpt.phase = CheckpointPhase::Fds;
-        let packing = ckpt.packing.take().unwrap().restore();
-        let (grid, pos) = ckpt.placement.take().unwrap().restore().unwrap();
+        let placement = ckpt.placement.take().unwrap();
+        let grid = placement.grid().unwrap();
+        let pos: Vec<SmbPos> = placement
+            .slots
+            .iter()
+            .map(|&s| grid.pos(s as usize))
+            .collect();
         let mut writer = CheckpointWriter::new(&dir, ckpt).unwrap();
         writer.write_fds().unwrap();
         let fds = Checkpoint::load(writer.path()).unwrap();
-        assert_eq!(fds.phase, CheckpointPhase::Fds);
-        assert!(fds.packing.is_none());
-        writer.write_pack(&packing).unwrap();
+        assert_eq!(fds.phase(), "fds");
+        assert!(fds.placement.is_none());
         writer.write_place(grid, &pos).unwrap();
         let placed = Checkpoint::load(writer.path()).unwrap();
-        assert_eq!(placed.phase, CheckpointPhase::Place);
-        assert_eq!(placed.packing, Some(PackSnapshot::capture(&packing)));
-        assert_eq!(placed.placement, Some(PlaceSnapshot::capture(grid, &pos)));
+        assert_eq!(placed.phase(), "place");
+        assert_eq!(placed.placement, Some(placement));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

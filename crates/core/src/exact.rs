@@ -200,7 +200,7 @@ impl NanoMap {
         let overrides = attempt.overrides;
         let base_slack = overrides.place.grid_slack;
         let last = MAX_GRID_ATTEMPTS - 1;
-        let mut shared = match Shared::new(run, eval, None) {
+        let mut shared = match Shared::new(run, eval) {
             Ok(shared) => shared,
             Err(e) => return ExactRungResult::Fatal(e),
         };
@@ -299,8 +299,8 @@ impl NanoMap {
                         grid,
                         &slot_of_smb,
                     );
-                    let pos_of = match adopted {
-                        Ok(placement) => placement.pos_of,
+                    let placement = match adopted {
+                        Ok(placement) => placement,
                         Err(e) => {
                             // An encoder/decoder invariant broke; this
                             // is a bug, not a fabric property. Fail
@@ -310,7 +310,7 @@ impl NanoMap {
                             });
                         }
                     };
-                    // Inject the solver placement; routing, timing,
+                    // Inject the adopted placement; routing, timing,
                     // bitmaps and verification all run the normal path.
                     let mut degradations = base_degradations.to_vec();
                     degradations.extend(eval.degradation.clone());
@@ -319,7 +319,7 @@ impl NanoMap {
                         &attempt,
                         None,
                         &mut shared,
-                        Some((grid, pos_of)),
+                        Some(placement),
                         &mut degradations,
                     ) {
                         Ok(report) => {

@@ -14,13 +14,12 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use nanomap_arch::{
-    estimate_power, ArchParams, AreaModel, ChannelConfig, DefectMap, Grid, PowerModel, SmbPos,
-    TimingModel,
+    estimate_power, ArchParams, AreaModel, ChannelConfig, DefectMap, PowerModel, TimingModel,
 };
 use nanomap_netlist::rtl::RtlCircuit;
 use nanomap_netlist::{LutNetwork, PlaneSet};
 use nanomap_pack::{extract_nets, pack, PackOptions, Packing, SliceNets, TemporalDesign};
-use nanomap_place::{place_with_defects_budgeted, PlaceOptions, Placement};
+use nanomap_place::{adopt_assignment, place_with_defects_budgeted, PlaceOptions, Placement};
 use nanomap_route::{route_design_budgeted, RouteOptions};
 use nanomap_sched::{schedule_fds_budgeted, FdsOptions, ItemGraph, LeShape, Schedule};
 use nanomap_techmap::{expand, ExpandOptions};
@@ -28,11 +27,11 @@ use nanomap_techmap::{expand, ExpandOptions};
 use std::path::PathBuf;
 use std::time::Instant;
 
-use nanomap_observe::{span, SpanGuard};
+use nanomap_observe::{span, Fnv1a, SpanGuard};
 
 use crate::budget::{CancelToken, Degradation};
 use crate::checkpoint::{
-    netlist_fingerprint, Checkpoint, CheckpointPhase, CheckpointWriter, ResumeProducts,
+    netlist_fingerprint, Checkpoint, CheckpointError, CheckpointWriter, PlaceSnapshot,
     ScheduleSnapshot,
 };
 use crate::error::FlowError;
@@ -273,7 +272,7 @@ impl NanoMap {
             candidates,
             first_rank: 0,
             start: Remedy::Baseline,
-            restored: ResumeProducts::default(),
+            restored: None,
             recovery: RecoveryLog::new(),
             degradations: select_degradation.into_iter().collect(),
         };
@@ -284,15 +283,18 @@ impl NanoMap {
     /// the same netlist, objective and architecture.
     ///
     /// The checkpoint pins the folding candidate and recovery-ladder
-    /// rung; restored products (schedules, packing, placement) skip
-    /// their phases, and the remaining phases re-run deterministically,
-    /// reproducing the uninterrupted run's report. Should the pinned
-    /// rung still fail, the ladder climbs from there.
+    /// rung. Restored schedules skip FDS, the candidate is packed again
+    /// from them, and a restored placement is adopted through
+    /// [`adopt_assignment`] instead of annealed; the remaining phases
+    /// re-run deterministically, reproducing the uninterrupted run's
+    /// report. Should the pinned rung still fail, the ladder climbs
+    /// from there.
     ///
     /// # Errors
     ///
     /// [`FlowError::Checkpoint`] when the checkpoint does not match this
-    /// netlist/objective/architecture; otherwise the same errors as
+    /// netlist/objective/architecture or its placement does not fit this
+    /// run's packing and fabric; otherwise the same errors as
     /// [`Self::map`].
     pub fn map_resume(
         &self,
@@ -336,7 +338,7 @@ impl NanoMap {
             candidates: vec![eval],
             first_rank: checkpoint.candidate_rank,
             start: checkpoint.remedy,
-            restored: checkpoint.restore_products()?,
+            restored: checkpoint.placement.clone(),
             recovery,
             degradations: Vec::new(),
         };
@@ -452,9 +454,8 @@ impl NanoMap {
                 if i > 0 {
                     recovery.record_candidate_fallback();
                 }
-                // Every rung reuses the candidate's design and packing; a
-                // restored checkpoint packing seeds the first candidate's.
-                let mut shared = Shared::new(run, eval, restored.packing.take())?;
+                // Every rung reuses the candidate's design and packing.
+                let mut shared = Shared::new(run, eval)?;
                 let first_rung = if i == 0 { start_rung } else { 0 };
                 for &remedy in &LADDER[first_rung..] {
                     if recovery.total_attempts() >= MAX_TOTAL_ATTEMPTS {
@@ -485,12 +486,16 @@ impl NanoMap {
                     let mut degradations = base.clone();
                     degradations.extend(eval.degradation.clone());
                     // A restored placement belongs to the first attempt only.
+                    let placement = restored
+                        .take()
+                        .map(|snapshot| self.adopt_restored(&mut shared, &attempt, &snapshot))
+                        .transpose()?;
                     match self.finish_candidate(
                         run,
                         &attempt,
                         writer.as_mut(),
                         &mut shared,
-                        restored.placement.take(),
+                        placement,
                         &mut degradations,
                     ) {
                         Ok(report) => break 'won Some((report, remedy, degradations)),
@@ -612,11 +617,20 @@ impl NanoMap {
     }
 
     /// Stable flight-recorder id for mapping `net` under `objective`
-    /// with this flow's seeds: the same inputs always produce the same
-    /// id, so ledger history lines up across reruns.
+    /// with this flow's seeds and fabric: the same inputs always produce
+    /// the same id, so ledger history lines up across reruns. A
+    /// defective fabric folds its map into the id; a clean one leaves
+    /// the id as the netlist, objective and seeds alone define it.
     pub fn run_id(&self, net: &LutNetwork, objective: Objective) -> String {
+        let mut fingerprint = netlist_fingerprint(net);
+        if !self.defects.is_empty() {
+            let fabric = Fnv1a::new()
+                .field(self.defects.to_text().as_bytes())
+                .finish();
+            fingerprint = Fnv1a::new().u64(fingerprint).u64(fabric).finish();
+        }
         crate::runs::run_id(
-            netlist_fingerprint(net),
+            fingerprint,
             &objective.key(),
             self.place_options.seed,
             self.route_options.seed,
@@ -632,6 +646,38 @@ impl NanoMap {
             place_seed: self.place_options.seed,
             route_seed: self.route_options.seed,
         });
+    }
+
+    /// Admits a checkpointed placement into `attempt` through the SAT
+    /// rung's validator, against the candidate's packing and this
+    /// flow's defect map: a placement that does not fit is a typed
+    /// checkpoint error, never a panic or a silently wrong bitstream.
+    fn adopt_restored(
+        &self,
+        shared: &mut Shared<'_>,
+        attempt: &Attempt,
+        snapshot: &PlaceSnapshot,
+    ) -> Result<Placement, FlowError> {
+        let grid = snapshot.grid()?;
+        let (design, packed) = shared.packed(self)?;
+        let overrides = &attempt.overrides;
+        adopt_assignment(
+            design,
+            &packed.packing,
+            &packed.nets,
+            &overrides.channels,
+            &self.timing,
+            overrides.place.weights,
+            &self.defects,
+            &packed.packing.required_sets(design),
+            grid,
+            &snapshot.slots,
+        )
+        .map_err(|e| {
+            FlowError::from(CheckpointError::Malformed {
+                detail: format!("restored placement rejected: {e}"),
+            })
+        })
     }
 
     /// Builds the checkpoint writer for one physical-design attempt,
@@ -654,14 +700,11 @@ impl NanoMap {
             luts_per_le: self.arch.luts_per_le,
             ffs_per_le: self.arch.ffs_per_le,
             num_reconf: self.arch.num_reconf,
-            phase: CheckpointPhase::Fds,
             candidate_rank: attempt.rank,
             level: config.level,
             stages: config.stages,
             sharing: config.sharing,
             remedy: attempt.remedy,
-            place_seed: attempt.overrides.place.seed,
-            route_seed: attempt.overrides.route.seed,
             schedules: attempt
                 .eval
                 .schedules
@@ -669,7 +712,6 @@ impl NanoMap {
                 .map(ScheduleSnapshot::capture)
                 .collect(),
             recovery: recovery.clone(),
-            packing: None,
             placement: None,
         };
         Ok(Some(CheckpointWriter::new(dir, checkpoint)?))
@@ -805,16 +847,16 @@ impl NanoMap {
     /// Phases poll the run's token at iteration boundaries and append
     /// their [`Degradation`] to `degradations` when it expires. The
     /// candidate's design and packing come from `shared`, packed on the
-    /// first physical attempt; a given `placement` (restored or adopted)
-    /// skips placement. Each completed phase lands in `ckpt` when
-    /// checkpointing is on.
+    /// first physical attempt; a given `placement`, already validated by
+    /// [`adopt_assignment`], skips placement. The placement lands in
+    /// `ckpt` when checkpointing is on.
     pub(crate) fn finish_candidate(
         &self,
         run: &Run,
         attempt: &Attempt,
-        mut ckpt: Option<&mut CheckpointWriter>,
+        ckpt: Option<&mut CheckpointWriter>,
         shared: &mut Shared<'_>,
-        placement: Option<(Grid, Vec<SmbPos>)>,
+        placement: Option<Placement>,
         degradations: &mut Vec<Degradation>,
     ) -> Result<MappingReport, FlowError> {
         let (net, planes, token) = (run.net, run.planes, run.token);
@@ -846,21 +888,9 @@ impl NanoMap {
             let (design, packed) = shared.packed(self)?;
             let (packing, nets) = (&packed.packing, &packed.nets);
             times.pack_ms = packed.ms;
-            if let Some(w) = ckpt.as_deref_mut() {
-                w.write_pack(packing)?;
-            }
             let place_start = Instant::now();
             let placement = match placement {
-                Some((grid, pos_of)) => Placement::reconstruct(
-                    design,
-                    packing,
-                    nets,
-                    &overrides.channels,
-                    &self.timing,
-                    overrides.place.weights,
-                    grid,
-                    pos_of,
-                ),
+                Some(placement) => placement,
                 None => {
                     let mut place_span = span!("place", smbs = packing.num_smbs);
                     place_span.attr("seed", overrides.place.seed);
@@ -1040,21 +1070,18 @@ pub(crate) struct Packed {
 }
 
 impl<'a> Shared<'a> {
-    /// The candidate's temporal design; a `restored` checkpoint packing
-    /// stands in for clustering.
-    pub(crate) fn new(
-        run: &Run<'a>,
-        eval: &CandidateEval,
-        restored: Option<Packing>,
-    ) -> Result<Self, FlowError> {
+    /// The candidate's temporal design, not yet packed.
+    pub(crate) fn new(run: &Run<'a>, eval: &CandidateEval) -> Result<Self, FlowError> {
         let design = TemporalDesign::new(
             run.net,
             run.planes,
             eval.graphs.clone(),
             eval.schedules.clone(),
         )?;
-        let packed = restored.map(|packing| Packed::new(&design, packing, Instant::now()));
-        Ok(Self { design, packed })
+        Ok(Self {
+            design,
+            packed: None,
+        })
     }
 
     /// The design with its packing and nets, clustered inside one `pack`
@@ -1069,21 +1096,15 @@ impl<'a> Shared<'a> {
                 let start = Instant::now();
                 let _span = span!("pack", slices = self.design.num_slices());
                 let packing = pack(&self.design, &flow.arch, flow.pack_options)?;
-                Packed::new(&self.design, packing, start)
+                let nets = extract_nets(&self.design, &packing);
+                Packed {
+                    packing,
+                    nets,
+                    ms: start.elapsed().as_secs_f64() * 1e3,
+                }
             }
         };
         Ok((&self.design, self.packed.insert(packed)))
-    }
-}
-
-impl Packed {
-    fn new(design: &TemporalDesign<'_>, packing: Packing, start: Instant) -> Self {
-        let nets = extract_nets(design, &packing);
-        Self {
-            packing,
-            nets,
-            ms: start.elapsed().as_secs_f64() * 1e3,
-        }
     }
 }
 
@@ -1107,8 +1128,9 @@ struct Plan {
     /// The rung the first candidate starts on (a remedy outside
     /// [`LADDER`] starts at the baseline).
     start: Remedy,
-    /// Products the first attempt consumes instead of re-running.
-    restored: ResumeProducts,
+    /// A checkpointed placement the first attempt adopts instead of
+    /// annealing.
+    restored: Option<PlaceSnapshot>,
     recovery: RecoveryLog,
     /// Degradations every attempt inherits (a truncated selection).
     degradations: Vec<Degradation>,

@@ -73,8 +73,8 @@ mod verify;
 pub use artifact::{atomic_write, atomic_write_text, ArtifactError};
 pub use budget::{Anytime, CancelToken, Degradation};
 pub use checkpoint::{
-    checkpoint_file_name, netlist_fingerprint, Checkpoint, CheckpointError, CheckpointPhase,
-    CheckpointWriter, CHECKPOINT_SCHEMA,
+    checkpoint_file_name, netlist_fingerprint, Checkpoint, CheckpointError, CheckpointWriter,
+    CHECKPOINT_SCHEMA,
 };
 pub use diff::{has_regression, render_diff_table, DiffEntry, DiffStatus};
 pub use error::FlowError;

@@ -3,11 +3,12 @@
 //! The contract under test: no budget leaves reports bit-identical to
 //! the pre-budget flow; a tiny budget degrades gracefully (never panics
 //! or hangs); a checkpointed run resumed from any post-phase snapshot
-//! reproduces the uninterrupted run's report exactly.
+//! reproduces the uninterrupted run's report exactly, and a snapshot
+//! that does not fit the resumed run fails with a typed error.
 
 use nanomap::{
-    Checkpoint, CheckpointError, CheckpointPhase, FlowError, MappingReport, NanoMap, Objective,
-    PhaseTimes, Remedy,
+    Checkpoint, CheckpointError, FlowError, MappingReport, NanoMap, Objective, PhaseTimes, Remedy,
+    CHECKPOINT_SCHEMA,
 };
 use nanomap_arch::{ArchParams, DefectMap};
 use nanomap_netlist::rtl::{CombOp, RtlBuilder, RtlCircuit};
@@ -130,7 +131,7 @@ fn resume_from_each_checkpoint_phase_reproduces_the_report() {
         let baseline = flow.map(&net, Objective::MinAreaDelayProduct).unwrap();
         let path = dir.join("mac.ckpt.json");
         let full = Checkpoint::load(&path).unwrap();
-        assert_eq!(full.phase, CheckpointPhase::Place);
+        assert_eq!(full.phase(), "place");
         if tag == "defective" {
             assert!(
                 full.candidate_rank > 0,
@@ -144,19 +145,9 @@ fn resume_from_each_checkpoint_phase_reproduces_the_report() {
 
         // Resume from each phase prefix a crash could have left behind.
         let resumer = NanoMap::new(ArchParams::paper_unbounded()).with_defects(defects);
-        for phase in [
-            CheckpointPhase::Fds,
-            CheckpointPhase::Pack,
-            CheckpointPhase::Place,
-        ] {
-            let mut ckpt = full.clone();
-            if phase < CheckpointPhase::Place {
-                ckpt.placement = None;
-            }
-            if phase < CheckpointPhase::Pack {
-                ckpt.packing = None;
-            }
-            ckpt.phase = phase;
+        let mut after_fds = full.clone();
+        after_fds.placement = None;
+        for ckpt in [after_fds, full] {
             let resumed = resumer
                 .map_resume(&net, Objective::MinAreaDelayProduct, &ckpt)
                 .unwrap();
@@ -164,7 +155,7 @@ fn resume_from_each_checkpoint_phase_reproduces_the_report() {
                 normalized(&baseline),
                 normalized(&resumed),
                 "{tag}: resume from {} diverged",
-                phase.as_str()
+                ckpt.phase()
             );
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -200,6 +191,74 @@ fn torn_or_corrupt_checkpoints_load_as_typed_errors() {
             "corruption #{i} produced {_typed}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_reproduces_the_run_or_fails_typed() {
+    let net = mac_net();
+    let dir = std::env::temp_dir().join(format!("nanomap-adopt-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let path = dir.join("mac.ckpt.json");
+    let objective = Objective::MinAreaDelayProduct;
+    let fabric = |seed| DefectMap::uniform(0.3, seed);
+    let on = |defects: DefectMap| NanoMap::new(ArchParams::paper_unbounded()).with_defects(defects);
+
+    // The untouched checkpoint resumes to the run that wrote it.
+    let baseline = on(fabric(1))
+        .with_checkpoint_dir(&dir)
+        .map(&net, objective)
+        .unwrap();
+    let full = Checkpoint::load(&path).unwrap();
+    let placed = full
+        .placement
+        .clone()
+        .expect("the final checkpoint is placed");
+    assert!(placed.slots.len() >= 2, "the duplicate case needs 2 SMBs");
+    let resumed = on(fabric(1)).map_resume(&net, objective, &full).unwrap();
+    assert_eq!(normalized(&baseline), normalized(&resumed));
+
+    let edited = |edit: &dyn Fn(&mut Vec<u32>)| {
+        let mut ckpt = full.clone();
+        if let Some(p) = ckpt.placement.as_mut() {
+            edit(&mut p.slots);
+        }
+        ckpt
+    };
+    let num_slots = u32::from(placed.width) * u32::from(placed.height);
+    let cases = [
+        ("empty placement", edited(&|s| s.clear())),
+        ("one slot too many", edited(&|s| s.push(num_slots - 1))),
+        ("out-of-grid slot", edited(&|s| s[0] = num_slots)),
+        ("duplicate slot", edited(&|s| s[1] = s[0])),
+    ];
+    for (what, ckpt) in &cases {
+        match on(fabric(1)).map_resume(&net, objective, ckpt) {
+            Err(FlowError::Checkpoint(_)) => {}
+            Err(e) => panic!("{what}: expected a checkpoint error, got {e}"),
+            Ok(_) => panic!("{what}: resumed without error"),
+        }
+    }
+
+    // Another fabric: the seed-1 placement lands on slots seed 2 kills.
+    match on(fabric(2)).map_resume(&net, objective, &full) {
+        Err(FlowError::Checkpoint(_)) => {}
+        Err(e) => panic!("another fabric: expected a checkpoint error, got {e}"),
+        Ok(_) => panic!("another fabric: resumed without error"),
+    }
+
+    // A file with the previous schema tag fails to load.
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(
+        &path,
+        text.replace(CHECKPOINT_SCHEMA, "nanomap-checkpoint-v1"),
+    )
+    .unwrap();
+    let err = Checkpoint::load(&path).unwrap_err();
+    assert!(
+        matches!(FlowError::from(err), FlowError::Checkpoint(_)),
+        "a v1 file must be a typed checkpoint error"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -13,11 +13,12 @@
 //! - **Preemption.** Long requests run in exponentially growing time
 //!   slices through the flow's CancelToken + checkpoint machinery: an
 //!   expired slice re-enqueues the request at the back of the queue and
-//!   the next slice resumes from its `nanomap-checkpoint-v1` snapshot,
-//!   not from scratch.
+//!   the next slice resumes from its `nanomap-checkpoint-v2` snapshot
+//!   (the pinned candidate, its schedules and placement; the packing is
+//!   recomputed and the placement re-validated), not from scratch.
 //! - **Crash-safe result cache.** Results land in an atomic-rename
-//!   cache keyed by netlist fingerprint + objective + seeds
-//!   ([`cache::ResultCache`]); repeat submissions are served from disk
+//!   cache keyed by netlist fingerprint + objective + seeds + defect
+//!   map ([`cache::ResultCache`]); repeat submissions are served from disk
 //!   byte-identically in microseconds, across daemon restarts and
 //!   `kill -9`.
 //! - **Request isolation.** A panicking worker converts to a typed
@@ -822,12 +823,21 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
             return job.finish(shared, Reply::error(code::INVALID, &detail, None));
         }
     };
-    let base_flow = NanoMap::new(ArchParams::paper_unbounded());
-    let run_id = base_flow.run_id(&net, objective);
+    // The one flow this request maps with; its run id covers the
+    // fabric, so a restart on another defect map never replays results
+    // computed for this one.
+    let mut flow = NanoMap::new(ArchParams::paper_unbounded());
+    if let Some(map) = &shared.defects {
+        flow = flow.with_defects(map.clone());
+    }
+    if shared.config.exact_recovery {
+        flow = flow.with_exact_recovery();
+    }
+    let run_id = flow.run_id(&net, objective);
     job.compute_us += resolve_start.elapsed().as_micros() as u64;
 
-    // Cache: identical request (fingerprint + objective + seeds) →
-    // byte-identical replay, no mapping run.
+    // Cache: identical request (fingerprint + objective + seeds +
+    // fabric) → byte-identical replay, no mapping run.
     let cache_start = Instant::now();
     let cached = shared.cache.load(&run_id);
     job.cache_us += cache_start.elapsed().as_micros() as u64;
@@ -886,15 +896,9 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
         (None, None) => None,
     };
     let ckpt_dir = shared.config.state_dir.join("checkpoints").join(&run_id);
-    let mut flow = NanoMap::new(ArchParams::paper_unbounded()).with_checkpoint_dir(&ckpt_dir);
+    flow = flow.with_checkpoint_dir(&ckpt_dir);
     if let Some(ms) = effective_ms {
         flow = flow.with_budget_ms(ms);
-    }
-    if let Some(map) = &shared.defects {
-        flow = flow.with_defects(map.clone());
-    }
-    if shared.config.exact_recovery {
-        flow = flow.with_exact_recovery();
     }
     let ckpt_path = ckpt_dir.join(checkpoint_file_name(net.name()));
     // Resume from a prior slice's snapshot when one loads cleanly; a

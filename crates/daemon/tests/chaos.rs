@@ -174,6 +174,36 @@ fn repeat_submission_is_a_byte_identical_cache_hit() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The cache key covers the fabric: a daemon restarted on the same
+/// state dir with another defect map must recompute, never replay the
+/// report mapped for the first fabric.
+#[test]
+fn restart_on_another_defect_map_is_a_cache_miss() {
+    let _guard = suite_lock();
+    let dir = temp_dir("fabric");
+    let serve_on = |seed: u64| {
+        let map_path = dir.join(format!("fabric-{seed}.defects"));
+        std::fs::write(&map_path, format!("rate 0.3\nseed {seed}\n")).unwrap();
+        let (handle, _) = daemon(&format!("fabric-d{seed}"), |c| {
+            c.state_dir = dir.join("state");
+            c.ledger_path = None;
+            c.defect_map_path = Some(map_path);
+        });
+        let served = submit(handle.addr(), &request(&format!("fabric-{seed}")));
+        assert!(handle.shutdown(Duration::from_secs(10)).clean);
+        served.result
+    };
+    let first = serve_on(1);
+    assert!(first.ok, "fabric 1 failed: {first:?}");
+    assert_eq!(first.cache.as_deref(), Some("miss"));
+    let replay = serve_on(1);
+    assert_eq!(replay.cache.as_deref(), Some("hit"));
+    let other = serve_on(2);
+    assert_eq!(other.cache.as_deref(), Some("miss"), "{other:?}");
+    assert_ne!(other.run_id, first.run_id);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn concurrent_identical_requests_coalesce_into_one_compute() {
     let _guard = suite_lock();

@@ -5,9 +5,10 @@
 //! boundary between the solver and the flow: the assignment is
 //! re-validated from scratch (shape, injectivity, per-cluster defect
 //! legality against the *precise* active-set view) before it is turned
-//! into a [`Placement`] via [`Placement::reconstruct`] — so a bug in
-//! the encoder or decoder surfaces as a typed error here rather than
-//! as a corrupt placement deep inside routing.
+//! into a [`Placement`] — so a bug in the encoder or decoder, or a
+//! checkpointed placement that does not fit the resumed run, surfaces
+//! as a typed error here rather than as a corrupt placement deep inside
+//! routing.
 
 use nanomap_arch::{ChannelConfig, DefectMap, Grid, SlotClass, SmbPos, TimingModel};
 use nanomap_pack::{Packing, SliceNets, TemporalDesign};
@@ -109,7 +110,7 @@ pub fn adopt_assignment(
     if slot_of_smb.len() != packing.num_smbs as usize || required_sets.len() != slot_of_smb.len() {
         return Err(AdoptError::WrongLength {
             smbs: packing.num_smbs,
-            assigned: slot_of_smb.len().min(required_sets.len()),
+            assigned: slot_of_smb.len(),
         });
     }
     let slots = grid.num_slots();
@@ -271,5 +272,31 @@ mod tests {
             ),
             Err(AdoptError::WrongLength { .. })
         ));
+        // Too long reports the assignment's own length.
+        let long: Vec<u32> = (1..=n as u32 + 1).collect();
+        let err = adopt_assignment(
+            &design,
+            &packing,
+            &nets,
+            &channels,
+            &timing,
+            CostWeights::default(),
+            &defects,
+            &required,
+            grid,
+            &long,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            AdoptError::WrongLength {
+                smbs: n as u32,
+                assigned: n + 1,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("assignment covers {} SMBs, packing has {n}", n + 1)
+        );
     }
 }

@@ -67,12 +67,13 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Rebuilds a full [`Placement`] from just the grid and positions —
-    /// the parts a checkpoint stores. Cost, routability and delay are
-    /// pure recomputations, so reconstructing a placement the annealer
-    /// produced yields bit-identical analysis results.
+    /// Rebuilds a full [`Placement`] from just the grid and positions.
+    /// Cost, routability and delay are pure recomputations, so
+    /// reconstructing a placement the annealer produced yields
+    /// bit-identical analysis results. Outside placements reach it only
+    /// through [`crate::adopt_assignment`], which validates them first.
     #[allow(clippy::too_many_arguments)]
-    pub fn reconstruct(
+    pub(crate) fn reconstruct(
         design: &TemporalDesign<'_>,
         packing: &Packing,
         nets: &SliceNets,
@@ -277,7 +278,6 @@ pub fn place_with_defects_budgeted(
             drop(detailed_span);
             let routability = estimate_routability(grid, channels, nets, &pos_of);
             let delay = estimate_delay(design, packing, &pos_of, timing);
-            let _ = total_cost(&flat, &pos_of);
             let placement = Placement {
                 grid,
                 pos_of,

@@ -23,7 +23,8 @@
 # mid-flight, then resumes from the crash-safe checkpoint and requires
 # the explain artifact to match the uninterrupted baseline byte for byte;
 # a defective-fabric run that climbs the recovery ladder must resume to
-# the same bytes too.
+# the same bytes too, and resuming its checkpoint on another fabric must
+# fail typed.
 #
 # The perf leg re-measures the paper suite (bench `perf` bin, 3 runs)
 # and gates phase medians against the committed BENCH_perf.json with
@@ -167,6 +168,19 @@ else
     --resume CKPT_defect/accumulator.ckpt.json \
     --explain RESUME_defect_explain.json >/dev/null
   cmp BASE_defect_explain.json RESUME_defect_explain.json
+  # Another fabric: seed 2 kills slots the seed-1 placement occupies, so
+  # the restored placement must be refused with a typed error (1-4),
+  # never adopted onto dead slots.
+  set +e
+  ./target/release/nanomap designs/accumulator.vhd --defect-rate 0.3 --defect-seed 2 \
+    --resume CKPT_defect/accumulator.ckpt.json >/dev/null 2>RESUME_fabric_err.log
+  fabric_status=$?
+  set -e
+  if [[ $fabric_status -eq 0 || $fabric_status -gt 4 ]]; then
+    echo "resume on another fabric: expected a typed failure (1-4), got $fabric_status" >&2
+    cat RESUME_fabric_err.log >&2
+    exit 1
+  fi
   echo "==> gate: perf (phase medians vs BENCH_perf.json)"
   ./target/release/perf --runs 3 --out BENCH_perf_new.json --profile PERF_prof
   ./target/release/nanomap perf-diff --rel 2.0 --abs-ms 25 \
