@@ -45,10 +45,12 @@ pub fn storage_ops(
     let fanouts = (mode == StorageWeightMode::BoundaryOutputs).then(|| net.fanouts());
     let mut ops = Vec::new();
     for (src, item) in graph.items.iter().enumerate() {
-        let dests: BTreeSet<usize> = graph.succs[src].iter().map(|&(d, _)| d).collect();
+        let mut dests: Vec<usize> = graph.succs[src].iter().map(|&(d, _)| d).collect();
         if dests.is_empty() {
             continue;
         }
+        dests.sort_unstable();
+        dests.dedup();
         let weight = match &fanouts {
             None => item.weight,
             Some(fanouts) => {
@@ -67,7 +69,7 @@ pub fn storage_ops(
         };
         ops.push(StorageOp {
             src,
-            dests: dests.into_iter().collect(),
+            dests,
             weight: weight.max(1),
         });
     }
@@ -161,14 +163,23 @@ impl Lifetime {
     /// The lifetime of `op` with each member item's frame read from
     /// `frame`.
     pub(crate) fn of(op: &StorageOp, frame: impl Fn(usize) -> (u32, u32)) -> Self {
-        let (src_asap, src_alap) = frame(op.src);
         // The last destination cycle; `storage_ops` never emits an op
         // without destinations.
-        let (dest_end_asap, dest_end_alap) = op.dests.iter().fold((0, 0), |(asap, alap), &d| {
+        let dest_end = op.dests.iter().fold((0, 0), |(asap, alap), &d| {
             let (a, b) = frame(d);
             (asap.max(a), alap.max(b))
         });
+        Self::from_bounds(frame(op.src), dest_end, op.weight)
+    }
 
+    /// The lifetime of an op of `weight` bits whose source has the frame
+    /// `(src_asap, src_alap)` and whose destinations' latest ASAP and
+    /// ALAP cycles are `(dest_end_asap, dest_end_alap)`.
+    pub(crate) fn from_bounds(
+        (src_asap, src_alap): (u32, u32),
+        (dest_end_asap, dest_end_alap): (u32, u32),
+        weight: u32,
+    ) -> Self {
         // Lifetimes (Fig. 4): begin at the source cycle, end at the last
         // destination cycle.
         let asap_len = f64::from(dest_end_asap.saturating_sub(src_asap) + 1);
@@ -187,7 +198,7 @@ impl Lifetime {
         // Eq. (8).
         let avg_life = (asap_len + alap_len + max_len) / 3.0;
 
-        let weight = f64::from(op.weight);
+        let weight = f64::from(weight);
         // Eq. (9).
         let likely = if max_len > overlap_len {
             weight * (avg_life - overlap_len) / (max_len - overlap_len)

@@ -13,6 +13,13 @@ pub enum SchedError {
         /// Minimum stages required by the critical chain.
         required: u32,
     },
+    /// A pin slice whose length is not the item count.
+    PinCount {
+        /// Items in the graph.
+        items: usize,
+        /// Pin slots given.
+        pins: usize,
+    },
     /// A folding level of zero was requested.
     ZeroFoldingLevel,
     /// The underlying netlist is malformed.
@@ -26,6 +33,9 @@ impl fmt::Display for SchedError {
                 f,
                 "schedule infeasible: {stages} folding stages requested but the critical chain needs {required}"
             ),
+            Self::PinCount { items, pins } => {
+                write!(f, "{pins} pin slots given for {items} schedule items")
+            }
             Self::ZeroFoldingLevel => write!(f, "folding level must be at least 1"),
             Self::Netlist(msg) => write!(f, "netlist error: {msg}"),
         }

@@ -12,10 +12,12 @@
 //!
 //! * the topological order, the ops touching each item and every buffer
 //!   are set up once per run;
-//! * after a pin the frames are recomputed (exact integer propagation);
-//!   if none moved, the DGs and every cached force stay valid as they
-//!   are;
-//! * otherwise the lifetimes of the ops with a moved member are
+//! * after a pin the frames are cone-updated: ASAP rises through the
+//!   pinned item's successor cone and ALAP falls through its predecessor
+//!   cone, and the items whose frame changed form the moved set (exact
+//!   integer propagation, equal to a full recompute). If none moved, the
+//!   DGs and every cached force stay valid as they are;
+//! * otherwise the lifetimes of the ops touching a moved item are
 //!   recomputed, and both DGs are rebuilt from scratch in item and op
 //!   order — never patched with deltas, whose rounding would differ;
 //! * a cached (item, cycle) force is re-evaluated only when something it
@@ -23,18 +25,27 @@
 //!   storage op it touches, a LUT-DG cycle inside its own or a
 //!   neighbour's frame, or a storage-DG cycle inside one of its ops'
 //!   lifetimes (a bitwise comparison of the old and new column);
+//! * a stale item's forces are evaluated for its whole frame in one call,
+//!   which computes what does not depend on the cycle once per item but
+//!   adds every per-cycle term in the original order; a fixed item (one
+//!   feasible cycle) gets `+0.0` without evaluation;
 //! * the selection scan still visits every (item, cycle) in item then
 //!   cycle order with the same `1e-12` tie-break, which is not transitive,
-//!   so no per-item best can be cached.
+//!   so no per-item best can be cached;
+//! * once no unpinned item has more than one feasible cycle, every
+//!   remaining force is `+0.0`, so each remaining round would pin the
+//!   lowest unpinned item and move no frame: those rounds are finished
+//!   directly, with the same token polls, round count, reported forces
+//!   and force-evaluation count.
 
 use nanomap_observe::{Anytime, CancelToken, Degradation, Extent};
 
-use crate::asap::{topo_order, TimeFrames};
+use crate::asap::{topo_order, Marks, TimeFrames};
 use crate::dg::{
     lifetimes, storage_ops, DistributionGraphs, Lifetime, StorageOp, StorageWeightMode,
 };
 use crate::error::SchedError;
-use crate::force::{ops_of_item, ForceModel, LeShape};
+use crate::force::{ops_of_item, ForceModel, ForceScratch, LeShape};
 use crate::item::ItemGraph;
 use crate::schedule::Schedule;
 
@@ -143,11 +154,12 @@ fn schedule_with(
     let mut dgs = DistributionGraphs::build(graph, &frames, &ops);
     dg_ctr.incr();
 
-    // Buffers reused by every round's invalidation.
-    let mut prev = frames.clone();
+    // Buffers reused by every round.
     let mut next_dgs = dgs.clone();
-    let mut moved = vec![false; n];
-    let mut op_moved = vec![false; ops.len()];
+    let mut moved = Marks::new(n);
+    let mut op_moved = Marks::new(ops.len());
+    let mut cone = Vec::new();
+    let mut scratch = ForceScratch::new(stages);
     let mut lut_changed = ChangedCycles::default();
     let mut storage_changed = ChangedCycles::default();
 
@@ -161,6 +173,11 @@ fn schedule_with(
     }
     let mut cache = vec![0.0; slots];
     let mut stale = vec![true; n];
+    // Unpinned items with more than one feasible cycle. Frames only
+    // shrink, so once this is 0 it stays 0.
+    let mut mobile = (0..n).filter(|&i| frames.mobility(i) > 0).count();
+    // The next item the fixed tail pins, once it has started.
+    let mut tail: Option<usize> = None;
 
     let mut force_evals = 0u64;
     let mut interrupted_at: Option<u64> = None;
@@ -172,6 +189,24 @@ fn schedule_with(
             break;
         }
         rounds_ctr.incr();
+
+        if mobile == 0 {
+            // Fixed tail: every unpinned item has a one-cycle frame, so
+            // every force is +0.0, the scan would pin the lowest unpinned
+            // index, and no frame moves. Its first round would refresh
+            // every stale force; later rounds find none.
+            if tail.is_none() {
+                force_evals += (0..n).filter(|&i| pins[i].is_none() && stale[i]).count() as u64;
+            }
+            let Some(item) = (tail.unwrap_or(0)..n).find(|&i| pins[i].is_none()) else {
+                break;
+            };
+            on_pin(round as u64, 0.0);
+            pins[item] = Some(frames.asap[item]);
+            tail = Some(item + 1);
+            continue;
+        }
+
         let model = ForceModel {
             graph,
             frames: &frames,
@@ -191,9 +226,7 @@ fn schedule_with(
             let (a, b) = frames.frame(i);
             let forces = &mut cache[slot_of[i]..][..(b - a + 1) as usize];
             if stale[i] {
-                for (j, force) in (a..=b).zip(forces.iter_mut()) {
-                    *force = model.total_force(i, j);
-                }
+                model.item_forces(i, forces, &mut scratch);
                 force_evals += u64::from(b - a + 1);
                 stale[i] = false;
             }
@@ -221,26 +254,30 @@ fn schedule_with(
         on_pin(round as u64, force);
         pins[item] = Some(cycle);
         // Pinning inside a valid frame keeps the schedule feasible, so
-        // this recompute cannot fail; propagate rather than panic anyway.
-        prev.asap.copy_from_slice(&frames.asap);
-        prev.alap.copy_from_slice(&frames.alap);
-        frames.update(graph, &order, &pins)?;
+        // this update cannot fail; propagate rather than panic anyway.
+        moved.clear();
+        frames.pin(graph, &order, &pins, item, &mut moved, &mut cone)?;
 
         // Invalidate exactly what the pin changed. No frame moved (the
         // item's frame was already one cycle): nothing did.
-        let mut any_moved = false;
-        for (i, m) in moved.iter_mut().enumerate() {
-            *m = frames.frame(i) != prev.frame(i);
-            any_moved |= *m;
-        }
-        if !any_moved {
+        if moved.members().is_empty() {
             continue;
         }
-        for (k, op) in ops.iter().enumerate() {
-            op_moved[k] = moved[op.src] || op.dests.iter().any(|&d| moved[d]);
-            if op_moved[k] {
-                lives[k] = Lifetime::of(op, |i| frames.frame(i));
+        // A moved frame shrank, so one that is now a single cycle was
+        // mobile before.
+        mobile -= moved
+            .members()
+            .iter()
+            .filter(|&&i| frames.mobility(i) == 0)
+            .count();
+        op_moved.clear();
+        for &i in moved.members() {
+            for &k in &ops_of_item[i] {
+                op_moved.insert(k);
             }
+        }
+        for &k in op_moved.members() {
+            lives[k] = Lifetime::of(&ops[k], |i| frames.frame(i));
         }
         next_dgs.rebuild(graph, &frames, &lives);
         dg_ctr.incr();
@@ -254,12 +291,12 @@ fn schedule_with(
             let neighbor_moved = graph.preds[i]
                 .iter()
                 .chain(&graph.succs[i])
-                .any(|&(p, _)| moved[p] || lut_changed.within(frames.frame(p)));
-            stale[i] = moved[i]
+                .any(|&(p, _)| moved.contains(p) || lut_changed.within(frames.frame(p)));
+            stale[i] = moved.contains(i)
                 || neighbor_moved
                 || lut_changed.within(frames.frame(i))
                 || ops_of_item[i].iter().any(|&k| {
-                    op_moved[k] || storage_changed.within((lives[k].begin, lives[k].end))
+                    op_moved.contains(k) || storage_changed.within((lives[k].begin, lives[k].end))
                 });
         }
     }
@@ -326,7 +363,7 @@ impl ChangedCycles {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::item::{Item, ItemEdge, ItemKind};
     use nanomap_netlist::rtl::{CombOp, RtlBuilder};
@@ -338,12 +375,14 @@ mod tests {
     /// for bit: every round recomputes the frames (topological order
     /// included), rebuilds both DGs and evaluates every (item, cycle)
     /// force with [`reference_force`]. Returns each item's cycle and the
-    /// bits of every round's committed force.
+    /// bits of every round's committed force. `check` sees every round's
+    /// force model, built from scratch, and the pins it starts from.
     fn reference_fds(
         net: &LutNetwork,
         graph: &ItemGraph,
         stages: u32,
         options: FdsOptions,
+        check: &mut dyn FnMut(&ForceModel, &[Option<u32>]),
     ) -> Result<(Vec<u32>, Vec<u64>), SchedError> {
         let n = graph.len();
         let ops = storage_ops(net, graph, options.storage_mode);
@@ -353,6 +392,19 @@ mod tests {
         let mut forces = Vec::new();
         for _ in 0..n {
             let dgs = DistributionGraphs::build(graph, &frames, &ops);
+            let lives = lifetimes(&ops, &frames);
+            check(
+                &ForceModel {
+                    graph,
+                    frames: &frames,
+                    dgs: &dgs,
+                    ops: &ops,
+                    ops_of_item: &ops_of_item,
+                    lives: &lives,
+                    shape: options.shape,
+                },
+                &pins,
+            );
             let mut best: Option<(f64, usize, u32)> = None;
             for (i, pin) in pins.iter().enumerate() {
                 if pin.is_some() {
@@ -459,15 +511,17 @@ mod tests {
     }
 
     /// Asserts the incremental loop commits the reference's pins with
-    /// bit-identical forces (or fails the same way).
+    /// bit-identical forces (or fails the same way); `check` sees every
+    /// reference round as [`reference_fds`] describes.
     fn assert_matches_reference(
         net: &LutNetwork,
         graph: &ItemGraph,
         stages: u32,
         options: FdsOptions,
         case: &str,
+        check: &mut dyn FnMut(&ForceModel, &[Option<u32>]),
     ) {
-        let reference = reference_fds(net, graph, stages, options);
+        let reference = reference_fds(net, graph, stages, options, check);
         let mut forces = Vec::new();
         let incremental = schedule_with(
             net,
@@ -511,7 +565,14 @@ mod tests {
                 for (p, plane) in planes.planes().iter().enumerate() {
                     let graph = ItemGraph::build(net, plane, level).unwrap();
                     let case = format!("{} plane {p} stages {}", bench.name, config.stages);
-                    assert_matches_reference(net, &graph, config.stages, options, &case);
+                    assert_matches_reference(
+                        net,
+                        &graph,
+                        config.stages,
+                        options,
+                        &case,
+                        &mut |_, _| {},
+                    );
                 }
             }
         }
@@ -519,11 +580,10 @@ mod tests {
 
     /// A seeded random item graph and the LUT network it stands for (so
     /// `BoundaryOutputs` has fanouts to count): 1–40 items of weight 1–8
-    /// over 1–12 stages. Edges run from a lower random level to a higher
-    /// one with latency 0 or 1, or within a level in index order with
-    /// latency 0, so the levels are a feasible schedule.
-    fn random_case(rng: &mut XorShift64Star) -> (LutNetwork, ItemGraph, u32) {
-        let stages = 1 + rng.below(12) as u32;
+    /// over `stages` stages. Edges run from a lower random level to a
+    /// higher one with latency 0 or 1, or within a level in index order
+    /// with latency 0, so the levels are a feasible schedule.
+    pub(crate) fn random_case(rng: &mut XorShift64Star, stages: u32) -> (LutNetwork, ItemGraph) {
         let n = 1 + rng.below(40) as usize;
         let level: Vec<u64> = (0..n).map(|_| rng.below(u64::from(stages))).collect();
         let weight: Vec<u32> = (0..n).map(|_| 1 + rng.below(8) as u32).collect();
@@ -597,16 +657,49 @@ mod tests {
             item_of_lut,
             folding_level: 1,
         };
-        (net, graph, stages)
+        (net, graph)
     }
 
     /// Seeded random item graphs under both storage modes and three LE
-    /// shapes.
+    /// shapes: 80 over 1–12 stages and 20 over one stage, where every
+    /// round is a fixed-tail round. At every reference round the batched
+    /// forces of every unpinned item equal `total_force` bit for bit, and
+    /// are `+0.0` for a fixed item. Many graphs reach the fixed tail (no
+    /// unpinned item with more than one cycle) two or more rounds early.
     #[test]
     fn incremental_fds_matches_reference_on_random_graphs() {
         let mut rng = XorShift64Star::new(0x5EED_F0D5);
-        for case in 0..80 {
-            let (net, graph, stages) = random_case(&mut rng);
+        let mut early_tails = [0; 2];
+        for case in 0..100 {
+            let stages = if case < 80 {
+                1 + rng.below(12) as u32
+            } else {
+                1
+            };
+            let (net, graph) = random_case(&mut rng, stages);
+            let mut scratch = ForceScratch::new(stages);
+            let mut batched = vec![0.0; stages as usize];
+            let mut early_tail = false;
+            let mut check = |model: &ForceModel, pins: &[Option<u32>]| {
+                let unpinned: Vec<usize> = (0..pins.len()).filter(|&i| pins[i].is_none()).collect();
+                early_tail |=
+                    unpinned.len() >= 2 && unpinned.iter().all(|&i| model.frames.mobility(i) == 0);
+                for &i in &unpinned {
+                    model.item_forces(i, &mut batched, &mut scratch);
+                    let (a, b) = model.frames.frame(i);
+                    for (j, force) in (a..=b).zip(&batched) {
+                        let expected = model.total_force(i, j);
+                        assert_eq!(
+                            force.to_bits(),
+                            expected.to_bits(),
+                            "case {case}: item {i} at cycle {j} of [{a}, {b}]"
+                        );
+                        if a == b {
+                            assert_eq!(force.to_bits(), 0.0f64.to_bits(), "case {case}: item {i}");
+                        }
+                    }
+                }
+            };
             for storage_mode in [
                 StorageWeightMode::ItemWeight,
                 StorageWeightMode::BoundaryOutputs,
@@ -620,10 +713,17 @@ mod tests {
                         "case {case} ({} items, {stages} stages, {storage_mode:?}, {luts}x{ffs})",
                         graph.len()
                     );
-                    assert_matches_reference(&net, &graph, stages, options, &what);
+                    assert_matches_reference(&net, &graph, stages, options, &what, &mut check);
                 }
             }
+            if early_tail {
+                early_tails[usize::from(stages > 1)] += 1;
+            }
         }
+        assert!(
+            early_tails[0] >= 10 && early_tails[1] >= 20,
+            "fixed tails reached early at one stage and at more: {early_tails:?}"
+        );
     }
 
     fn chain_free_graph(weights: &[u32]) -> ItemGraph {

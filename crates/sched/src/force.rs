@@ -40,6 +40,27 @@ pub(crate) fn ops_of_item(graph: &ItemGraph, ops: &[StorageOp]) -> Vec<Vec<usize
     ops_of_item
 }
 
+/// Per-cycle buffers of [`ForceModel::item_forces`], sized once per FDS
+/// run.
+#[derive(Debug)]
+pub(crate) struct ForceScratch {
+    storage: Vec<f64>,
+    neighbors: Vec<f64>,
+    old_products: Vec<f64>,
+}
+
+impl ForceScratch {
+    /// Buffers for frames of up to `stages` cycles.
+    pub(crate) fn new(stages: u32) -> Self {
+        let cycles = stages as usize;
+        Self {
+            storage: vec![0.0; cycles],
+            neighbors: vec![0.0; cycles],
+            old_products: vec![0.0; cycles],
+        }
+    }
+}
+
 /// Force evaluator over one snapshot of time frames and DGs. It borrows
 /// everything and allocates nothing, so the FDS loop can rebuild it every
 /// round for free.
@@ -58,10 +79,149 @@ pub(crate) struct ForceModel<'a> {
 }
 
 impl ForceModel<'_> {
-    /// Force of changing an item's LUT distribution from frame `old` to
+    /// The total force (self + neighbours, Eqs. 12–14) of assigning
+    /// `item` to each cycle of its frame, in cycle order, into the front
+    /// of `out`.
+    ///
+    /// Bit for bit the per-cycle `total_force` of the test oracle: every
+    /// per-cycle sum adds the same products in the same order, and only
+    /// what does not depend on the cycle is hoisted out of the cycle loop
+    /// — the old-frame products `DG(k) · old_p` of the item and of each
+    /// neighbour, and each storage op's source frame and the latest
+    /// cycles of its other destinations.
+    ///
+    /// A fixed item (a one-cycle frame) gets `+0.0` without evaluation:
+    /// its LUT term is `x − x`, every storage difference is `+0.0`, and it
+    /// clips no neighbour, whose frames already respect it.
+    pub(crate) fn item_forces(&self, item: usize, out: &mut [f64], scratch: &mut ForceScratch) {
+        let (a, b) = self.frames.frame(item);
+        let out = &mut out[..(b - a + 1) as usize];
+        if a == b {
+            out[0] = 0.0;
+            return;
+        }
+        let luts = f64::from(self.shape.luts);
+        let ffs = f64::from(self.shape.ffs);
+        let ForceScratch {
+            storage,
+            neighbors,
+            old_products,
+        } = scratch;
+        let storage = &mut storage[..out.len()];
+        let neighbors = &mut neighbors[..out.len()];
+
+        // Storage self-force, op by op: the change of each op's storage
+        // distribution dotted with the storage DG. Only the cycles of the
+        // two lifetimes are summed: every other cycle adds an exact `+0.0`
+        // to a sum that is never `-0.0`.
+        storage.fill(0.0);
+        for &k in &self.ops_of_item[item] {
+            let op = &self.ops[k];
+            let before = &self.lives[k];
+            let src = self.frames.frame(op.src);
+            let others =
+                op.dests
+                    .iter()
+                    .filter(|&&d| d != item)
+                    .fold((0, 0), |(asap, alap), &d| {
+                        let (a, b) = self.frames.frame(d);
+                        (asap.max(a), alap.max(b))
+                    });
+            for (j, force) in (a..=b).zip(storage.iter_mut()) {
+                let after = if op.src == item {
+                    Lifetime::from_bounds((j, j), others, op.weight)
+                } else {
+                    Lifetime::from_bounds(src, (others.0.max(j), others.1.max(j)), op.weight)
+                };
+                for cycle in before.begin.min(after.begin)..=before.end.max(after.end) {
+                    *force +=
+                        self.dgs.storage[cycle as usize] * (after.at(cycle) - before.at(cycle));
+                }
+            }
+        }
+
+        // Combined self-force (Eq. 14) over the LUT self-force (Eq. 13).
+        let weight = f64::from(self.graph.items[item].weight);
+        let old = self.old_products(item, (a, b), old_products);
+        for ((j, force), &store) in (a..=b).zip(out.iter_mut()).zip(storage.iter()) {
+            let lut = self.lut_frame_force(weight, (j, j), old);
+            *force = (lut / luts).max(store / ffs);
+        }
+
+        // Predecessor and successor forces: the frame clippings the
+        // assignment induces, with Eq. (13) on the LUT DG.
+        neighbors.fill(0.0);
+        for &(p, lat) in &self.graph.preds[item] {
+            let (pa, pb) = self.frames.frame(p);
+            let weight = f64::from(self.graph.items[p].weight);
+            let old = self.old_products(p, (pa, pb), old_products);
+            for (j, force) in (a..=b).zip(neighbors.iter_mut()) {
+                // FDS never proposes `j < lat` (j >= asap >= lat).
+                let Some(latest) = j.checked_sub(lat) else {
+                    continue;
+                };
+                let clipped = pb.min(latest);
+                if clipped < pb {
+                    *force += self.lut_frame_force(weight, (pa, clipped.max(pa)), old) / luts;
+                }
+            }
+        }
+        for &(s, lat) in &self.graph.succs[item] {
+            let (sa, sb) = self.frames.frame(s);
+            let weight = f64::from(self.graph.items[s].weight);
+            let old = self.old_products(s, (sa, sb), old_products);
+            for (j, force) in (a..=b).zip(neighbors.iter_mut()) {
+                let clipped = sa.max(j.saturating_add(lat));
+                if clipped > sa {
+                    *force += self.lut_frame_force(weight, (clipped.min(sb), sb), old) / luts;
+                }
+            }
+        }
+        for (force, &neighbor) in out.iter_mut().zip(neighbors.iter()) {
+            *force += neighbor;
+        }
+    }
+
+    /// `DG(k) · old_p` for every cycle `k` of `item`'s frame `old`: the
+    /// subtrahends of [`Self::lut_frame_force`], written to the front of
+    /// `buf`.
+    fn old_products<'b>(&self, item: usize, old: (u32, u32), buf: &'b mut [f64]) -> &'b [f64] {
+        let weight = f64::from(self.graph.items[item].weight);
+        let old_p = weight / f64::from(old.1 - old.0 + 1);
+        let products = &mut buf[..(old.1 - old.0 + 1) as usize];
+        for (product, &dg) in products
+            .iter_mut()
+            .zip(&self.dgs.lut[old.0 as usize..=old.1 as usize])
+        {
+            *product = dg * old_p;
+        }
+        products
+    }
+
+    /// Force of changing the LUT distribution of an item of `weight`
+    /// from its current frame, whose [`Self::old_products`] are `old`, to
     /// frame `new` (Eq. 13 generalized: `Σ DG(k) · ΔDG_i(k)` with the
     /// item's weight folded into the distribution change).
-    fn lut_frame_force(&self, item: usize, old: (u32, u32), new: (u32, u32)) -> f64 {
+    fn lut_frame_force(&self, weight: f64, new: (u32, u32), old: &[f64]) -> f64 {
+        let new_p = weight / f64::from(new.1 - new.0 + 1);
+        let mut force = 0.0;
+        for k in new.0..=new.1 {
+            force += self.dgs.lut[k as usize] * new_p;
+        }
+        for &product in old {
+            force -= product;
+        }
+        force
+    }
+}
+
+/// The per-(item, cycle) force of the loop before [`ForceModel::item_forces`]
+/// batched it: the oracle that method must match bit for bit.
+#[cfg(test)]
+impl ForceModel<'_> {
+    /// Force of changing an item's LUT distribution from frame `old` to
+    /// frame `new`.
+    fn frame_force(&self, item: usize, old: (u32, u32), new: (u32, u32)) -> f64 {
         let weight = f64::from(self.graph.items[item].weight);
         let old_p = weight / f64::from(old.1 - old.0 + 1);
         let new_p = weight / f64::from(new.1 - new.0 + 1);
@@ -77,20 +237,12 @@ impl ForceModel<'_> {
 
     /// LUT self-force of assigning `item` to cycle `j` (Eq. 13).
     fn lut_self_force(&self, item: usize, j: u32) -> f64 {
-        self.lut_frame_force(item, self.frames.frame(item), (j, j))
+        self.frame_force(item, self.frames.frame(item), (j, j))
     }
 
     /// Storage self-force of assigning `item` to cycle `j`: the change of
     /// the storage distributions of every op touching `item`, dotted with
-    /// the storage DG.
-    ///
-    /// Only the cycles of the two lifetimes are summed: every other cycle
-    /// adds an exact `+0.0` to a sum that is never `-0.0`, so the result
-    /// is bit-identical to a sum over all cycles. For the ops of
-    /// [`crate::storage_ops`] the tentative lifetime lies inside the
-    /// current one (a pin stays inside the item's frame, and a source's
-    /// ALAP never passes a destination's), so the force reads the storage
-    /// DG only inside the op's current lifetime.
+    /// the storage DG over the cycles of the two lifetimes.
     fn storage_self_force(&self, item: usize, j: u32) -> f64 {
         let mut force = 0.0;
         for &k in &self.ops_of_item[item] {
@@ -116,28 +268,26 @@ impl ForceModel<'_> {
         lut.max(storage)
     }
 
-    /// Predecessor and successor forces: frame clippings induced by
-    /// assigning `item` to `j`, evaluated with Eq. (13) on the LUT DG.
+    /// Predecessor and successor forces of assigning `item` to `j`.
     fn neighbor_forces(&self, item: usize, j: u32) -> f64 {
         let mut force = 0.0;
         for &(p, lat) in &self.graph.preds[item] {
             let (a, b) = self.frames.frame(p);
             let clipped = b.min(j.saturating_sub(lat));
             if j < lat {
-                // Infeasible; FDS never proposes this (j >= asap >= lat).
                 continue;
             }
             if clipped < b {
-                force += self.lut_frame_force(p, (a, b), (a, clipped.max(a)))
-                    / f64::from(self.shape.luts);
+                force +=
+                    self.frame_force(p, (a, b), (a, clipped.max(a))) / f64::from(self.shape.luts);
             }
         }
         for &(s, lat) in &self.graph.succs[item] {
             let (a, b) = self.frames.frame(s);
             let clipped = a.max(j + lat);
             if clipped > a {
-                force += self.lut_frame_force(s, (a, b), (clipped.min(b), b))
-                    / f64::from(self.shape.luts);
+                force +=
+                    self.frame_force(s, (a, b), (clipped.min(b), b)) / f64::from(self.shape.luts);
             }
         }
         force

@@ -21,6 +21,7 @@
 //! See [`schedule_fds`] for an end-to-end example.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod asap;
 mod dg;

@@ -39,10 +39,12 @@ pub fn schedule_list(graph: &ItemGraph, stages: u32) -> Result<Schedule, SchedEr
             .unwrap_or(0)
             .max(frames.asap[i]);
         let latest = frames.alap[i];
-        debug_assert!(earliest <= latest);
-        let best = (earliest..=latest)
-            .min_by_key(|&j| (load[j as usize], j))
-            .expect("non-empty frame");
+        let Some(best) = (earliest..=latest).min_by_key(|&j| (load[j as usize], j)) else {
+            return Err(SchedError::Infeasible {
+                stages,
+                required: earliest.saturating_add(1),
+            });
+        };
         stage_of[i] = best;
         load[best as usize] += u64::from(graph.items[i].weight);
     }

@@ -1,11 +1,12 @@
 //! Work-counter gate for force-directed scheduling.
 //!
-//! FDS work is deterministic: the number of (item, cycle) force
-//! evaluations and the bytes allocated inside the `fds` span repeat
-//! exactly for a given item graph. This binary pins both on FIR (every
-//! candidate folding level) and on one c5315 candidate, so a return to
-//! re-evaluating every force each round, or to allocating per force
-//! evaluation, fails the tier-1 suite.
+//! FDS work is deterministic: the rounds, the (item, cycle) force
+//! evaluations, the DG rebuilds and the bytes allocated inside the `fds`
+//! span repeat exactly for a given item graph. This binary pins them on
+//! FIR (every candidate folding level) and on c5315's 1-, 4- and
+//! 10-stage candidates, so a return to re-evaluating every force each
+//! round, to allocating per force evaluation, or to doing different work
+//! at all fails the tier-1 suite.
 //!
 //! The collector and the allocation counters are process-global; this
 //! binary holds a single test so nothing else runs beside it.
@@ -20,10 +21,19 @@ use nanomap_sched::{schedule_fds, FdsOptions, ItemGraph, LeShape};
 #[global_allocator]
 static ALLOC: observe::CountingAllocator = observe::CountingAllocator::system();
 
-/// Force evaluations and `fds`-phase allocated bytes of scheduling every
-/// plane of `circuit` at each candidate stage count in `stages` (all
-/// candidates when `None`), with the paper architecture's LE shape.
-fn fds_work(circuit: &str, stages: Option<u32>) -> (u64, u64) {
+/// The work of scheduling some FDS runs.
+struct Work {
+    rounds: u64,
+    force_evals: u64,
+    dg_rebuilds: u64,
+    /// Bytes allocated inside the `fds` phase.
+    fds_bytes: u64,
+}
+
+/// The work of scheduling every plane of `circuit` at each candidate
+/// stage count in `stages` (all candidates when `None`), with the paper
+/// architecture's LE shape.
+fn fds_work(circuit: &str, stages: Option<u32>) -> Work {
     let net = paper_benchmarks()
         .into_iter()
         .find(|b| b.name == circuit)
@@ -63,14 +73,19 @@ fn fds_work(circuit: &str, stages: Option<u32>) -> (u64, u64) {
     let memory = observe::memory_report();
     observe::set_memory_tracking(false);
     observe::set_enabled(false);
-    let evals = observe::snapshot().counter("fds.force_evals");
+    let counters = observe::snapshot();
     let fds_bytes = memory
         .expect("tracking was on")
         .by_phase
         .iter()
         .find(|&&(phase, _, _)| phase == "fds")
         .map_or(0, |&(_, _, bytes)| bytes);
-    (evals, fds_bytes)
+    Work {
+        rounds: counters.counter("fds.rounds"),
+        force_evals: counters.counter("fds.force_evals"),
+        dg_rebuilds: counters.counter("fds.dg_rebuilds"),
+        fds_bytes,
+    }
 }
 
 /// Force evaluations of the from-scratch loop, which re-evaluated every
@@ -78,10 +93,15 @@ fn fds_work(circuit: &str, stages: Option<u32>) -> (u64, u64) {
 const FROM_SCRATCH_EVALS_FIR: u64 = 102_391;
 const FROM_SCRATCH_EVALS_C5315_4: u64 = 713_838;
 
-/// FDS-phase allocation bound for either workload. The from-scratch loop
-/// allocated 86 MB on FIR and 115 MB on the c5315 candidate; one pair of
-/// per-evaluation distribution vectors alone would add about 20 MB to
-/// the latter.
+/// Rounds, force evaluations and DG rebuilds of c5315's 10- and 1-stage
+/// candidates, measured on the loop that recomputed every frame after
+/// each pin and evaluated a stale item's forces one cycle at a time.
+const C5315_EXACT: [(u32, u64, u64, u64); 2] = [(10, 828, 1_203_242, 585), (1, 828, 828, 1)];
+
+/// FDS-phase allocation bound for any workload. The from-scratch loop
+/// allocated 86 MB on FIR and 115 MB on c5315's 4-stage candidate; one
+/// pair of per-evaluation distribution vectors alone would add about
+/// 20 MB to the latter.
 const FDS_ALLOC_BOUND: u64 = 1_000_000;
 
 #[test]
@@ -90,7 +110,8 @@ fn fds_work_stays_incremental_and_allocation_free() {
         ("FIR", None, FROM_SCRATCH_EVALS_FIR),
         ("c5315", Some(4), FROM_SCRATCH_EVALS_C5315_4),
     ] {
-        let (evals, bytes) = fds_work(circuit, stages);
+        let work = fds_work(circuit, stages);
+        let evals = work.force_evals;
         assert!(evals > 0, "{circuit}: no force evaluations counted");
         assert!(
             evals * 10 <= from_scratch * 6,
@@ -98,8 +119,22 @@ fn fds_work_stays_incremental_and_allocation_free() {
              from-scratch {from_scratch}"
         );
         assert!(
-            bytes < FDS_ALLOC_BOUND,
-            "{circuit}: FDS allocated {bytes} bytes (bound {FDS_ALLOC_BOUND})"
+            work.fds_bytes < FDS_ALLOC_BOUND,
+            "{circuit}: FDS allocated {} bytes (bound {FDS_ALLOC_BOUND})",
+            work.fds_bytes
+        );
+    }
+    for (stages, rounds, force_evals, dg_rebuilds) in C5315_EXACT {
+        let work = fds_work("c5315", Some(stages));
+        assert_eq!(
+            (work.rounds, work.force_evals, work.dg_rebuilds),
+            (rounds, force_evals, dg_rebuilds),
+            "c5315 at {stages} stages: (rounds, force evaluations, DG rebuilds)"
+        );
+        assert!(
+            work.fds_bytes < FDS_ALLOC_BOUND,
+            "c5315 at {stages} stages: FDS allocated {} bytes (bound {FDS_ALLOC_BOUND})",
+            work.fds_bytes
         );
     }
 }
