@@ -125,17 +125,12 @@ pub struct RrGraph {
 
 impl RrGraph {
     /// Builds the routing-resource graph for a grid and channel config,
-    /// assuming a perfect (defect-free) fabric.
-    pub fn build(grid: Grid, channels: &ChannelConfig) -> Self {
-        Self::build_with_defects(grid, channels, &DefectMap::none())
-    }
-
-    /// Builds the routing-resource graph, pruning defective resources:
-    /// broken wires (direct links, segment tracks, global lines) are not
-    /// created, and stuck-open switches between surviving wires are not
-    /// connected. Sources and sinks always exist — a dead *slot* is a
-    /// placement concern, not a routing one.
-    pub fn build_with_defects(grid: Grid, channels: &ChannelConfig, defects: &DefectMap) -> Self {
+    /// pruning defective resources: broken wires (direct links, segment
+    /// tracks, global lines) are not created, and stuck-open switches
+    /// between surviving wires are not connected. Sources and sinks always
+    /// exist — a dead *slot* is a placement concern, not a routing one. A
+    /// clean fabric is [`DefectMap::none`].
+    pub fn build(grid: Grid, channels: &ChannelConfig, defects: &DefectMap) -> Self {
         let mut b = Builder {
             nodes: Vec::new(),
             edges: Vec::new(),
@@ -414,7 +409,11 @@ mod tests {
     use super::*;
 
     fn small_graph() -> RrGraph {
-        RrGraph::build(Grid::new(4, 4), &ChannelConfig::nature())
+        RrGraph::build(
+            Grid::new(4, 4),
+            &ChannelConfig::nature(),
+            &DefectMap::none(),
+        )
     }
 
     #[test]
@@ -472,7 +471,11 @@ mod tests {
 
     #[test]
     fn length4_wires_span_four_or_clip() {
-        let g = RrGraph::build(Grid::new(6, 6), &ChannelConfig::nature());
+        let g = RrGraph::build(
+            Grid::new(6, 6),
+            &ChannelConfig::nature(),
+            &DefectMap::none(),
+        );
         let mut saw_four = false;
         for (_, node) in g.iter() {
             if node.wire == Some(WireType::Length4) {
@@ -493,21 +496,23 @@ mod tests {
     #[test]
     fn zero_rate_defect_map_builds_identical_graph() {
         let clean = small_graph();
-        let defective = RrGraph::build_with_defects(
+        // A uniform map at rate 0 kills nothing.
+        let defective = RrGraph::build(
             Grid::new(4, 4),
             &ChannelConfig::nature(),
-            &DefectMap::none(),
+            &DefectMap::uniform(0.0, 7),
         );
         assert_eq!(clean.num_nodes(), defective.num_nodes());
-        for ((_, a), (_, b)) in clean.iter().zip(defective.iter()) {
+        for ((ia, a), (ib, b)) in clean.iter().zip(defective.iter()) {
             assert_eq!(a.kind, b.kind);
+            assert_eq!(clean.neighbors(ia), defective.neighbors(ib));
         }
     }
 
     #[test]
     fn explicit_wire_defect_prunes_node() {
         let map = DefectMap::parse("hwire 0 0 0\n").unwrap();
-        let g = RrGraph::build_with_defects(Grid::new(4, 4), &ChannelConfig::nature(), &map);
+        let g = RrGraph::build(Grid::new(4, 4), &ChannelConfig::nature(), &map);
         for (_, node) in g.iter() {
             if let RrNodeKind::HWire { at, span, track } = node.kind {
                 assert!(
@@ -530,8 +535,8 @@ mod tests {
     fn random_defects_prune_but_keep_sources_and_sinks() {
         let map = DefectMap::uniform(0.3, 1234);
         let grid = Grid::new(5, 5);
-        let g = RrGraph::build_with_defects(grid, &ChannelConfig::nature(), &map);
-        let clean = RrGraph::build(grid, &ChannelConfig::nature());
+        let g = RrGraph::build(grid, &ChannelConfig::nature(), &map);
+        let clean = RrGraph::build(grid, &ChannelConfig::nature(), &DefectMap::none());
         assert!(g.num_nodes() < clean.num_nodes());
         for pos in grid.iter() {
             // Lookups must not panic: every slot keeps its pins.
@@ -544,8 +549,8 @@ mod tests {
     fn defective_builds_are_deterministic() {
         let map = DefectMap::uniform(0.15, 77);
         let grid = Grid::new(4, 4);
-        let a = RrGraph::build_with_defects(grid, &ChannelConfig::nature(), &map);
-        let b = RrGraph::build_with_defects(grid, &ChannelConfig::nature(), &map);
+        let a = RrGraph::build(grid, &ChannelConfig::nature(), &map);
+        let b = RrGraph::build(grid, &ChannelConfig::nature(), &map);
         assert_eq!(a.num_nodes(), b.num_nodes());
         for ((ia, na), (ib, nb)) in a.iter().zip(b.iter()) {
             assert_eq!(ia, ib);

@@ -11,10 +11,11 @@
 use std::time::Instant;
 
 use nanomap::{NanoMap, Objective};
-use nanomap_arch::{ArchParams, ChannelConfig, Grid, RrGraph, SmbPos, TimingModel};
+use nanomap_arch::{ArchParams, ChannelConfig, DefectMap, Grid, RrGraph, SmbPos, TimingModel};
 use nanomap_bench::circuits::{c5315_gates, ex1};
 use nanomap_netlist::PlaneSet;
 use nanomap_observe::rng::XorShift64Star;
+use nanomap_observe::CancelToken;
 use nanomap_pack::{extract_nets, pack, PackOptions, SliceNet, TemporalDesign};
 use nanomap_place::{anneal, flatten_nets, AnnealSchedule, CostWeights};
 use nanomap_route::{route_slice, RouteOptions};
@@ -83,11 +84,20 @@ fn bench_placement(filter: &str) {
                 weight: 1.0,
             })
             .collect();
+        let legal = vec![true; grid.num_slots() as usize];
         let name = format!("placement/anneal/{n}");
         bench(filter, &name, || {
             let mut pos: Vec<SmbPos> = (0..n).map(|i| grid.pos(i)).collect();
             let mut rng = XorShift64Star::new(7);
-            anneal(grid, &nets, &mut pos, AnnealSchedule::fast(), &mut rng)
+            anneal(
+                grid,
+                &nets,
+                &mut pos,
+                AnnealSchedule::fast(),
+                &mut rng,
+                &legal,
+                &CancelToken::unlimited(),
+            )
         });
     }
 }
@@ -95,7 +105,7 @@ fn bench_placement(filter: &str) {
 /// PathFinder routing one congested slice.
 fn bench_routing(filter: &str) {
     let grid = Grid::new(6, 6);
-    let graph = RrGraph::build(grid, &ChannelConfig::nature());
+    let graph = RrGraph::build(grid, &ChannelConfig::nature(), &DefectMap::none());
     let pos: Vec<SmbPos> = grid.iter().collect();
     let nets: Vec<SliceNet> = (0..48u32)
         .map(|i| SliceNet {
@@ -109,7 +119,14 @@ fn bench_routing(filter: &str) {
         })
         .collect();
     bench(filter, "routing/pathfinder_6x6_48nets", || {
-        route_slice(&graph, &nets, &pos, RouteOptions::default()).expect("routes")
+        route_slice(
+            &graph,
+            &nets,
+            &pos,
+            RouteOptions::default(),
+            &CancelToken::unlimited(),
+        )
+        .expect("routes")
     });
 }
 

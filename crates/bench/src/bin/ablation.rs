@@ -11,14 +11,14 @@
 //!
 //! Run: `cargo run -p nanomap-bench --release --bin ablation`
 
-use nanomap_arch::{ArchParams, ChannelConfig, TimingModel};
+use nanomap_arch::{ArchParams, ChannelConfig, DefectMap, TimingModel};
 use nanomap_bench::circuits::paper_benchmarks;
 use nanomap_bench::results::write_results_json;
 use nanomap_bench::table::render;
 use nanomap_netlist::PlaneSet;
 use nanomap_observe::JsonValue;
 use nanomap_pack::{extract_nets, pack, PackOptions, TemporalDesign};
-use nanomap_place::{place, CostWeights, PlaceOptions};
+use nanomap_place::{place_with_defects, CostWeights, PlaceOptions};
 use nanomap_sched::{
     schedule_asap, schedule_fds, schedule_list, FdsOptions, ItemGraph, LeShape, StorageWeightMode,
 };
@@ -218,8 +218,16 @@ fn main() {
                 },
                 ..PlaceOptions::default()
             };
-            let placement =
-                place(&design, &packing, &nets, &channels, &timing, options).expect("places");
+            let placement = place_with_defects(
+                &design,
+                &packing,
+                &nets,
+                &channels,
+                &timing,
+                options,
+                &DefectMap::none(),
+            )
+            .expect("places");
             // Evaluate the TRUE joint cost regardless of what was optimized.
             let full = nanomap_place::flatten_nets(&nets, CostWeights::default());
             nanomap_place::total_cost(&full, &placement.pos_of)

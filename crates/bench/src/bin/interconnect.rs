@@ -12,13 +12,13 @@
 use std::process::ExitCode;
 
 use nanomap::cli::{Args, Command, Error};
-use nanomap_arch::{ArchParams, ChannelConfig, TimingModel};
+use nanomap_arch::{ArchParams, ChannelConfig, DefectMap, TimingModel};
 use nanomap_bench::circuits::paper_benchmarks;
 use nanomap_bench::table::render;
 use nanomap_netlist::{LutNetwork, PlaneSet};
 use nanomap_pack::{extract_nets, pack, PackOptions, TemporalDesign};
-use nanomap_place::{place, PlaceOptions};
-use nanomap_route::{route_design, RouteOptions};
+use nanomap_place::{place_with_defects, PlaceOptions};
+use nanomap_route::{route_design_with_defects, RouteOptions};
 use nanomap_sched::{schedule_fds, FdsOptions, ItemGraph, Schedule};
 
 struct PhysicalRun {
@@ -56,16 +56,18 @@ fn run_physical(net: &LutNetwork, level: Option<u32>) -> Result<PhysicalRun, Str
     let nets = extract_nets(&design, &packing);
     let channels = ChannelConfig::nature();
     let timing = TimingModel::nature_100nm();
-    let placement = place(
+    let clean = DefectMap::none();
+    let placement = place_with_defects(
         &design,
         &packing,
         &nets,
         &channels,
         &timing,
         PlaceOptions::default(),
+        &clean,
     )
     .map_err(|e| e.to_string())?;
-    let routed = route_design(
+    let routed = route_design_with_defects(
         &design,
         &packing,
         &nets,
@@ -74,6 +76,7 @@ fn run_physical(net: &LutNetwork, level: Option<u32>) -> Result<PhysicalRun, Str
         &timing,
         &arch,
         RouteOptions::default(),
+        &clean,
     )
     .map_err(|e| e.to_string())?;
     let slices = f64::from(design.num_slices());

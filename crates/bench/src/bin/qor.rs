@@ -62,15 +62,12 @@ fn run_suite(args: Args) -> Result<ExitCode, Error> {
             .map(&bench.network, Objective::MinAreaDelayProduct)
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         if let (Some(dir), Some(explain)) = (explain_dir, &report.explain) {
-            explain
-                .validate()
+            let doc = explain.to_json();
+            nanomap::check_artifact(&doc)
                 .unwrap_or_else(|e| panic!("{}: explain invariant violated: {e}", bench.name));
             let path = format!("{dir}/{}.explain.json", bench.name);
-            nanomap::atomic_write_text(
-                std::path::Path::new(&path),
-                &explain.to_json().to_pretty_string(),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
+            nanomap::atomic_write_text(std::path::Path::new(&path), &doc.to_pretty_string())
+                .unwrap_or_else(|e| panic!("{e}"));
         }
         let snapshot = nanomap_observe::snapshot();
         let mut qor = QorReport::from_mapping(&report, &flow.channels, &snapshot);

@@ -479,9 +479,8 @@ fn explain_main(args: Args) -> Result<ExitCode, Error> {
     let explain = report
         .explain
         .ok_or_else(|| "flow finished without attribution data".to_string())?;
-    explain
-        .validate()
-        .map_err(|e| format!("artifact invariant violated: {e}"))?;
+    let doc = explain.to_json();
+    check_artifact(&doc).map_err(|e| format!("artifact invariant violated: {e}"))?;
     // When `--out -` claims stdout for the JSON, the text report moves to
     // stderr (mirroring the main flow's sink convention).
     let text = explain.render_text(top_k);
@@ -491,7 +490,7 @@ fn explain_main(args: Args) -> Result<ExitCode, Error> {
         out!("{text}");
     }
     if let Some(path) = out_path {
-        write_sink(path, &explain.to_json().to_pretty_string())?;
+        write_sink(path, &doc.to_pretty_string())?;
         if path != "-" {
             outln!("\nartifact: -> {path}");
         }
@@ -1373,10 +1372,9 @@ fn flow_main(args: Args) -> Result<ExitCode, Error> {
             .explain
             .as_ref()
             .ok_or_else(|| "flow finished without attribution data".to_string())?;
-        explain
-            .validate()
-            .map_err(|e| format!("artifact invariant violated: {e}"))?;
-        write_sink(path, &explain.to_json().to_pretty_string())?;
+        let doc = explain.to_json();
+        check_artifact(&doc).map_err(|e| format!("artifact invariant violated: {e}"))?;
+        write_sink(path, &doc.to_pretty_string())?;
         report!("  explain: -> {path}");
     }
     let code = if report.degraded { EXIT_DEGRADED } else { 0 };

@@ -27,7 +27,7 @@
 //!   [`nanomap_place::adopt_assignment`] and then re-routed/re-timed by
 //!   the exact same code paths an annealed placement takes, so
 //!   same-seed runs stay byte-identical under `qor-diff --exact`.
-//! * **Anytime**: the solver polls the flow's [`CancelToken`] at
+//! * **Anytime**: the solver polls the flow's [`CancelToken`](crate::CancelToken) at
 //!   conflict boundaries (every 128 conflicts) and respects the
 //!   `--sat-conflict-budget` cap; an interrupted solve surfaces as
 //!   budget exhaustion, never a hang.

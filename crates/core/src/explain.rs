@@ -152,61 +152,6 @@ impl ExplainReport {
             .with("occupancy", occupancy_json(&self.occupancy))
     }
 
-    /// Checks the artifact's internal invariants on the live structure
-    /// (the serialized form is re-checked by [`check_artifact`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        // Per-hop delays of every path telescope to its total.
-        for path in &self.paths.paths {
-            let sum: f64 = path.hops.iter().map(|h| h.interconnect_ns + h.lut_ns).sum();
-            if (sum - path.path_delay_ns).abs() > 1e-9 {
-                return Err(format!(
-                    "path {} hops sum to {sum} but claim {} ns",
-                    path.rank, path.path_delay_ns
-                ));
-            }
-        }
-        // The worst path delay is the slice budget, and the delay
-        // identity reconstructs the headline number.
-        if let Some(worst) = self.paths.paths.first() {
-            if (worst.path_delay_ns - self.paths.max_slice_path_ns).abs() > 1e-9 {
-                return Err(format!(
-                    "worst path {} ns != max slice path {} ns",
-                    worst.path_delay_ns, self.paths.max_slice_path_ns
-                ));
-            }
-            if worst.slack_ns.abs() > 1e-9 {
-                return Err(format!("worst path has nonzero slack {}", worst.slack_ns));
-            }
-        }
-        let rebuilt = (self.paths.max_slice_path_ns + self.paths.overhead_ns)
-            * f64::from(self.paths.num_slices);
-        if (rebuilt - self.paths.routed_delay_ns).abs() > 1e-9 {
-            return Err(format!(
-                "delay identity broken: rebuilt {rebuilt} != routed {}",
-                self.paths.routed_delay_ns
-            ));
-        }
-        // Congestion reconciles exactly with the usage counters.
-        let totals = self.congestion.totals();
-        let counters = (totals.direct, totals.length1, totals.length4, totals.global);
-        let reported = (
-            self.usage.direct,
-            self.usage.length1,
-            self.usage.length4,
-            self.usage.global,
-        );
-        if counters != reported {
-            return Err(format!(
-                "congestion totals {counters:?} != usage counters {reported:?}"
-            ));
-        }
-        Ok(())
-    }
-
     /// Renders the artifact as terminal text: congestion heatmap,
     /// placement-utilization heatmap, per-stage NRAM occupancy bars, and
     /// the top-K critical paths hop by hop.
@@ -540,10 +485,10 @@ fn occupancy_json(o: &OccupancyMap) -> JsonValue {
         )
 }
 
-/// Validates a parsed explain artifact: schema tag, the per-hop delay
-/// sums, the delay identity, and the congestion/usage reconciliation —
-/// everything [`ExplainReport::validate`] checks, but on the JSON the
-/// flow actually wrote.
+/// Validates an explain artifact as emitted — the [`ExplainReport::to_json`]
+/// document a writer is about to write, or one parsed back from disk:
+/// schema tag, the per-hop delay sums, the delay identity, zero slack on
+/// the worst path, and the congestion/usage reconciliation.
 ///
 /// # Errors
 ///
@@ -587,10 +532,16 @@ pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
         if (sum - claimed).abs() > 1e-9 {
             return Err(format!("path {i} hops sum to {sum} but claim {claimed} ns"));
         }
-        if i == 0 && (claimed - max_slice_path).abs() > 1e-9 {
-            return Err(format!(
-                "worst path {claimed} ns != max slice path {max_slice_path} ns"
-            ));
+        if i == 0 {
+            if (claimed - max_slice_path).abs() > 1e-9 {
+                return Err(format!(
+                    "worst path {claimed} ns != max slice path {max_slice_path} ns"
+                ));
+            }
+            let slack = num(path, "slack_ns")?;
+            if slack.abs() > 1e-9 {
+                return Err(format!("worst path has nonzero slack {slack}"));
+            }
         }
     }
     // Congestion reconciliation, on integers: per-slice cell sums must
@@ -671,5 +622,36 @@ mod tests {
         );
         let err = check_artifact(&doc).unwrap_err();
         assert!(err.contains("delay identity"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_slack_on_the_worst_path() {
+        let hop = JsonValue::object()
+            .with("interconnect_ns", 0.25)
+            .with("lut_ns", 0.75);
+        let path = |slack: f64| {
+            JsonValue::object()
+                .with("path_delay_ns", 1.0)
+                .with("slack_ns", slack)
+                .with("hops", JsonValue::Array(vec![hop.clone()]))
+        };
+        let doc = |slack: f64| {
+            JsonValue::object()
+                .with("schema", EXPLAIN_SCHEMA)
+                .with(
+                    "timing",
+                    JsonValue::object()
+                        .with("max_slice_path_ns", 1.0)
+                        .with("overhead_ns", 0.5)
+                        .with("num_slices", 2)
+                        .with("routed_delay_ns", 3.0),
+                )
+                .with("critical_paths", JsonValue::Array(vec![path(slack)]))
+        };
+        // Zero slack gets past the path checks to the congestion block.
+        let err = check_artifact(&doc(0.0)).unwrap_err();
+        assert!(err.contains("congestion"), "{err}");
+        let err = check_artifact(&doc(0.5)).unwrap_err();
+        assert!(err.contains("nonzero slack"), "{err}");
     }
 }

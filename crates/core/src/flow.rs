@@ -44,6 +44,9 @@ use crate::recovery::{
 use crate::report::{MappingReport, PhaseTimes, PhysicalReport};
 use crate::verify::check_folded_execution;
 
+/// Macro cycles of the folded-execution verification run.
+const VERIFY_CYCLES: usize = 64;
+
 /// The NanoMap flow, configured for one NATURE instance.
 ///
 /// # Examples
@@ -101,8 +104,6 @@ pub struct NanoMap {
     pub emit_bitstream: bool,
     /// Verify folded execution against the reference simulator.
     pub verify: bool,
-    /// Macro cycles for the verification run.
-    pub verify_cycles: usize,
     /// Build the QoR attribution artifact (critical paths, congestion,
     /// occupancy) into the report.
     pub explain: bool,
@@ -150,7 +151,6 @@ impl NanoMap {
             run_physical: true,
             emit_bitstream: false,
             verify: false,
-            verify_cycles: 64,
             explain: false,
             explain_top_k: crate::explain::DEFAULT_TOP_K,
             budget_ms: None,
@@ -875,9 +875,9 @@ impl NanoMap {
             let mut verify_span = span!("verify", skipped = !self.verify);
             if self.verify {
                 let verify_start = Instant::now();
-                let check = check_folded_execution(&shared.design, self.verify_cycles, 0xFEED);
+                let check = check_folded_execution(&shared.design, VERIFY_CYCLES, 0xFEED);
                 times.verify_ms = verify_start.elapsed().as_secs_f64() * 1e3;
-                verify_span.attr("cycles", self.verify_cycles as u64);
+                verify_span.attr("cycles", VERIFY_CYCLES as u64);
                 if let Some(detail) = check.failure {
                     return Err(FlowError::VerificationFailed { detail });
                 }

@@ -277,22 +277,12 @@ impl RunRecord {
     }
 }
 
-/// How long an appender spins on `try_lock` before it starts probing
-/// the lock owner for staleness.
-const LOCK_BREAK_AFTER_MS: u64 = 500;
+/// How long an appender waits for the ledger lock before giving up.
+/// Appends take milliseconds, so a longer hold means a wedged holder.
+const LOCK_WAIT_MS: u64 = 10_000;
 
 /// Sleep between lock acquisition attempts.
 const LOCK_RETRY_SLEEP_MS: u64 = 10;
-
-/// A held lock whose owner pid is dead is broken once the lock file is
-/// at least this old — the grace window covers the instant between a
-/// new owner acquiring the flock and stamping its pid into the file.
-const STALE_DEAD_OWNER_GRACE_SECS: u64 = 2;
-
-/// A held lock is broken regardless of owner liveness once the lock
-/// file has not been refreshed for this long: appends take milliseconds,
-/// so a multi-minute hold means the owner is wedged, not working.
-const STALE_LOCK_MAX_AGE_SECS: u64 = 300;
 
 /// Crash-safely appends one record to the ledger at `path`.
 ///
@@ -302,16 +292,22 @@ const STALE_LOCK_MAX_AGE_SECS: u64 = 300;
 /// is preserved as its own (skippable) line, never merged into the new
 /// record.
 ///
-/// The lock self-heals: each owner stamps its pid into the sidecar, and
-/// a waiter that cannot acquire the lock probes the owner — a dead pid
-/// (crashed or `kill -9`ed holder) or a hold older than
-/// [`STALE_LOCK_MAX_AGE_SECS`] breaks the lock with a warning instead
-/// of wedging every future append.
+/// The kernel releases the lock when its holder exits, however it dies,
+/// so a held lock always has a live holder. An appender that cannot take
+/// it within a fixed wait gives up with an error instead of breaking it:
+/// a broken holder that resumed would rewrite the ledger without the
+/// breaker's line.
 ///
 /// # Errors
 ///
-/// Returns a description of the first I/O failure.
+/// Returns a description of the first I/O failure, or of a lock still
+/// held after the wait.
 pub fn append_run(path: &Path, record: &RunRecord) -> Result<(), String> {
+    append_run_waiting(path, record, LOCK_WAIT_MS)
+}
+
+/// [`append_run`] with the lock wait as a parameter.
+fn append_run_waiting(path: &Path, record: &RunRecord, wait_ms: u64) -> Result<(), String> {
     nanomap_observe::failpoint::inject_io("ledger.append")
         .map_err(|e| format!("appending to {}: {e}", path.display()))?;
     if let Some(parent) = path.parent() {
@@ -321,7 +317,7 @@ pub fn append_run(path: &Path, record: &RunRecord) -> Result<(), String> {
         }
     }
     let lock_path = lock_path_for(path);
-    let _lock_file = acquire_sidecar_lock(&lock_path)?;
+    let _lock_file = acquire_sidecar_lock(&lock_path, wait_ms)?;
     // Lock held until `_lock_file` drops at the end of the function.
     let mut text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -346,127 +342,34 @@ fn lock_path_for(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Acquires the sidecar flock, breaking it if the owner is provably
-/// stale. Returns the open file whose drop releases the lock.
-fn acquire_sidecar_lock(lock_path: &Path) -> Result<std::fs::File, String> {
+/// Takes the sidecar flock, retrying for up to `wait_ms`. Returns the
+/// open file whose drop releases the lock.
+fn acquire_sidecar_lock(lock_path: &Path, wait_ms: u64) -> Result<std::fs::File, String> {
+    let lock_file = std::fs::OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(false)
+        .open(lock_path)
+        .map_err(|e| format!("opening {}: {e}", lock_path.display()))?;
     let mut waited_ms: u64 = 0;
     loop {
-        let lock_file = std::fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(false)
-            .open(lock_path)
-            .map_err(|e| format!("opening {}: {e}", lock_path.display()))?;
         match lock_file.try_lock() {
-            Ok(()) => {
-                // Another waiter may have broken (unlinked) this inode
-                // between our open and the flock; holding a lock on an
-                // orphaned inode excludes nobody, so re-open and retry.
-                if !same_inode(&lock_file, lock_path) {
-                    continue;
-                }
-                stamp_lock_owner(&lock_file);
-                return Ok(lock_file);
-            }
-            Err(std::fs::TryLockError::WouldBlock) => {
-                if waited_ms >= LOCK_BREAK_AFTER_MS && lock_is_stale(lock_path) {
-                    eprintln!(
-                        "nanomap: breaking stale ledger lock {} (owner dead or wedged)",
-                        lock_path.display()
-                    );
-                    // Unlinking invalidates the flock for future
-                    // waiters; current waiters detect the inode swap.
-                    let _ = std::fs::remove_file(lock_path);
-                    continue;
-                }
+            Ok(()) => return Ok(lock_file),
+            Err(std::fs::TryLockError::WouldBlock) if waited_ms < wait_ms => {
                 std::thread::sleep(std::time::Duration::from_millis(LOCK_RETRY_SLEEP_MS));
                 waited_ms += LOCK_RETRY_SLEEP_MS;
+            }
+            Err(std::fs::TryLockError::WouldBlock) => {
+                return Err(format!(
+                    "{} is still held by another appender after {wait_ms} ms",
+                    lock_path.display()
+                ));
             }
             Err(std::fs::TryLockError::Error(e)) => {
                 return Err(format!("locking {}: {e}", lock_path.display()));
             }
         }
     }
-}
-
-/// True iff the open file and the path still refer to the same inode
-/// (the lock was not broken out from under us). Conservatively true on
-/// platforms without inode identity.
-fn same_inode(file: &std::fs::File, path: &Path) -> bool {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::MetadataExt;
-        match (file.metadata(), std::fs::metadata(path)) {
-            (Ok(held), Ok(on_disk)) => held.dev() == on_disk.dev() && held.ino() == on_disk.ino(),
-            // Path gone: a breaker unlinked it while we raced.
-            _ => false,
-        }
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (file, path);
-        true
-    }
-}
-
-/// Stamps the new owner's identity into the lock file so waiters can
-/// probe liveness. Best-effort: a failed stamp only degrades staleness
-/// detection, never the lock itself.
-fn stamp_lock_owner(lock_file: &std::fs::File) {
-    use std::io::{Seek, Write};
-    let owner = JsonValue::object()
-        .with("pid", u64::from(std::process::id()))
-        .with("acquired_unix", unix_now());
-    let mut f = lock_file;
-    let _ = f.set_len(0);
-    let _ = f.seek(std::io::SeekFrom::Start(0));
-    let _ = f.write_all(owner.to_compact_string().as_bytes());
-    let _ = f.sync_data();
-}
-
-fn unix_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs())
-}
-
-/// Decides whether a lock that cannot be acquired is safe to break:
-/// the stamped owner pid is dead (with a short grace window for a new
-/// owner mid-stamp), or the lock file has sat unrefreshed longer than
-/// any legitimate append could take.
-fn lock_is_stale(lock_path: &Path) -> bool {
-    let age_secs = std::fs::metadata(lock_path)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|mtime| std::time::SystemTime::now().duration_since(mtime).ok())
-        .map_or(0, |age| age.as_secs());
-    if age_secs >= STALE_LOCK_MAX_AGE_SECS {
-        return true;
-    }
-    if age_secs < STALE_DEAD_OWNER_GRACE_SECS {
-        return false;
-    }
-    let owner_pid = std::fs::read_to_string(lock_path)
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .and_then(|v| v.get("pid").and_then(JsonValue::as_int))
-        .filter(|&pid| pid > 0);
-    match owner_pid {
-        Some(pid) => !pid_alive(pid as u32),
-        // No stamp (pre-upgrade writer or unreadable): only the age
-        // threshold above can break it.
-        None => false,
-    }
-}
-
-/// Liveness probe for a pid. On non-Linux platforms without `/proc`
-/// the probe conservatively reports "alive".
-fn pid_alive(pid: u32) -> bool {
-    if std::path::Path::new("/proc").is_dir() {
-        return std::path::Path::new(&format!("/proc/{pid}")).exists();
-    }
-    true
 }
 
 /// A loaded ledger: parsed records plus the 1-based line numbers that
@@ -1114,71 +1017,54 @@ mod tests {
     }
 
     #[test]
-    fn stale_lock_from_dead_owner_is_broken() {
-        let dir = std::env::temp_dir().join(format!("nanomap-stale-lock-{}", std::process::id()));
+    fn concurrent_appends_keep_every_line() {
+        let dir = std::env::temp_dir().join(format!("nanomap-concurrent-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ledger.jsonl");
-        let lock_path = lock_path_for(&path);
-        // A holder that was `kill -9`ed: its pid stamp is dead, and a
-        // second open-file-description keeps the flock held so waiters
-        // actually hit the contended path (flock conflicts across fds
-        // even within one process).
-        let dead_pid: u64 = 999_999_999; // above any real pid_max
-        std::fs::write(
-            &lock_path,
-            format!("{{\"pid\":{dead_pid},\"acquired_unix\":0}}"),
-        )
-        .unwrap();
-        let holder = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&lock_path)
-            .unwrap();
-        holder.lock().unwrap();
-        // Age the stamp past the mid-stamp grace window but under the
-        // absolute wedge threshold, isolating the dead-pid path.
-        let aged = std::time::SystemTime::now() - std::time::Duration::from_secs(30);
-        holder.set_modified(aged).unwrap();
-        assert!(lock_is_stale(&lock_path), "dead owner must read as stale");
-        append_run(&path, &record("mac16", "run-a", 100.0)).unwrap();
+        std::thread::scope(|scope| {
+            for writer in ["a", "b"] {
+                let path = &path;
+                scope.spawn(move || {
+                    for i in 0..20 {
+                        let id = format!("run-{writer}{i}");
+                        append_run(path, &record("mac16", &id, 100.0)).unwrap();
+                    }
+                });
+            }
+        });
         let ledger = Ledger::load(&path).unwrap();
-        assert_eq!(ledger.records.len(), 1);
-        drop(holder);
+        assert!(
+            ledger.skipped_lines.is_empty(),
+            "{:?}",
+            ledger.skipped_lines
+        );
+        let mut ids: Vec<&str> = ledger.records.iter().map(|r| r.run_id.as_str()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 40, "a line was lost or duplicated");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn wedged_live_owner_is_broken_after_max_age() {
-        let dir = std::env::temp_dir().join(format!("nanomap-wedge-lock-{}", std::process::id()));
+    fn held_lock_fails_the_append_and_leaves_the_ledger_alone() {
+        let dir = std::env::temp_dir().join(format!("nanomap-held-lock-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ledger.jsonl");
-        let lock_path = lock_path_for(&path);
-        // The holder is this (very much alive) process, hung mid-append:
-        // only the absolute age threshold may break it.
-        let live_pid = u64::from(std::process::id());
-        std::fs::write(
-            &lock_path,
-            format!("{{\"pid\":{live_pid},\"acquired_unix\":0}}"),
-        )
-        .unwrap();
+        append_run(&path, &record("mac16", "run-a", 100.0)).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // A second open file description conflicts with the appender's
+        // flock even within one process.
         let holder = std::fs::OpenOptions::new()
-            .read(true)
             .write(true)
-            .open(&lock_path)
+            .open(lock_path_for(&path))
             .unwrap();
         holder.lock().unwrap();
-        let recent = std::time::SystemTime::now() - std::time::Duration::from_secs(30);
-        holder.set_modified(recent).unwrap();
-        assert!(!lock_is_stale(&lock_path), "live recent owner is not stale");
-        let ancient = std::time::SystemTime::now()
-            - std::time::Duration::from_secs(STALE_LOCK_MAX_AGE_SECS + 60);
-        holder.set_modified(ancient).unwrap();
-        assert!(lock_is_stale(&lock_path), "multi-minute hold is wedged");
-        append_run(&path, &record("mac16", "run-a", 100.0)).unwrap();
-        assert_eq!(Ledger::load(&path).unwrap().records.len(), 1);
+        let err = append_run_waiting(&path, &record("mac16", "run-b", 101.0), 50).unwrap_err();
+        assert!(err.contains("still held"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
         drop(holder);
+        append_run(&path, &record("mac16", "run-b", 101.0)).unwrap();
+        assert_eq!(Ledger::load(&path).unwrap().records.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! Deterministic fault injection for chaos testing.
 //!
-//! A [`FailPoint`] is a named site in production code (artifact writes,
+//! A failpoint is a named site in production code (artifact writes,
 //! checkpoint IO, cache loads, socket IO) where a test can ask for a
 //! failure to be injected. The registry is **disarmed by default**: an
 //! un-armed process pays exactly one relaxed atomic load per site and
@@ -26,7 +26,7 @@
 //! | `nth:N`  | fires on the N-th evaluation (1-based), once              |
 //! | `prob:P` | fires with probability P, from a **seeded** PRNG          |
 //!
-//! `prob` draws from a per-failpoint [`XorShift64Star`](crate::rng::XorShift64Star)
+//! `prob` draws from a per-failpoint [`XorShift64Star`]
 //! seeded with `NANOMAP_FAILPOINT_SEED` (default 1) mixed with the
 //! FNV-1a hash of the failpoint name, so a fixed seed reproduces the
 //! exact same firing schedule on every run — chaos tests are replayable.

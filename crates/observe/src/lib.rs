@@ -3,7 +3,7 @@
 //! Zero-dependency observability for the NanoMap flow: hierarchical
 //! wall-clock [spans](span!), monotonic [counters](counter), log-scale
 //! [histograms](histogram) with percentile readout, bounded time
-//! [series](series) for convergence trajectories, a thread-safe global
+//! [series] for convergence trajectories, a thread-safe global
 //! [collector](snapshot), and four views of its
 //! span records — a human-readable per-phase tree
 //! ([`MetricsSnapshot::render_tree`]), a hand-rolled JSON emitter

@@ -2,7 +2,7 @@
 
 use nanomap_arch::{Grid, SmbPos};
 use nanomap_observe::rng::XorShift64Star;
-use nanomap_observe::{CancelToken, Degradation, Extent};
+use nanomap_observe::{Anytime, CancelToken, Degradation, Extent};
 
 use crate::cost::{net_hpwl, nets_of_smb, total_cost, FlatNet};
 
@@ -33,76 +33,36 @@ impl AnnealSchedule {
     }
 }
 
-/// Runs simulated annealing over SMB positions on a perfect fabric.
+/// Runs simulated annealing over SMB positions.
 ///
 /// `pos_of` holds one grid position per SMB; unoccupied grid slots are
-/// free move targets. Returns the final cost.
+/// free move targets. `legal` marks which grid slots (row-major index)
+/// may host an SMB: moves targeting an illegal slot are rejected
+/// outright, so an all-true mask draws no extra random numbers.
+///
+/// `token` is polled at the top of every temperature step. On expiry the
+/// current placement (a valid permutation — moves are atomic swaps) is
+/// kept and returned as [`Anytime::Degraded`], with the current cost as
+/// the QoR estimate. The value is the final cost.
+///
+/// # Panics
+///
+/// Panics if `legal` is shorter than the grid's slot count.
 pub fn anneal(
     grid: Grid,
     nets: &[FlatNet],
     pos_of: &mut [SmbPos],
     schedule: AnnealSchedule,
     rng: &mut XorShift64Star,
-) -> f64 {
-    anneal_with_legality(grid, nets, pos_of, schedule, rng, None)
-}
-
-/// Runs simulated annealing with an optional slot legality mask.
-///
-/// `legal`, when present, marks which grid slots (row-major index) may
-/// host an SMB: moves targeting an illegal slot are rejected outright.
-/// Passing `None` is byte-for-byte identical to [`anneal`] — no extra RNG
-/// draws, same trajectory.
-///
-/// # Panics
-///
-/// Panics if a `legal` mask is shorter than the grid's slot count.
-pub fn anneal_with_legality(
-    grid: Grid,
-    nets: &[FlatNet],
-    pos_of: &mut [SmbPos],
-    schedule: AnnealSchedule,
-    rng: &mut XorShift64Star,
-    legal: Option<&[bool]>,
-) -> f64 {
-    anneal_budgeted(
-        grid,
-        nets,
-        pos_of,
-        schedule,
-        rng,
-        legal,
-        &CancelToken::unlimited(),
-    )
-    .0
-}
-
-/// Budget-aware [`anneal_with_legality`]: polls `token` at the top of
-/// every temperature step. On expiry the current placement (a valid
-/// permutation — moves are atomic swaps) is kept and a [`Degradation`]
-/// records the interruption, with the current cost as the QoR estimate.
-/// With an unlimited token this is byte-identical to
-/// [`anneal_with_legality`] — no extra RNG draws, same trajectory.
-///
-/// # Panics
-///
-/// Panics if a `legal` mask is shorter than the grid's slot count.
-#[allow(clippy::too_many_arguments)]
-pub fn anneal_budgeted(
-    grid: Grid,
-    nets: &[FlatNet],
-    pos_of: &mut [SmbPos],
-    schedule: AnnealSchedule,
-    rng: &mut XorShift64Star,
-    legal: Option<&[bool]>,
+    legal: &[bool],
     token: &CancelToken,
-) -> (f64, Option<Degradation>) {
+) -> Anytime<f64> {
     let n = pos_of.len();
     if n <= 1 || nets.is_empty() {
         // Nothing to move: the cost trajectory is a single point.
         let cost = total_cost(nets, pos_of);
         nanomap_observe::series("place.cost").record(0, cost);
-        return (cost, None);
+        return Anytime::Complete(cost);
     }
     let net_index = nets_of_smb(nets, n as u32);
     // Occupancy map: grid slot -> SMB.
@@ -161,10 +121,8 @@ pub fn anneal_budgeted(
         let mut accepted = 0usize;
         for _ in 0..moves_per_t {
             let (a, slot_b) = random_move_ranged(n, grid, pos_of, range, rng);
-            if let Some(legal) = legal {
-                if !legal[slot_b] {
-                    continue;
-                }
+            if !legal[slot_b] {
+                continue;
             }
             let delta = move_delta(a, slot_b, grid, nets, &net_index, pos_of, &occupant);
             let accept = delta <= 0.0 || rng.next_f64() < (-delta / temperature).exp();
@@ -210,10 +168,13 @@ pub fn anneal_budgeted(
     }
     // Re-synchronize the cost (guards against fp drift).
     let final_cost = total_cost(nets, pos_of);
-    if let Some(d) = &mut degradation {
-        d.qor_estimate = final_cost;
+    match degradation {
+        Some(mut d) => {
+            d.qor_estimate = final_cost;
+            Anytime::Degraded(final_cost, d)
+        }
+        None => Anytime::Complete(final_cost),
     }
-    (final_cost, degradation)
 }
 
 fn random_move(n: usize, grid: Grid, rng: &mut XorShift64Star) -> (usize, usize) {
@@ -310,33 +271,74 @@ fn apply_move(
 mod tests {
     use super::*;
 
-    /// A chain of SMBs placed adversarially must improve markedly.
-    #[test]
-    fn annealing_improves_chain_placement() {
-        let grid = Grid::new(4, 4);
-        // Chain nets 0-1, 1-2, ..., 14-15.
-        let nets: Vec<FlatNet> = (0..15)
+    /// Final slots, cost bits and next RNG draw of the 12-SMB chain pin.
+    const PIN_CHAIN_SLOTS: [usize; 12] = [14, 15, 11, 10, 6, 7, 3, 2, 1, 0, 4, 8];
+    const PIN_CHAIN_COST: u64 = 0x4026_0000_0000_0000;
+    const PIN_CHAIN_NEXT: u64 = 11_144_120_589_186_691_258;
+    /// The same for the 6-SMB ring pin.
+    const PIN_RING_SLOTS: [usize; 6] = [1, 2, 5, 4, 7, 6];
+    const PIN_RING_COST: u64 = 0x4014_0000_0000_0000;
+    const PIN_RING_NEXT: u64 = 2_518_459_261_002_464_410;
+
+    /// Anneals on a clean fabric (every slot legal) with no budget.
+    fn anneal_clean(
+        grid: Grid,
+        nets: &[FlatNet],
+        pos: &mut [SmbPos],
+        schedule: AnnealSchedule,
+        seed: u64,
+    ) -> f64 {
+        let legal = vec![true; grid.num_slots() as usize];
+        let mut rng = XorShift64Star::new(seed);
+        let result = anneal(
+            grid,
+            nets,
+            pos,
+            schedule,
+            &mut rng,
+            &legal,
+            &CancelToken::unlimited(),
+        );
+        assert!(!result.is_degraded(), "an unlimited token never degrades");
+        result.into_value()
+    }
+
+    fn ring(n: u32) -> Vec<FlatNet> {
+        (0..n - 1)
+            .map(|i| FlatNet {
+                pins: vec![i, (i + 1) % n],
+                weight: 1.0,
+            })
+            .collect()
+    }
+
+    fn chain(n: u32) -> Vec<FlatNet> {
+        (0..n - 1)
             .map(|i| FlatNet {
                 pins: vec![i, i + 1],
                 weight: 1.0,
             })
-            .collect();
-        // Adversarial initial placement: reversed interleave.
-        let mut pos: Vec<SmbPos> = (0..16)
-            .map(|i| {
-                let j = (i * 7) % 16; // scramble
-                grid.pos(j)
-            })
-            .collect();
-        // Ensure it is a permutation.
-        let mut slots: Vec<usize> = pos.iter().map(|&p| grid.index(p)).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        assert_eq!(slots.len(), 16);
+            .collect()
+    }
+
+    fn slots(grid: Grid, pos: &[SmbPos]) -> Vec<usize> {
+        pos.iter().map(|&p| grid.index(p)).collect()
+    }
+
+    /// A chain of SMBs placed adversarially must improve markedly.
+    #[test]
+    fn annealing_improves_chain_placement() {
+        let grid = Grid::new(4, 4);
+        let nets = chain(16);
+        // Adversarial initial placement: a scrambled permutation.
+        let mut pos: Vec<SmbPos> = (0..16).map(|i| grid.pos((i * 7) % 16)).collect();
+        let mut sorted = slots(grid, &pos);
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 16);
 
         let initial = total_cost(&nets, &pos);
-        let mut rng = XorShift64Star::new(1);
-        let final_cost = anneal(grid, &nets, &mut pos, AnnealSchedule::detailed(), &mut rng);
+        let final_cost = anneal_clean(grid, &nets, &mut pos, AnnealSchedule::detailed(), 1);
         assert!(final_cost < initial, "{final_cost} !< {initial}");
         // Optimal chain cost is 15; accept anything close.
         assert!(final_cost <= initial * 0.8);
@@ -350,27 +352,20 @@ mod tests {
             weight: 1.0,
         }];
         let mut pos: Vec<SmbPos> = (0..5).map(|i| grid.pos(i)).collect();
-        let mut rng = XorShift64Star::new(7);
-        anneal(grid, &nets, &mut pos, AnnealSchedule::fast(), &mut rng);
-        let mut slots: Vec<usize> = pos.iter().map(|&p| grid.index(p)).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        assert_eq!(slots.len(), 5, "two SMBs share a slot");
+        anneal_clean(grid, &nets, &mut pos, AnnealSchedule::fast(), 7);
+        let mut sorted = slots(grid, &pos);
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 5, "two SMBs share a slot");
     }
 
     #[test]
     fn deterministic_for_fixed_seed() {
         let grid = Grid::new(3, 3);
-        let nets: Vec<FlatNet> = (0..5)
-            .map(|i| FlatNet {
-                pins: vec![i, (i + 1) % 6],
-                weight: 1.0,
-            })
-            .collect();
+        let nets = ring(6);
         let run = || {
             let mut pos: Vec<SmbPos> = (0..6).map(|i| grid.pos(i)).collect();
-            let mut rng = XorShift64Star::new(99);
-            anneal(grid, &nets, &mut pos, AnnealSchedule::fast(), &mut rng);
+            anneal_clean(grid, &nets, &mut pos, AnnealSchedule::fast(), 99);
             pos
         };
         assert_eq!(run(), run());
@@ -381,123 +376,103 @@ mod tests {
         let grid = Grid::new(4, 4);
         // Only the left two columns are legal.
         let legal: Vec<bool> = (0..16).map(|i| i % 4 < 2).collect();
-        let nets: Vec<FlatNet> = (0..7)
-            .map(|i| FlatNet {
-                pins: vec![i, i + 1],
-                weight: 1.0,
-            })
-            .collect();
-        let mut pos: Vec<SmbPos> = (0..16)
-            .enumerate()
-            .filter(|&(i, _)| legal[i])
-            .map(|(i, _)| grid.pos(i))
-            .collect();
+        let nets = chain(8);
+        let mut pos: Vec<SmbPos> = (0..16).filter(|&i| legal[i]).map(|i| grid.pos(i)).collect();
         let mut rng = XorShift64Star::new(5);
-        anneal_with_legality(
+        anneal(
             grid,
             &nets,
             &mut pos,
             AnnealSchedule::detailed(),
             &mut rng,
-            Some(&legal),
+            &legal,
+            &CancelToken::unlimited(),
         );
         for &p in &pos {
             assert!(legal[grid.index(p)], "SMB escaped to illegal slot {p:?}");
         }
     }
 
+    /// Fixed-seed trajectory of a 12-SMB chain on a 16-slot grid,
+    /// recorded from the maskless annealer this one replaced: an
+    /// all-legal mask must reproduce its final slots, its cost bit for
+    /// bit and the RNG state it leaves behind.
     #[test]
     fn no_mask_is_identical_to_plain_anneal() {
-        let grid = Grid::new(3, 3);
-        let nets: Vec<FlatNet> = (0..5)
-            .map(|i| FlatNet {
-                pins: vec![i, (i + 1) % 6],
-                weight: 1.0,
-            })
-            .collect();
-        let run = |masked: bool| {
-            let mut pos: Vec<SmbPos> = (0..6).map(|i| grid.pos(i)).collect();
-            let mut rng = XorShift64Star::new(42);
-            let cost = if masked {
-                anneal_with_legality(
-                    grid,
-                    &nets,
-                    &mut pos,
-                    AnnealSchedule::fast(),
-                    &mut rng,
-                    None,
-                )
-            } else {
-                anneal(grid, &nets, &mut pos, AnnealSchedule::fast(), &mut rng)
-            };
-            (pos, cost)
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn zero_budget_keeps_initial_placement() {
         let grid = Grid::new(4, 4);
-        let nets: Vec<FlatNet> = (0..15)
-            .map(|i| FlatNet {
-                pins: vec![i, i + 1],
-                weight: 1.0,
-            })
-            .collect();
-        let mut pos: Vec<SmbPos> = (0..16).map(|i| grid.pos((i * 7) % 16)).collect();
-        let before = pos.clone();
-        let initial = total_cost(&nets, &pos);
-        let mut rng = XorShift64Star::new(1);
-        let token = CancelToken::with_budget_ms(Some(0));
-        let (cost, degradation) = anneal_budgeted(
+        let nets = chain(12);
+        let mut pos: Vec<SmbPos> = (0..12).map(|i| grid.pos((i * 7) % 16)).collect();
+        let legal = vec![true; 16];
+        let mut rng = XorShift64Star::new(3);
+        let cost = anneal(
             grid,
             &nets,
             &mut pos,
             AnnealSchedule::detailed(),
             &mut rng,
-            None,
+            &legal,
+            &CancelToken::unlimited(),
+        )
+        .into_value();
+        assert_eq!(slots(grid, &pos), PIN_CHAIN_SLOTS);
+        assert_eq!(cost.to_bits(), PIN_CHAIN_COST);
+        assert_eq!(rng.next_u64(), PIN_CHAIN_NEXT);
+    }
+
+    #[test]
+    fn zero_budget_keeps_initial_placement() {
+        let grid = Grid::new(4, 4);
+        let nets = chain(16);
+        let mut pos: Vec<SmbPos> = (0..16).map(|i| grid.pos((i * 7) % 16)).collect();
+        let before = pos.clone();
+        let initial = total_cost(&nets, &pos);
+        let mut rng = XorShift64Star::new(1);
+        let token = CancelToken::with_budget_ms(Some(0));
+        let result = anneal(
+            grid,
+            &nets,
+            &mut pos,
+            AnnealSchedule::detailed(),
+            &mut rng,
+            &[true; 16],
             &token,
         );
         // The poll fires before the first temperature step, so the
         // placement is untouched and still a permutation.
         assert_eq!(pos, before);
+        let Anytime::Degraded(cost, d) = result else {
+            panic!("zero budget must degrade");
+        };
         assert_eq!(cost, initial);
-        let d = degradation.expect("zero budget must degrade");
         assert_eq!(d.phase, "place");
         assert_eq!(d.completed_iterations, 0);
         assert_eq!(d.qor_estimate, initial);
     }
 
+    /// Fixed-seed trajectory of a 6-SMB ring, recorded from the token-free
+    /// annealer this one replaced: an unlimited token must complete with
+    /// the same slots, cost bits and RNG state.
     #[test]
     fn unlimited_token_identical_to_plain_anneal() {
         let grid = Grid::new(3, 3);
-        let nets: Vec<FlatNet> = (0..5)
-            .map(|i| FlatNet {
-                pins: vec![i, (i + 1) % 6],
-                weight: 1.0,
-            })
-            .collect();
-        let run = |budgeted: bool| {
-            let mut pos: Vec<SmbPos> = (0..6).map(|i| grid.pos(i)).collect();
-            let mut rng = XorShift64Star::new(42);
-            let cost = if budgeted {
-                let (cost, degradation) = anneal_budgeted(
-                    grid,
-                    &nets,
-                    &mut pos,
-                    AnnealSchedule::fast(),
-                    &mut rng,
-                    None,
-                    &CancelToken::unlimited(),
-                );
-                assert!(degradation.is_none());
-                cost
-            } else {
-                anneal(grid, &nets, &mut pos, AnnealSchedule::fast(), &mut rng)
-            };
-            (pos, cost)
+        let nets = ring(6);
+        let mut pos: Vec<SmbPos> = (0..6).map(|i| grid.pos(i)).collect();
+        let mut rng = XorShift64Star::new(42);
+        let result = anneal(
+            grid,
+            &nets,
+            &mut pos,
+            AnnealSchedule::fast(),
+            &mut rng,
+            &[true; 9],
+            &CancelToken::unlimited(),
+        );
+        let Anytime::Complete(cost) = result else {
+            panic!("unlimited token must complete");
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(slots(grid, &pos), PIN_RING_SLOTS);
+        assert_eq!(cost.to_bits(), PIN_RING_COST);
+        assert_eq!(rng.next_u64(), PIN_RING_NEXT);
     }
 
     #[test]
@@ -505,8 +480,7 @@ mod tests {
         let grid = Grid::new(2, 2);
         let mut pos = vec![SmbPos::new(0, 0), SmbPos::new(1, 0)];
         let before = pos.clone();
-        let mut rng = XorShift64Star::new(0);
-        let cost = anneal(grid, &[], &mut pos, AnnealSchedule::fast(), &mut rng);
+        let cost = anneal_clean(grid, &[], &mut pos, AnnealSchedule::fast(), 0);
         assert_eq!(cost, 0.0);
         assert_eq!(pos, before);
     }

@@ -8,8 +8,13 @@
 //! boxes of every cycle's nets, so SMBs that communicate heavily in *any*
 //! cycle are drawn together.
 //!
-//! * [`place`] — the two-step driver;
-//! * [`anneal`] — the VPR-style adaptive annealer;
+//! * [`place_with_defects`] — the two-step driver (budget-aware:
+//!   [`place_with_defects_budgeted`]); a clean fabric is
+//!   [`nanomap_arch::DefectMap::none`];
+//! * [`adopt_assignment`] — adopts an outside placement (the exact
+//!   rung's) after validating it;
+//! * [`anneal`] — the VPR-style adaptive annealer, under a slot legality
+//!   mask and a cancel token;
 //! * [`estimate_routability`] — RISA \[17\];
 //! * [`estimate_delay`] — distance-based pre-route timing.
 
@@ -24,11 +29,11 @@ mod place;
 mod routability;
 
 pub use adopt::{adopt_assignment, AdoptError};
-pub use anneal::{anneal, anneal_budgeted, anneal_with_legality, AnnealSchedule};
+pub use anneal::{anneal, AnnealSchedule};
 pub use cost::{flatten_nets, net_hpwl, total_cost, CostWeights, FlatNet};
 pub use delay::{estimate_delay, wire_delay_estimate, DelayEstimate};
 pub use error::PlaceError;
-pub use place::{place, place_with_defects, place_with_defects_budgeted, PlaceOptions, Placement};
+pub use place::{place_with_defects, place_with_defects_budgeted, PlaceOptions, Placement};
 pub use routability::{
     estimate_demand_grid, estimate_routability, risa_q, DemandGrid, RoutabilityReport,
     ROUTABLE_THRESHOLD,

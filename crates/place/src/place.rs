@@ -14,7 +14,7 @@ use nanomap_observe::span;
 use nanomap_observe::{Anytime, CancelToken, Degradation};
 use nanomap_pack::{Packing, SliceNets, TemporalDesign};
 
-use crate::anneal::{anneal_budgeted, AnnealSchedule};
+use crate::anneal::{anneal, AnnealSchedule};
 use crate::cost::{flatten_nets, total_cost, CostWeights};
 use crate::delay::{estimate_delay, DelayEstimate};
 use crate::error::PlaceError;
@@ -97,43 +97,19 @@ impl Placement {
     }
 }
 
-/// Places a packed design.
-///
-/// # Errors
-///
-/// Returns an error only for impossible inputs (more SMBs than any
-/// reasonable grid); an un-routable outcome is reported in
-/// [`Placement::routability`] rather than as an error so the flow can
-/// decide to refold.
-pub fn place(
-    design: &TemporalDesign<'_>,
-    packing: &Packing,
-    nets: &SliceNets,
-    channels: &ChannelConfig,
-    timing: &TimingModel,
-    options: PlaceOptions,
-) -> Result<Placement, PlaceError> {
-    place_with_defects(
-        design,
-        packing,
-        nets,
-        channels,
-        timing,
-        options,
-        &DefectMap::none(),
-    )
-}
-
-/// Places a packed design on a defective fabric.
+/// Places a packed design on a (possibly defective) fabric.
 ///
 /// Slots that are dead — or whose NRAM cannot store the
 /// `design.num_slices()` configuration sets temporal folding needs — are
 /// illegal: the initial placement skips them and annealing moves reject
-/// them. With [`DefectMap::none`] this is byte-for-byte identical to
-/// [`place`].
+/// them. On a clean fabric ([`DefectMap::none`]) every slot is legal.
+///
+/// An un-routable outcome is reported in [`Placement::routability`]
+/// rather than as an error, so the flow can decide to refold.
 ///
 /// # Errors
 ///
+/// [`PlaceError::GridTooSmall`] for impossible inputs, and
 /// [`PlaceError::InsufficientUsableSlots`] when, even on the largest grid
 /// the retry policy allows, fewer usable slots remain than SMBs to place.
 pub fn place_with_defects(
@@ -162,8 +138,7 @@ pub fn place_with_defects(
 /// steps poll `token` at temperature-step boundaries, and grid-enlarging
 /// retries stop once the budget is gone. On expiry the current placement
 /// — always a valid permutation — is analyzed and returned as
-/// [`Anytime::Degraded`]. With an unlimited token this is byte-identical
-/// to [`place_with_defects`].
+/// [`Anytime::Degraded`].
 ///
 /// # Errors
 ///
@@ -194,59 +169,48 @@ pub fn place_with_defects_budgeted(
                 slots: grid.num_slots(),
             });
         }
-        // Slot legality under the defect map. The mask is only consulted
-        // when defects exist, keeping the defect-free path identical.
-        let legal: Option<Vec<bool>> = if defects.is_empty() {
-            None
-        } else {
-            Some(
-                (0..grid.num_slots() as usize)
-                    .map(|i| defects.slot_usable(grid.pos(i), required_sets))
-                    .collect(),
-            )
-        };
-        if let Some(legal) = &legal {
-            let usable = legal.iter().filter(|&&ok| ok).count() as u32;
-            if usable < n {
-                if attempt >= options.max_retries {
-                    return Err(PlaceError::InsufficientUsableSlots {
-                        smbs: n,
-                        usable,
-                        slots: grid.num_slots(),
-                    });
-                }
-                nanomap_observe::incr("place.grid_retries", 1);
-                attempt += 1;
-                slack *= 1.3;
-                continue;
+        // Slot legality under the defect map (all true on a clean fabric).
+        let legal: Vec<bool> = (0..grid.num_slots() as usize)
+            .map(|i| defects.slot_usable(grid.pos(i), required_sets))
+            .collect();
+        let usable = legal.iter().filter(|&&ok| ok).count() as u32;
+        if usable < n {
+            if attempt >= options.max_retries {
+                return Err(PlaceError::InsufficientUsableSlots {
+                    smbs: n,
+                    usable,
+                    slots: grid.num_slots(),
+                });
             }
+            nanomap_observe::incr("place.grid_retries", 1);
+            attempt += 1;
+            slack *= 1.3;
+            continue;
         }
         let seed = options.seed.wrapping_add(u64::from(attempt));
         let mut rng = XorShift64Star::new(seed);
         // Initial placement: row-major over usable slots.
-        let mut pos_of: Vec<SmbPos> = match &legal {
-            None => (0..n as usize).map(|i| grid.pos(i)).collect(),
-            Some(legal) => legal
-                .iter()
-                .enumerate()
-                .filter(|&(_, &ok)| ok)
-                .map(|(i, _)| grid.pos(i))
-                .take(n as usize)
-                .collect(),
-        };
+        let mut pos_of: Vec<SmbPos> = legal
+            .iter()
+            .enumerate()
+            .filter(|&(_, &ok)| ok)
+            .map(|(i, _)| grid.pos(i))
+            .take(n as usize)
+            .collect();
 
         // Step 1: fast placement.
         let fast_degradation = {
             let mut fast_span = span!("anneal", step = "fast", seed = seed, attempt = attempt);
-            let (_, degradation) = anneal_budgeted(
+            let (_, degradation) = anneal(
                 grid,
                 &flat,
                 &mut pos_of,
                 options.fast,
                 &mut rng,
-                legal.as_deref(),
+                &legal,
                 token,
-            );
+            )
+            .into_parts();
             if degradation.is_some() {
                 fast_span.attr("degraded", 1u64);
             }
@@ -263,15 +227,16 @@ pub fn place_with_defects_budgeted(
             // Step 3: detailed placement.
             let mut detailed_span =
                 span!("anneal", step = "detailed", seed = seed, attempt = attempt);
-            let (cost, detailed_degradation) = anneal_budgeted(
+            let (cost, detailed_degradation) = anneal(
                 grid,
                 &flat,
                 &mut pos_of,
                 options.detailed,
                 &mut rng,
-                legal.as_deref(),
+                &legal,
                 token,
-            );
+            )
+            .into_parts();
             if detailed_degradation.is_some() {
                 detailed_span.attr("degraded", 1u64);
             }
@@ -320,38 +285,14 @@ mod tests {
     use nanomap_sched::{schedule_fds, FdsOptions, ItemGraph};
     use nanomap_techmap::{expand, ExpandOptions};
 
+    /// The multiplier's clean-fabric placement: grid, slots, cost bits.
+    const PIN_GRID: (u16, u16) = (3, 2);
+    const PIN_SLOTS: [usize; 4] = [2, 1, 0, 4];
+    const PIN_COST: u64 = 0x4026_0000_0000_0000;
+
     fn placed_multiplier() -> (u32, Placement) {
-        let mut b = RtlBuilder::new("t");
-        let a = b.input("a", 6);
-        let c = b.input("b", 6);
-        let mul = b.comb("mul", CombOp::Mul { width: 6 });
-        b.connect(a, 0, mul, 0).unwrap();
-        b.connect(c, 0, mul, 1).unwrap();
-        let r = b.register("r", 12);
-        b.connect(mul, 0, r, 0).unwrap();
-        let y = b.output("y", 12);
-        b.connect(r, 0, y, 0).unwrap();
-        let net = expand(&b.finish().unwrap(), ExpandOptions::default()).unwrap();
-        let planes = PlaneSet::extract(&net).unwrap();
-        let plane0 = planes.planes()[0].clone();
-        let p = 4;
-        let stages = plane0.depth.div_ceil(p);
-        let graph = ItemGraph::build(&net, &plane0, p).unwrap();
-        let schedule = schedule_fds(&net, &graph, stages, FdsOptions::default()).unwrap();
-        let design = TemporalDesign::new(&net, &planes, vec![graph], vec![schedule]).unwrap();
-        let arch = ArchParams::paper();
-        let packing = pack(&design, &arch, PackOptions::default()).unwrap();
-        let nets = extract_nets(&design, &packing);
-        let placement = place(
-            &design,
-            &packing,
-            &nets,
-            &ChannelConfig::nature(),
-            &TimingModel::nature_100nm(),
-            PlaceOptions::default(),
-        )
-        .unwrap();
-        (packing.num_smbs, placement)
+        let (num_smbs, placed) = place_with(&DefectMap::none());
+        (num_smbs, placed.unwrap())
     }
 
     #[test]
@@ -423,13 +364,14 @@ mod tests {
         (net, planes, vec![graph], vec![schedule])
     }
 
-    fn place_with(defects: &nanomap_arch::DefectMap) -> Result<Placement, PlaceError> {
+    /// Places the multiplier on `defects`; also returns the SMB count.
+    fn place_with(defects: &DefectMap) -> (u32, Result<Placement, PlaceError>) {
         let (net, planes, graphs, schedules) = multiplier_inputs();
         let design = TemporalDesign::new(&net, &planes, graphs, schedules).unwrap();
         let arch = ArchParams::paper();
         let packing = pack(&design, &arch, PackOptions::default()).unwrap();
         let nets = extract_nets(&design, &packing);
-        place_with_defects(
+        let placed = place_with_defects(
             &design,
             &packing,
             &nets,
@@ -437,24 +379,30 @@ mod tests {
             &TimingModel::nature_100nm(),
             PlaceOptions::default(),
             defects,
-        )
+        );
+        (packing.num_smbs, placed)
     }
 
+    /// The multiplier's placement on an empty defect map, pinned from
+    /// the defect-free placer this one replaced: grid, row-major slot of
+    /// every SMB and the cost's bit pattern.
     #[test]
     fn empty_defect_map_matches_defect_free_placement() {
-        let (_, baseline) = placed_multiplier();
-        let defective = place_with(&nanomap_arch::DefectMap::none()).unwrap();
-        assert_eq!(baseline.pos_of, defective.pos_of);
-        assert_eq!(baseline.cost, defective.cost);
+        let (_, placement) = placed_multiplier();
+        let grid = placement.grid;
+        let slots: Vec<usize> = placement.pos_of.iter().map(|&p| grid.index(p)).collect();
+        assert_eq!((grid.width, grid.height), PIN_GRID);
+        assert_eq!(slots, PIN_SLOTS);
+        assert_eq!(placement.cost.to_bits(), PIN_COST);
     }
 
     #[test]
     fn placement_avoids_defective_slots() {
-        let mut defects = nanomap_arch::DefectMap::none();
+        let mut defects = DefectMap::none();
         // Kill the first two row-major slots of any plausible grid.
         defects.kill_slot(SmbPos::new(0, 0));
         defects.kill_slot(SmbPos::new(1, 0));
-        let placement = place_with(&defects).unwrap();
+        let placement = place_with(&defects).1.unwrap();
         for &pos in &placement.pos_of {
             assert!(
                 !defects.slot_defective(pos),
@@ -465,10 +413,10 @@ mod tests {
 
     #[test]
     fn placement_respects_nram_degradation() {
-        let mut defects = nanomap_arch::DefectMap::none();
+        let mut defects = DefectMap::none();
         // Kill NRAM set 0 of slot (0,0): unusable for any folded design.
         defects.kill_nram_set(SmbPos::new(0, 0), 0);
-        let placement = place_with(&defects).unwrap();
+        let placement = place_with(&defects).1.unwrap();
         for &pos in &placement.pos_of {
             assert_ne!(pos, SmbPos::new(0, 0), "SMB placed on degraded slot");
         }
@@ -489,7 +437,7 @@ mod tests {
             &ChannelConfig::nature(),
             &TimingModel::nature_100nm(),
             PlaceOptions::default(),
-            &nanomap_arch::DefectMap::none(),
+            &DefectMap::none(),
             &token,
         )
         .unwrap();
@@ -518,13 +466,14 @@ mod tests {
         let packing = pack(&design, &arch, PackOptions::default()).unwrap();
         let nets = extract_nets(&design, &packing);
         let options = PlaceOptions::default();
-        let placement = place(
+        let placement = place_with_defects(
             &design,
             &packing,
             &nets,
             &ChannelConfig::nature(),
             &TimingModel::nature_100nm(),
             options,
+            &DefectMap::none(),
         )
         .unwrap();
         let rebuilt = Placement::reconstruct(
@@ -549,8 +498,8 @@ mod tests {
     #[test]
     fn hopeless_defect_density_reports_insufficient_slots() {
         // Everything is dead.
-        let defects = nanomap_arch::DefectMap::uniform(1.0, 3);
-        let err = place_with(&defects).unwrap_err();
+        let defects = DefectMap::uniform(1.0, 3);
+        let err = place_with(&defects).1.unwrap_err();
         assert!(matches!(
             err,
             PlaceError::InsufficientUsableSlots { usable: 0, .. }

@@ -11,7 +11,7 @@ use nanomap_place::Placement;
 
 use crate::bitmap::generate_bitmap;
 use crate::error::RouteError;
-use crate::pathfinder::{route_slice_budgeted, RouteOptions, RoutedNet};
+use crate::pathfinder::{route_slice, RouteOptions, RoutedNet};
 use crate::timing::{analyze, net_delays, RoutedTiming};
 use crate::usage::{tally_usage, InterconnectUsage};
 
@@ -35,46 +35,15 @@ pub struct RoutedDesign {
     pub bitmap_ms: f64,
 }
 
-/// Routes a placed design cycle by cycle and assembles the bitmap.
+/// Routes a placed design cycle by cycle and assembles the bitmap. The
+/// routing-resource graph is built with the fabric's broken wires and
+/// stuck-open switches pruned, so PathFinder negotiates around them (a
+/// clean fabric is [`DefectMap::none`]).
 ///
 /// # Errors
 ///
 /// Returns the first slice's routing failure (congestion or
-/// disconnection), naming the failing slice and net.
-#[allow(clippy::too_many_arguments)] // the flow's full context is the point
-pub fn route_design(
-    design: &TemporalDesign<'_>,
-    packing: &Packing,
-    nets: &SliceNets,
-    placement: &Placement,
-    channels: &ChannelConfig,
-    timing_model: &TimingModel,
-    arch: &ArchParams,
-    options: RouteOptions,
-) -> Result<RoutedDesign, RouteError> {
-    route_design_with_defects(
-        design,
-        packing,
-        nets,
-        placement,
-        channels,
-        timing_model,
-        arch,
-        options,
-        &DefectMap::none(),
-    )
-}
-
-/// Routes a placed design over a defective fabric: the routing-resource
-/// graph is built with broken wires and stuck-open switches pruned, so
-/// PathFinder negotiates around them (or fails with the failing slice and
-/// net named). With [`DefectMap::none`] this is identical to
-/// [`route_design`].
-///
-/// # Errors
-///
-/// Returns the first slice's routing failure, with slice and net context
-/// attached.
+/// disconnection), with slice and net context attached.
 #[allow(clippy::too_many_arguments)] // the flow's full context is the point
 pub fn route_design_with_defects(
     design: &TemporalDesign<'_>,
@@ -106,8 +75,7 @@ pub fn route_design_with_defects(
 /// run polls `token` between rip-up iterations. Degraded slices keep
 /// their best-so-far (possibly congested) routes; the merged
 /// [`Degradation`] sums completed iterations and overused nodes across
-/// degraded slices. With an unlimited token this is byte-identical to
-/// [`route_design_with_defects`].
+/// degraded slices.
 ///
 /// # Errors
 ///
@@ -126,7 +94,7 @@ pub fn route_design_budgeted(
     defects: &DefectMap,
     token: &CancelToken,
 ) -> Result<Anytime<RoutedDesign>, RouteError> {
-    let graph = RrGraph::build_with_defects(placement.grid, channels, defects);
+    let graph = RrGraph::build(placement.grid, channels, defects);
     let mut routes: HashMap<Slice, Vec<RoutedNet>> = HashMap::new();
     let mut degraded_slices = 0u32;
     let mut degraded_iterations = 0u64;
@@ -136,7 +104,7 @@ pub fn route_design_budgeted(
         let slice_nets = nets.of(slice);
         let mut slice_span = span!("route-slice", seed = options.seed);
         slice_span.attr("nets", slice_nets.len() as u64);
-        let routed = route_slice_budgeted(&graph, slice_nets, &placement.pos_of, options, token)
+        let routed = route_slice(&graph, slice_nets, &placement.pos_of, options, token)
             .map_err(|e| e.in_slice(slice))?;
         let (routed, degradation) = routed.into_parts();
         if let Some(d) = degradation {
@@ -191,10 +159,11 @@ pub fn route_design_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::{segment_breakdowns, trace_critical_paths};
     use nanomap_netlist::rtl::{CombOp, RtlBuilder};
     use nanomap_netlist::PlaneSet;
     use nanomap_pack::{extract_nets, pack, PackOptions};
-    use nanomap_place::{place, PlaceOptions};
+    use nanomap_place::{place_with_defects, PlaceOptions};
     use nanomap_sched::{schedule_fds, FdsOptions, ItemGraph};
     use nanomap_techmap::{expand, ExpandOptions};
 
@@ -223,16 +192,18 @@ mod tests {
         let nets = extract_nets(&design, &packing);
         let channels = ChannelConfig::nature();
         let timing = TimingModel::nature_100nm();
-        let placement = place(
+        let clean = DefectMap::none();
+        let placement = place_with_defects(
             &design,
             &packing,
             &nets,
             &channels,
             &timing,
             PlaceOptions::default(),
+            &clean,
         )
         .unwrap();
-        let routed = route_design(
+        let routed = route_design_with_defects(
             &design,
             &packing,
             &nets,
@@ -241,6 +212,7 @@ mod tests {
             &timing,
             &arch,
             RouteOptions::default(),
+            &clean,
         )
         .unwrap();
         // Every slice routed.
@@ -257,14 +229,21 @@ mod tests {
         }
         // Critical path: non-empty, single-slice, monotone arrivals ending
         // at the worst slice path.
-        let path = &routed.timing.critical_path;
-        assert!(!path.is_empty());
-        let slice = path[0].slice;
+        let delays = net_delays(&routed.graph, &timing, &routed.routes);
+        let breakdowns = segment_breakdowns(&routed.graph, &timing, &routed.routes);
+        let report =
+            trace_critical_paths(&design, &packing, &delays, &breakdowns, &timing, &arch, 1);
+        let worst = &report.paths[0];
+        assert!(!worst.hops.is_empty());
         let mut last = 0.0;
-        for node in path {
-            assert_eq!(node.slice, slice, "critical path stays in one slice");
-            assert!(node.arrival_ns >= last);
-            last = node.arrival_ns;
+        for hop in &worst.hops {
+            assert_eq!(
+                design.slice_of(hop.lut),
+                worst.slice,
+                "critical path stays in one slice"
+            );
+            assert!(hop.arrival_ns >= last);
+            last = hop.arrival_ns;
         }
         assert!((last - routed.timing.max_slice_path).abs() < 1e-9);
     }

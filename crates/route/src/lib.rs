@@ -19,15 +19,15 @@ mod timing;
 mod usage;
 
 pub use bitmap::generate_bitmap;
-pub use driver::{route_design, route_design_budgeted, route_design_with_defects, RoutedDesign};
+pub use driver::{route_design_budgeted, route_design_with_defects, RoutedDesign};
 pub use error::{describe_net, RouteError, RouteErrorKind};
 pub use explain::{
     segment_breakdowns, trace_critical_paths, CriticalPathReport, HopSource, PathHop,
     SegmentBreakdown, SegmentBreakdowns, TracedPath,
 };
-pub use pathfinder::{route_slice, route_slice_budgeted, RouteOptions, RoutedNet};
+pub use pathfinder::{route_slice, RouteOptions, RoutedNet};
 pub use timing::{
-    analyze, compute_arrivals, input_edges, net_delays, CriticalPathNode, EdgeSource, InputEdge,
-    NetDelays, RoutedTiming,
+    analyze, compute_arrivals, input_edges, net_delays, EdgeSource, InputEdge, NetDelays,
+    RoutedTiming,
 };
 pub use usage::{tally_congestion, tally_usage, CongestionGrid, InterconnectUsage, TierGrid};

@@ -67,34 +67,19 @@ pub struct RoutedNet {
 
 /// Routes the nets of one slice.
 ///
-/// `pos_of` maps SMB index to its placed grid position.
+/// `pos_of` maps SMB index to its placed grid position. `token` is
+/// polled after each full rip-up-and-reroute iteration, so even a zero
+/// budget completes one pass and every net has a routing tree. On expiry
+/// the current routes are returned as [`Anytime::Degraded`] — they may
+/// overuse nodes; the overused-node count is the QoR estimate.
 ///
 /// # Errors
 ///
-/// Returns [`RouteError::Unroutable`] when congestion cannot be resolved,
-/// or [`RouteError::Unreachable`] for a disconnected fabric.
+/// [`RouteErrorKind::Unroutable`](crate::RouteErrorKind::Unroutable) when
+/// congestion cannot be resolved (never for an expired budget), or
+/// [`RouteErrorKind::Unreachable`](crate::RouteErrorKind::Unreachable)
+/// for a disconnected fabric.
 pub fn route_slice(
-    graph: &RrGraph,
-    nets: &[SliceNet],
-    pos_of: &[SmbPos],
-    options: RouteOptions,
-) -> Result<Vec<RoutedNet>, RouteError> {
-    route_slice_budgeted(graph, nets, pos_of, options, &CancelToken::unlimited())
-        .map(Anytime::into_value)
-}
-
-/// Budget-aware [`route_slice`]: polls `token` after each full
-/// rip-up-and-reroute iteration, so even a zero budget completes one
-/// pass and every net has a routing tree. On expiry the current routes
-/// are returned as [`Anytime::Degraded`] — they may overuse nodes; the
-/// overused-node count is the QoR estimate. With an unlimited token this
-/// is byte-identical to [`route_slice`].
-///
-/// # Errors
-///
-/// Same as [`route_slice`]; an expired budget is never reported as
-/// [`RouteError::Unroutable`].
-pub fn route_slice_budgeted(
     graph: &RrGraph,
     nets: &[SliceNet],
     pos_of: &[SmbPos],
@@ -314,10 +299,26 @@ fn route_net(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nanomap_arch::{ChannelConfig, Grid, RrNodeKind, WireType};
+    use nanomap_arch::{ChannelConfig, DefectMap, Grid, RrNodeKind, WireType};
 
     fn graph4() -> RrGraph {
-        RrGraph::build(Grid::new(4, 4), &ChannelConfig::nature())
+        RrGraph::build(
+            Grid::new(4, 4),
+            &ChannelConfig::nature(),
+            &DefectMap::none(),
+        )
+    }
+
+    /// Routes with no budget.
+    fn route(g: &RrGraph, nets: &[SliceNet], pos: &[SmbPos]) -> Result<Vec<RoutedNet>, RouteError> {
+        route_slice(
+            g,
+            nets,
+            pos,
+            RouteOptions::default(),
+            &CancelToken::unlimited(),
+        )
+        .map(Anytime::into_value)
     }
 
     fn positions() -> Vec<SmbPos> {
@@ -333,7 +334,7 @@ mod tests {
             sinks: vec![1],
             critical: false,
         }];
-        let routed = route_slice(&g, &nets, &pos, RouteOptions::default()).unwrap();
+        let routed = route(&g, &nets, &pos).unwrap();
         assert_eq!(routed.len(), 1);
         // The cheapest path uses a direct link.
         let uses_direct = routed[0]
@@ -356,7 +357,7 @@ mod tests {
             sinks: vec![0, 15, 3],
             critical: false,
         }];
-        let routed = route_slice(&g, &nets, &pos, RouteOptions::default()).unwrap();
+        let routed = route(&g, &nets, &pos).unwrap();
         assert_eq!(routed[0].sink_paths.len(), 3);
         for path in &routed[0].sink_paths {
             assert!(path.len() >= 2);
@@ -376,7 +377,7 @@ mod tests {
                 critical: false,
             })
             .collect();
-        let routed = route_slice(&g, &nets, &pos, RouteOptions::default()).unwrap();
+        let routed = route(&g, &nets, &pos).unwrap();
         // No wire node is used twice.
         let mut used = std::collections::HashMap::new();
         for r in &routed {
@@ -404,6 +405,7 @@ mod tests {
                 length4: 0,
                 global: 0,
             },
+            &DefectMap::none(),
         );
         let pos = vec![SmbPos::new(0, 0), SmbPos::new(1, 0)];
         let nets: Vec<SliceNet> = (0..40)
@@ -413,7 +415,7 @@ mod tests {
                 critical: false,
             })
             .collect();
-        let err = route_slice(&g, &nets, &pos, RouteOptions::default()).unwrap_err();
+        let err = route(&g, &nets, &pos).unwrap_err();
         assert!(matches!(
             err.kind,
             crate::error::RouteErrorKind::Unroutable { .. }
@@ -434,8 +436,7 @@ mod tests {
             })
             .collect();
         let token = CancelToken::with_budget_ms(Some(0));
-        let result =
-            route_slice_budgeted(&g, &nets, &pos, RouteOptions::default(), &token).unwrap();
+        let result = route_slice(&g, &nets, &pos, RouteOptions::default(), &token).unwrap();
         // Zero budget still completes one full pass: every net has a tree
         // (possibly congested) or the slice happened to finish clean.
         let routed = result.value();
@@ -458,6 +459,7 @@ mod tests {
                 length4: 0,
                 global: 0,
             },
+            &DefectMap::none(),
         );
         let pos = vec![SmbPos::new(0, 0), SmbPos::new(1, 0)];
         let nets: Vec<SliceNet> = (0..40)
@@ -468,8 +470,7 @@ mod tests {
             })
             .collect();
         let token = CancelToken::with_budget_ms(Some(0));
-        let result =
-            route_slice_budgeted(&g, &nets, &pos, RouteOptions::default(), &token).unwrap();
+        let result = route_slice(&g, &nets, &pos, RouteOptions::default(), &token).unwrap();
         let Anytime::Degraded(routed, degradation) = result else {
             panic!("hopeless congestion under a zero budget must degrade");
         };
@@ -479,8 +480,31 @@ mod tests {
         assert!(degradation.qor_estimate > 0.0, "overuse must be reported");
     }
 
+    /// Sixteen parallel nets between neighbours, pinned from the
+    /// token-free router this one replaced: an unlimited token must
+    /// complete with the same tree for every net.
     #[test]
     fn unlimited_token_identical_to_plain_route() {
+        const PIN_NODES: [&[usize]; 16] = [
+            &[0, 688, 3],
+            &[0, 35, 3],
+            &[0, 37, 3],
+            &[0, 696, 3],
+            &[0, 38, 3],
+            &[0, 448, 449, 3],
+            &[0, 32, 3],
+            &[0, 512, 513, 3],
+            &[0, 34, 3],
+            &[0, 480, 481, 3],
+            &[0, 39, 3],
+            &[0, 680, 3],
+            &[0, 416, 417, 3],
+            &[0, 33, 3],
+            &[0, 672, 3],
+            &[0, 36, 3],
+        ];
+        /// FNV-1a over every net's tree and sink paths.
+        const PIN_HASH: u64 = 0x063c_b6fb_e6f4_088d;
         let g = graph4();
         let pos = positions();
         let nets: Vec<SliceNet> = (0..16)
@@ -490,8 +514,7 @@ mod tests {
                 critical: false,
             })
             .collect();
-        let plain = route_slice(&g, &nets, &pos, RouteOptions::default()).unwrap();
-        let budgeted = route_slice_budgeted(
+        let result = route_slice(
             &g,
             &nets,
             &pos,
@@ -499,20 +522,34 @@ mod tests {
             &CancelToken::unlimited(),
         )
         .unwrap();
-        let Anytime::Complete(routed) = budgeted else {
+        let Anytime::Complete(routed) = result else {
             panic!("unlimited token must complete");
         };
-        assert_eq!(plain.len(), routed.len());
-        for (a, b) in plain.iter().zip(&routed) {
-            assert_eq!(a.nodes, b.nodes);
-            assert_eq!(a.sink_paths, b.sink_paths);
+        let nodes: Vec<Vec<usize>> = routed
+            .iter()
+            .map(|r| r.nodes.iter().map(|n| n.index()).collect())
+            .collect();
+        assert_eq!(nodes, PIN_NODES);
+        let mut h = nanomap_observe::Fnv1a::new();
+        for r in &routed {
+            for n in &r.nodes {
+                h.u64(n.index() as u64);
+            }
+            h.byte(0xFF);
+            for path in &r.sink_paths {
+                for n in path {
+                    h.u64(n.index() as u64);
+                }
+                h.byte(0xFE);
+            }
         }
+        assert_eq!(h.finish(), PIN_HASH);
     }
 
     #[test]
     fn empty_slice_routes_trivially() {
         let g = graph4();
-        let routed = route_slice(&g, &[], &positions(), RouteOptions::default()).unwrap();
+        let routed = route(&g, &[], &positions()).unwrap();
         assert!(routed.is_empty());
     }
 }

@@ -44,7 +44,10 @@ pub fn net_delays(
     out
 }
 
-/// Post-route timing report.
+/// Post-route timing report: the headline numbers only. The worst paths
+/// themselves, hop by hop, come from
+/// [`trace_critical_paths`](crate::trace_critical_paths), which runs the
+/// same [`compute_arrivals`] pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedTiming {
     /// Critical combinational path per slice.
@@ -55,22 +58,6 @@ pub struct RoutedTiming {
     pub cycle_period: f64,
     /// Circuit delay over all slices.
     pub circuit_delay: f64,
-    /// The worst path, LUT by LUT (first element starts the path), with
-    /// per-LUT arrival times. Empty for LUT-less designs.
-    pub critical_path: Vec<CriticalPathNode>,
-}
-
-/// One hop of the critical path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalPathNode {
-    /// The LUT on the path.
-    pub lut: LutId,
-    /// Diagnostic name, when the LUT has one.
-    pub name: Option<String>,
-    /// The temporal slice the LUT executes in.
-    pub slice: Slice,
-    /// Arrival time at the LUT's output (ns into its folding cycle).
-    pub arrival_ns: f64,
 }
 
 /// Where a LUT input edge comes from, for attribution.
@@ -230,57 +217,29 @@ pub fn analyze(
     timing: &TimingModel,
     arch: &ArchParams,
 ) -> RoutedTiming {
-    let net = design.net;
-    let (arrival, slice_paths) = compute_arrivals(design, packing, delays, timing, arch);
+    let (_, slice_paths) = compute_arrivals(design, packing, delays, timing, arch);
     let max_slice_path = slice_paths.values().copied().fold(0.0, f64::max);
     let cycle_period = max_slice_path + timing.reconfiguration + timing.clocking;
-
-    // Trace the worst path backwards from the LUT with the worst arrival.
-    let mut critical_path = Vec::new();
-    let mut cursor = arrival
-        .iter()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite arrivals"))
-        .map(|(&l, _)| l);
-    while let Some(id) = cursor {
-        let slice = design.slice_of(id);
-        critical_path.push(CriticalPathNode {
-            lut: id,
-            name: net.lut(id).name.clone(),
-            slice,
-            arrival_ns: arrival[&id],
-        });
-        // The predecessor on the path: the same-slice fanin whose
-        // (arrival + hop) is maximal and consistent with this arrival.
-        cursor = input_edges(design, packing, delays, timing, arch, &arrival, id)
-            .into_iter()
-            .filter_map(|e| match e.source {
-                EdgeSource::Lut(u) => Some((u, e.contribution())),
-                _ => None,
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .map(|(u, _)| u);
-    }
-    critical_path.reverse();
 
     RoutedTiming {
         slice_paths,
         max_slice_path,
         cycle_period,
         circuit_delay: cycle_period * f64::from(design.num_slices()),
-        critical_path,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nanomap_arch::{ChannelConfig, Grid, SmbPos};
+    use nanomap_arch::{ChannelConfig, DefectMap, Grid, SmbPos};
+    use nanomap_observe::CancelToken;
     use nanomap_pack::SliceNet;
 
     #[test]
     fn routed_delay_sums_wire_tiers() {
         let grid = Grid::new(3, 1);
-        let graph = RrGraph::build(grid, &ChannelConfig::nature());
+        let graph = RrGraph::build(grid, &ChannelConfig::nature(), &DefectMap::none());
         let pos = vec![SmbPos::new(0, 0), SmbPos::new(2, 0)];
         let nets = vec![SliceNet {
             driver: 0,
@@ -292,8 +251,10 @@ mod tests {
             &nets,
             &pos,
             crate::pathfinder::RouteOptions::default(),
+            &CancelToken::unlimited(),
         )
-        .unwrap();
+        .unwrap()
+        .into_value();
         let slice = Slice { plane: 0, stage: 0 };
         let mut routes = HashMap::new();
         routes.insert(slice, routed);

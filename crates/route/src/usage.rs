@@ -188,13 +188,14 @@ pub fn tally_congestion(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nanomap_arch::{ChannelConfig, Grid, SmbPos};
+    use nanomap_arch::{ChannelConfig, DefectMap, Grid, SmbPos};
+    use nanomap_observe::CancelToken;
     use nanomap_pack::SliceNet;
 
     #[test]
     fn congestion_grid_reconciles_with_usage() {
         let grid = Grid::new(4, 2);
-        let graph = RrGraph::build(grid, &ChannelConfig::nature());
+        let graph = RrGraph::build(grid, &ChannelConfig::nature(), &DefectMap::none());
         let pos = vec![SmbPos::new(0, 0), SmbPos::new(3, 1), SmbPos::new(1, 0)];
         let nets = vec![
             SliceNet {
@@ -213,8 +214,10 @@ mod tests {
             &nets,
             &pos,
             crate::pathfinder::RouteOptions::default(),
+            &CancelToken::unlimited(),
         )
-        .unwrap();
+        .unwrap()
+        .into_value();
         let mut routes = HashMap::new();
         routes.insert(Slice { plane: 0, stage: 0 }, routed);
         let usage = tally_usage(&graph, &routes);

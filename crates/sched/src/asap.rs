@@ -275,7 +275,9 @@ impl Marks {
     }
 }
 
-/// Topological order of the item graph.
+/// Topological order of the item graph. In-degrees are counted over the
+/// same successor lists the walk decrements, so a hand-built graph whose
+/// `edges` and `succs` disagree cannot underflow a count.
 ///
 /// # Errors
 ///
@@ -284,8 +286,10 @@ impl Marks {
 pub(crate) fn topo_order(graph: &ItemGraph) -> Result<Vec<usize>, SchedError> {
     let n = graph.len();
     let mut indeg = vec![0usize; n];
-    for e in &graph.edges {
-        indeg[e.to] += 1;
+    for succs in &graph.succs {
+        for &(s, _) in succs {
+            indeg[s] += 1;
+        }
     }
     let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
@@ -403,6 +407,30 @@ mod tests {
         let mut pins = vec![None; 5];
         pins[4] = Some(1); // chain needs cycle 3
         assert!(TimeFrames::compute(&g, 4, &pins).is_err());
+    }
+
+    /// `topo_order` walks `succs`, so it must count in-degrees there too:
+    /// a successor missing from `edges` used to underflow its count.
+    #[test]
+    fn topo_order_counts_in_degrees_over_succs() {
+        let items: Vec<Item> = (0..2)
+            .map(|i| Item {
+                kind: ItemKind::Lut(LutId::new(i)),
+                luts: vec![LutId::new(i)],
+                weight: 1,
+                window: 1,
+                name: format!("i{i}"),
+            })
+            .collect();
+        let g = ItemGraph {
+            items,
+            edges: Vec::new(),
+            succs: vec![vec![(1, 1)], Vec::new()],
+            preds: vec![Vec::new(), vec![(0, 1)]],
+            item_of_lut: Default::default(),
+            folding_level: 1,
+        };
+        assert_eq!(topo_order(&g), Ok(vec![0, 1]));
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn critical_path_hops_sum_to_routed_delay() {
         let report = map_with_explain(&net);
         let physical = report.physical.as_ref().expect("physical ran");
         let explain = report.explain.as_ref().expect("explain ran");
-        explain.validate().expect("artifact invariants hold");
+        check_artifact(&explain.to_json()).expect("artifact invariants hold");
 
         let paths = &explain.paths;
         let worst = paths.paths.first().expect("at least one traced path");
@@ -110,8 +110,6 @@ fn explain_validates_on_every_paper_benchmark() {
             .map(&bench.network, Objective::MinAreaDelayProduct)
             .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         let explain = report.explain.as_ref().expect("explain ran");
-        explain
-            .validate()
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+        check_artifact(&explain.to_json()).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
     }
 }

@@ -270,7 +270,8 @@ fn flow_records_phase_spans_and_metrics_json() {
 /// hierarchical escalation of Section 4.4).
 #[test]
 fn router_escalates_to_global_under_congestion() {
-    use nanomap_arch::{ChannelConfig, Grid, RrGraph, WireType};
+    use nanomap_arch::{ChannelConfig, DefectMap, Grid, RrGraph, WireType};
+    use nanomap_observe::CancelToken;
     use nanomap_pack::SliceNet;
     use nanomap_route::{route_slice, tally_usage, RouteOptions};
     use std::collections::HashMap;
@@ -283,7 +284,7 @@ fn router_escalates_to_global_under_congestion() {
         length4: 0,
         global: 8,
     };
-    let graph = RrGraph::build(grid, &channels);
+    let graph = RrGraph::build(grid, &channels, &DefectMap::none());
     let pos: Vec<_> = grid.iter().collect();
     // Many parallel long nets exhaust the direct/length-1 tracks.
     let nets: Vec<SliceNet> = (0..6)
@@ -293,7 +294,15 @@ fn router_escalates_to_global_under_congestion() {
             critical: false,
         })
         .collect();
-    let routed = route_slice(&graph, &nets, &pos, RouteOptions::default()).expect("routes");
+    let routed = route_slice(
+        &graph,
+        &nets,
+        &pos,
+        RouteOptions::default(),
+        &CancelToken::unlimited(),
+    )
+    .expect("routes")
+    .into_value();
     let mut routes = HashMap::new();
     routes.insert(nanomap_pack::Slice { plane: 0, stage: 0 }, routed);
     let usage = tally_usage(&graph, &routes);

@@ -416,11 +416,12 @@ fn packing_respects_capacity() {
 /// sink path starts at the net's source and ends at its sink.
 #[test]
 fn router_respects_capacities() {
-    use nanomap_arch::{ChannelConfig, Grid, RrGraph, RrNodeKind};
+    use nanomap_arch::{ChannelConfig, DefectMap, Grid, RrGraph, RrNodeKind};
+    use nanomap_observe::CancelToken;
     use nanomap_pack::SliceNet;
     use nanomap_route::{route_slice, RouteOptions};
     let grid = Grid::new(4, 4);
-    let graph = RrGraph::build(grid, &ChannelConfig::nature());
+    let graph = RrGraph::build(grid, &ChannelConfig::nature(), &DefectMap::none());
     let pos: Vec<_> = grid.iter().collect();
     let mut rng = XorShift64Star::new(0x97_0008);
     for case in 0..12 {
@@ -444,8 +445,15 @@ fn router_respects_capacities() {
         if nets.is_empty() {
             continue;
         }
-        let routed = route_slice(&graph, &nets, &pos, RouteOptions::default())
-            .expect("4x4 nature fabric routes two dozen nets");
+        let routed = route_slice(
+            &graph,
+            &nets,
+            &pos,
+            RouteOptions::default(),
+            &CancelToken::unlimited(),
+        )
+        .expect("4x4 nature fabric routes two dozen nets")
+        .into_value();
         // Capacity check over wire nodes.
         let mut used = std::collections::HashMap::new();
         for r in &routed {
