@@ -204,6 +204,20 @@ impl MapRequest {
     }
 }
 
+/// A string field of a wire line.
+fn text_field(value: &JsonValue, key: &str) -> Option<String> {
+    value
+        .get(key)
+        .and_then(JsonValue::as_str)
+        .map(str::to_string)
+}
+
+/// A non-negative integer field of a wire line.
+fn uint_field(value: &JsonValue, key: &str) -> Option<u64> {
+    let int = value.get(key).and_then(JsonValue::as_int)?;
+    u64::try_from(int).ok()
+}
+
 /// Any request line the daemon accepts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -237,19 +251,7 @@ impl Request {
             Some("stats") => Ok(Self::Stats),
             Some("shutdown") => Ok(Self::Shutdown),
             Some("map") => {
-                let text = |key: &str| {
-                    value
-                        .get(key)
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string)
-                };
-                let uint = |key: &str| {
-                    value
-                        .get(key)
-                        .and_then(JsonValue::as_int)
-                        .filter(|&v| v >= 0)
-                        .map(|v| v as u64)
-                };
+                let (text, uint) = (|key| text_field(&value, key), |key| uint_field(&value, key));
                 let source = match (text("design_path"), text("design_text")) {
                     (Some(p), None) => DesignSource::Path(p),
                     (None, Some(t)) => DesignSource::Text {
@@ -361,19 +363,7 @@ impl Response {
         if value.get("schema").and_then(JsonValue::as_str) != Some(SERVICE_SCHEMA) {
             return Err("schema mismatch".into());
         }
-        let uint = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_int)
-                .filter(|&v| v >= 0)
-                .map(|v| v as u64)
-        };
-        let text = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-        };
+        let (text, uint) = (|key| text_field(&value, key), |key| uint_field(&value, key));
         match value.get("event").and_then(JsonValue::as_str) {
             Some("queued") => Ok(Self::Queued {
                 depth: uint("depth").unwrap_or(0),
@@ -534,6 +524,18 @@ impl RetryPolicy {
         let half = (exp / 2).max(1);
         Duration::from_millis(half + rng.below(half))
     }
+
+    /// The one wait before retry `attempt` (0-based): the server's
+    /// `retry_after_ms` hint, capped at `max_backoff_ms`, when the last
+    /// attempt was a rejection carrying one; the jittered backoff
+    /// otherwise (connect failures, torn connections, hintless
+    /// rejections).
+    fn retry_delay(&self, attempt: u32, hint: Option<u64>, rng: &mut XorShift64Star) -> Duration {
+        match hint {
+            Some(hint) => Duration::from_millis(hint.min(self.max_backoff_ms)),
+            None => self.backoff(attempt, rng),
+        }
+    }
 }
 
 /// What one successful submission observed.
@@ -572,16 +574,15 @@ pub fn submit_with_retry(
     let mut rng = XorShift64Star::new(policy.seed);
     let mut last_failure = String::from("no attempts made");
     let mut rejections = Vec::new();
+    let mut hint_ms = None;
     for attempt in 0..policy.max_attempts {
         if attempt > 0 {
-            std::thread::sleep(policy.backoff(attempt - 1, &mut rng));
+            std::thread::sleep(policy.retry_delay(attempt - 1, hint_ms.take(), &mut rng));
         }
         match submit_once(addr, request, policy) {
             Ok((result, lifecycle)) => {
                 if result.retryable() {
-                    if let Some(hint) = result.retry_after_ms {
-                        std::thread::sleep(Duration::from_millis(hint.min(policy.max_backoff_ms)));
-                    }
+                    hint_ms = result.retry_after_ms;
                     last_failure = format!(
                         "rejected ({}): {}",
                         result.code.as_deref().unwrap_or("?"),
@@ -615,19 +616,23 @@ fn submit_once(
     let mut reader = send_request(addr, &request.to_wire(), policy.read_timeout_ms)?;
     let mut lifecycle = Vec::new();
     loop {
-        let mut response_line = String::new();
-        let n = reader
-            .read_line(&mut response_line)
-            .map_err(|e| format!("read from {addr}: {e}"))?;
-        if n == 0 {
-            return Err(format!("{addr} closed the connection before a result"));
-        }
-        let response = Response::parse(response_line.trim_end())?;
-        match response {
+        match read_response(&mut reader, addr)? {
             Response::Result(result) => return Ok((result, lifecycle)),
             other => lifecycle.push(other),
         }
     }
+}
+
+/// Reads and parses the next response line.
+fn read_response(reader: &mut BufReader<Conn>, addr: &str) -> Result<Response, String> {
+    let mut line = String::new();
+    let n = reader
+        .read_line(&mut line)
+        .map_err(|e| format!("read from {addr}: {e}"))?;
+    if n == 0 {
+        return Err(format!("{addr} closed the connection before a response"));
+    }
+    Response::parse(line.trim_end())
 }
 
 /// Connects, sends one request line and hands back the response side,
@@ -643,20 +648,6 @@ fn send_request(addr: &str, line: &str, timeout_ms: u64) -> Result<BufReader<Con
     Ok(BufReader::new(conn))
 }
 
-/// Connects and performs one single-line op exchange (`ping`/`stats`):
-/// send the request line, read exactly one response line.
-fn query_once(addr: &str, request_line: &str, timeout_ms: u64) -> Result<Response, String> {
-    let mut reader = send_request(addr, request_line, timeout_ms)?;
-    let mut line = String::new();
-    let n = reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read from {addr}: {e}"))?;
-    if n == 0 {
-        return Err(format!("{addr} closed the connection before a response"));
-    }
-    Response::parse(line.trim_end())
-}
-
 /// Fetches one `nanomapd-stats-v1` snapshot via the `stats` op and
 /// returns the inner stats document.
 ///
@@ -668,7 +659,7 @@ pub fn query_stats(addr: &str, timeout_ms: u64) -> Result<JsonValue, String> {
         .with("schema", SERVICE_SCHEMA)
         .with("op", "stats")
         .to_compact_string();
-    match query_once(addr, &request, timeout_ms)? {
+    match read_response(&mut send_request(addr, &request, timeout_ms)?, addr)? {
         Response::Stats(doc) => Ok(doc),
         other => Err(format!("expected a stats response, got {other:?}")),
     }
@@ -689,7 +680,7 @@ pub enum Conn {
     Unix(std::os::unix::net::UnixStream),
 }
 
-/// Dispatches one expression over both [`Conn`] (or [`Listener`]) arms.
+/// Dispatches one expression over both [`Conn`] arms.
 macro_rules! each_transport {
     ($value:expr, $s:ident => $body:expr) => {
         match $value {
@@ -766,8 +757,10 @@ impl Write for Conn {
     }
 }
 
-/// A bound, non-blocking listener on the address [`Conn::connect`]
-/// reaches.
+/// A bound, blocking listener on the address [`Conn::connect`]
+/// reaches. Its thread sleeps in [`Listener::accept`] until a client
+/// arrives; whoever stops it sets its own stop flag first and then
+/// wakes it with [`Listener::wake`].
 #[derive(Debug)]
 pub enum Listener {
     /// A TCP listener.
@@ -778,27 +771,27 @@ pub enum Listener {
 }
 
 impl Listener {
-    /// Binds `addr` (TCP port 0 picks a free port) in non-blocking mode.
+    /// Binds `addr` (TCP port 0 picks a free port).
     ///
     /// # Errors
     ///
     /// Describes the bind failure.
     pub fn bind(addr: &str) -> Result<Self, String> {
-        let listener = if addr.contains('/') {
+        let failed = |e| format!("bind {addr}: {e}");
+        if addr.contains('/') {
             #[cfg(not(unix))]
             return Err(no_unix_sockets(addr));
             #[cfg(unix)]
             {
                 let _ = std::fs::remove_file(addr);
-                std::os::unix::net::UnixListener::bind(addr).map(Self::Unix)
+                return std::os::unix::net::UnixListener::bind(addr)
+                    .map(Self::Unix)
+                    .map_err(failed);
             }
-        } else {
-            std::net::TcpListener::bind(addr).map(Self::Tcp)
         }
-        .map_err(|e| format!("bind {addr}: {e}"))?;
-        each_transport!(&listener, l => l.set_nonblocking(true))
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
-        Ok(listener)
+        std::net::TcpListener::bind(addr)
+            .map(Self::Tcp)
+            .map_err(failed)
     }
 
     /// The bound address: the resolved `host:port`, or the socket path.
@@ -815,17 +808,35 @@ impl Listener {
         }
     }
 
-    /// Accepts one pending connection; `WouldBlock` when none waits.
+    /// Blocks until a client connects, then returns its connection.
     ///
     /// # Errors
     ///
-    /// `WouldBlock` or the accept failure.
+    /// The accept failure (such as running out of descriptors).
     pub fn accept(&self) -> std::io::Result<Conn> {
         Ok(match self {
             Self::Tcp(l) => Conn::Tcp(l.accept()?.0),
             #[cfg(unix)]
             Self::Unix(l) => Conn::Unix(l.accept()?.0),
         })
+    }
+
+    /// Wakes the thread blocked in [`Listener::accept`] on the listener
+    /// bound at `bound` (its [`Listener::addr`]) with one connection of
+    /// its own. An unspecified IP (`0.0.0.0`, `::`) is reached through
+    /// the loopback address of the same family.
+    ///
+    /// # Errors
+    ///
+    /// Describes the connect failure; the listener then stays asleep.
+    pub fn wake(bound: &str) -> Result<(), String> {
+        use std::net::SocketAddr::{V4, V6};
+        let target = match bound.parse() {
+            Ok(V4(a)) if a.ip().is_unspecified() => format!("127.0.0.1:{}", a.port()),
+            Ok(V6(a)) if a.ip().is_unspecified() => format!("[::1]:{}", a.port()),
+            _ => bound.to_string(),
+        };
+        Conn::connect(&target).map(drop)
     }
 }
 
@@ -1033,6 +1044,27 @@ mod tests {
                 .min(policy.max_backoff_ms);
             assert!(ms >= cap / 2 && ms < cap.max(2), "attempt {attempt}: {ms}");
         }
+    }
+
+    #[test]
+    fn a_hinted_rejection_waits_the_hint_alone() {
+        let policy = RetryPolicy::default();
+        let mut rng = XorShift64Star::new(7);
+        // A shed with a 100 ms hint waits exactly the hint: no jittered
+        // backoff (25–50 ms on the first retry) on top of it.
+        let hinted = policy.retry_delay(0, Some(100), &mut rng);
+        assert_eq!(hinted, Duration::from_millis(100));
+        assert_eq!(
+            policy.retry_delay(0, Some(60_000), &mut rng),
+            Duration::from_millis(policy.max_backoff_ms),
+            "the hint is capped at the backoff ceiling"
+        );
+        // A connect failure carries no hint: the jittered backoff.
+        let mut fresh = XorShift64Star::new(7);
+        let unhinted = policy.retry_delay(0, None, &mut rng);
+        assert_eq!(unhinted, policy.backoff(0, &mut fresh));
+        let ms = unhinted.as_millis() as u64;
+        assert!((25..50).contains(&ms), "first backoff {ms} ms");
     }
 
     #[test]

@@ -45,12 +45,12 @@
 
 pub mod cache;
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use nanomap::artifact::versions;
@@ -141,7 +141,7 @@ struct Job {
     /// When the request line arrived — anchors end-to-end latency.
     arrived: Instant,
     /// When the job last entered the queue; queue-wait accrues from
-    /// here on every pop (admission, coalescing, preemption).
+    /// here on every pop (admission, parking, preemption).
     enqueued_at: Instant,
     /// Accrued queue-wait across all enqueues, microseconds.
     queue_us: u64,
@@ -149,6 +149,9 @@ struct Job {
     compute_us: u64,
     /// Accrued cache-lookup time, microseconds.
     cache_us: u64,
+    /// Parked behind an identical compute once already: its one
+    /// `coalesced` event is out.
+    coalesced: bool,
 }
 
 /// Counters surfaced through `ping` and [`DaemonHandle::stats`].
@@ -221,10 +224,17 @@ const SNAPSHOT_NEVER: u64 = u64::MAX;
 struct Shared {
     config: DaemonConfig,
     queue: Mutex<VecDeque<Job>>,
+    /// Wakes idle workers: a job was queued or a flag was raised.
     queue_cv: Condvar,
+    /// Wakes the drain wait in [`DaemonHandle::shutdown`]: a worker
+    /// finished a job (under the queue lock, after its `inflight`
+    /// decrement).
+    idle_cv: Condvar,
     /// SIGTERM/`shutdown` received: stop admitting, drain the queue.
+    /// Raised under the queue lock ([`Shared::raise`]).
     draining: AtomicBool,
-    /// Drain deadline passed: stop everything now.
+    /// Drain deadline passed: stop everything now. Raised under the
+    /// queue lock ([`Shared::raise`]).
     stop_now: AtomicBool,
     inflight: AtomicU64,
     served: AtomicU64,
@@ -234,8 +244,9 @@ struct Shared {
     cache_hits: AtomicU64,
     preemptions: AtomicU64,
     cache: ResultCache,
-    /// Run ids currently being computed — the thundering-herd guard.
-    computing: Mutex<HashSet<String>>,
+    /// Run ids currently being computed, each with the identical
+    /// requests parked behind it — the thundering-herd guard.
+    computing: Mutex<HashMap<String, Vec<Job>>>,
     /// Daemon start — the epoch of uptime and snapshot ages.
     start_at: Instant,
     /// Always-on latency histograms behind `stats`.
@@ -250,6 +261,17 @@ struct Shared {
 }
 
 impl Shared {
+    /// Raises `flag` under the queue lock and wakes every worker. A
+    /// worker reads the flags and waits under that lock, so it either
+    /// sees the flag or is waiting when the wakeup comes. Returns the
+    /// lock still held.
+    fn raise(&self, flag: &AtomicBool) -> MutexGuard<'_, VecDeque<Job>> {
+        let queue = self.queue.lock().unwrap();
+        flag.store(true, Ordering::SeqCst);
+        self.queue_cv.notify_all();
+        queue
+    }
+
     fn stats(&self) -> DaemonStats {
         DaemonStats {
             inflight: self.inflight.load(Ordering::Relaxed),
@@ -390,7 +412,10 @@ fn publish_service(
 pub struct DaemonHandle {
     addr: String,
     shared: Arc<Shared>,
+    /// Workers and the stats ticker.
     threads: Vec<std::thread::JoinHandle<()>>,
+    /// The listener, blocked in `accept` until [`Listener::wake`].
+    listener: std::thread::JoinHandle<()>,
     unix_socket: Option<PathBuf>,
     /// Live event capture when `events_path` is set; finished (and the
     /// bus disabled again) on shutdown.
@@ -431,49 +456,45 @@ impl DaemonHandle {
     /// (new maps get retryable `shutdown` rejections) while workers
     /// keep draining the queue.
     pub fn begin_drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        drop(self.shared.raise(&self.shared.draining));
     }
 
     /// Drains under a deadline, then stops: queued requests that miss
     /// the deadline are shed with `shutdown` rejections, in-flight
-    /// slices run to their own expiry (their checkpoints persist).
+    /// slices run to their own expiry (their checkpoints persist). The
+    /// listener, blocked in `accept`, is woken by one connection to the
+    /// daemon's own address.
     pub fn shutdown(mut self, deadline: Duration) -> DrainOutcome {
         self.begin_drain();
-        let start = Instant::now();
-        // Wait for the queue and in-flight work to drain.
-        while start.elapsed() < deadline {
-            let empty = self.shared.queue.lock().unwrap().is_empty();
-            if empty && self.shared.inflight.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
+        let shared = Arc::clone(&self.shared);
+        // Wait for the queue and in-flight work to drain; every worker
+        // that finishes a job wakes this wait.
+        let busy =
+            |q: &mut VecDeque<Job>| !q.is_empty() || shared.inflight.load(Ordering::SeqCst) > 0;
+        let queue = shared.queue.lock().unwrap();
+        drop(shared.idle_cv.wait_timeout_while(queue, deadline, busy));
+        // Shed whatever is still queued or parked behind an in-flight
+        // compute — typed, retryable, honest.
+        let mut leftover: Vec<Job> = shared.raise(&shared.stop_now).drain(..).collect();
+        for parked in shared.computing.lock().unwrap().values_mut() {
+            leftover.append(parked);
         }
-        self.shared.stop_now.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
-        // Shed whatever is still queued — typed, retryable, honest.
-        let leftover: Vec<Job> = self.shared.queue.lock().unwrap().drain(..).collect();
         let shed_at_deadline = leftover.len();
-        for mut job in leftover {
-            // Queue-wait accrues up to the moment of the shed, so the
-            // deadline sheds stay visible in the segment histograms.
-            job.queue_us += job.enqueued_at.elapsed().as_micros() as u64;
-            job.finish(
-                &self.shared,
-                Reply::error(
-                    code::SHUTDOWN,
-                    "daemon stopped before this request ran",
-                    Some(1_000),
-                ),
-            );
+        for job in leftover {
+            job.shed_at_stop(&shared);
+        }
+        // A listener that cannot be woken stays blocked in `accept`:
+        // detach it rather than wait on it forever.
+        if Listener::wake(&self.addr).is_ok() {
+            let _ = self.listener.join();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        if self.shared.config.stats_interval_ms > 0 {
+        if shared.config.stats_interval_ms > 0 {
             // Final crash-safe snapshot so post-mortems see the last
             // counters even when the interval never elapsed.
-            persist_stats(&self.shared);
+            persist_stats(&shared);
         }
         if let Some(events) = self.events.take() {
             let _ = events.finish();
@@ -482,7 +503,7 @@ impl DaemonHandle {
             let _ = std::fs::remove_file(path);
         }
         DrainOutcome {
-            clean: shed_at_deadline == 0 && self.shared.inflight.load(Ordering::SeqCst) == 0,
+            clean: shed_at_deadline == 0 && shared.inflight.load(Ordering::SeqCst) == 0,
             shed_at_deadline,
         }
     }
@@ -520,6 +541,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, String> {
         config: config.clone(),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
+        idle_cv: Condvar::new(),
         draining: AtomicBool::new(false),
         stop_now: AtomicBool::new(false),
         inflight: AtomicU64::new(0),
@@ -530,7 +552,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, String> {
         cache_hits: AtomicU64::new(0),
         preemptions: AtomicU64::new(0),
         cache,
-        computing: Mutex::new(HashSet::new()),
+        computing: Mutex::new(HashMap::new()),
         start_at: Instant::now(),
         latency: ServiceLatency::new(),
         last_snapshot_ms: AtomicU64::new(SNAPSHOT_NEVER),
@@ -539,32 +561,39 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, String> {
     });
     let mut threads = Vec::new();
     for i in 0..config.workers.max(1) {
-        let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("nanomapd-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-                .map_err(|e| format!("spawning worker: {e}"))?,
-        );
+        threads.push(spawn(format!("nanomapd-worker-{i}"), &shared, worker_loop)?);
     }
     if config.stats_interval_ms > 0 {
-        let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("nanomapd-ticker".into())
-                .spawn(move || ticker_loop(&shared))
-                .map_err(|e| format!("spawning ticker: {e}"))?,
-        );
+        threads.push(spawn("nanomapd-ticker".into(), &shared, ticker_loop)?);
     }
-    let (addr, listener_thread, unix_socket) = spawn_listener(&config.addr, Arc::clone(&shared))?;
-    threads.push(listener_thread);
+    let listener = Listener::bind(&config.addr)?;
+    let addr = listener.addr();
+    let unix_socket = (!matches!(listener, Listener::Tcp(_))).then(|| PathBuf::from(&addr));
+    let listener = spawn("nanomapd-listener".into(), &shared, move |s| {
+        listen(&listener, s)
+    })?;
     Ok(DaemonHandle {
         addr,
         shared,
         threads,
+        listener,
         unix_socket,
         events,
     })
+}
+
+/// Spawns the daemon thread `name`, running `body` on the shared state.
+fn spawn(
+    name: String,
+    shared: &Arc<Shared>,
+    body: impl FnOnce(&Arc<Shared>) + Send + 'static,
+) -> Result<std::thread::JoinHandle<()>, String> {
+    let shared = Arc::clone(shared);
+    let failed = |e| format!("spawning {name}: {e}");
+    std::thread::Builder::new()
+        .name(name.clone())
+        .spawn(move || body(&shared))
+        .map_err(failed)
 }
 
 /// The lightweight sampling ticker: persists a `nanomapd-stats-v1`
@@ -589,35 +618,26 @@ fn ticker_loop(shared: &Arc<Shared>) {
 // Listener + per-connection admission.
 // ---------------------------------------------------------------------
 
-fn spawn_listener(
-    addr: &str,
-    shared: Arc<Shared>,
-) -> Result<(String, std::thread::JoinHandle<()>, Option<PathBuf>), String> {
-    let listener = Listener::bind(addr)?;
-    let bound = listener.addr();
-    let unix_socket = (!matches!(listener, Listener::Tcp(_))).then(|| PathBuf::from(&bound));
-    let thread = std::thread::Builder::new()
-        .name("nanomapd-listener".into())
-        .spawn(move || {
-            while !shared.stop_now.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok(conn) => spawn_connection(conn, &shared),
-                    // Nothing pending (`WouldBlock`) or a transient failure.
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                }
+/// The listener thread: blocks in `accept` until a client connects, and
+/// exits on the first accept that sees `stop_now` (the shutdown wake).
+fn listen(listener: &Listener, shared: &Arc<Shared>) {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop_now.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            // Connection threads are detached: each is bounded by the
+            // read timeout, so they cannot accumulate past the arrival rate.
+            Ok(conn) => {
+                let _ = spawn("nanomapd-conn".into(), shared, |s| {
+                    handle_connection(conn, s)
+                });
             }
-        })
-        .map_err(|e| format!("spawning listener: {e}"))?;
-    Ok((bound, thread, unix_socket))
-}
-
-fn spawn_connection(conn: Conn, shared: &Arc<Shared>) {
-    let shared = Arc::clone(shared);
-    // Connection threads are detached: each is bounded by the read
-    // timeout, so they cannot accumulate past the arrival rate.
-    let _ = std::thread::Builder::new()
-        .name("nanomapd-conn".into())
-        .spawn(move || handle_connection(conn, &shared));
+            // A persistent failure (out of descriptors) must not spin.
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    }
 }
 
 fn handle_connection(mut conn: Conn, shared: &Arc<Shared>) {
@@ -680,8 +700,7 @@ fn handle_connection(mut conn: Conn, shared: &Arc<Shared>) {
             let _ = send_line(&mut conn, &line);
         }
         Request::Shutdown => {
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.queue_cv.notify_all();
+            drop(shared.raise(&shared.draining));
             let _ = send_line(&mut conn, &render_lifecycle("draining", "-", None, None));
         }
         Request::Map(map) => admit(map, arrived, conn, shared),
@@ -741,6 +760,7 @@ fn admit(request: MapRequest, arrived: Instant, mut conn: Conn, shared: &Arc<Sha
         queue_us: 0,
         compute_us: 0,
         cache_us: 0,
+        coalesced: false,
     });
     drop(queue);
     shared.queue_cv.notify_one();
@@ -756,38 +776,32 @@ fn retry_hint_ms(depth: usize) -> u64 {
 // ---------------------------------------------------------------------
 
 fn worker_loop(shared: &Arc<Shared>) {
+    let raised = |flag: &AtomicBool| flag.load(Ordering::SeqCst);
+    let idle = |queue: &mut VecDeque<Job>| {
+        queue.is_empty() && !raised(&shared.draining) && !raised(&shared.stop_now)
+    };
     loop {
-        let job = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if shared.stop_now.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(job) = queue.pop_front() {
-                    // Inflight goes up while the queue lock is held, so
-                    // "queue empty && inflight == 0" can never observe a
-                    // job in the gap between pop and serve.
-                    shared.inflight.fetch_add(1, Ordering::SeqCst);
-                    break Some(job);
-                }
-                if shared.draining.load(Ordering::SeqCst) {
-                    // Draining and the queue is empty: this worker is done.
-                    return;
-                }
-                let (q, _timeout) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = q;
-            }
-        };
-        if let Some(mut job) = job {
-            // Queue-wait accrues per residence: admission, coalescing
-            // backoffs and preemption re-enqueues all count.
-            job.queue_us += job.enqueued_at.elapsed().as_micros() as u64;
-            serve(job, shared);
-            shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        let queue = shared.queue.lock().unwrap();
+        let mut queue = shared.queue_cv.wait_while(queue, idle).unwrap();
+        // Stopped, or draining with the queue empty: this worker is done.
+        if raised(&shared.stop_now) {
+            return;
         }
+        let Some(mut job) = queue.pop_front() else {
+            return;
+        };
+        // Inflight goes up while the queue lock is held, so "queue empty
+        // && inflight == 0" can never observe a job in the gap between
+        // pop and serve.
+        shared.inflight.fetch_add(1, Ordering::SeqCst);
+        drop(queue);
+        // Queue-wait accrues per residence: admission, parking behind
+        // an identical compute and preemption re-enqueues all count.
+        job.queue_us += job.enqueued_at.elapsed().as_micros() as u64;
+        serve(job, shared);
+        let _queue = shared.queue.lock().unwrap();
+        shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        shared.idle_cv.notify_all();
     }
 }
 
@@ -798,8 +812,8 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
     let id = job.request.id.clone();
     let trace = job.trace.clone();
     // Announced only once the job actually progresses (cache hit or
-    // compute-slot claim): a coalescing re-enqueue must stay silent or
-    // the client would count a resume with no matching preemption.
+    // compute-slot claim): a parked duplicate must stay silent or the
+    // client would count a resume with no matching preemption.
     let first_line = if job.attempts == 0 {
         "started"
     } else {
@@ -859,23 +873,11 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
     }
 
     // Thundering-herd guard: a second identical request arriving while
-    // the first is still computing waits its turn in the queue and is
-    // then served from the cache, byte-identical, instead of burning a
-    // worker on a duplicate mapping.
-    let _slot = match ComputeSlot::claim(shared, &run_id) {
-        Some(slot) => slot,
-        None => {
-            publish_service(&trace, &id, "coalesced", Some(&run_id), None, None, None);
-            // The coalescing backoff counts as queue-wait: the clock
-            // starts before the sleep, so the sleep is attributed.
-            job.enqueued_at = Instant::now();
-            std::thread::sleep(Duration::from_millis(10));
-            let mut queue = shared.queue.lock().unwrap();
-            queue.push_back(job);
-            drop(queue);
-            shared.queue_cv.notify_one();
-            return;
-        }
+    // the first is still computing parks behind it, off every worker,
+    // and is then served from the cache, byte-identical, instead of
+    // burning a worker on a duplicate mapping.
+    let Some((_slot, mut job)) = ComputeSlot::claim(shared, &run_id, job) else {
+        return;
     };
     publish_service(&trace, &id, first_line, Some(&run_id), None, None, None);
     let _ = send_line(
@@ -994,9 +996,7 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
                 return job.finish(shared, Reply::error(code::SHUTDOWN, detail, Some(1_000)));
             }
             job.enqueued_at = Instant::now();
-            let mut queue = shared.queue.lock().unwrap();
-            queue.push_back(job);
-            drop(queue);
+            shared.queue.lock().unwrap().push_back(job);
             shared.queue_cv.notify_one();
         }
         Ok(Err(err)) => job.finish(shared, Reply::error(code::FAILED, &err.to_string(), None)),
@@ -1005,29 +1005,58 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
 
 /// Ownership of "this worker computes run X": claimed before a mapping
 /// run, released on every exit path by `Drop` (including panics caught
-/// by the worker's `catch_unwind`).
+/// by the worker's `catch_unwind`). Release re-queues the requests
+/// parked behind it. It drops inside [`serve`], before the worker's
+/// `inflight` decrement, so "queue empty && inflight == 0" still means
+/// drained.
 struct ComputeSlot<'a> {
     shared: &'a Shared,
     run_id: String,
 }
 
 impl<'a> ComputeSlot<'a> {
-    fn claim(shared: &'a Shared, run_id: &str) -> Option<Self> {
-        shared
-            .computing
-            .lock()
-            .unwrap()
-            .insert(run_id.to_string())
-            .then(|| Self {
-                shared,
-                run_id: run_id.to_string(),
-            })
+    /// Claims `run_id` for `job`, or parks `job` behind the request
+    /// already computing it (`None`). A parked job publishes one
+    /// `coalesced` event, and its wait accrues as queue-wait.
+    fn claim(shared: &'a Shared, run_id: &str, mut job: Job) -> Option<(Self, Job)> {
+        let mut computing = shared.computing.lock().unwrap();
+        if let Some(parked) = computing.get_mut(run_id) {
+            if !job.coalesced {
+                job.coalesced = true;
+                let (trace, id) = (&job.trace, &job.request.id);
+                publish_service(trace, id, "coalesced", Some(run_id), None, None, None);
+            }
+            job.enqueued_at = Instant::now();
+            parked.push(job);
+            return None;
+        }
+        computing.insert(run_id.to_string(), Vec::new());
+        let run_id = run_id.to_string();
+        Some((Self { shared, run_id }, job))
     }
 }
 
 impl Drop for ComputeSlot<'_> {
+    /// Appends the parked jobs to the back of the queue, behind a
+    /// preempted owner that already re-queued itself; once the daemon
+    /// stops they are shed like the deadline's leftovers.
     fn drop(&mut self) {
-        self.shared.computing.lock().unwrap().remove(&self.run_id);
+        let shared = self.shared;
+        let parked = shared.computing.lock().unwrap().remove(&self.run_id);
+        let parked = parked.unwrap_or_default();
+        if parked.is_empty() {
+            return;
+        }
+        let mut queue = shared.queue.lock().unwrap();
+        if !shared.stop_now.load(Ordering::SeqCst) {
+            queue.extend(parked);
+            shared.queue_cv.notify_all();
+            return;
+        }
+        drop(queue);
+        for job in parked {
+            job.shed_at_stop(shared);
+        }
     }
 }
 
@@ -1148,6 +1177,15 @@ impl Job {
             reply,
         };
         finish(shared, self.conn, outcome);
+    }
+
+    /// Sheds a job the stop left unserved with a retryable `shutdown`
+    /// rejection. Queue-wait accrues up to the moment of the shed, so
+    /// these sheds stay visible in the segment histograms.
+    fn shed_at_stop(mut self, shared: &Shared) {
+        self.queue_us += self.enqueued_at.elapsed().as_micros() as u64;
+        let detail = "daemon stopped before this request ran";
+        self.finish(shared, Reply::error(code::SHUTDOWN, detail, Some(1_000)));
     }
 }
 

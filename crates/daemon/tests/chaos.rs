@@ -10,8 +10,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 use nanomap::service::{code, MapRequest, Response};
 use nanomap::{submit_with_retry, RetryPolicy, Submission};
@@ -238,6 +238,48 @@ fn concurrent_identical_requests_coalesce_into_one_compute() {
     );
     assert_eq!(handle.stats().cache_hits, 2);
     handle.shutdown(Duration::from_secs(30));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The duplicate parks behind the compute it waits for instead of
+/// cycling through the queue: one `coalesced` event per waiting
+/// request, not one per retry.
+#[test]
+fn coalesced_duplicate_waits_once() {
+    let _guard = suite_lock();
+    let (handle, dir) = daemon("waitonce", |c| {
+        c.workers = 2;
+        c.events_path = Some(c.state_dir.parent().unwrap().join("events.ndjson"));
+    });
+    let traces = ["0000000000000a01", "0000000000000a02"];
+    let threads: Vec<_> = traces
+        .iter()
+        .map(|&trace| {
+            let addr = handle.addr().to_string();
+            std::thread::spawn(move || {
+                let mut req = MapRequest::for_path(format!("dup-{trace}"), heavy_design_path());
+                req.trace_id = Some(trace.into());
+                submit(&addr, &req)
+            })
+        })
+        .collect();
+    let results: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    for sub in &results {
+        assert!(sub.result.ok, "coalesced request failed: {:?}", sub.result);
+        assert_eq!(sub.result.report_text, results[0].result.report_text);
+    }
+    let ledger = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
+    assert_eq!(ledger.lines().count(), 1, "one mapping ran");
+    assert_eq!(handle.stats().cache_hits, 1);
+    handle.shutdown(Duration::from_secs(30));
+
+    let text = std::fs::read_to_string(dir.join("events.ndjson")).unwrap();
+    let coalesced = traces
+        .iter()
+        .flat_map(|trace| nanomap::runs::trace_timeline(&text, trace))
+        .filter(|e| e.stage == "coalesced")
+        .count();
+    assert_eq!(coalesced, 1, "the waiting request publishes one event");
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -916,6 +958,88 @@ fn one_trace_id_links_submit_service_events_and_the_ledger() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+fn ping_line() -> String {
+    format!(
+        "{{\"schema\":\"{}\",\"op\":\"ping\"}}",
+        nanomap::SERVICE_SCHEMA
+    )
+}
+
+/// The listener blocks in `accept`, so a request is taken the moment it
+/// connects. A 10 ms accept poll makes 50 sequential pings last about
+/// half a second.
+#[test]
+fn sequential_pings_do_not_wait_for_a_poll_tick() {
+    let _guard = suite_lock();
+    let (handle, dir) = daemon("pings", |c| c.stats_interval_ms = 0);
+    let ping = ping_line();
+    let start = Instant::now();
+    for _ in 0..50 {
+        let lines = raw_exchange(handle.addr(), &ping);
+        let reply = Response::parse(lines.last().unwrap()).unwrap();
+        assert!(matches!(reply, Response::Pong { .. }), "{reply:?}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "50 sequential pings took {elapsed:?}"
+    );
+    handle.shutdown(Duration::from_secs(5));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Shutdown wakes the listener blocked in `accept` on every kind of
+/// bind, the unspecified IP included. A watchdog turns a listener that
+/// is never woken into a failure instead of a hung suite.
+#[test]
+fn idle_daemon_shuts_down_promptly() {
+    let _guard = suite_lock();
+    let socket_dir = temp_dir("idle-unix");
+    let socket = socket_dir.join("nanomapd.sock");
+    let mut addrs = vec!["127.0.0.1:0".to_string(), "0.0.0.0:0".to_string()];
+    if cfg!(unix) {
+        addrs.push(socket.to_string_lossy().into_owned());
+    }
+    for (i, addr) in addrs.into_iter().enumerate() {
+        let (handle, dir) = daemon(&format!("idle-{i}"), |c| c.addr = addr.clone());
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(handle.shutdown(Duration::from_secs(5)));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("shutdown of an idle daemon on {addr} hung"));
+        assert!(outcome.clean, "{addr}: {outcome:?}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    assert!(!socket.exists(), "the socket file is removed at shutdown");
+    let _ = std::fs::remove_dir_all(socket_dir);
+}
+
+/// A listener that cannot be woken (its socket file is gone, so the
+/// wake cannot connect) is detached, not joined: shutdown still returns.
+#[cfg(unix)]
+#[test]
+fn unwakeable_listener_is_detached_not_joined() {
+    let _guard = suite_lock();
+    let socket_dir = temp_dir("unwakeable");
+    let socket = socket_dir.join("nanomapd.sock");
+    let (handle, dir) = daemon("unwakeable-state", |c| {
+        c.addr = socket.to_string_lossy().into_owned();
+    });
+    std::fs::remove_file(&socket).unwrap();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handle.shutdown(Duration::from_secs(5)));
+    });
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown waited on a listener it could not wake");
+    assert!(outcome.clean, "{outcome:?}");
+    let _ = std::fs::remove_dir_all(dir);
+    let _ = std::fs::remove_dir_all(socket_dir);
+}
+
 #[test]
 fn binary_rejects_bad_flags_with_a_usage_error() {
     for argv in [&["--workers", "x"][..], &["--workers", "0"], &["--bogus"]] {
@@ -937,10 +1061,7 @@ fn binary_rejects_bad_flags_with_a_usage_error() {
 fn ping_reports_uptime_version_drain_state_and_snapshot_age() {
     let _guard = suite_lock();
     let (handle, dir) = daemon("health", |c| c.stats_interval_ms = 50);
-    let ping = format!(
-        "{{\"schema\":\"{}\",\"op\":\"ping\"}}",
-        nanomap::SERVICE_SCHEMA
-    );
+    let ping = ping_line();
     // Give the ticker time to persist at least one snapshot.
     std::thread::sleep(Duration::from_millis(250));
     let lines = raw_exchange(handle.addr(), &ping);
