@@ -19,10 +19,10 @@
 use nanomap_arch::{ArchParams, ChannelConfig, TimingModel, WireType};
 use nanomap_observe::JsonValue;
 use nanomap_pack::{OccupancyMap, Packing, Slice, SliceNets, TemporalDesign};
-use nanomap_place::{estimate_demand_grid, DemandGrid, Placement};
+use nanomap_place::{estimate_demand_grid, DemandGrid, EdgeSource, Placement};
 use nanomap_route::{
-    net_delays, segment_breakdowns, tally_congestion, trace_critical_paths, CongestionGrid,
-    CriticalPathReport, HopSource, RoutedDesign, SegmentBreakdown, TracedPath,
+    tally_congestion, trace_critical_paths, CongestionGrid, CriticalPathReport, RoutedDesign,
+    SegmentBreakdown, TracedPath,
 };
 
 use crate::report::UsageReport;
@@ -72,10 +72,7 @@ impl ExplainReport {
         arch: &ArchParams,
         top_k: usize,
     ) -> Self {
-        let delays = net_delays(&routed.graph, timing, &routed.routes);
-        let breakdowns = segment_breakdowns(&routed.graph, timing, &routed.routes);
-        let paths =
-            trace_critical_paths(design, packing, &delays, &breakdowns, timing, arch, top_k);
+        let paths = trace_critical_paths(design, packing, routed, timing, arch, top_k);
         let congestion = tally_congestion(&routed.graph, &routed.routes);
         let demand = estimate_demand_grid(placement.grid, channels, nets, &placement.pos_of);
         let occupancy = OccupancyMap::build(design, packing, arch);
@@ -293,10 +290,10 @@ fn hop_line(hop: &nanomap_route::PathHop) -> String {
         .map(|n| format!("({n})"))
         .unwrap_or_default();
     let src = match hop.source {
-        HopSource::Primary => "primary".to_string(),
-        HopSource::Lut { lut, smb } => format!("{lut}@smb{smb}"),
-        HopSource::Stored { producer, smb } => format!("stored[{producer}]@smb{smb}"),
-        HopSource::Ff { ff, smb } => format!("{ff}@smb{smb}"),
+        EdgeSource::Primary => "primary".to_string(),
+        EdgeSource::Lut { lut, smb } => format!("{lut}@smb{smb}"),
+        EdgeSource::Stored { producer, smb } => format!("stored[{producer}]@smb{smb}"),
+        EdgeSource::Ff { ff, smb } => format!("{ff}@smb{smb}"),
     };
     let wires = hop.wires.as_ref().map(wire_summary).unwrap_or_default();
     format!(
@@ -369,16 +366,16 @@ fn path_json(path: &TracedPath) -> JsonValue {
                     .iter()
                     .map(|hop| {
                         let source = match hop.source {
-                            HopSource::Primary => JsonValue::object().with("kind", "primary"),
-                            HopSource::Lut { lut, smb } => JsonValue::object()
+                            EdgeSource::Primary => JsonValue::object().with("kind", "primary"),
+                            EdgeSource::Lut { lut, smb } => JsonValue::object()
                                 .with("kind", "lut")
                                 .with("lut", lut.index() as u64)
                                 .with("smb", smb),
-                            HopSource::Stored { producer, smb } => JsonValue::object()
+                            EdgeSource::Stored { producer, smb } => JsonValue::object()
                                 .with("kind", "stored")
                                 .with("producer", producer.index() as u64)
                                 .with("smb", smb),
-                            HopSource::Ff { ff, smb } => JsonValue::object()
+                            EdgeSource::Ff { ff, smb } => JsonValue::object()
                                 .with("kind", "ff")
                                 .with("ff", ff.index() as u64)
                                 .with("smb", smb),

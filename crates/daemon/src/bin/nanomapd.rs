@@ -10,10 +10,12 @@
 //! `--drain-deadline-ms`.
 //!
 //! Exit codes:
-//! - `0` — clean drain: every admitted request was answered.
+//! - `0` — clean drain: every admitted request was answered before
+//!   the deadline.
 //! - `1` — hard error: bad flags, bind failure, unwritable state dir.
-//! - `4` — degraded drain: the deadline shed admitted requests
-//!   (each got a retryable `shutdown` rejection first).
+//! - `4` — degraded drain: the deadline passed with work left. Queued
+//!   requests were shed (each got a retryable `shutdown` rejection
+//!   first); mappings still running were answered after it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -46,7 +48,7 @@ const FLAGS: &[Flag] = &[
 static NANOMAPD: Command = Command {
     name: "nanomapd",
     operands: "",
-    about: "exit codes: 0 clean drain, 1 hard error, 4 degraded drain (shed at deadline)",
+    about: "exit codes: 0 clean drain, 1 hard error, 4 degraded drain (work left at deadline)",
     flags: &[FLAGS],
 };
 
@@ -123,7 +125,7 @@ fn serve(args: Args) -> Result<ExitCode, Error> {
         Ok(ExitCode::from(exit::CLEAN))
     } else {
         eprintln!(
-            "nanomapd: degraded drain, {} request(s) shed at deadline",
+            "nanomapd: degraded drain, deadline passed with work left; {} request(s) shed",
             outcome.shed_at_deadline
         );
         Ok(ExitCode::from(exit::DEGRADED))

@@ -425,7 +425,9 @@ pub struct DaemonHandle {
 /// What a graceful shutdown achieved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainOutcome {
-    /// Every admitted request was answered before the deadline.
+    /// Every admitted request was answered before the deadline: the
+    /// drain wait ended with nothing queued or in flight, and nothing
+    /// was shed.
     pub clean: bool,
     /// Requests shed with `shutdown` rejections at the deadline.
     pub shed_at_deadline: usize,
@@ -472,7 +474,13 @@ impl DaemonHandle {
         let busy =
             |q: &mut VecDeque<Job>| !q.is_empty() || shared.inflight.load(Ordering::SeqCst) > 0;
         let queue = shared.queue.lock().unwrap();
-        drop(shared.idle_cv.wait_timeout_while(queue, deadline, busy));
+        let (queue, wait) = shared
+            .idle_cv
+            .wait_timeout_while(queue, deadline, busy)
+            .unwrap();
+        // The wait ends early only once nothing is queued or in flight.
+        let drained = !wait.timed_out();
+        drop(queue);
         // Shed whatever is still queued or parked behind an in-flight
         // compute — typed, retryable, honest.
         let mut leftover: Vec<Job> = shared.raise(&shared.stop_now).drain(..).collect();
@@ -503,7 +511,7 @@ impl DaemonHandle {
             let _ = std::fs::remove_file(path);
         }
         DrainOutcome {
-            clean: shed_at_deadline == 0 && shared.inflight.load(Ordering::SeqCst) == 0,
+            clean: drained && shed_at_deadline == 0,
             shed_at_deadline,
         }
     }
@@ -1200,9 +1208,11 @@ fn send_line(conn: &mut dyn Write, line: &str) -> std::io::Result<()> {
 
 /// Exit codes the `nanomapd` binary documents and tests rely on.
 pub mod exit {
-    /// Clean shutdown: every admitted request was answered.
+    /// Clean shutdown: every admitted request was answered before the
+    /// deadline.
     pub const CLEAN: u8 = 0;
-    /// Drained under protest: the deadline shed admitted requests.
+    /// Drained under protest: the deadline passed with requests still
+    /// queued (shed) or running (answered after it).
     pub const DEGRADED: u8 = 4;
 }
 

@@ -634,6 +634,33 @@ fn draining_daemon_rejects_new_work_with_a_retryable_shutdown_code() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A mapping still running when the drain deadline passes is answered,
+/// but the drain is not clean: the deadline did not see it finish.
+#[test]
+fn deadline_passing_a_running_mapping_is_not_a_clean_drain() {
+    let _guard = suite_lock();
+    let (handle, dir) = daemon("inflightdrain", |c| c.workers = 1);
+    let addr = handle.addr().to_string();
+    let client = std::thread::spawn(move || {
+        submit(&addr, &MapRequest::for_path("heavy", heavy_design_path()))
+    });
+    let start = Instant::now();
+    while handle.stats().inflight == 0 {
+        assert!(start.elapsed() < Duration::from_secs(30), "never in flight");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let outcome = handle.shutdown(Duration::from_millis(1));
+    assert!(!outcome.clean, "{outcome:?}");
+    assert_eq!(outcome.shed_at_deadline, 0);
+    let sub = client.join().unwrap();
+    assert!(
+        sub.result.ok,
+        "the running mapping is answered: {:?}",
+        sub.result
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 struct SpawnedDaemon {
     child: Child,
     addr: String,

@@ -16,25 +16,31 @@
 //! * [`anneal`] — the VPR-style adaptive annealer, under a slot legality
 //!   mask and a cancel token;
 //! * [`estimate_routability`] — RISA \[17\];
-//! * [`estimate_delay`] — distance-based pre-route timing.
+//! * [`analyze_timing`] — the one longest-path timing pass, shared with
+//!   the router: the caller passes the hop delay in, and
+//!   [`estimate_delay`] passes the distance-based pre-route estimate.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod adopt;
 mod anneal;
 mod cost;
-mod delay;
 mod error;
 mod place;
 mod routability;
+mod timing;
 
 pub use adopt::{adopt_assignment, AdoptError};
 pub use anneal::{anneal, AnnealSchedule};
 pub use cost::{flatten_nets, net_hpwl, total_cost, CostWeights, FlatNet};
-pub use delay::{estimate_delay, wire_delay_estimate, DelayEstimate};
 pub use error::PlaceError;
 pub use place::{place_with_defects, place_with_defects_budgeted, PlaceOptions, Placement};
 pub use routability::{
     estimate_demand_grid, estimate_routability, risa_q, DemandGrid, RoutabilityReport,
     ROUTABLE_THRESHOLD,
+};
+pub use timing::{
+    analyze_timing, estimate_delay, input_edges, wire_delay_estimate, CircuitTiming, EdgeSource,
+    InputEdge,
 };

@@ -7,12 +7,12 @@ use nanomap_arch::{ArchParams, ChannelConfig, ConfigBitmap, DefectMap, RrGraph, 
 use nanomap_observe::span;
 use nanomap_observe::{Anytime, CancelToken, Degradation};
 use nanomap_pack::{Packing, Slice, SliceNets, TemporalDesign};
-use nanomap_place::Placement;
+use nanomap_place::{analyze_timing, CircuitTiming, Placement};
 
 use crate::bitmap::generate_bitmap;
 use crate::error::RouteError;
 use crate::pathfinder::{route_slice, RouteOptions, RoutedNet};
-use crate::timing::{analyze, net_delays, RoutedTiming};
+use crate::timing::{net_delays, routed_hop, NetDelays};
 use crate::usage::{tally_usage, InterconnectUsage};
 
 /// A fully routed design.
@@ -26,8 +26,13 @@ pub struct RoutedDesign {
     pub routes: HashMap<Slice, Vec<RoutedNet>>,
     /// Interconnect usage counters.
     pub usage: InterconnectUsage,
+    /// Routed delay of every connection, as post-route timing charged it.
+    pub(crate) delays: NetDelays,
+    /// Post-route arrival of every LUT output (ns into its folding
+    /// cycle, indexed by `LutId::index`).
+    pub(crate) arrivals: Vec<f64>,
     /// Post-route timing.
-    pub timing: RoutedTiming,
+    pub timing: CircuitTiming,
     /// The generated configuration bitmap.
     pub bitmap: ConfigBitmap,
     /// Wall-clock milliseconds spent generating the bitmap (the flow
@@ -117,7 +122,8 @@ pub fn route_design_budgeted(
     }
     let usage = tally_usage(&graph, &routes);
     let delays = net_delays(&graph, timing_model, &routes);
-    let timing = analyze(design, packing, &delays, timing_model, arch);
+    let hop = routed_hop(design, packing, &delays, timing_model, arch);
+    let (timing, arrivals) = analyze_timing(design, packing, timing_model, hop);
     let bitmap_start = std::time::Instant::now();
     let bitmap = {
         let _span = span!("bitmap", slices = design.num_slices());
@@ -134,6 +140,8 @@ pub fn route_design_budgeted(
         graph,
         routes,
         usage,
+        delays,
+        arrivals,
         timing,
         bitmap,
         bitmap_ms,
@@ -159,7 +167,7 @@ pub fn route_design_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explain::{segment_breakdowns, trace_critical_paths};
+    use crate::explain::trace_critical_paths;
     use nanomap_netlist::rtl::{CombOp, RtlBuilder};
     use nanomap_netlist::PlaneSet;
     use nanomap_pack::{extract_nets, pack, PackOptions};
@@ -229,10 +237,7 @@ mod tests {
         }
         // Critical path: non-empty, single-slice, monotone arrivals ending
         // at the worst slice path.
-        let delays = net_delays(&routed.graph, &timing, &routed.routes);
-        let breakdowns = segment_breakdowns(&routed.graph, &timing, &routed.routes);
-        let report =
-            trace_critical_paths(&design, &packing, &delays, &breakdowns, &timing, &arch, 1);
+        let report = trace_critical_paths(&design, &packing, &routed, &timing, &arch, 1);
         let worst = &report.paths[0];
         assert!(!worst.hops.is_empty());
         let mut last = 0.0;

@@ -6,21 +6,23 @@
 //! contributes), and each folding cycle gets its K worst post-route paths
 //! traced LUT by LUT with per-hop interconnect and logic delays.
 //!
-//! The tracer consumes the same [`input_edges`] recurrence the timing
-//! analyzer uses, and builds per-hop delays as telescoping arrival
-//! differences, so the hops of a traced path sum *exactly* (modulo f64
-//! rounding) to the arrival of its endpoint — and the top-1 path sums to
+//! The tracer reads the arrivals the router's timing pass kept and walks
+//! back through the same [`input_edges`] classifier and routed hop, so
+//! the hops of a traced path sum *exactly* (modulo f64 rounding) to the
+//! arrival of its endpoint — and the top-1 path sums to
 //! `max_slice_path`, which ties it to `routed_delay_ns` through the
 //! identity `(path + reconfiguration + clocking) * num_slices`.
 
 use std::collections::HashMap;
 
 use nanomap_arch::{ArchParams, RrGraph, TimingModel, WireType};
-use nanomap_netlist::{FfId, LutId};
+use nanomap_netlist::LutId;
 use nanomap_pack::{Packing, Slice, TemporalDesign};
+use nanomap_place::{input_edges, EdgeSource, InputEdge};
 
+use crate::driver::RoutedDesign;
 use crate::pathfinder::RoutedNet;
-use crate::timing::{compute_arrivals, input_edges, EdgeSource, InputEdge, NetDelays};
+use crate::timing::routed_hop;
 
 /// Per-tier decomposition of one routed connection's delay.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -101,19 +103,16 @@ impl SegmentBreakdown {
 
 /// Segment breakdown of every (slice, driver SMB, sink SMB) connection.
 ///
-/// Mirrors [`crate::net_delays`]: when several routed paths serve the same
+/// Mirrors `net_delays`: when several routed paths serve the same
 /// connection, the breakdown of the slowest one is kept (ties broken
 /// deterministically by hop-count key), so `total_ns` matches the delay
 /// the timing analyzer charges for that hop.
-pub type SegmentBreakdowns = HashMap<(Slice, u32, u32), SegmentBreakdown>;
-
-/// Computes per-connection segment breakdowns from the per-slice routing.
-pub fn segment_breakdowns(
+fn segment_breakdowns(
     graph: &RrGraph,
     timing: &TimingModel,
     routes: &HashMap<Slice, Vec<RoutedNet>>,
-) -> SegmentBreakdowns {
-    let mut out = SegmentBreakdowns::new();
+) -> HashMap<(Slice, u32, u32), SegmentBreakdown> {
+    let mut out = HashMap::new();
     for (&slice, nets) in routes {
         for net in nets {
             for (sink_idx, &sink) in net.sinks.iter().enumerate() {
@@ -131,7 +130,7 @@ pub fn segment_breakdowns(
                         None => prev_was_wire = false,
                     }
                 }
-                let slot = out.entry((slice, net.driver, sink)).or_default();
+                let slot: &mut SegmentBreakdown = out.entry((slice, net.driver, sink)).or_default();
                 let better = b.total_ns() > slot.total_ns()
                     || (b.total_ns() == slot.total_ns() && b.key() < slot.key());
                 if better {
@@ -141,35 +140,6 @@ pub fn segment_breakdowns(
         }
     }
     out
-}
-
-/// What fed a path hop's LUT input on the traced path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HopSource {
-    /// Primary input or constant: the path starts here with no
-    /// interconnect charge.
-    Primary,
-    /// Same-slice combinational fanin (the previous hop of the path).
-    Lut {
-        /// Producing LUT.
-        lut: LutId,
-        /// SMB the signal leaves.
-        smb: u32,
-    },
-    /// Read of a value stored in NRAM across folding cycles.
-    Stored {
-        /// LUT that produced the stored value (in an earlier slice).
-        producer: LutId,
-        /// SMB the stored value is read from.
-        smb: u32,
-    },
-    /// Read of an architectural flip-flop.
-    Ff {
-        /// The flip-flop.
-        ff: FfId,
-        /// SMB the flip-flop lives in.
-        smb: u32,
-    },
 }
 
 /// One hop of a traced path: an interconnect edge into a LUT plus the
@@ -183,7 +153,7 @@ pub struct PathHop {
     /// SMB the LUT is packed into.
     pub smb: u32,
     /// What drove the critical input of this LUT.
-    pub source: HopSource,
+    pub source: EdgeSource,
     /// Interconnect delay of the edge into this LUT (ns; 0 for primaries).
     pub interconnect_ns: f64,
     /// Logic delay of the LUT itself (ns).
@@ -212,15 +182,6 @@ pub struct TracedPath {
     pub slack_ns: f64,
 }
 
-impl TracedPath {
-    /// The endpoint LUT (last hop).
-    pub fn endpoint(&self) -> &PathHop {
-        self.hops
-            .last()
-            .expect("traced paths have at least one hop")
-    }
-}
-
 /// K worst post-route paths per folding cycle, with the identity that
 /// ties them to the headline delay.
 #[derive(Debug, Clone, PartialEq)]
@@ -247,84 +208,53 @@ pub struct CriticalPathReport {
 /// `upstream + hop` over all inputs, matching the forward recurrence
 /// exactly), stopping at a primary input, a stored-value read or a
 /// flip-flop read. Per-hop delays telescope: they sum to the endpoint
-/// arrival with no residual.
+/// arrival with no residual. The arrivals and headline timing are the
+/// ones `routed` kept; the wire breakdowns are computed here, on demand.
 pub fn trace_critical_paths(
     design: &TemporalDesign<'_>,
     packing: &Packing,
-    delays: &NetDelays,
-    breakdowns: &SegmentBreakdowns,
+    routed: &RoutedDesign,
     timing: &TimingModel,
     arch: &ArchParams,
     k: usize,
 ) -> CriticalPathReport {
     let net = design.net;
-    let (arrival, slice_paths) = compute_arrivals(design, packing, delays, timing, arch);
-    let max_slice_path = slice_paths.values().copied().fold(0.0, f64::max);
-    let overhead = timing.reconfiguration + timing.clocking;
-    let cycle_period = max_slice_path + overhead;
+    let arrival = |l: LutId| routed.arrivals[l.index()];
+    let hop = routed_hop(design, packing, &routed.delays, timing, arch);
+    let breakdowns = segment_breakdowns(&routed.graph, timing, &routed.routes);
+    let max_slice_path = routed.timing.max_slice_path;
 
     let mut paths = Vec::new();
     for slice in design.slices() {
         // K latest-arrival endpoints, deterministically ordered.
         let mut luts: Vec<LutId> = design.luts_in(slice);
-        luts.sort_by(|a, b| {
-            arrival[b]
-                .partial_cmp(&arrival[a])
-                .expect("finite arrivals")
-                .then(a.cmp(b))
-        });
+        luts.sort_by(|a, b| arrival(*b).total_cmp(&arrival(*a)).then(a.cmp(b)));
         for (rank, &endpoint) in luts.iter().take(k).enumerate() {
             let mut hops = Vec::new();
             let mut cursor = Some(endpoint);
             while let Some(id) = cursor {
                 let my_smb = packing.lut_smb[&id];
-                let edges = input_edges(design, packing, delays, timing, arch, &arrival, id);
-                // The critical input: argmax contribution, ties broken by
-                // input position (stable: later inputs win, matching the
-                // forward fold's `max` behavior is unnecessary since the
-                // contribution value is what telescopes).
-                let critical = edges
-                    .iter()
+                // The critical input: argmax contribution, ties broken
+                // towards the earlier input (the contribution value is
+                // what telescopes, so any argmax would do).
+                let critical = input_edges(design, packing, &routed.arrivals, id, &hop)
                     .enumerate()
                     .max_by(|(ai, a), (bi, b)| {
                         a.contribution()
-                            .partial_cmp(&b.contribution())
-                            .expect("finite")
+                            .total_cmp(&b.contribution())
                             .then(bi.cmp(ai))
                     })
-                    .map(|(_, e)| *e)
-                    .unwrap_or(InputEdge {
-                        source: EdgeSource::Primary,
-                        src_smb: None,
-                        upstream_ns: 0.0,
-                        hop_ns: 0.0,
-                    });
-                let (source, next) = match critical.source {
-                    EdgeSource::Lut(u) => (
-                        HopSource::Lut {
-                            lut: u,
-                            smb: critical.src_smb.expect("lut edge has a source SMB"),
+                    .map_or(
+                        InputEdge {
+                            source: EdgeSource::Primary,
+                            upstream_ns: 0.0,
+                            hop_ns: 0.0,
                         },
-                        Some(u),
-                    ),
-                    EdgeSource::Stored(p) => (
-                        HopSource::Stored {
-                            producer: p,
-                            smb: critical.src_smb.expect("stored edge has a source SMB"),
-                        },
-                        None,
-                    ),
-                    EdgeSource::Ff(f) => (
-                        HopSource::Ff {
-                            ff: f,
-                            smb: critical.src_smb.expect("ff edge has a source SMB"),
-                        },
-                        None,
-                    ),
-                    EdgeSource::Primary => (HopSource::Primary, None),
-                };
+                        |(_, e)| e,
+                    );
                 let wires = critical
-                    .src_smb
+                    .source
+                    .smb()
                     .filter(|&s| s != my_smb)
                     .and_then(|s| breakdowns.get(&(design.slice_of(id), s, my_smb)))
                     .copied();
@@ -332,16 +262,19 @@ pub fn trace_critical_paths(
                     lut: id,
                     name: net.lut(id).name.clone(),
                     smb: my_smb,
-                    source,
+                    source: critical.source,
                     interconnect_ns: critical.hop_ns,
                     lut_ns: timing.lut_delay,
-                    arrival_ns: arrival[&id],
+                    arrival_ns: arrival(id),
                     wires,
                 });
-                cursor = next;
+                cursor = match critical.source {
+                    EdgeSource::Lut { lut, .. } => Some(lut),
+                    _ => None,
+                };
             }
             hops.reverse();
-            let path_delay = arrival[&endpoint];
+            let path_delay = arrival(endpoint);
             paths.push(TracedPath {
                 slice,
                 rank: rank as u32,
@@ -355,12 +288,17 @@ pub fn trace_critical_paths(
     // Worst-first across the design; deterministic tie-break.
     paths.sort_by(|a, b| {
         b.path_delay_ns
-            .partial_cmp(&a.path_delay_ns)
-            .expect("finite path delays")
+            .total_cmp(&a.path_delay_ns)
             .then(a.slice.cmp(&b.slice))
             .then(a.rank.cmp(&b.rank))
     });
 
+    // The identity groups the overhead as one term, so the period is
+    // rebuilt from the kept worst path rather than copied:
+    // `routed.timing.cycle_period` adds reconfiguration and clocking one
+    // at a time and can differ in the last bit.
+    let overhead = timing.reconfiguration + timing.clocking;
+    let cycle_period = max_slice_path + overhead;
     CriticalPathReport {
         paths,
         max_slice_path_ns: max_slice_path,

@@ -12,10 +12,11 @@
 # `--defect-rate 0` and diffs with `--exact`: the defect layer must be a
 # strict no-op on a clean fabric, bit for bit.
 #
-# The explain-smoke leg runs `nanomap explain` on two paper benchmarks,
-# validates each artifact with `nanomap explain --check` (per-hop delay
-# sums, the delay identity, congestion/usage reconciliation), and
-# requires a second run to be byte-identical.
+# The explain-smoke leg validates the sweep's explain artifact of every
+# paper benchmark with `nanomap explain --check` (per-hop delay sums, the
+# delay identity, congestion/usage reconciliation) and requires a second
+# sweep to be byte-identical. Between them, the seven artifacts' traced
+# paths start at primary inputs, flip-flops and stored-value reads.
 #
 # The timeout-smoke leg maps under a 50 ms budget with --anytime: the run
 # must degrade gracefully (exit 0 or 4, never a hang or panic) and still
@@ -99,16 +100,16 @@ else
   ./target/release/nanomap designs/accumulator.vhd --defect-rate 0 \
     --qor ACCUM_qor0.json >/dev/null
   ./target/release/nanomap qor-diff --exact results/qor/accumulator.json ACCUM_qor0.json
-  echo "==> gate: explain smoke (artifact invariants on two paper benchmarks)"
-  for circuit in ex1 FIR; do
-    ./target/release/nanomap explain --check "EXPLAIN_qor/$circuit.explain.json"
+  echo "==> gate: explain smoke (artifact invariants on every paper benchmark)"
+  for artifact in EXPLAIN_qor/*.explain.json; do
+    ./target/release/nanomap explain --check "$artifact"
   done
   echo "==> gate: explain determinism (second sweep is byte-identical)"
   rm -rf results/runs
   ./target/release/qor --out BENCH_qor2.json --explain-dir EXPLAIN_qor2 \
     --ledger results/runs/ledger.jsonl 2>/dev/null
-  for circuit in ex1 FIR; do
-    cmp "EXPLAIN_qor/$circuit.explain.json" "EXPLAIN_qor2/$circuit.explain.json"
+  for artifact in EXPLAIN_qor/*.explain.json; do
+    cmp "$artifact" "EXPLAIN_qor2/$(basename "$artifact")"
   done
   ./target/release/nanomap explain designs/accumulator.vhd \
     --out ACCUM_explain.json >/dev/null
