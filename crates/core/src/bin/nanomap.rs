@@ -88,6 +88,7 @@ use nanomap::cli::{Args, Command, Error, Flag};
 use nanomap::perf::{write_profile_artifacts, DEFAULT_ABS_GUARD_MS, DEFAULT_REL_TOLERANCE};
 use nanomap::qor::{diff_documents, diff_documents_exact, QorDocument, QorReport};
 use nanomap::runs::{self, Ledger, RunRecord, DEFAULT_LEDGER_PATH};
+use nanomap::service::LATENCY_CLASSES;
 use nanomap::{
     atomic_write, atomic_write_text, check_artifact, diff_perf, has_regression, render_diff_table,
     Checkpoint, DesignSource, DiffEntry, DiffStatus, ExplainReport, FlowError, MappingReport,
@@ -95,7 +96,8 @@ use nanomap::{
 };
 use nanomap_arch::{ArchParams, DefectMap};
 use nanomap_netlist::LutNetwork;
-use nanomap_observe::{json, Echo, EventStream, JsonValue, MemoryReport};
+use nanomap_observe::json::{self, ReadError};
+use nanomap_observe::{Echo, EventStream, JsonValue, MemoryReport};
 use nanomap_techmap::{optimize, OptimizeStats};
 
 /// Count every heap round-trip the flow makes. Tracking is off (one
@@ -886,62 +888,44 @@ fn submit_main(args: Args) -> Result<ExitCode, Error> {
     })
 }
 
-/// Latency classes `top` tabulates, in the daemon's fixed schema order.
-const TOP_CLASSES: [&str; 7] = [
-    "ok", "shed", "shutdown", "invalid", "panic", "budget", "failed",
-];
-
 /// How many poll samples each `top` sparkline keeps.
 const TOP_HISTORY: usize = 60;
 
-/// Reads an integer counter/gauge out of a nested stats object.
-fn stat_int(doc: &JsonValue, group: &str, name: &str) -> i64 {
-    doc.get(group)
-        .and_then(|g| g.get(name))
-        .and_then(JsonValue::as_int)
-        .unwrap_or(0)
-}
-
 /// Renders one polled stats document as the live console frame.
-fn render_top_frame(addr: &str, doc: &JsonValue, histories: &[(&str, &[f64])]) -> String {
+fn render_top_frame(
+    addr: &str,
+    doc: &JsonValue,
+    histories: &[(&str, &[f64])],
+) -> Result<String, ReadError> {
     use std::fmt::Write as _;
     let mut frame = String::new();
-    let uptime_s = doc
-        .get("uptime_ms")
-        .and_then(JsonValue::as_int)
-        .unwrap_or(0) as f64
-        / 1000.0;
-    let version = doc
-        .get("version")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("?");
-    let draining = doc
-        .get("draining")
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(false);
+    let uptime_s = doc.req::<u64>("uptime_ms")? as f64 / 1000.0;
+    let version: &str = doc.req("version")?;
+    let draining: bool = doc.req("draining")?;
     let _ = writeln!(
         frame,
         "{version} @ {addr} — up {uptime_s:.1} s{}",
         if draining { "  [DRAINING]" } else { "" }
     );
-    let served = stat_int(doc, "counters", "served");
-    let shed = stat_int(doc, "counters", "shed");
-    let cache_hits = stat_int(doc, "counters", "cache_hits");
+    let (counters, gauges) = (doc.field("counters")?, doc.field("gauges")?);
+    let served: u64 = counters.req("served")?;
+    let shed: u64 = counters.req("shed")?;
+    let cache_hits: u64 = counters.req("cache_hits")?;
     let _ = writeln!(
         frame,
         "counters  served {served}  shed {shed}  panics {}  failures {}  cache_hits {cache_hits}  preemptions {}",
-        stat_int(doc, "counters", "panics"),
-        stat_int(doc, "counters", "failures"),
-        stat_int(doc, "counters", "preemptions"),
+        counters.req::<u64>("panics")?,
+        counters.req::<u64>("failures")?,
+        counters.req::<u64>("preemptions")?,
     );
     let _ = writeln!(
         frame,
         "gauges    queue {}  inflight {}/{} workers  cache {} entries / {} bytes",
-        stat_int(doc, "gauges", "queue_depth"),
-        stat_int(doc, "gauges", "inflight"),
-        stat_int(doc, "gauges", "workers"),
-        stat_int(doc, "gauges", "cache_entries"),
-        stat_int(doc, "gauges", "cache_bytes"),
+        gauges.req::<u64>("queue_depth")?,
+        gauges.req::<u64>("inflight")?,
+        gauges.req::<u64>("workers")?,
+        gauges.req::<u64>("cache_entries")?,
+        gauges.req::<u64>("cache_bytes")?,
     );
     let admitted = served + shed;
     let shed_pct = if admitted > 0 {
@@ -963,45 +947,38 @@ fn render_top_frame(addr: &str, doc: &JsonValue, histories: &[(&str, &[f64])]) -
         "\n{:<10} {:>8} {:>10} {:>10} {:>10}  (latency, ms)",
         "class", "count", "p50", "p95", "p99"
     );
-    for class in TOP_CLASSES {
-        let Some(hist) = doc.get("latency_us").and_then(|l| l.get(class)) else {
-            continue;
-        };
-        let count = hist.get("count").and_then(JsonValue::as_int).unwrap_or(0);
+    let (latency, segments) = (doc.field("latency_us")?, doc.field("segments_us")?);
+    for class in LATENCY_CLASSES {
+        let hist = latency.field(class)?;
+        let count: u64 = hist.req("count")?;
         if count == 0 {
             continue;
         }
-        let ms = |name: &str| hist.get(name).and_then(JsonValue::as_f64).unwrap_or(0.0) / 1000.0;
+        let ms = |name: &str| Ok::<_, ReadError>(hist.req::<f64>(name)? / 1000.0);
         let _ = writeln!(
             frame,
             "{class:<10} {count:>8} {:>10.3} {:>10.3} {:>10.3}",
-            ms("p50"),
-            ms("p95"),
-            ms("p99")
+            ms("p50")?,
+            ms("p95")?,
+            ms("p99")?
         );
     }
-    let seg_mean = |name: &str| {
-        doc.get("segments_us")
-            .and_then(|s| s.get(name))
-            .and_then(|h| h.get("mean"))
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0)
-            / 1000.0
-    };
+    let seg_mean =
+        |name: &str| Ok::<_, ReadError>(segments.field(name)?.req::<f64>("mean")? / 1000.0);
     let _ = writeln!(
         frame,
         "\nsegments  queue {:.3} ms  compute {:.3} ms  cache {:.3} ms  serialize {:.3} ms  (mean)",
-        seg_mean("queue"),
-        seg_mean("compute"),
-        seg_mean("cache"),
-        seg_mean("serialize"),
+        seg_mean("queue")?,
+        seg_mean("compute")?,
+        seg_mean("cache")?,
+        seg_mean("serialize")?,
     );
     for (label, history) in histories {
         if history.iter().any(|v| *v > 0.0) {
             let _ = writeln!(frame, "{:<10} {}", label, runs::sparkline(history));
         }
     }
-    frame
+    Ok(frame)
 }
 
 /// `nanomap top --addr ADDR [...]`: the live operator console. Polls
@@ -1025,42 +1002,38 @@ fn top_main(args: Args) -> Result<ExitCode, Error> {
     let mut util_history: Vec<f64> = Vec::new();
     let mut queue_history: Vec<f64> = Vec::new();
     let mut served_history: Vec<f64> = Vec::new();
-    let mut last_served: Option<i64> = None;
+    let mut last_served: Option<u64> = None;
     let mut failures = 0u32;
+    let push = |history: &mut Vec<f64>, v: f64| {
+        history.push(v);
+        if history.len() > TOP_HISTORY {
+            history.remove(0);
+        }
+    };
     loop {
-        match nanomap::query_stats(addr, 5_000) {
-            Ok(doc) => {
+        let poll = nanomap::query_stats(addr, 5_000).and_then(|doc| {
+            let gauges = doc.field("gauges")?;
+            let workers = gauges.req::<u64>("workers")?.max(1);
+            let inflight: u64 = gauges.req("inflight")?;
+            push(&mut util_history, inflight as f64 / workers as f64);
+            push(&mut queue_history, gauges.req::<u64>("queue_depth")? as f64);
+            let served: u64 = doc.field("counters")?.req("served")?;
+            let per_poll = served.saturating_sub(last_served.unwrap_or(served));
+            push(&mut served_history, per_poll as f64);
+            last_served = Some(served);
+            Ok(render_top_frame(
+                addr,
+                &doc,
+                &[
+                    ("util", &util_history),
+                    ("queue", &queue_history),
+                    ("served/s", &served_history),
+                ],
+            )?)
+        });
+        match poll {
+            Ok(frame) => {
                 failures = 0;
-                let workers = stat_int(&doc, "gauges", "workers").max(1);
-                let push = |history: &mut Vec<f64>, v: f64| {
-                    history.push(v);
-                    if history.len() > TOP_HISTORY {
-                        history.remove(0);
-                    }
-                };
-                push(
-                    &mut util_history,
-                    stat_int(&doc, "gauges", "inflight") as f64 / workers as f64,
-                );
-                push(
-                    &mut queue_history,
-                    stat_int(&doc, "gauges", "queue_depth") as f64,
-                );
-                let served = stat_int(&doc, "counters", "served");
-                push(
-                    &mut served_history,
-                    (served - last_served.unwrap_or(served)) as f64,
-                );
-                last_served = Some(served);
-                let frame = render_top_frame(
-                    addr,
-                    &doc,
-                    &[
-                        ("util", &util_history),
-                        ("queue", &queue_history),
-                        ("served/s", &served_history),
-                    ],
-                );
                 // Clear + home, then the frame in one write to keep
                 // redraws flicker-free.
                 out!("\u{1b}[2J\u{1b}[H{frame}");

@@ -35,7 +35,8 @@ use std::path::{Path, PathBuf};
 
 use nanomap_arch::{ArchParams, Grid, SmbPos};
 use nanomap_netlist::{LutNetwork, SignalRef};
-use nanomap_observe::{json, Fnv1a, JsonValue};
+use nanomap_observe::json::{self, ReadError};
+use nanomap_observe::{Fnv1a, JsonValue};
 use nanomap_sched::{ItemGraph, Schedule};
 
 use crate::artifact::atomic_write_text;
@@ -91,6 +92,14 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<ReadError> for CheckpointError {
+    fn from(e: ReadError) -> Self {
+        Self::Malformed {
+            detail: e.to_string(),
+        }
+    }
+}
 
 /// FNV-1a 64-bit fingerprint of a LUT network's full structure: inputs,
 /// every LUT's truth table and connections, every flip-flop's data input
@@ -247,45 +256,6 @@ fn parse_hex64(s: &str, what: &str) -> Result<u64, CheckpointError> {
     })
 }
 
-fn u32_array(value: &JsonValue, field: &str) -> Result<Vec<u32>, CheckpointError> {
-    value
-        .get(field)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| CheckpointError::Malformed {
-            detail: format!("missing array `{field}`"),
-        })?
-        .iter()
-        .map(|v| {
-            v.as_int()
-                .filter(|&i| i >= 0 && i <= i64::from(u32::MAX))
-                .map(|i| i as u32)
-                .ok_or_else(|| CheckpointError::Malformed {
-                    detail: format!("`{field}` holds a non-u32 value"),
-                })
-        })
-        .collect()
-}
-
-fn get_str<'a>(value: &'a JsonValue, field: &str) -> Result<&'a str, CheckpointError> {
-    value
-        .get(field)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| CheckpointError::Malformed {
-            detail: format!("missing string `{field}`"),
-        })
-}
-
-fn get_u32(value: &JsonValue, field: &str) -> Result<u32, CheckpointError> {
-    value
-        .get(field)
-        .and_then(JsonValue::as_int)
-        .filter(|&i| i >= 0 && i <= i64::from(u32::MAX))
-        .map(|i| i as u32)
-        .ok_or_else(|| CheckpointError::Malformed {
-            detail: format!("missing u32 `{field}`"),
-        })
-}
-
 impl Checkpoint {
     /// Deterministic JSON form.
     pub fn to_json(&self) -> JsonValue {
@@ -350,86 +320,49 @@ impl Checkpoint {
     /// Rejects anything without the `nanomap-checkpoint-v2` schema tag,
     /// or with missing/ill-typed fields.
     pub fn from_json(value: &JsonValue) -> Result<Self, CheckpointError> {
-        let schema = get_str(value, "schema")?;
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(CheckpointError::Malformed {
-                detail: format!("schema is `{schema}`, expected `{CHECKPOINT_SCHEMA}`"),
-            });
-        }
-        let sharing = match get_str(value, "sharing")? {
+        value.check_schema(CHECKPOINT_SCHEMA)?;
+        let malformed = |detail: String| CheckpointError::Malformed { detail };
+        let sharing = match value.req("sharing")? {
             "shared" => PlaneSharing::Shared,
             "per-plane" => PlaneSharing::PerPlane,
-            other => {
-                return Err(CheckpointError::Malformed {
-                    detail: format!("unknown sharing mode `{other}`"),
-                })
-            }
+            other => return Err(malformed(format!("unknown sharing mode `{other}`"))),
         };
-        let remedy_name = get_str(value, "remedy")?;
-        let remedy = Remedy::parse(remedy_name).ok_or_else(|| CheckpointError::Malformed {
-            detail: format!("unknown remedy `{remedy_name}`"),
-        })?;
-        let arch = value
-            .get("arch")
-            .ok_or_else(|| CheckpointError::Malformed {
-                detail: "missing object `arch`".into(),
-            })?;
+        let remedy_name = value.req("remedy")?;
+        let remedy = Remedy::parse(remedy_name)
+            .ok_or_else(|| malformed(format!("unknown remedy `{remedy_name}`")))?;
+        let arch = value.field("arch")?;
         let mut schedules = Vec::new();
-        for s in value
-            .get("schedules")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| CheckpointError::Malformed {
-                detail: "missing array `schedules`".into(),
-            })?
-        {
-            let stage_of = u32_array(s, "stage_of")?;
-            let stages = get_u32(s, "stages")?;
+        for s in value.req::<&[JsonValue]>("schedules")? {
+            let stage_of: Vec<u32> = s.req("stage_of")?;
+            let stages = s.req("stages")?;
             if let Some(&bad) = stage_of.iter().find(|&&st| st >= stages) {
-                return Err(CheckpointError::Malformed {
-                    detail: format!("schedule stage {bad} is outside 0..{stages}"),
-                });
+                return Err(malformed(format!(
+                    "schedule stage {bad} is outside 0..{stages}"
+                )));
             }
             schedules.push(ScheduleSnapshot { stages, stage_of });
         }
-        let recovery = value
-            .get("recovery")
-            .ok_or_else(|| CheckpointError::Malformed {
-                detail: "missing object `recovery`".into(),
-            })
-            .and_then(|v| {
-                RecoveryLog::from_json(v).map_err(|detail| CheckpointError::Malformed { detail })
-            })?;
-        let placement = match value.get("placement") {
-            None | Some(JsonValue::Null) => None,
-            Some(p) => {
-                let dim = |field: &str| -> Result<u16, CheckpointError> {
-                    get_u32(p, field)?
-                        .try_into()
-                        .map_err(|_| CheckpointError::Malformed {
-                            detail: format!("`{field}` exceeds u16"),
-                        })
-                };
-                Some(PlaceSnapshot {
-                    width: dim("width")?,
-                    height: dim("height")?,
-                    slots: u32_array(p, "slots")?,
-                })
-            }
+        let recovery = RecoveryLog::from_json(value.field("recovery")?)
+            .map_err(|e| malformed(format!("recovery log: {e}")))?;
+        let placement = match value.opt::<&JsonValue>("placement")? {
+            None => None,
+            Some(p) => Some(PlaceSnapshot {
+                width: p.req("width")?,
+                height: p.req("height")?,
+                slots: p.req("slots")?,
+            }),
         };
         Ok(Self {
-            circuit: get_str(value, "circuit")?.to_string(),
-            netlist_hash: parse_hex64(get_str(value, "netlist_hash")?, "netlist_hash")?,
-            objective: get_str(value, "objective")?.to_string(),
-            lut_inputs: get_u32(arch, "lut_inputs")?,
-            luts_per_le: get_u32(arch, "luts_per_le")?,
-            ffs_per_le: get_u32(arch, "ffs_per_le")?,
-            num_reconf: get_u32(arch, "num_reconf")?,
-            candidate_rank: get_u32(value, "candidate_rank")? as usize,
-            level: value
-                .get("folding_level")
-                .and_then(JsonValue::as_int)
-                .map(|v| v as u32),
-            stages: get_u32(value, "stages")?,
+            circuit: value.req("circuit")?,
+            netlist_hash: parse_hex64(value.req("netlist_hash")?, "netlist_hash")?,
+            objective: value.req("objective")?,
+            lut_inputs: arch.req("lut_inputs")?,
+            luts_per_le: arch.req("luts_per_le")?,
+            ffs_per_le: arch.req("ffs_per_le")?,
+            num_reconf: arch.req("num_reconf")?,
+            candidate_rank: value.req("candidate_rank")?,
+            level: value.opt("folding_level")?,
+            stages: value.req("stages")?,
             sharing,
             remedy,
             schedules,

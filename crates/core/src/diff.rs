@@ -3,12 +3,9 @@
 //! The QoR gate ([`crate::qor`]) and the perf gate ([`crate::perf`])
 //! both compare per-circuit maps of numbers against a committed
 //! baseline and render the same fixed-width table. The comparison
-//! verdict types, the numeric-map JSON reader and the table renderer
-//! live here so the two gates (and the runs ledger) cannot drift apart.
-
-use std::collections::BTreeMap;
-
-use nanomap_observe::JsonValue;
+//! verdict types and the table renderer live here so the two gates
+//! cannot drift apart; their number maps are read through
+//! [`nanomap_observe::json::FromJson`].
 
 /// Outcome of comparing one metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,28 +89,6 @@ impl DiffEntry {
 /// Whether any entry fails the gate.
 pub fn has_regression(entries: &[DiffEntry]) -> bool {
     entries.iter().any(|e| e.status.fails())
-}
-
-/// Reads a JSON object of numbers into a sorted map. Duplicate keys keep
-/// the first occurrence (matching `JsonValue::get`).
-pub(crate) fn number_map(
-    value: Option<&JsonValue>,
-    what: &str,
-) -> Result<BTreeMap<String, f64>, String> {
-    let JsonValue::Object(entries) = value.ok_or_else(|| format!("report missing `{what}`"))?
-    else {
-        return Err(format!("`{what}` is not an object"));
-    };
-    let mut map = BTreeMap::new();
-    for (key, v) in entries {
-        let number = match v {
-            JsonValue::Int(i) => *i as f64,
-            JsonValue::Float(f) => *f,
-            other => return Err(format!("`{what}.{key}` is not a number: {other:?}")),
-        };
-        map.entry(key.clone()).or_insert(number);
-    }
-    Ok(map)
 }
 
 /// Renders the diff table shared by `nanomap qor-diff` and

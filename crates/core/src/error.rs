@@ -16,6 +16,13 @@ pub enum FlowError {
     Netlist(nanomap_netlist::NetlistError),
     /// Technology mapping failed.
     Techmap(nanomap_techmap::TechmapError),
+    /// A LUT of the network has more inputs than the fabric's LUTs.
+    LutTooWide {
+        /// Inputs of the widest LUT in the network.
+        widest: u32,
+        /// Inputs of a LUT on the fabric (`ArchParams::lut_inputs`).
+        lut_inputs: u32,
+    },
     /// No folding configuration satisfies the constraints.
     NoFeasibleFolding {
         /// Human-readable explanation (which constraint failed).
@@ -93,6 +100,10 @@ impl fmt::Display for FlowError {
         match self {
             Self::Netlist(e) => write!(f, "netlist error: {e}"),
             Self::Techmap(e) => write!(f, "technology mapping error: {e}"),
+            Self::LutTooWide { widest, lut_inputs } => write!(
+                f,
+                "the network has a {widest}-input LUT, but the fabric's LUTs have {lut_inputs} inputs"
+            ),
             Self::NoFeasibleFolding { reason } => {
                 write!(f, "no feasible folding configuration: {reason}")
             }

@@ -491,20 +491,12 @@ fn occupancy_json(o: &OccupancyMap) -> JsonValue {
 ///
 /// Returns a description of the first violated invariant.
 pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
-    let schema = doc.get("schema").and_then(JsonValue::as_str);
-    if schema != Some(EXPLAIN_SCHEMA) {
-        return Err(format!("schema is {schema:?}, expected {EXPLAIN_SCHEMA:?}"));
-    }
-    let timing = doc.get("timing").ok_or("missing timing block")?;
-    let num = |obj: &JsonValue, key: &str| -> Result<f64, String> {
-        obj.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("missing number {key}"))
-    };
-    let max_slice_path = num(timing, "max_slice_path_ns")?;
-    let overhead = num(timing, "overhead_ns")?;
-    let num_slices = num(timing, "num_slices")?;
-    let routed = num(timing, "routed_delay_ns")?;
+    doc.check_schema(EXPLAIN_SCHEMA)?;
+    let timing = doc.field("timing")?;
+    let max_slice_path: f64 = timing.req("max_slice_path_ns")?;
+    let overhead: f64 = timing.req("overhead_ns")?;
+    let num_slices: f64 = timing.req("num_slices")?;
+    let routed: f64 = timing.req("routed_delay_ns")?;
     let rebuilt = (max_slice_path + overhead) * num_slices;
     if (rebuilt - routed).abs() > 1e-9 {
         return Err(format!(
@@ -512,19 +504,15 @@ pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
              {rebuilt} != {routed}"
         ));
     }
-    let paths = doc
-        .get("critical_paths")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing critical_paths")?;
-    for (i, path) in paths.iter().enumerate() {
-        let claimed = num(path, "path_delay_ns")?;
-        let hops = path
-            .get("hops")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("path {i} missing hops"))?;
+    for (i, path) in doc
+        .req::<&[JsonValue]>("critical_paths")?
+        .iter()
+        .enumerate()
+    {
+        let claimed: f64 = path.req("path_delay_ns")?;
         let mut sum = 0.0;
-        for hop in hops {
-            sum += num(hop, "interconnect_ns")? + num(hop, "lut_ns")?;
+        for hop in path.req::<&[JsonValue]>("hops")? {
+            sum += hop.req::<f64>("interconnect_ns")? + hop.req::<f64>("lut_ns")?;
         }
         if (sum - claimed).abs() > 1e-9 {
             return Err(format!("path {i} hops sum to {sum} but claim {claimed} ns"));
@@ -535,7 +523,7 @@ pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
                     "worst path {claimed} ns != max slice path {max_slice_path} ns"
                 ));
             }
-            let slack = num(path, "slack_ns")?;
+            let slack: f64 = path.req("slack_ns")?;
             if slack.abs() > 1e-9 {
                 return Err(format!("worst path has nonzero slack {slack}"));
             }
@@ -543,38 +531,21 @@ pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
     }
     // Congestion reconciliation, on integers: per-slice cell sums must
     // equal the totals block, and the totals must equal the usage block.
-    let congestion = doc.get("congestion").ok_or("missing congestion block")?;
-    let totals = congestion
-        .get("totals")
-        .ok_or("missing congestion totals")?;
-    let usage = doc.get("usage").ok_or("missing usage block")?;
-    let int = |obj: &JsonValue, key: &str| -> Result<i64, String> {
-        obj.get(key)
-            .and_then(JsonValue::as_int)
-            .ok_or_else(|| format!("missing integer {key}"))
-    };
+    let congestion = doc.field("congestion")?;
+    let totals = congestion.field("totals")?;
+    let usage = doc.field("usage")?;
     for tier in WireType::ALL {
         let name = tier.as_str();
-        let total = int(totals, name)?;
-        if total != int(usage, name)? {
+        let total: i64 = totals.req(name)?;
+        let used: i64 = usage.req(name)?;
+        if total != used {
             return Err(format!(
-                "congestion total {name}={total} != usage {name}={}",
-                int(usage, name)?
+                "congestion total {name}={total} != usage {name}={used}"
             ));
         }
         let mut summed = 0i64;
-        for slice in congestion
-            .get("per_slice")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing congestion per_slice")?
-        {
-            for cell in slice
-                .get(name)
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("slice missing tier {name}"))?
-            {
-                summed += cell.as_int().ok_or("non-integer congestion cell")?;
-            }
+        for slice in congestion.req::<&[JsonValue]>("per_slice")? {
+            summed += slice.req::<Vec<i64>>(name)?.iter().sum::<i64>();
         }
         if summed != total {
             return Err(format!(

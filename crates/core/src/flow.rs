@@ -248,11 +248,14 @@ impl NanoMap {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::NoFeasibleFolding`] when no folding level
-    /// satisfies the constraints, [`FlowError::BudgetExhausted`] when
-    /// the time budget expires mid-flow and anytime mode is off, or the
-    /// first hard failure from a flow stage.
+    /// Returns [`FlowError::LutTooWide`] when a LUT has more inputs
+    /// than the fabric's, [`FlowError::NoFeasibleFolding`] when no
+    /// folding level satisfies the constraints,
+    /// [`FlowError::BudgetExhausted`] when the time budget expires
+    /// mid-flow and anytime mode is off, or the first hard failure from
+    /// a flow stage.
     pub fn map(&self, net: &LutNetwork, objective: Objective) -> Result<MappingReport, FlowError> {
+        self.check_lut_width(net)?;
         let token = CancelToken::with_budget_ms(self.budget_ms);
         let total_start = Instant::now();
         self.publish_run_start(net, objective);
@@ -302,6 +305,7 @@ impl NanoMap {
         objective: Objective,
         checkpoint: &Checkpoint,
     ) -> Result<MappingReport, FlowError> {
+        self.check_lut_width(net)?;
         checkpoint.validate(net, &objective.key(), &self.arch)?;
         let token = CancelToken::with_budget_ms(self.budget_ms);
         let total_start = Instant::now();
@@ -343,6 +347,18 @@ impl NanoMap {
             degradations: Vec::new(),
         };
         self.climb(&run, plan, flow_span)
+    }
+
+    /// Rejects a network whose widest LUT does not fit the fabric's LUTs.
+    fn check_lut_width(&self, net: &LutNetwork) -> Result<(), FlowError> {
+        let widest = net.luts().map(|(_, lut)| lut.truth.num_inputs()).max();
+        match widest {
+            Some(widest) if widest > self.arch.lut_inputs => Err(FlowError::LutTooWide {
+                widest,
+                lut_inputs: self.arch.lut_inputs,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Logic mapping (steps 2-6): evaluates every folding candidate and
@@ -1291,6 +1307,56 @@ mod tests {
         let y = b.output("y", w);
         b.connect(reg3, 0, y, 0).unwrap();
         b.finish().unwrap()
+    }
+
+    #[test]
+    fn a_lut_wider_than_the_fabric_is_a_typed_error() {
+        let wide =
+            ".model wide\n.inputs a b c d e\n.outputs y\n.names a b c d e y\n11111 1\n.end\n";
+        let net = nanomap_netlist::blif::parse(wide).unwrap();
+        let flow = NanoMap::new(ArchParams::paper_unbounded());
+        let too_wide = |e: FlowError| {
+            assert!(
+                matches!(
+                    e,
+                    FlowError::LutTooWide {
+                        widest: 5,
+                        lut_inputs: 4
+                    }
+                ),
+                "{e}"
+            );
+        };
+        too_wide(flow.map(&net, Objective::MinAreaDelayProduct).unwrap_err());
+        let checkpoint = Checkpoint {
+            circuit: "wide".into(),
+            netlist_hash: crate::checkpoint::netlist_fingerprint(&net),
+            objective: Objective::MinAreaDelayProduct.key(),
+            lut_inputs: 4,
+            luts_per_le: flow.arch.luts_per_le,
+            ffs_per_le: flow.arch.ffs_per_le,
+            num_reconf: flow.arch.num_reconf,
+            candidate_rank: 0,
+            level: None,
+            stages: 1,
+            sharing: PlaneSharing::Shared,
+            remedy: Remedy::Baseline,
+            schedules: Vec::new(),
+            recovery: RecoveryLog::new(),
+            placement: None,
+        };
+        too_wide(
+            flow.map_resume(&net, Objective::MinAreaDelayProduct, &checkpoint)
+                .unwrap_err(),
+        );
+        // A fabric with 5-input LUTs takes it.
+        let mut arch = ArchParams::paper_unbounded();
+        arch.lut_inputs = 5;
+        let report = NanoMap::new(arch)
+            .without_physical()
+            .map(&net, Objective::MinAreaDelayProduct)
+            .unwrap();
+        assert_eq!(report.num_luts, 1);
     }
 
     #[test]

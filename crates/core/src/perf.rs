@@ -103,34 +103,10 @@ impl PerfReport {
     ///
     /// Returns a description of the first structural mismatch.
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let circuit = value
-            .get("circuit")
-            .and_then(JsonValue::as_str)
-            .ok_or("perf report missing string `circuit`")?
-            .to_string();
-        let runs = value
-            .get("runs")
-            .and_then(JsonValue::as_int)
-            .ok_or("perf report missing integer `runs`")?;
-        let JsonValue::Object(entries) = value
-            .get("metrics")
-            .ok_or("perf report missing `metrics`")?
-        else {
-            return Err("`metrics` is not an object".into());
-        };
-        let mut metrics = BTreeMap::new();
-        for (key, v) in entries {
-            let number = match v {
-                JsonValue::Int(i) => *i as f64,
-                JsonValue::Float(f) => *f,
-                other => return Err(format!("`metrics.{key}` is not a number: {other:?}")),
-            };
-            metrics.entry(key.clone()).or_insert(number);
-        }
         Ok(Self {
-            circuit,
-            runs: runs.clamp(0, i64::from(u32::MAX)) as u32,
-            metrics,
+            circuit: value.req("circuit")?,
+            runs: value.req("runs")?,
+            metrics: value.req("metrics")?,
         })
     }
 }
@@ -209,16 +185,9 @@ impl PerfDocument {
     /// reports.
     pub fn parse(text: &str) -> Result<Self, String> {
         let value = json::parse(text)?;
-        match value.get("schema").and_then(JsonValue::as_str) {
-            Some(PERF_SCHEMA) => {}
-            Some(other) => return Err(format!("unsupported perf schema `{other}`")),
-            None => return Err("missing `schema` tag (not a perf document?)".into()),
-        }
-        let circuits = value
-            .get("circuits")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing `circuits` array")?;
-        let reports = circuits
+        value.check_schema(PERF_SCHEMA)?;
+        let reports = value
+            .req::<&[JsonValue]>("circuits")?
             .iter()
             .map(PerfReport::from_json)
             .collect::<Result<Vec<_>, _>>()?;

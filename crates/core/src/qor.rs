@@ -21,7 +21,6 @@ use std::collections::BTreeMap;
 use nanomap_arch::ChannelConfig;
 use nanomap_observe::{json, JsonValue, MetricsSnapshot};
 
-use crate::diff::number_map;
 pub use crate::diff::{has_regression, DiffEntry, DiffStatus};
 use crate::report::MappingReport;
 
@@ -120,15 +119,10 @@ impl QorReport {
     ///
     /// Returns a description of the first structural mismatch.
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let circuit = value
-            .get("circuit")
-            .and_then(JsonValue::as_str)
-            .ok_or("report missing string `circuit`")?
-            .to_string();
         Ok(Self {
-            circuit,
-            metrics: number_map(value.get("metrics"), "metrics")?,
-            phase_times: number_map(value.get("phase_times"), "phase_times")?,
+            circuit: value.req("circuit")?,
+            metrics: value.req("metrics")?,
+            phase_times: value.req("phase_times")?,
         })
     }
 }
@@ -167,16 +161,9 @@ impl QorDocument {
     /// reports.
     pub fn parse(text: &str) -> Result<Self, String> {
         let value = json::parse(text)?;
-        match value.get("schema").and_then(JsonValue::as_str) {
-            Some(QOR_SCHEMA) => {}
-            Some(other) => return Err(format!("unsupported QoR schema `{other}`")),
-            None => return Err("missing `schema` tag (not a QoR document?)".into()),
-        }
-        let circuits = value
-            .get("circuits")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing `circuits` array")?;
-        let reports = circuits
+        value.check_schema(QOR_SCHEMA)?;
+        let reports = value
+            .req::<&[JsonValue]>("circuits")?
             .iter()
             .map(QorReport::from_json)
             .collect::<Result<Vec<_>, _>>()?;

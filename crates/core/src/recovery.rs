@@ -24,6 +24,7 @@
 //! the full history of what was tried and why each attempt failed.
 
 use nanomap_arch::ChannelConfig;
+use nanomap_observe::json::ReadError;
 use nanomap_observe::JsonValue;
 use nanomap_place::PlaceOptions;
 use nanomap_route::RouteOptions;
@@ -296,59 +297,35 @@ impl RecoveryLog {
     /// Returns a description of the first structural mismatch (missing
     /// field, unknown remedy or phase name).
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let int = |v: &JsonValue, field: &str, what: &str| -> Result<i64, String> {
-            v.get(field)
-                .and_then(JsonValue::as_int)
-                .ok_or_else(|| format!("{what} missing integer `{field}`"))
-        };
         let mut attempts = Vec::new();
-        for (i, a) in value
-            .get("attempts")
-            .and_then(JsonValue::as_array)
-            .ok_or("recovery log missing `attempts` array")?
-            .iter()
-            .enumerate()
-        {
+        for (i, a) in value.req::<&[JsonValue]>("attempts")?.iter().enumerate() {
             let what = format!("recovery attempt {i}");
-            let remedy_name = a
-                .get("remedy")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("{what} missing string `remedy`"))?;
+            let attempt = |e: ReadError| format!("{what}: {e}");
+            let remedy_name: &str = a.req("remedy").map_err(attempt)?;
             let remedy = Remedy::parse(remedy_name)
                 .ok_or_else(|| format!("{what}: unknown remedy `{remedy_name}`"))?;
             // `phase` is a &'static str on the in-memory struct; map the
             // serialized name back onto the interned literals.
-            let phase = match a.get("phase").and_then(JsonValue::as_str) {
-                Some("place") => "place",
-                Some("route") => "route",
-                Some("exact-assign") => "exact-assign",
-                Some(other) => return Err(format!("{what}: unknown phase `{other}`")),
-                None => return Err(format!("{what} missing string `phase`")),
+            let phase = match a.req("phase").map_err(attempt)? {
+                "place" => "place",
+                "route" => "route",
+                "exact-assign" => "exact-assign",
+                other => return Err(format!("{what}: unknown phase `{other}`")),
             };
             attempts.push(RecoveryAttempt {
-                attempt: int(a, "attempt", &what)? as u32,
-                candidate: int(a, "candidate", &what)? as usize,
-                folding_level: a
-                    .get("folding_level")
-                    .and_then(JsonValue::as_int)
-                    .map(|v| v as u32),
-                stages: int(a, "stages", &what)? as u32,
+                attempt: a.req("attempt").map_err(attempt)?,
+                candidate: a.req("candidate").map_err(attempt)?,
+                folding_level: a.opt("folding_level").map_err(attempt)?,
+                stages: a.req("stages").map_err(attempt)?,
                 remedy,
                 phase,
-                error: a
-                    .get("error")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
+                error: a.opt("error").map_err(attempt)?.unwrap_or_default(),
                 // Absent in pre-timing checkpoints; 0 is an honest
                 // "unknown" and is excluded from equality anyway.
-                wall_us: a
-                    .get("wall_us")
-                    .and_then(JsonValue::as_int)
-                    .unwrap_or_default() as u64,
+                wall_us: a.opt("wall_us").map_err(attempt)?.unwrap_or_default(),
             });
         }
-        let succeeded_with = match value.get("succeeded_with").and_then(JsonValue::as_str) {
+        let succeeded_with = match value.opt::<&str>("succeeded_with")? {
             Some(name) => Some(
                 Remedy::parse(name)
                     .ok_or_else(|| format!("recovery log: unknown remedy `{name}`"))?,
@@ -357,8 +334,8 @@ impl RecoveryLog {
         };
         Ok(Self {
             attempts,
-            escalations: int(value, "escalations", "recovery log")? as u32,
-            candidate_fallbacks: int(value, "candidate_fallbacks", "recovery log")? as u32,
+            escalations: value.req("escalations")?,
+            candidate_fallbacks: value.req("candidate_fallbacks")?,
             succeeded_with,
         })
     }

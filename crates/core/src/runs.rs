@@ -220,49 +220,23 @@ impl RunRecord {
     /// Describes the first structural mismatch (malformed JSON, missing
     /// or mistyped field).
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        match value.get("schema").and_then(JsonValue::as_str) {
-            Some(s) if s == versions::EVENTS => {}
-            Some(other) => return Err(format!("unsupported ledger schema `{other}`")),
-            None => return Err("ledger line missing `schema`".into()),
-        }
-        let text = |key: &str| -> Result<String, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("ledger line missing string `{key}`"))
-        };
-        let int = |key: &str| -> Result<i64, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_int)
-                .ok_or_else(|| format!("ledger line missing integer `{key}`"))
-        };
+        value.check_schema(versions::EVENTS)?;
         Ok(Self {
-            run_id: text("run_id")?,
-            circuit: text("circuit")?,
-            objective: text("objective")?,
-            place_seed: int("place_seed")? as u64,
-            route_seed: int("route_seed")? as u64,
-            timestamp: int("timestamp")?.max(0) as u64,
-            exit_code: int("exit_code")? as i32,
-            degradations: int("degradations")?.max(0) as u64,
-            recovery_attempts: int("recovery_attempts")?.max(0) as u64,
+            run_id: value.req("run_id")?,
+            circuit: value.req("circuit")?,
+            objective: value.req("objective")?,
+            place_seed: value.req("place_seed")?,
+            route_seed: value.req("route_seed")?,
+            timestamp: value.req("timestamp")?,
+            exit_code: value.req("exit_code")?,
+            degradations: value.req("degradations")?,
+            recovery_attempts: value.req("recovery_attempts")?,
             // Absent in ledgers written before the exact-recovery work.
-            recovery_ms: value
-                .get("recovery_ms")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            peak_rss_kb: value
-                .get("peak_rss_kb")
-                .and_then(JsonValue::as_int)
-                .map(|v| v.max(0) as u64),
-            trace_id: value
-                .get("trace_id")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string),
-            metrics: crate::diff::number_map(value.get("metrics"), "metrics")?,
-            phase_ms: crate::diff::number_map(value.get("phase_ms"), "phase_ms")?,
+            recovery_ms: value.opt("recovery_ms")?.unwrap_or(0.0),
+            peak_rss_kb: value.opt("peak_rss_kb")?,
+            trace_id: value.opt("trace_id")?,
+            metrics: value.req("metrics")?,
+            phase_ms: value.req("phase_ms")?,
         })
     }
 
@@ -674,11 +648,9 @@ pub fn check_stream(text: &str) -> Result<StreamCheck, String> {
         if line.trim().is_empty() {
             return Err(format!("line {lineno}: empty line inside the stream"));
         }
-        let event = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let seq = event
-            .get("seq")
-            .and_then(JsonValue::as_int)
-            .ok_or_else(|| format!("line {lineno}: missing `seq`"))?;
+        let at_line = |e: &dyn std::fmt::Display| format!("line {lineno}: {e}");
+        let event = json::parse(line).map_err(|e| at_line(&e))?;
+        let seq: i64 = event.req("seq").map_err(|e| at_line(&e))?;
         if let Some(prev) = last_seq {
             if seq <= prev {
                 return Err(format!(
@@ -687,11 +659,7 @@ pub fn check_stream(text: &str) -> Result<StreamCheck, String> {
             }
         }
         last_seq = Some(seq);
-        let kind = event
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("line {lineno}: missing `kind`"))?
-            .to_string();
+        let kind: String = event.req("kind").map_err(|e| at_line(&e))?;
         let tid = event.get("tid").and_then(JsonValue::as_int).unwrap_or(0);
         match kind.as_str() {
             "run-start" => {
@@ -701,25 +669,18 @@ pub fn check_stream(text: &str) -> Result<StreamCheck, String> {
                 if check.events != 0 {
                     return Err(format!("line {lineno}: run-start is not the first event"));
                 }
-                match event.get("schema").and_then(JsonValue::as_str) {
-                    Some(s) if s == versions::EVENTS => {}
-                    other => {
-                        return Err(format!("line {lineno}: run-start schema {other:?}"));
-                    }
-                }
-                check.run_id = event
-                    .get("run_id")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| format!("line {lineno}: run-start missing `run_id`"))?
-                    .to_string();
+                event
+                    .check_schema(versions::EVENTS)
+                    .map_err(|e| at_line(&e))?;
+                check.run_id = event.req("run_id").map_err(|e| at_line(&e))?;
                 saw_run_start = true;
             }
             "phase-start" => {
-                let phase = phase_of(&event, lineno)?;
+                let phase = event.req("phase").map_err(|e| at_line(&e))?;
                 stacks.entry(tid).or_default().push(phase);
             }
             "phase-end" => {
-                let phase = phase_of(&event, lineno)?;
+                let phase: String = event.req("phase").map_err(|e| at_line(&e))?;
                 let top = stacks.entry(tid).or_default().pop();
                 if top.as_deref() != Some(phase.as_str()) {
                     return Err(format!(
@@ -735,17 +696,9 @@ pub fn check_stream(text: &str) -> Result<StreamCheck, String> {
                 }
             }
             "run-end" => {
-                check.exit_code = event
-                    .get("exit_code")
-                    .and_then(JsonValue::as_int)
-                    .ok_or_else(|| format!("line {lineno}: run-end missing `exit_code`"))?
-                    as i32;
-                check.phase_ms = crate::diff::number_map(event.get("phase_ms"), "phase_ms")
-                    .map_err(|e| format!("line {lineno}: {e}"))?;
-                check.total_ms = event
-                    .get("total_ms")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("line {lineno}: run-end missing `total_ms`"))?;
+                check.exit_code = event.req("exit_code").map_err(|e| at_line(&e))?;
+                check.phase_ms = event.req("phase_ms").map_err(|e| at_line(&e))?;
+                check.total_ms = event.req("total_ms").map_err(|e| at_line(&e))?;
                 let phase_sum: f64 = check
                     .phase_ms
                     .iter()
@@ -777,14 +730,6 @@ pub fn check_stream(text: &str) -> Result<StreamCheck, String> {
         ));
     }
     Ok(check)
-}
-
-fn phase_of(event: &JsonValue, lineno: usize) -> Result<String, String> {
-    event
-        .get("phase")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("line {lineno}: missing `phase`"))
 }
 
 /// One service lifecycle event of a traced request, parsed from a
@@ -823,27 +768,23 @@ pub fn trace_timeline(text: &str, trace_id: &str) -> Vec<TraceEvent> {
         {
             continue;
         }
-        let text_of = |key: &str| {
+        // Display-only: a mistyped field reads as absent, a negative
+        // time as 0.
+        let text_of = |key: &str| value.opt::<String>(key).unwrap_or(None);
+        let micros = |key: &str| {
             value
                 .get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
+                .and_then(JsonValue::as_int)
+                .map(|v| u64::try_from(v).unwrap_or(0))
         };
         events.push(TraceEvent {
-            t_us: value
-                .get("t_us")
-                .and_then(JsonValue::as_int)
-                .unwrap_or(0)
-                .max(0) as u64,
+            t_us: micros("t_us").unwrap_or(0),
             stage: text_of("stage").unwrap_or_default(),
             request: text_of("request").unwrap_or_default(),
             run_id: text_of("run_id"),
             code: text_of("code"),
             detail: text_of("detail"),
-            us: value
-                .get("us")
-                .and_then(JsonValue::as_int)
-                .map(|v| v.max(0) as u64),
+            us: micros("us"),
         });
     }
     events

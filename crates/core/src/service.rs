@@ -71,6 +71,19 @@ pub mod code {
     pub const FAILED: &str = "failed";
 }
 
+/// Accounting classes of end-to-end latency, in export order: `ok` and
+/// every typed rejection code. The daemon's `stats` document keys its
+/// `latency_us` histograms by these, and `nanomap top` reads them back.
+pub const LATENCY_CLASSES: [&str; 7] = [
+    "ok",
+    code::SHED,
+    code::SHUTDOWN,
+    code::INVALID,
+    code::PANIC,
+    code::BUDGET,
+    code::FAILED,
+];
+
 /// How a design reaches the daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DesignSource {
@@ -204,20 +217,6 @@ impl MapRequest {
     }
 }
 
-/// A string field of a wire line.
-fn text_field(value: &JsonValue, key: &str) -> Option<String> {
-    value
-        .get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-}
-
-/// A non-negative integer field of a wire line.
-fn uint_field(value: &JsonValue, key: &str) -> Option<u64> {
-    let int = value.get(key).and_then(JsonValue::as_int)?;
-    u64::try_from(int).ok()
-}
-
 /// Any request line the daemon accepts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -240,23 +239,17 @@ impl Request {
     /// missing fields) — the daemon answers these with [`code::INVALID`].
     pub fn parse(line: &str) -> Result<Self, String> {
         let value = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-        let schema = value.get("schema").and_then(JsonValue::as_str);
-        if schema != Some(SERVICE_SCHEMA) {
-            return Err(format!(
-                "schema mismatch: expected {SERVICE_SCHEMA:?}, got {schema:?}"
-            ));
-        }
-        match value.get("op").and_then(JsonValue::as_str) {
+        value.check_schema(SERVICE_SCHEMA)?;
+        match value.opt("op")? {
             Some("ping") => Ok(Self::Ping),
             Some("stats") => Ok(Self::Stats),
             Some("shutdown") => Ok(Self::Shutdown),
             Some("map") => {
-                let (text, uint) = (|key| text_field(&value, key), |key| uint_field(&value, key));
-                let source = match (text("design_path"), text("design_text")) {
+                let source = match (value.opt("design_path")?, value.opt("design_text")?) {
                     (Some(p), None) => DesignSource::Path(p),
-                    (None, Some(t)) => DesignSource::Text {
-                        format: text("format").unwrap_or_else(|| "vhdl".into()),
-                        text: t,
+                    (None, Some(text)) => DesignSource::Text {
+                        format: value.opt("format")?.unwrap_or_else(|| "vhdl".into()),
+                        text,
                     },
                     (Some(_), Some(_)) => {
                         return Err("design_path and design_text are mutually exclusive".into())
@@ -264,13 +257,13 @@ impl Request {
                     (None, None) => return Err("missing design_path or design_text".into()),
                 };
                 Ok(Self::Map(MapRequest {
-                    id: text("id").unwrap_or_else(|| "anon".into()),
+                    id: value.opt("id")?.unwrap_or_else(|| "anon".into()),
                     source,
-                    objective: text("objective").unwrap_or_else(|| "at".into()),
-                    max_les: uint("max_les").map(|v| v as u32),
-                    max_delay_ns: value.get("max_delay_ns").and_then(JsonValue::as_f64),
-                    time_budget_ms: uint("time_budget_ms"),
-                    trace_id: text("trace_id"),
+                    objective: value.opt("objective")?.unwrap_or_else(|| "at".into()),
+                    max_les: value.opt("max_les")?,
+                    max_delay_ns: value.opt("max_delay_ns")?,
+                    time_budget_ms: value.opt("time_budget_ms")?,
+                    trace_id: value.opt("trace_id")?,
                 }))
             }
             other => Err(format!("unknown op {other:?}")),
@@ -360,46 +353,36 @@ impl Response {
     /// Describes the first structural problem.
     pub fn parse(line: &str) -> Result<Self, String> {
         let value = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-        if value.get("schema").and_then(JsonValue::as_str) != Some(SERVICE_SCHEMA) {
-            return Err("schema mismatch".into());
-        }
-        let (text, uint) = (|key| text_field(&value, key), |key| uint_field(&value, key));
-        match value.get("event").and_then(JsonValue::as_str) {
+        value.check_schema(SERVICE_SCHEMA)?;
+        match value.opt("event")? {
             Some("queued") => Ok(Self::Queued {
-                depth: uint("depth").unwrap_or(0),
+                depth: value.opt("depth")?.unwrap_or(0),
             }),
             Some("started") => Ok(Self::Started),
             Some("preempted") => Ok(Self::Preempted),
             Some("resumed") => Ok(Self::Resumed),
             Some("pong") => Ok(Self::Pong {
-                inflight: uint("inflight").unwrap_or(0),
-                queued: uint("queued").unwrap_or(0),
-                served: uint("served").unwrap_or(0),
-                uptime_ms: uint("uptime_ms").unwrap_or(0),
-                version: text("version").unwrap_or_default(),
-                draining: value
-                    .get("draining")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false),
-                snapshot_age_ms: uint("snapshot_age_ms"),
+                inflight: value.opt("inflight")?.unwrap_or(0),
+                queued: value.opt("queued")?.unwrap_or(0),
+                served: value.opt("served")?.unwrap_or(0),
+                uptime_ms: value.opt("uptime_ms")?.unwrap_or(0),
+                version: value.opt("version")?.unwrap_or_default(),
+                draining: value.opt("draining")?.unwrap_or(false),
+                snapshot_age_ms: value.opt("snapshot_age_ms")?,
             }),
-            Some("stats") => value
-                .get("stats")
-                .cloned()
-                .map(Self::Stats)
-                .ok_or_else(|| "stats response missing `stats`".into()),
+            Some("stats") => Ok(Self::Stats(value.field("stats")?.clone())),
             Some("result") => {
-                let ok = value.get("status").and_then(JsonValue::as_str) == Some("ok");
+                let ok = value.opt("status")? == Some("ok");
                 Ok(Self::Result(WireResult {
-                    request: text("request").unwrap_or_default(),
+                    request: value.opt("request")?.unwrap_or_default(),
                     ok,
-                    cache: text("cache"),
-                    run_id: text("run_id"),
+                    cache: value.opt("cache")?,
+                    run_id: value.opt("run_id")?,
                     report_text: ok.then(|| extract_report_text(line)).flatten(),
-                    code: text("code"),
-                    retry_after_ms: uint("retry_after_ms"),
-                    trace_id: text("trace_id"),
-                    detail: text("detail"),
+                    code: value.opt("code")?,
+                    retry_after_ms: value.opt("retry_after_ms")?,
+                    trace_id: value.opt("trace_id")?,
+                    detail: value.opt("detail")?,
                 }))
             }
             other => Err(format!("unknown event {other:?}")),

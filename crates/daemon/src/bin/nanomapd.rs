@@ -40,7 +40,6 @@ const FLAGS: &[Flag] = &[
     Flag::value("--stats-interval-ms", "MS", "nanomapd-stats-v1 snapshot cadence next to\nthe ledger (default 2000; 0 disables)"),
     Flag::value("--read-timeout-ms", "MS", "slow-loris guard per request line (default 10000)"),
     Flag::value("--drain-deadline-ms", "MS", "graceful-drain budget on shutdown (default 30000)"),
-    Flag::value("--lut-inputs", "K", "LUT size for technology mapping (default 4)"),
     Flag::value("--defect-map", "PATH", "fabric defect map every request maps around"),
     Flag::switch("--exact-recovery", "run the complete SAT assignment rung after\nthe heuristic recovery ladder fails"),
 ];
@@ -101,7 +100,6 @@ fn serve(args: Args) -> Result<ExitCode, Error> {
         read_timeout_ms: args
             .num("--read-timeout-ms")?
             .unwrap_or(defaults.read_timeout_ms),
-        lut_inputs: args.num("--lut-inputs")?,
         events_path: args.get("--events").map(PathBuf::from),
         stats_interval_ms: args
             .num("--stats-interval-ms")?

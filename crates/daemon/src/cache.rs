@@ -89,9 +89,8 @@ impl ResultCache {
             return None;
         }
         let header = json::parse(header).ok()?;
-        if header.get("schema").and_then(JsonValue::as_str) != Some(CACHE_SCHEMA)
-            || header.get("run_id").and_then(JsonValue::as_str) != Some(run_id)
-        {
+        header.check_schema(CACHE_SCHEMA).ok()?;
+        if header.req::<&str>("run_id").ok()? != run_id {
             return None;
         }
         // The report must be intact JSON; it is returned untouched.

@@ -56,14 +56,13 @@ use std::time::{Duration, Instant};
 use nanomap::artifact::versions;
 use nanomap::service::{
     code, render_error_result, render_lifecycle, render_ok_result, Conn, Listener, MapRequest,
-    Request,
+    Request, LATENCY_CLASSES,
 };
 use nanomap::{
     append_run, atomic_write_text, checkpoint_file_name, Checkpoint, FlowError, NanoMap, RunRecord,
 };
 use nanomap_arch::{ArchParams, DefectMap};
 use nanomap_observe::{failpoint, EventKind, EventStream, Fnv1a, HistogramHandle, JsonValue};
-use nanomap_techmap::ExpandOptions;
 
 use cache::ResultCache;
 
@@ -88,8 +87,6 @@ pub struct DaemonConfig {
     /// How long a request may sit idle on the wire before the
     /// connection is dropped (slow-loris guard).
     pub read_timeout_ms: u64,
-    /// LUT input count override for technology mapping.
-    pub lut_inputs: Option<u32>,
     /// NDJSON file capturing `nanomap-events-v1` events (`service`
     /// lifecycle lines included) for the daemon's lifetime. `None`
     /// keeps the event bus disabled — serving stays byte-identical.
@@ -119,7 +116,6 @@ impl Default for DaemonConfig {
             ledger_path: None,
             preempt_slice_ms: None,
             read_timeout_ms: 10_000,
-            lut_inputs: None,
             events_path: None,
             stats_interval_ms: 2_000,
             defect_map_path: None,
@@ -175,18 +171,6 @@ pub struct DaemonStats {
     pub preemptions: u64,
 }
 
-/// Accounting classes of end-to-end latency, in export order: `ok`
-/// and every typed rejection code.
-const CLASSES: [&str; 7] = [
-    "ok",
-    code::SHED,
-    code::SHUTDOWN,
-    code::INVALID,
-    code::PANIC,
-    code::BUDGET,
-    code::FAILED,
-];
-
 /// Lifecycle segments of every admitted request, in export order.
 const SEGMENTS: [&str; 4] = ["queue", "compute", "cache", "serialize"];
 
@@ -195,8 +179,8 @@ const SEGMENTS: [&str; 4] = ["queue", "compute", "cache", "serialize"];
 /// while flow observability is off. None of this alters response bytes
 /// — unobserved serving stays byte-identical.
 struct ServiceLatency {
-    /// End-to-end latency per [`CLASSES`] entry, microseconds.
-    classes: [HistogramHandle; CLASSES.len()],
+    /// End-to-end latency per [`LATENCY_CLASSES`] entry, microseconds.
+    classes: [HistogramHandle; LATENCY_CLASSES.len()],
     /// Per-[`SEGMENTS`] time across all requests, microseconds.
     segments: [HistogramHandle; SEGMENTS.len()],
 }
@@ -213,8 +197,8 @@ impl ServiceLatency {
     /// land in `failed` rather than losing the sample — reconciliation
     /// stays exact.
     fn class(&self, class: &str) -> &HistogramHandle {
-        let i = CLASSES.iter().position(|&c| c == class);
-        &self.classes[i.unwrap_or(CLASSES.len() - 1)]
+        let i = LATENCY_CLASSES.iter().position(|&c| c == class);
+        &self.classes[i.unwrap_or(LATENCY_CLASSES.len() - 1)]
     }
 }
 
@@ -304,7 +288,7 @@ impl Shared {
             .with("cache_entries", self.cache.len() as u64)
             .with("cache_bytes", self.cache.bytes());
         let mut latency = JsonValue::object();
-        for (name, hist) in CLASSES.iter().zip(&self.latency.classes) {
+        for (name, hist) in LATENCY_CLASSES.iter().zip(&self.latency.classes) {
             latency.set(name, hist_json(hist));
         }
         let mut segments = JsonValue::object();
@@ -605,20 +589,23 @@ fn spawn(
 }
 
 /// The lightweight sampling ticker: persists a `nanomapd-stats-v1`
-/// snapshot every `stats_interval_ms`, sleeping in short hops so
-/// shutdown is never blocked behind a long interval.
+/// snapshot every `stats_interval_ms`. Between ticks it waits on
+/// `queue_cv`, which [`Shared::raise`] notifies under the queue lock
+/// when it sets `stop_now`, so shutdown joins it at once.
 fn ticker_loop(shared: &Arc<Shared>) {
     let interval = Duration::from_millis(shared.config.stats_interval_ms.max(1));
-    let mut next = Instant::now() + interval;
     loop {
+        let queue = shared.queue.lock().unwrap();
+        let running = |_: &mut VecDeque<Job>| !shared.stop_now.load(Ordering::SeqCst);
+        let (queue, _) = shared
+            .queue_cv
+            .wait_timeout_while(queue, interval, running)
+            .unwrap();
+        drop(queue);
         if shared.stop_now.load(Ordering::SeqCst) {
             return;
         }
-        if Instant::now() >= next {
-            persist_stats(shared);
-            next = Instant::now() + interval;
-        }
-        std::thread::sleep(Duration::from_millis(interval.as_millis().min(50) as u64));
+        persist_stats(shared);
     }
 }
 
@@ -771,7 +758,9 @@ fn admit(request: MapRequest, arrived: Instant, mut conn: Conn, shared: &Arc<Sha
         coalesced: false,
     });
     drop(queue);
-    shared.queue_cv.notify_one();
+    // `notify_all`: the ticker waits on `queue_cv` too, and a lone
+    // notification could wake it instead of an idle worker.
+    shared.queue_cv.notify_all();
 }
 
 /// Retry hint that grows with the depth that caused the shed.
@@ -834,21 +823,17 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
         Ok(o) => o,
         Err(detail) => return job.finish(shared, Reply::error(code::INVALID, &detail, None)),
     };
-    let lut_inputs = shared
-        .config
-        .lut_inputs
-        .unwrap_or(ExpandOptions::default().lut_inputs);
-    let net = match job.request.source.load(lut_inputs) {
+    // The one flow this request maps with; its run id covers the
+    // fabric, so a restart on another defect map never replays results
+    // computed for this one. Designs expand to the fabric's LUT size.
+    let mut flow = NanoMap::new(ArchParams::paper_unbounded());
+    let net = match job.request.source.load(flow.arch.lut_inputs) {
         Ok(net) => net,
         Err(detail) => {
             job.compute_us += resolve_start.elapsed().as_micros() as u64;
             return job.finish(shared, Reply::error(code::INVALID, &detail, None));
         }
     };
-    // The one flow this request maps with; its run id covers the
-    // fabric, so a restart on another defect map never replays results
-    // computed for this one.
-    let mut flow = NanoMap::new(ArchParams::paper_unbounded());
     if let Some(map) = &shared.defects {
         flow = flow.with_defects(map.clone());
     }
@@ -1005,7 +990,7 @@ fn serve(mut job: Job, shared: &Arc<Shared>) {
             }
             job.enqueued_at = Instant::now();
             shared.queue.lock().unwrap().push_back(job);
-            shared.queue_cv.notify_one();
+            shared.queue_cv.notify_all();
         }
         Ok(Err(err)) => job.finish(shared, Reply::error(code::FAILED, &err.to_string(), None)),
     }

@@ -521,11 +521,12 @@ impl EventStream {
                 stats.dropped = dropped_events();
                 stats
             })
-            .expect("spawning event stream thread");
-        Self {
-            stop,
-            handle: Some(handle),
-        }
+            .inspect_err(|e| {
+                eprintln!("warning: event stream thread failed to start ({e}); continuing without streaming");
+                set_events_enabled(false);
+            })
+            .ok();
+        Self { stop, handle }
     }
 
     /// Flushes remaining events, stops the forwarder and returns its

@@ -48,7 +48,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::hash::Fnv1a;
 use crate::rng::XorShift64Star;
@@ -187,7 +187,7 @@ pub fn arm(name: &str, mode: FailMode) {
 
 /// Arms one failpoint with an explicit seed for `prob:` determinism.
 pub fn arm_seeded(name: &str, mode: FailMode, seed: u64) {
-    let mut map = registry().lock().unwrap();
+    let mut map = registry().lock().unwrap_or_else(PoisonError::into_inner);
     map.insert(name.to_string(), FailPoint::new(name, mode, seed));
     ARMED.store(true, Ordering::Relaxed);
 }
@@ -195,7 +195,7 @@ pub fn arm_seeded(name: &str, mode: FailMode, seed: u64) {
 /// Disarms every failpoint and restores the zero-cost fast path.
 pub fn disarm_all() {
     if let Some(lock) = REGISTRY.get() {
-        lock.lock().unwrap().clear();
+        lock.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
     ARMED.store(false, Ordering::Relaxed);
 }
@@ -229,7 +229,11 @@ pub fn should_fail(name: &str) -> bool {
             return false;
         }
     }
-    match registry().lock().unwrap().get_mut(name) {
+    match registry()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get_mut(name)
+    {
         Some(point) => point.evaluate(),
         None => false,
     }
@@ -255,7 +259,7 @@ pub fn inject_io(name: &str) -> std::io::Result<()> {
 #[must_use]
 pub fn stats(name: &str) -> Option<(u64, u64)> {
     let lock = REGISTRY.get()?;
-    let map = lock.lock().unwrap();
+    let map = lock.lock().unwrap_or_else(PoisonError::into_inner);
     map.get(name).map(|p| (p.evaluations, p.fired))
 }
 

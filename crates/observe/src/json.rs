@@ -1,11 +1,20 @@
-//! Hand-rolled JSON values and serialization — no external crates.
+//! Hand-rolled JSON values, serialization and typed reading — no
+//! external crates.
 //!
 //! The flow must emit machine-readable metrics in offline environments
 //! where `serde` cannot even be resolved, so escaping and formatting are
 //! done in-crate. The emitter produces strictly valid JSON: non-finite
 //! floats become `null`, strings are escaped per RFC 8259.
+//!
+//! Every artifact decoder in the workspace reads through one API:
+//! [`JsonValue::req`] and [`JsonValue::opt`] read a field as any
+//! [`FromJson`] type, [`JsonValue::check_schema`] checks the schema tag,
+//! and every failure is a [`ReadError`] naming the field. Integers are
+//! read through `TryFrom<i64>`, so a value outside the target type is
+//! an error, never a wrapped or clamped value.
 
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -277,9 +286,209 @@ impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
     }
 }
 
-/// A minimal JSON validator/parser used by the test-suite to check that
-/// emitted metrics are well-formed (it builds the value tree; numbers are
-/// parsed as `f64`).
+/// A typed read failure: the path of the offending field and what was
+/// wrong with it. Displays as ``field `path`: problem``.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadError {
+    path: String,
+    problem: String,
+}
+
+impl ReadError {
+    fn new(problem: impl Into<String>) -> Self {
+        Self {
+            path: String::new(),
+            problem: problem.into(),
+        }
+    }
+
+    /// Expected `what`, found `value`.
+    fn mismatch(what: &str, value: &JsonValue) -> Self {
+        let found = match value {
+            JsonValue::Str(_) => "a string".to_string(),
+            JsonValue::Array(_) => "an array".to_string(),
+            JsonValue::Object(_) => "an object".to_string(),
+            scalar => scalar.to_compact_string(),
+        };
+        Self::new(format!("expected {what}, found {found}"))
+    }
+
+    /// Prefixes the path with the enclosing key (or `[index]`).
+    fn within(mut self, key: &str) -> Self {
+        self.path = match self.path.as_str() {
+            "" => key.to_string(),
+            rest if rest.starts_with('[') => format!("{key}{rest}"),
+            rest => format!("{key}.{rest}"),
+        };
+        self
+    }
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.path.is_empty() {
+            f.write_str(&self.problem)
+        } else {
+            write!(f, "field `{}`: {}", self.path, self.problem)
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+impl From<ReadError> for String {
+    fn from(e: ReadError) -> Self {
+        e.to_string()
+    }
+}
+
+/// A type a JSON value can be read as.
+pub trait FromJson<'a>: Sized {
+    /// Reads `value`, or says what was expected and what was found.
+    ///
+    /// # Errors
+    ///
+    /// A [`ReadError`] when `value` has the wrong type or range.
+    fn from_json(value: &'a JsonValue) -> Result<Self, ReadError>;
+}
+
+macro_rules! int_from_json {
+    ($($t:ty),*) => {$(
+        impl FromJson<'_> for $t {
+            fn from_json(value: &JsonValue) -> Result<Self, ReadError> {
+                value
+                    .as_int()
+                    .and_then(|i| Self::try_from(i).ok())
+                    .ok_or_else(|| ReadError::mismatch(stringify!($t), value))
+            }
+        }
+    )*};
+}
+
+int_from_json!(u16, u32, u64, usize, i32, i64);
+
+impl<'a> FromJson<'a> for &'a JsonValue {
+    fn from_json(value: &'a JsonValue) -> Result<Self, ReadError> {
+        Ok(value)
+    }
+}
+
+impl FromJson<'_> for f64 {
+    fn from_json(value: &JsonValue) -> Result<Self, ReadError> {
+        value
+            .as_f64()
+            .ok_or_else(|| ReadError::mismatch("a number", value))
+    }
+}
+
+impl FromJson<'_> for bool {
+    fn from_json(value: &JsonValue) -> Result<Self, ReadError> {
+        value
+            .as_bool()
+            .ok_or_else(|| ReadError::mismatch("a boolean", value))
+    }
+}
+
+impl<'a> FromJson<'a> for &'a str {
+    fn from_json(value: &'a JsonValue) -> Result<Self, ReadError> {
+        value
+            .as_str()
+            .ok_or_else(|| ReadError::mismatch("a string", value))
+    }
+}
+
+impl FromJson<'_> for String {
+    fn from_json(value: &JsonValue) -> Result<Self, ReadError> {
+        <&str>::from_json(value).map(str::to_string)
+    }
+}
+
+impl<'a> FromJson<'a> for &'a [JsonValue] {
+    fn from_json(value: &'a JsonValue) -> Result<Self, ReadError> {
+        value
+            .as_array()
+            .ok_or_else(|| ReadError::mismatch("an array", value))
+    }
+}
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn from_json(value: &'a JsonValue) -> Result<Self, ReadError> {
+        <&[JsonValue]>::from_json(value)?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json(item).map_err(|e| e.within(&format!("[{i}]"))))
+            .collect()
+    }
+}
+
+/// An object read as a sorted map (the number maps of the QoR, perf
+/// and ledger documents). Duplicate keys keep the first occurrence,
+/// matching [`JsonValue::get`].
+impl<'a, T: FromJson<'a>> FromJson<'a> for BTreeMap<String, T> {
+    fn from_json(value: &'a JsonValue) -> Result<Self, ReadError> {
+        let JsonValue::Object(entries) = value else {
+            return Err(ReadError::mismatch("an object", value));
+        };
+        let mut map = BTreeMap::new();
+        for (key, item) in entries {
+            if !map.contains_key(key) {
+                map.insert(key.clone(), T::from_json(item).map_err(|e| e.within(key))?);
+            }
+        }
+        Ok(map)
+    }
+}
+
+impl JsonValue {
+    /// A required field of an object.
+    ///
+    /// # Errors
+    ///
+    /// When the field is absent (or `self` is not an object).
+    pub fn field(&self, key: &str) -> Result<&JsonValue, ReadError> {
+        self.get(key)
+            .ok_or_else(|| ReadError::new("missing").within(key))
+    }
+
+    /// A required field read as `T`.
+    ///
+    /// # Errors
+    ///
+    /// When the field is absent or not a `T`.
+    pub fn req<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<T, ReadError> {
+        T::from_json(self.field(key)?).map_err(|e| e.within(key))
+    }
+
+    /// An optional field read as `T`: `None` when absent or `null`.
+    ///
+    /// # Errors
+    ///
+    /// When the field is present but not a `T`.
+    pub fn opt<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<Option<T>, ReadError> {
+        match self.get(key) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(value) => T::from_json(value).map(Some).map_err(|e| e.within(key)),
+        }
+    }
+
+    /// Checks the document's `schema` tag.
+    ///
+    /// # Errors
+    ///
+    /// When the tag is absent, not a string, or not `expected`; the
+    /// message names the tag found.
+    pub fn check_schema(&self, expected: &str) -> Result<(), ReadError> {
+        match self.req::<&str>("schema")? {
+            found if found == expected => Ok(()),
+            found => Err(
+                ReadError::new(format!("expected `{expected}`, found `{found}`")).within("schema"),
+            ),
+        }
+    }
+}
+
+/// Parses JSON text into a value tree: numbers that fit an `i64` become
+/// [`JsonValue::Int`], every other number a [`JsonValue::Float`].
 ///
 /// # Errors
 ///
@@ -454,8 +663,11 @@ fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Str
                 }
             }
             _ => {
-                // Consume one full UTF-8 character.
-                let c = text[*pos..].chars().next().expect("in-bounds char");
+                // Consume one full UTF-8 character (`pos` is in bounds
+                // and on a character boundary).
+                let Some(c) = text[*pos..].chars().next() else {
+                    return Err("unterminated string".into());
+                };
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -522,6 +734,62 @@ mod tests {
         let pretty = v.to_pretty_string();
         assert!(pretty.contains('\n'));
         assert_eq!(parse(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn integer_reads_are_range_checked() {
+        let doc = parse(r#"{"a":-1,"b":4294967296,"c":1.5,"d":"7","e":7}"#).unwrap();
+        for (key, want) in [
+            ("a", "field `a`: expected u32, found -1"),
+            ("b", "field `b`: expected u32, found 4294967296"),
+            ("c", "field `c`: expected u32, found 1.5"),
+            ("d", "field `d`: expected u32, found a string"),
+            ("z", "field `z`: missing"),
+        ] {
+            assert_eq!(doc.req::<u32>(key).unwrap_err().to_string(), want);
+        }
+        assert_eq!(doc.req::<u32>("e"), Ok(7));
+        assert_eq!(doc.req::<u64>("b"), Ok(1 << 32));
+        assert_eq!(doc.req::<i32>("a"), Ok(-1));
+        assert!(doc.req::<u16>("b").is_err());
+        assert_eq!(doc.req::<f64>("e"), Ok(7.0));
+    }
+
+    #[test]
+    fn optional_reads_accept_absent_and_null_but_not_mistyped() {
+        let doc = parse(r#"{"n":null,"s":"x","i":3}"#).unwrap();
+        assert_eq!(doc.opt::<u32>("n"), Ok(None));
+        assert_eq!(doc.opt::<u32>("absent"), Ok(None));
+        assert_eq!(doc.opt::<u32>("i"), Ok(Some(3)));
+        assert_eq!(doc.opt::<&str>("s"), Ok(Some("x")));
+        assert!(doc.opt::<u32>("s").is_err());
+        assert!(doc.opt::<bool>("i").is_err());
+    }
+
+    #[test]
+    fn container_errors_name_the_element() {
+        let doc = parse(r#"{"v":[1,2,-3],"m":{"x":1,"y":{"z":true},"x":"dup"}}"#).unwrap();
+        let err = doc.req::<Vec<u32>>("v").unwrap_err();
+        assert_eq!(err.to_string(), "field `v[2]`: expected u32, found -3");
+        // Duplicate keys keep the first occurrence, like `get`.
+        let err = doc.req::<BTreeMap<String, f64>>("m").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "field `m.y`: expected a number, found an object"
+        );
+        let nested = parse(r#"{"m":{"x":1,"x":"dup"}}"#).unwrap();
+        let map: BTreeMap<String, f64> = nested.req("m").unwrap();
+        assert_eq!(map.get("x"), Some(&1.0));
+    }
+
+    #[test]
+    fn schema_check_names_what_it_found() {
+        let doc = parse(r#"{"schema":"other-v9"}"#).unwrap();
+        assert_eq!(doc.check_schema("other-v9"), Ok(()));
+        let err = doc.check_schema("mine-v1").unwrap_err().to_string();
+        assert_eq!(err, "field `schema`: expected `mine-v1`, found `other-v9`");
+        let err = JsonValue::object().check_schema("mine-v1").unwrap_err();
+        assert_eq!(err.to_string(), "field `schema`: missing");
     }
 
     #[test]

@@ -43,6 +43,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The crate holds the one reader of outside input (`json`): malformed
+// artifacts must surface as typed errors, never panics.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod alloc;
 pub mod budget;

@@ -193,11 +193,13 @@ pub struct CriticalPathReport {
     pub max_slice_path_ns: f64,
     /// Fixed per-cycle overhead: reconfiguration + clock skew (ns).
     pub overhead_ns: f64,
-    /// Folding-cycle period: `max_slice_path_ns + overhead_ns`.
+    /// Folding-cycle period, copied from the router's timing:
+    /// `max_slice_path_ns + overhead_ns` up to the last bit.
     pub cycle_period_ns: f64,
     /// Number of folding cycles.
     pub num_slices: u32,
-    /// Headline circuit delay: `cycle_period_ns * num_slices`.
+    /// Headline circuit delay, copied from the router's timing (the
+    /// report's `routed_delay_ns`): `cycle_period_ns * num_slices`.
     pub routed_delay_ns: f64,
 }
 
@@ -293,19 +295,15 @@ pub fn trace_critical_paths(
             .then(a.rank.cmp(&b.rank))
     });
 
-    // The identity groups the overhead as one term, so the period is
-    // rebuilt from the kept worst path rather than copied:
-    // `routed.timing.cycle_period` adds reconfiguration and clocking one
-    // at a time and can differ in the last bit.
-    let overhead = timing.reconfiguration + timing.clocking;
-    let cycle_period = max_slice_path + overhead;
+    // The period and delay are the router's, bit for bit, so the
+    // artifact and the report agree; the identity holds within 1e-9.
     CriticalPathReport {
         paths,
         max_slice_path_ns: max_slice_path,
-        overhead_ns: overhead,
-        cycle_period_ns: cycle_period,
+        overhead_ns: timing.reconfiguration + timing.clocking,
+        cycle_period_ns: routed.timing.cycle_period,
         num_slices: design.num_slices(),
-        routed_delay_ns: cycle_period * f64::from(design.num_slices()),
+        routed_delay_ns: routed.timing.circuit_delay,
     }
 }
 

@@ -175,7 +175,7 @@ pub fn encode(problem: &AssignmentProblem) -> Encoding {
     let mut cnf = Cnf::new();
     let mut vars: Vec<Vec<(u32, Var)>> = Vec::with_capacity(problem.allowed.len());
     // Variables first, in (item, slot) order, so the encoding is
-    // reproducible and variable indices are meaningful in DIMACS dumps.
+    // reproducible and variable indices are meaningful in printed clauses.
     for allowed in &problem.allowed {
         vars.push(allowed.iter().map(|&s| (s, cnf.new_var())).collect());
     }

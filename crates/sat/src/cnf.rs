@@ -106,8 +106,8 @@ impl Cnf {
         v
     }
 
-    /// Ensures at least `n` variables exist (for DIMACS headers that
-    /// declare more variables than the clauses mention).
+    /// Ensures at least `n` variables exist, including ones no clause
+    /// mentions.
     pub fn reserve_vars(&mut self, n: u32) {
         self.num_vars = self.num_vars.max(n);
     }

@@ -17,7 +17,6 @@
 //! * [`solver`] — watched-literal CDCL with VSIDS activity, first-UIP
 //!   learning, Luby restarts, seeded deterministic branching, and
 //!   cooperative interruption via conflict budgets and `CancelToken`,
-//! * [`dimacs`] — DIMACS CNF round-tripping,
 //! * [`assign`] — the assignment problem encoder/decoder with a
 //!   structural infeasibility screen.
 //!
@@ -28,12 +27,10 @@
 
 pub mod assign;
 pub mod cnf;
-pub mod dimacs;
 pub mod solver;
 
 pub use assign::{
     solve_assignment, AssignOutcome, AssignmentProblem, CapacityGroup, Encoding, Infeasibility,
 };
 pub use cnf::{Cnf, Lit, Var};
-pub use dimacs::{emit, parse, DimacsError};
 pub use solver::{SolveOutcome, Solver, SolverOptions, SolverStats};

@@ -6,6 +6,7 @@ use std::path::PathBuf;
 use std::process::{Command as Process, Output};
 
 use nanomap::cli::{Args, Command, Error, Flag};
+use nanomap_observe::JsonValue;
 
 const SHARED: &[Flag] = &[
     Flag::value("--k", "N", "a number\nsecond line"),
@@ -189,4 +190,67 @@ fn flow_flag_validation_is_kept() {
         "--check",
         "takes no design",
     );
+}
+
+#[test]
+fn a_lut_wider_than_the_fabric_exits_one() {
+    let path = std::env::temp_dir().join(format!("nanomap-wide-{}.blif", std::process::id()));
+    std::fs::write(
+        &path,
+        ".model wide\n.inputs a b c d e\n.outputs y\n.names a b c d e y\n11111 1\n.end\n",
+    )
+    .unwrap();
+    let out = nanomap(&[path.to_str().unwrap()]);
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("has a 5-input LUT, but the fabric's LUTs have 4 inputs"),
+        "{stderr}"
+    );
+}
+
+/// The explain artifact copies the router's routed delay, so it agrees
+/// with the report bit for bit (this case used to differ in the last bit).
+#[test]
+fn explain_and_metrics_report_the_same_routed_delay_bits() {
+    let dir = std::env::temp_dir().join(format!("nanomap-explain-bits-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (explain, metrics) = (dir.join("e.json"), dir.join("m.json"));
+    let out = nanomap(&[
+        &design(),
+        "--defect-rate",
+        "0.3",
+        "--defect-seed",
+        "1",
+        "--explain",
+        explain.to_str().unwrap(),
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = |path: &PathBuf| {
+        nanomap_observe::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+    };
+    let (explain, metrics) = (read(&explain), read(&metrics));
+    std::fs::remove_dir_all(&dir).unwrap();
+    let number = |doc: &JsonValue, path: &[&str]| {
+        path.iter()
+            .try_fold(doc, |v, key| v.get(key))
+            .and_then(JsonValue::as_f64)
+            .unwrap()
+    };
+    let explained = number(&explain, &["timing", "routed_delay_ns"]);
+    let period = number(&explain, &["timing", "cycle_period_ns"]);
+    let reported = number(&metrics, &["report", "physical", "routed_delay_ns"]);
+    assert_eq!(
+        explained.to_bits(),
+        reported.to_bits(),
+        "{explained} vs {reported}"
+    );
+    assert_eq!((explained, period), (4.25, 2.125));
 }
