@@ -10,14 +10,18 @@
 //! root (the committed perf trajectory point). `--circuit` restricts the
 //! sweep (CI's perf-smoke leg measures one benchmark against the
 //! full-suite baseline — `perf-diff` treats absent circuits as
-//! informational). `--profile` additionally writes the exact span
-//! profile of each circuit's final run: `<circuit>.profile.json` +
-//! collapsed stacks.
+//! informational).
+//!
+//! The N timed runs run with the collector and memory tracking off, so
+//! the medians carry no telemetry cost. One further instrumented run
+//! per circuit supplies `alloc_bytes`, `peak_live_bytes` and
+//! `peak_rss_kb`, and with `--profile` its exact span profile:
+//! `<circuit>.profile.json` + collapsed stacks.
 //!
 //! Every run is checked for `phase_times` self-consistency
-//! ([`nanomap::PhaseTimes::reconcile`]): the per-phase sum may undershoot
-//! the total (unitemized inter-phase work) but never overshoot it beyond
-//! tolerance — a sum above the total means a phase was double-counted.
+//! ([`nanomap::PhaseTimes::reconcile`]): the per-phase microseconds may
+//! undershoot the total (unitemized inter-phase work) but never exceed
+//! it — a sum above the total means a phase was double-counted.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -34,17 +38,12 @@ use nanomap_bench::circuits::paper_benchmarks;
 #[global_allocator]
 static ALLOC: nanomap_observe::CountingAllocator = nanomap_observe::CountingAllocator::system();
 
-/// Tolerance for the phase-times reconciliation: generous, because it
-/// guards against double-counting, not against timer noise.
-const RECONCILE_TOL_FRAC: f64 = 0.10;
-const RECONCILE_SLACK_MS: f64 = 5.0;
-
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
     Flag::value("--out", "PATH", "the perf document (default BENCH_perf.json at the repo root)"),
     Flag::value("--runs", "N", "runs per circuit, at least 1 (default 5)"),
     Flag::value("--circuit", "NAME", "measure one benchmark only"),
-    Flag::value("--profile", "DIR", "also write each circuit's final-run span profile to DIR"),
+    Flag::value("--profile", "DIR", "also write each circuit's instrumented-run span profile to DIR"),
 ];
 
 static PERF: Command = Command {
@@ -78,59 +77,59 @@ fn measure(args: Args) -> Result<ExitCode, Error> {
             continue;
         }
         measured += 1;
-        let mut samples: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        let mut peak_rss_kb: u64 = 0;
-        let mut peak_live_bytes: u64 = 0;
-        let mut alloc_bytes: u64 = 0;
-        for run in 0..runs {
-            // Fresh collector epoch and memory window per run, so the
-            // final run's profile covers exactly that run.
-            nanomap_observe::reset();
-            nanomap_observe::set_enabled(true);
-            nanomap_observe::reset_memory();
-            nanomap_observe::set_memory_tracking(true);
+        let map = |run: &str| {
             let report = flow
                 .map(&bench.network, Objective::MinAreaDelayProduct)
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-            if let Some(dir) = profile_dir.filter(|_| run + 1 == runs) {
-                let profile = nanomap_observe::snapshot().profile();
-                let json_path = write_profile_artifacts(dir, bench.name, &profile)
-                    .map_err(|e| format!("--profile {e}"))?;
-                eprintln!(
-                    "{}: profile {} paths, {:.1} ms exact -> {}",
-                    bench.name,
-                    profile.paths.len(),
-                    profile.total_us() as f64 / 1e3,
-                    json_path.display()
-                );
-            }
-            nanomap_observe::set_memory_tracking(false);
-            let t = report.phase_times;
-            t.reconcile(RECONCILE_TOL_FRAC, RECONCILE_SLACK_MS)
+            report
+                .phase_times
+                .reconcile()
                 .unwrap_or_else(|e| panic!("{} run {run}: {e}", bench.name));
+            report
+        };
+        let mut samples: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+        for run in 0..runs {
+            let t = map(&run.to_string()).phase_times;
             for (name, value) in t.keyed_ms() {
                 samples.entry(name.to_string()).or_default().push(value);
             }
-            if let Some(memory) = &report.memory {
-                peak_live_bytes = peak_live_bytes.max(memory.peak_live_bytes);
-                alloc_bytes = alloc_bytes.max(memory.alloc_bytes);
-                if let Some(kb) = memory.peak_rss_kb {
-                    peak_rss_kb = peak_rss_kb.max(kb);
-                }
-            }
         }
+        // The instrumented run, on a fresh collector epoch and memory
+        // window, so its profile and memory cover exactly that run.
+        nanomap_observe::reset();
+        nanomap_observe::set_enabled(true);
+        nanomap_observe::reset_memory();
+        nanomap_observe::set_memory_tracking(true);
+        let report = map("instrumented");
+        nanomap_observe::set_memory_tracking(false);
+        nanomap_observe::set_enabled(false);
+        if let Some(dir) = profile_dir {
+            let profile = nanomap_observe::snapshot().profile();
+            let json_path = write_profile_artifacts(dir, bench.name, &profile)
+                .map_err(|e| format!("--profile {e}"))?;
+            eprintln!(
+                "{}: profile {} paths, {:.1} ms exact -> {}",
+                bench.name,
+                profile.paths.len(),
+                profile.total_us() as f64 / 1e3,
+                json_path.display()
+            );
+        }
+        let memory = report
+            .memory
+            .expect("memory tracking is on for the instrumented run");
         let mut perf = PerfReport::from_samples(bench.name, runs, &samples);
-        perf.set("peak_live_bytes", peak_live_bytes as f64);
-        perf.set("alloc_bytes", alloc_bytes as f64);
-        if peak_rss_kb > 0 {
-            perf.set("peak_rss_kb", peak_rss_kb as f64);
+        perf.set("peak_live_bytes", memory.peak_live_bytes as f64);
+        perf.set("alloc_bytes", memory.alloc_bytes as f64);
+        if let Some(kb) = memory.peak_rss_kb {
+            perf.set("peak_rss_kb", kb as f64);
         }
         eprintln!(
             "{}: median total {:.1} ms over {} runs, peak live {:.1} MiB",
             bench.name,
             perf.metrics.get("total.median_ms").copied().unwrap_or(0.0),
             runs,
-            peak_live_bytes as f64 / (1024.0 * 1024.0),
+            memory.peak_live_bytes as f64 / (1024.0 * 1024.0),
         );
         reports.push(perf);
     }

@@ -1275,18 +1275,15 @@ fn flow_main(args: Args) -> Result<ExitCode, Error> {
     if args.has("--verify") {
         report!("  folded-execution verification: PASSED");
     }
-    let t = &report.phase_times;
+    let t = report.phase_times;
+    let phases: Vec<String> = t
+        .by_phase()
+        .map(|(phase, ms)| format!("{} {ms:.1}", phase.span))
+        .collect();
     report!(
-        "  time: total {:.1} ms (select {:.1}, fds {:.1}, pack {:.1}, place {:.1}, route {:.1}, bitmap {:.1}, verify {:.1}, explain {:.1})",
-        t.total_ms,
-        t.folding_select_ms,
-        t.fds_ms,
-        t.pack_ms,
-        t.place_ms,
-        t.route_ms,
-        t.bitmap_ms,
-        t.verify_ms,
-        t.explain_ms
+        "  time: total {:.1} ms ({})",
+        t.total_ms(),
+        phases.join(", ")
     );
     if let Some(memory) = &report.memory {
         report!("  memory: {}", memory_summary(memory));

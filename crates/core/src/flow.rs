@@ -257,22 +257,20 @@ impl NanoMap {
     pub fn map(&self, net: &LutNetwork, objective: Objective) -> Result<MappingReport, FlowError> {
         self.check_lut_width(net)?;
         let token = CancelToken::with_budget_ms(self.budget_ms);
-        let total_start = Instant::now();
         self.publish_run_start(net, objective);
         let flow_span = span!("flow", circuit = net.name());
         let planes = PlaneSet::extract(net)?;
-        let select_start = Instant::now();
-        let (candidates, select_degradation) = self.select(net, &planes, objective, &token)?;
+        let (candidates, select_degradation, select_us) =
+            self.select(net, &planes, objective, &token)?;
         let run = Run {
             net,
             planes: &planes,
             objective,
             token: &token,
-            select_ms: select_start.elapsed().as_secs_f64() * 1e3,
-            total_start,
         };
         let plan = Plan {
             candidates,
+            select_us,
             first_rank: 0,
             start: Remedy::Baseline,
             restored: None,
@@ -308,7 +306,6 @@ impl NanoMap {
         self.check_lut_width(net)?;
         checkpoint.validate(net, &objective.key(), &self.arch)?;
         let token = CancelToken::with_budget_ms(self.budget_ms);
-        let total_start = Instant::now();
         self.publish_run_start(net, objective);
         let mut flow_span = span!("flow", circuit = net.name());
         flow_span.attr("resumed", 1u64);
@@ -326,7 +323,7 @@ impl NanoMap {
             graphs,
             schedules,
             degradation: None,
-            fds_ms: 0.0,
+            fds_us: 0,
         };
         let mut recovery = checkpoint.recovery.clone();
         recovery.succeeded_with = None;
@@ -335,11 +332,10 @@ impl NanoMap {
             planes: &planes,
             objective,
             token: &token,
-            select_ms: 0.0,
-            total_start,
         };
         let plan = Plan {
             candidates: vec![eval],
+            select_us: 0,
             first_rank: checkpoint.candidate_rank,
             start: checkpoint.remedy,
             restored: checkpoint.placement.clone(),
@@ -363,19 +359,20 @@ impl NanoMap {
 
     /// Logic mapping (steps 2-6): evaluates every folding candidate and
     /// returns the constraint-satisfying ones in objective preference
-    /// order, plus a degradation when the budget cut enumeration short.
+    /// order, a degradation when the budget cut enumeration short, and
+    /// the microseconds of the `folding-select` span.
     fn select(
         &self,
         net: &LutNetwork,
         planes: &PlaneSet,
         objective: Objective,
         token: &CancelToken,
-    ) -> Result<(Vec<CandidateEval>, Option<Degradation>), FlowError> {
+    ) -> Result<(Vec<CandidateEval>, Option<Degradation>, u64), FlowError> {
         let configs = candidate_configs(planes, self.arch.num_reconf);
         let mut evaluated: Vec<CandidateEval> = Vec::new();
         let mut degradation = None;
-        {
-            let _select_span = span!("folding-select", candidates = configs.len());
+        let select_us = {
+            let select_span = span!("folding-select", candidates = configs.len());
             for &config in &configs {
                 // Budget gone: stop enumerating once at least one
                 // feasible candidate exists — a truncated preference
@@ -397,9 +394,6 @@ impl NanoMap {
                     });
                     break;
                 }
-                let mut cand_span = span!("candidate", stages = config.stages);
-                cand_span.attr("level", config.level);
-                nanomap_observe::incr("flow.candidates_evaluated", 1);
                 // Each candidate is scheduled exactly once: a budget-
                 // truncated FDS keeps its degradation in the evaluation,
                 // and every later attempt reuses the schedules.
@@ -412,7 +406,8 @@ impl NanoMap {
                     Err(e) => return Err(e),
                 }
             }
-        }
+            select_span.finish()
+        };
         // Constraint-violating candidates sort last: they stay only long
         // enough to name the best one when nothing is admitted.
         evaluated.sort_by(|a, b| {
@@ -442,7 +437,7 @@ impl NanoMap {
             });
         }
         evaluated.retain(|e| objective.admits(e.les, e.delay_ns));
-        Ok((evaluated, degradation))
+        Ok((evaluated, degradation, select_us))
     }
 
     /// Physical design (steps 7-15) under the recovery ladder: per
@@ -458,6 +453,7 @@ impl NanoMap {
     ) -> Result<MappingReport, FlowError> {
         let Plan {
             candidates,
+            select_us,
             first_rank,
             start,
             mut restored,
@@ -514,7 +510,7 @@ impl NanoMap {
                         placement,
                         &mut degradations,
                     ) {
-                        Ok(report) => break 'won Some((report, remedy, degradations)),
+                        Ok(report) => break 'won Some((report, eval, remedy, degradations)),
                         Err(e) => match physical_phase(&e) {
                             Some(phase) => {
                                 attempt.record_failure(
@@ -548,7 +544,7 @@ impl NanoMap {
                     }
                     match self.exact_assign_rung(run, first_rank + i, eval, &base, &mut recovery) {
                         ExactRungResult::Success(report, degradations) => {
-                            break 'won Some((*report, Remedy::ExactAssign, degradations));
+                            break 'won Some((*report, eval, Remedy::ExactAssign, degradations));
                         }
                         // Keep the preferred candidate's proof for the
                         // error; later candidates still must be tried.
@@ -571,7 +567,7 @@ impl NanoMap {
             }
             None
         };
-        let Some((report, remedy, degradations)) = won else {
+        let Some((mut report, eval, remedy, degradations)) = won else {
             return Err(if run.token.expired() {
                 nanomap_observe::incr("flow.budget_expired", 1);
                 FlowError::BudgetExhausted {
@@ -590,12 +586,18 @@ impl NanoMap {
         if remedy == Remedy::ExactAssign {
             flow_span.attr("exact_recovery", 1u64);
         }
+        // The winning candidate's FDS ran once, inside selection: it is
+        // its own phase, and the rest of selection is folding-select.
+        let times = &mut report.phase_times;
+        times.set("folding-select", select_us - eval.fds_us);
+        times.set("fds", eval.fds_us);
+        times.total_us = flow_span.finish();
         self.finalize(run, report, recovery, remedy, degradations)
     }
 
     /// Success bookkeeping: fold the degradation history into the
     /// report, route strict-mode expiry to
-    /// [`FlowError::BudgetExhausted`], stamp totals.
+    /// [`FlowError::BudgetExhausted`], stamp the budget remainder.
     fn finalize(
         &self,
         run: &Run,
@@ -620,7 +622,6 @@ impl NanoMap {
         report.degraded = degraded;
         report.degradations = degradations;
         report.recovery = recovery;
-        report.phase_times.total_ms = run.total_start.elapsed().as_secs_f64() * 1e3;
         report.phase_times.budget_ms_remaining = run.token.remaining_ms();
         for d in &report.degradations {
             nanomap_observe::publish(|| nanomap_observe::EventKind::Degraded {
@@ -733,10 +734,11 @@ impl NanoMap {
         Ok(Some(CheckpointWriter::new(dir, checkpoint)?))
     }
 
-    /// Logic-mapping evaluation of one folding configuration: schedules
-    /// every plane (polling the cancel token at FDS round boundaries)
-    /// and computes LE usage and analytical delay. A budget-truncated
-    /// FDS run leaves its merged per-plane degradation in the result.
+    /// Logic-mapping evaluation of one folding configuration, inside
+    /// one `candidate` span: schedules every plane (polling the cancel
+    /// token at FDS round boundaries) and computes LE usage and
+    /// analytical delay. A budget-truncated FDS run leaves its merged
+    /// per-plane degradation in the result.
     pub(crate) fn evaluate_budgeted(
         &self,
         net: &LutNetwork,
@@ -744,7 +746,9 @@ impl NanoMap {
         config: FoldingConfig,
         token: &CancelToken,
     ) -> Result<CandidateEval, FlowError> {
-        let start = Instant::now();
+        let mut cand_span = span!("candidate", stages = config.stages);
+        cand_span.attr("level", config.level);
+        nanomap_observe::incr("flow.candidates_evaluated", 1);
         let graphs = item_graphs(net, planes, config)?;
         let mut schedules = Vec::new();
         let mut degradation: Option<Degradation> = None;
@@ -781,7 +785,7 @@ impl NanoMap {
             graphs,
             schedules,
             degradation,
-            fds_ms: start.elapsed().as_secs_f64() * 1e3,
+            fds_us: cand_span.finish(),
         })
     }
 
@@ -878,33 +882,25 @@ impl NanoMap {
         let (net, planes, token) = (run.net, run.planes, run.token);
         let (eval, overrides) = (attempt.eval, &attempt.overrides);
         let config = eval.config;
-        // The candidate's FDS ran once, inside selection: report it as
-        // its own phase and the rest of selection as folding-select.
-        let mut times = PhaseTimes {
-            folding_select_ms: run.select_ms - eval.fds_ms,
-            fds_ms: eval.fds_ms,
-            ..PhaseTimes::default()
-        };
+        let mut times = PhaseTimes::default();
         {
             // The verify span is always emitted so the phase set is
             // complete; the attribute records whether it actually ran.
             let mut verify_span = span!("verify", skipped = !self.verify);
             if self.verify {
-                let verify_start = Instant::now();
                 let check = check_folded_execution(&shared.design, VERIFY_CYCLES, 0xFEED);
-                times.verify_ms = verify_start.elapsed().as_secs_f64() * 1e3;
                 verify_span.attr("cycles", VERIFY_CYCLES as u64);
                 if let Some(detail) = check.failure {
                     return Err(FlowError::VerificationFailed { detail });
                 }
+                times.set("verify", verify_span.finish());
             }
         }
         let mut explain = None;
         let physical = if self.run_physical {
             let (design, packed) = shared.packed(self)?;
             let (packing, nets) = (&packed.packing, &packed.nets);
-            times.pack_ms = packed.ms;
-            let place_start = Instant::now();
+            times.set("pack", packed.us);
             let placement = match placement {
                 Some(placement) => placement,
                 None => {
@@ -925,14 +921,13 @@ impl NanoMap {
                         place_span.attr("degraded", 1u64);
                         degradations.push(d);
                     }
+                    times.set("place", place_span.finish());
                     placement
                 }
             };
-            times.place_ms = place_start.elapsed().as_secs_f64() * 1e3;
             if let Some(w) = ckpt {
                 w.write_place(placement.grid, &placement.pos_of)?;
             }
-            let route_start = Instant::now();
             let routed = {
                 let mut route_span = span!("route", slices = design.num_slices());
                 route_span.attr("seed", overrides.route.seed);
@@ -953,30 +948,28 @@ impl NanoMap {
                     route_span.attr("degraded", 1u64);
                     degradations.push(d);
                 }
+                // The router's `bitmap_ms` holds the `bitmap` span's
+                // whole microseconds, so this recovers them exactly.
+                let bitmap_us = (routed.bitmap_ms * 1e3).round() as u64;
+                times.set("bitmap", bitmap_us);
+                times.set("route", route_span.finish() - bitmap_us);
                 routed
             };
-            times.bitmap_ms = routed.bitmap_ms;
-            times.route_ms =
-                (route_start.elapsed().as_secs_f64() * 1e3 - routed.bitmap_ms).max(0.0);
             if self.explain {
-                let explain_start = Instant::now();
-                let report = {
-                    let _span = span!("explain", top_k = self.explain_top_k as u64);
-                    crate::explain::ExplainReport::build(
-                        net.name(),
-                        design,
-                        packing,
-                        nets,
-                        &placement,
-                        &routed,
-                        &overrides.channels,
-                        &self.timing,
-                        &self.arch,
-                        self.explain_top_k,
-                    )
-                };
-                times.explain_ms = explain_start.elapsed().as_secs_f64() * 1e3;
-                explain = Some(report);
+                let explain_span = span!("explain", top_k = self.explain_top_k as u64);
+                explain = Some(crate::explain::ExplainReport::build(
+                    net.name(),
+                    design,
+                    packing,
+                    nets,
+                    &placement,
+                    &routed,
+                    &overrides.channels,
+                    &self.timing,
+                    &self.arch,
+                    self.explain_top_k,
+                ));
+                times.set("explain", explain_span.finish());
             }
             let bitstream = self
                 .emit_bitstream
@@ -1062,8 +1055,9 @@ pub(crate) struct CandidateEval {
     pub(crate) schedules: Vec<Schedule>,
     /// Set when the budget truncated FDS.
     pub(crate) degradation: Option<Degradation>,
-    /// Wall-clock of the evaluation (zero for a restored checkpoint).
-    pub(crate) fds_ms: f64,
+    /// Microseconds of the evaluation's `candidate` span (zero for a
+    /// restored checkpoint).
+    pub(crate) fds_us: u64,
 }
 
 /// What every attempt on one candidate shares: its temporal design and,
@@ -1080,9 +1074,9 @@ pub(crate) struct Shared<'a> {
 pub(crate) struct Packed {
     pub(crate) packing: Packing,
     pub(crate) nets: SliceNets,
-    /// Wall-clock of clustering and net extraction: the candidate's
-    /// `pack_ms`.
-    ms: f64,
+    /// Microseconds of the `pack` span around clustering and net
+    /// extraction.
+    us: u64,
 }
 
 impl<'a> Shared<'a> {
@@ -1109,14 +1103,13 @@ impl<'a> Shared<'a> {
         let packed = match self.packed.take() {
             Some(packed) => packed,
             None => {
-                let start = Instant::now();
-                let _span = span!("pack", slices = self.design.num_slices());
+                let pack_span = span!("pack", slices = self.design.num_slices());
                 let packing = pack(&self.design, &flow.arch, flow.pack_options)?;
                 let nets = extract_nets(&self.design, &packing);
                 Packed {
                     packing,
                     nets,
-                    ms: start.elapsed().as_secs_f64() * 1e3,
+                    us: pack_span.finish(),
                 }
             }
         };
@@ -1130,15 +1123,14 @@ pub(crate) struct Run<'a> {
     pub(crate) planes: &'a PlaneSet,
     objective: Objective,
     pub(crate) token: &'a CancelToken,
-    /// Wall-clock of candidate selection (zero on resume).
-    select_ms: f64,
-    total_start: Instant,
 }
 
 /// What the ladder driver climbs: candidates in preference order, the
 /// rung to start on and what an interrupted run left behind.
 struct Plan {
     candidates: Vec<CandidateEval>,
+    /// Microseconds of the `folding-select` span (zero on resume).
+    select_us: u64,
     /// Preference rank of the first candidate.
     first_rank: usize,
     /// The rung the first candidate starts on (a remedy outside

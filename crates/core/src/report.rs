@@ -54,8 +54,8 @@ pub struct MappingReport {
     /// runs.
     pub degradations: Vec<Degradation>,
     /// Wall-clock time spent in each flow phase. Always populated — the
-    /// flow measures these with plain `Instant`s, independent of whether
-    /// the observability collector is enabled.
+    /// spans that bracket the phases time them whether or not the
+    /// observability collector is enabled.
     pub phase_times: PhaseTimes,
     /// Heap/RSS telemetry, populated only when the driver turned on
     /// allocation tracking (`None` keeps untracked artifacts
@@ -63,53 +63,63 @@ pub struct MappingReport {
     pub memory: Option<MemoryReport>,
 }
 
-/// Wall-clock milliseconds per flow phase (zero when a phase did not run).
+/// Wall-clock time per flow phase in whole microseconds, one slot per
+/// [`PHASES`] row (zero when a phase did not run).
+///
+/// Every slot is the duration of the span that brackets the phase —
+/// the `duration_us` the profile and the `phase-end` event carry — so
+/// the report, the profile and the `run-end` event agree to the
+/// microsecond. Two slots leave out a span nested in their own:
+/// `folding-select` is the `folding-select` span minus the winning
+/// candidate's `candidate` span (the `fds` slot; every candidate is
+/// scheduled once, inside selection), and `route` is the `route` span
+/// minus its `bitmap` span. `pack` is measured once per candidate:
+/// every rung on it reuses the packing. On resume the schedules come
+/// from the checkpoint, so `folding-select` and `fds` are zero, as is
+/// `place` when the checkpoint restores the placement; `verify` and
+/// `explain` are zero when they are off.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Candidate enumeration and FDS evaluation of every folding config,
-    /// except the winning candidate's evaluation (that is `fds_ms`).
-    /// Together the two cover the `folding-select` span.
-    pub folding_select_ms: f64,
-    /// FDS evaluation of the winning candidate, measured during
-    /// selection: every candidate is scheduled once. Zero on resume,
-    /// which restores the schedules from the checkpoint.
-    pub fds_ms: f64,
-    /// Temporal clustering and net extraction of the winning candidate,
-    /// measured once: every rung on the candidate reuses its packing.
-    /// Only net extraction on resume with a restored packing.
-    pub pack_ms: f64,
-    /// Two-step simulated-annealing placement.
-    pub place_ms: f64,
-    /// PathFinder routing (excluding bitmap generation).
-    pub route_ms: f64,
-    /// Configuration-bitmap generation.
-    pub bitmap_ms: f64,
-    /// Folded-execution verification.
-    pub verify_ms: f64,
-    /// Explain-artifact generation (critical-path tracing, congestion
-    /// and occupancy grids) — the observability layer observing itself.
-    pub explain_ms: f64,
-    /// End-to-end mapping time.
-    pub total_ms: f64,
+    us: [u64; PHASES.len()],
+    /// End-to-end mapping time: the `flow` span.
+    pub total_us: u64,
     /// Budget left when the flow finished, `None` when it ran without a
     /// time budget (keeps unbudgeted artifacts byte-identical).
     pub budget_ms_remaining: Option<f64>,
 }
 
 impl PhaseTimes {
+    /// The slot of the phase whose span is named `span`; a name no
+    /// [`PHASES`] row holds is a bug, and panics.
+    fn slot(span: &str) -> usize {
+        PHASES
+            .iter()
+            .position(|p| p.span == span)
+            .unwrap_or_else(|| panic!("`{span}` is not a flow phase"))
+    }
+
+    /// Sets the microseconds of the phase whose span is named `span`.
+    pub(crate) fn set(&mut self, span: &str, us: u64) {
+        self.us[Self::slot(span)] = us;
+    }
+
+    /// Microseconds of the phase whose span is named `span`.
+    ///
+    /// # Panics
+    ///
+    /// When no [`PHASES`] row names `span`.
+    pub fn us(&self, span: &str) -> u64 {
+        self.us[Self::slot(span)]
+    }
+
+    /// End-to-end milliseconds.
+    pub fn total_ms(&self) -> f64 {
+        to_ms(self.total_us)
+    }
+
     /// Each phase's milliseconds, in [`PHASES`] order.
     pub fn by_phase(self) -> impl Iterator<Item = (Phase, f64)> {
-        let ms = [
-            self.folding_select_ms,
-            self.fds_ms,
-            self.pack_ms,
-            self.place_ms,
-            self.route_ms,
-            self.bitmap_ms,
-            self.verify_ms,
-            self.explain_ms,
-        ];
-        PHASES.into_iter().zip(ms)
+        PHASES.into_iter().zip(self.us.map(to_ms))
     }
 
     /// Each phase's `(JSON key, milliseconds)` followed by
@@ -117,30 +127,27 @@ impl PhaseTimes {
     pub fn keyed_ms(self) -> impl Iterator<Item = (&'static str, f64)> {
         self.by_phase()
             .map(|(phase, ms)| (phase.key, ms))
-            .chain([("total_ms", self.total_ms)])
+            .chain([("total_ms", self.total_ms())])
     }
 
-    /// Sum of the per-phase wall-clock entries (everything except
-    /// `total_ms` and the budget remainder).
-    pub fn phase_sum_ms(self) -> f64 {
-        self.by_phase().map(|(_, ms)| ms).sum()
+    /// Sum of the per-phase microseconds (everything except the total
+    /// and the budget remainder).
+    pub fn phase_sum_us(self) -> u64 {
+        self.us.iter().sum()
     }
 
-    /// Self-consistency check: the per-phase sum must not exceed the
-    /// reported total by more than `tol_frac` of the total plus a flat
-    /// `slack_ms` guard. One-sided on purpose — inter-phase work the
-    /// breakdown does not itemize (planes extraction, report assembly)
-    /// legitimately makes the sum *undershoot* the total, and recovery-
-    /// ladder retries overwrite per-attempt entries, but the sum ever
-    /// *overshooting* the total means a phase was double-counted.
-    pub fn reconcile(self, tol_frac: f64, slack_ms: f64) -> Result<(), String> {
-        let sum = self.phase_sum_ms();
-        let bound = self.total_ms * (1.0 + tol_frac) + slack_ms;
-        if sum > bound {
+    /// Self-consistency check: the phases are disjoint spans inside the
+    /// `flow` span, so their microseconds sum to no more than the
+    /// total. One-sided on purpose — work the breakdown does not
+    /// itemize (plane extraction, failed recovery attempts, report
+    /// assembly) makes the sum *undershoot* the total, but a sum above
+    /// it means a phase was double-counted.
+    pub fn reconcile(self) -> Result<(), String> {
+        let sum = self.phase_sum_us();
+        if sum > self.total_us {
             return Err(format!(
-                "phase_times inconsistent: per-phase sum {sum:.3} ms exceeds \
-                 total {:.3} ms (bound {bound:.3} ms)",
-                self.total_ms
+                "phase_times inconsistent: per-phase sum {sum} µs exceeds total {} µs",
+                self.total_us
             ));
         }
         Ok(())
@@ -159,6 +166,11 @@ impl PhaseTimes {
             None => times,
         }
     }
+}
+
+/// Whole microseconds as milliseconds.
+fn to_ms(us: u64) -> f64 {
+    us as f64 / 1e3
 }
 
 /// Serializable mirror of [`PlaneSharing`].
@@ -413,22 +425,28 @@ mod tests {
         assert!(text.contains("\"peak_live_bytes\":2048"), "{text}");
     }
 
-    #[test]
-    fn phase_sum_reconciles_within_tolerance() {
-        let times = PhaseTimes {
-            folding_select_ms: 10.0,
-            fds_ms: 5.0,
-            pack_ms: 20.0,
-            place_ms: 30.0,
-            route_ms: 25.0,
-            bitmap_ms: 2.0,
-            verify_ms: 3.0,
-            explain_ms: 0.0,
-            total_ms: 100.0,
-            budget_ms_remaining: None,
+    /// Phase times with the given microseconds per phase, in
+    /// [`PHASES`] order, and total.
+    fn phase_times(us: [u64; PHASES.len()], total_us: u64) -> PhaseTimes {
+        let mut times = PhaseTimes {
+            total_us,
+            ..PhaseTimes::default()
         };
-        assert!((times.phase_sum_ms() - 95.0).abs() < 1e-12);
-        // Each field lands on its own row of the phase table.
+        for (phase, us) in PHASES.iter().zip(us) {
+            times.set(phase.span, us);
+        }
+        times
+    }
+
+    #[test]
+    fn phase_sum_at_most_the_total_reconciles() {
+        let times = phase_times(
+            [10_000, 5_000, 20_000, 30_000, 25_000, 2_000, 3_000, 0],
+            100_000,
+        );
+        assert_eq!(times.phase_sum_us(), 95_000);
+        assert_eq!(times.us("place"), 30_000);
+        // Each slot lands on its own row of the phase table.
         let keyed: Vec<(&str, f64)> = times.keyed_ms().collect();
         assert_eq!(
             keyed,
@@ -444,30 +462,32 @@ mod tests {
                 ("total_ms", 100.0),
             ]
         );
-        assert!(times.reconcile(0.10, 1.0).is_ok());
-        // Undershoot is always fine (unitemized inter-phase work).
-        let sparse = PhaseTimes {
-            total_ms: 100.0,
-            place_ms: 40.0,
-            ..PhaseTimes::default()
-        };
-        assert!(sparse.reconcile(0.0, 0.0).is_ok());
+        assert!(times.reconcile().is_ok());
+        // Undershoot is always fine (unitemized inter-phase work), and
+        // a sum equal to the total is the exact bound.
+        assert!(phase_times([0, 0, 0, 40_000, 0, 0, 0, 0], 100_000)
+            .reconcile()
+            .is_ok());
+        assert!(phase_times([1, 0, 0, 0, 0, 0, 0, 0], 1).reconcile().is_ok());
     }
 
     #[test]
     fn phase_sum_overshoot_fails_reconcile() {
-        let double_counted = PhaseTimes {
-            place_ms: 80.0,
-            route_ms: 80.0,
-            total_ms: 100.0,
-            ..PhaseTimes::default()
-        };
+        let double_counted = phase_times([0, 0, 0, 80_000, 80_000, 0, 0, 0], 100_000);
         let err = double_counted
-            .reconcile(0.10, 1.0)
+            .reconcile()
             .expect_err("160 ms of phases in a 100 ms flow");
         assert!(err.contains("exceeds"), "{err}");
-        // A generous slack absorbs it (the perf harness's guard band).
-        assert!(double_counted.reconcile(0.10, 100.0).is_ok());
+        // One microsecond over is over: there is no slack.
+        assert!(phase_times([0, 0, 0, 0, 0, 0, 0, 101], 100)
+            .reconcile()
+            .is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a flow phase")]
+    fn an_unknown_phase_name_is_a_bug() {
+        PhaseTimes::default().us("flow");
     }
 
     #[test]

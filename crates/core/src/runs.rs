@@ -115,7 +115,7 @@ pub fn publish_run_end(run_id: &str, exit_code: i32, report: Option<&MappingRepo
                 .flat_map(PhaseTimes::by_phase)
                 .map(|(phase, ms)| (phase.key.to_string(), ms))
                 .collect(),
-            total_ms: t.map_or(0.0, |t| t.total_ms),
+            total_ms: t.map_or(0.0, |t| t.total_ms()),
         }
     });
 }
@@ -631,8 +631,8 @@ pub struct StreamCheck {
 /// schema-tagged run-start and terminates with run-end, per-thread
 /// phase-start/phase-end events nest properly, progress fractions stay
 /// in `[0, 1]`, and run-end's phase totals are consistent with its
-/// total (sequential phases cannot sum past the whole run, modulo
-/// timer slack).
+/// total (sequential phases cannot sum past the whole run, to the
+/// microsecond).
 ///
 /// # Errors
 ///
@@ -699,16 +699,19 @@ pub fn check_stream(text: &str) -> Result<StreamCheck, String> {
                 check.exit_code = event.req("exit_code").map_err(|e| at_line(&e))?;
                 check.phase_ms = event.req("phase_ms").map_err(|e| at_line(&e))?;
                 check.total_ms = event.req("total_ms").map_err(|e| at_line(&e))?;
-                let phase_sum: f64 = check
+                // Every figure is whole microseconds in milliseconds:
+                // compare them as the integers they are.
+                let us = |ms: f64| (ms * 1e3).round() as u64;
+                let phase_sum: u64 = check
                     .phase_ms
                     .iter()
                     .filter(|(name, _)| *name != "total_ms" && *name != "budget_ms_remaining")
-                    .map(|(_, v)| v)
+                    .map(|(_, &v)| us(v))
                     .sum();
-                if phase_sum > check.total_ms * 1.05 + 50.0 {
+                if phase_sum > us(check.total_ms) {
                     return Err(format!(
-                        "line {lineno}: phase totals {phase_sum:.1} ms exceed run total {:.1} ms",
-                        check.total_ms
+                        "line {lineno}: phase totals {phase_sum} µs exceed run total {} µs",
+                        us(check.total_ms)
                     ));
                 }
             }
@@ -1202,6 +1205,11 @@ mod tests {
         // Phase totals cannot dwarf the run total.
         let bloated = valid_stream().replace("\"place_ms\":2.0", "\"place_ms\":2000.0");
         assert!(check_stream(&bloated).unwrap_err().contains("exceed"));
+        // Phases summing to the total pass; one microsecond more fails.
+        let full = valid_stream().replace("\"place_ms\":2.0", "\"place_ms\":3.0");
+        assert!(check_stream(&full).is_ok());
+        let over = valid_stream().replace("\"place_ms\":2.0", "\"place_ms\":3.001");
+        assert!(check_stream(&over).unwrap_err().contains("exceed"));
         assert!(check_stream("").unwrap_err().contains("empty"));
     }
 }

@@ -98,7 +98,7 @@ fn streamed_run(collector: bool) -> String {
 
     // run-end's totals are the report's own phase times, verbatim.
     let t = report.phase_times;
-    assert_eq!(check.total_ms, t.total_ms);
+    assert_eq!(check.total_ms, t.total_ms());
     for (phase, expect) in t.by_phase() {
         assert_eq!(
             check.phase_ms.get(phase.key),

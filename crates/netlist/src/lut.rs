@@ -10,8 +10,6 @@
 //! expanded from and its logic depth inside that module. Origins drive the
 //! LUT-cluster partitioning of Section 3 of the paper.
 
-use std::collections::HashMap;
-
 use crate::error::NetlistError;
 use crate::ids::{FfId, InputId, LutId, ModuleId};
 use crate::truth::TruthTable;
@@ -426,13 +424,6 @@ impl LutNetwork {
         }
         f
     }
-
-    /// Map from LUT diagnostic name to id, for named LUTs.
-    pub fn lut_names(&self) -> HashMap<&str, LutId> {
-        self.luts()
-            .filter_map(|(id, l)| l.name.as_deref().map(|n| (n, id)))
-            .collect()
-    }
 }
 
 /// Pre-computed fanout adjacency of a [`LutNetwork`].
@@ -489,16 +480,6 @@ impl<'a> LutSimulator<'a> {
     /// Current flip-flop state (index order).
     pub fn ff_state(&self) -> &[bool] {
         &self.ff_state
-    }
-
-    /// Overwrites the flip-flop state (index order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length differs from the flip-flop count.
-    pub fn set_ff_state(&mut self, values: &[bool]) {
-        assert_eq!(values.len(), self.net.num_ffs());
-        self.ff_state.copy_from_slice(values);
     }
 
     fn value(&self, sig: SignalRef) -> bool {

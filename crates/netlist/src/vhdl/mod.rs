@@ -91,16 +91,6 @@ pub fn parse(source: &str) -> Result<RtlCircuit, ParseNetlistError> {
     elab::elaborate(&design)
 }
 
-/// Parses VHDL-subset source into its AST without elaborating.
-///
-/// # Errors
-///
-/// Returns a [`ParseNetlistError`] for lexical or syntactic problems.
-pub fn parse_ast(source: &str) -> Result<AstDesign, ParseNetlistError> {
-    let tokens = lexer::lex(source)?;
-    parser::Parser::new(tokens).design()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

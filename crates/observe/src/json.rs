@@ -9,9 +9,10 @@
 //! Every artifact decoder in the workspace reads through one API:
 //! [`JsonValue::req`] and [`JsonValue::opt`] read a field as any
 //! [`FromJson`] type, [`JsonValue::check_schema`] checks the schema tag,
-//! and every failure is a [`ReadError`] naming the field. Integers are
-//! read through `TryFrom<i64>`, so a value outside the target type is
-//! an error, never a wrapped or clamped value.
+//! and every failure is a [`ReadError`] naming the field. An integer
+//! holds every `i64` and `u64` exactly and is read through `TryFrom`, so
+//! a value outside the target type is an error, never a wrapped, clamped
+//! or rounded value.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -23,8 +24,9 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer (emitted without a decimal point).
-    Int(i64),
+    /// An integer (emitted without a decimal point), wide enough for
+    /// every `i64` and `u64`.
+    Int(i128),
     /// A float (non-finite values serialize as `null`).
     Float(f64),
     /// A string (escaped on write).
@@ -90,10 +92,10 @@ impl JsonValue {
         }
     }
 
-    /// The integer content, when this is an integer.
+    /// The integer content, when this is an integer that fits an `i64`.
     pub fn as_int(&self) -> Option<i64> {
         match self {
-            Self::Int(i) => Some(*i),
+            Self::Int(i) => i64::try_from(*i).ok(),
             _ => None,
         }
     }
@@ -220,35 +222,17 @@ impl From<bool> for JsonValue {
     }
 }
 
-impl From<i64> for JsonValue {
-    fn from(i: i64) -> Self {
-        Self::Int(i)
-    }
+macro_rules! int_to_json {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(i: $t) -> Self {
+                Self::Int(i128::from(i))
+            }
+        }
+    )*};
 }
 
-impl From<i32> for JsonValue {
-    fn from(i: i32) -> Self {
-        Self::Int(i64::from(i))
-    }
-}
-
-impl From<u16> for JsonValue {
-    fn from(i: u16) -> Self {
-        Self::Int(i64::from(i))
-    }
-}
-
-impl From<u32> for JsonValue {
-    fn from(i: u32) -> Self {
-        Self::Int(i64::from(i))
-    }
-}
-
-impl From<u64> for JsonValue {
-    fn from(i: u64) -> Self {
-        i64::try_from(i).map_or(Self::Float(i as f64), Self::Int)
-    }
-}
+int_to_json!(u16, u32, u64, i32, i64);
 
 impl From<usize> for JsonValue {
     fn from(i: usize) -> Self {
@@ -356,10 +340,11 @@ macro_rules! int_from_json {
     ($($t:ty),*) => {$(
         impl FromJson<'_> for $t {
             fn from_json(value: &JsonValue) -> Result<Self, ReadError> {
-                value
-                    .as_int()
-                    .and_then(|i| Self::try_from(i).ok())
-                    .ok_or_else(|| ReadError::mismatch(stringify!($t), value))
+                match value {
+                    JsonValue::Int(i) => Self::try_from(*i).ok(),
+                    _ => None,
+                }
+                .ok_or_else(|| ReadError::mismatch(stringify!($t), value))
             }
         }
     )*};
@@ -487,8 +472,9 @@ impl JsonValue {
     }
 }
 
-/// Parses JSON text into a value tree: numbers that fit an `i64` become
-/// [`JsonValue::Int`], every other number a [`JsonValue::Float`].
+/// Parses JSON text into a value tree: integer literals that fit an
+/// `i128` become [`JsonValue::Int`], every other number a
+/// [`JsonValue::Float`].
 ///
 /// # Errors
 ///
@@ -594,7 +580,7 @@ fn parse_value(
                 *pos += 1;
             }
             let slice = &text[start..*pos];
-            if let Ok(i) = slice.parse::<i64>() {
+            if let Ok(i) = slice.parse::<i128>() {
                 Ok(JsonValue::Int(i))
             } else {
                 slice
@@ -793,9 +779,19 @@ mod tests {
     }
 
     #[test]
-    fn huge_u64_degrades_to_float() {
-        let v = JsonValue::from(u64::MAX);
-        assert!(matches!(v, JsonValue::Float(_)));
-        assert_eq!(JsonValue::from(42u64), JsonValue::Int(42));
+    fn every_u64_round_trips_exactly() {
+        for n in [0, 42, i64::MAX as u64, 1 << 63, u64::MAX] {
+            let text = JsonValue::from(n).to_compact_string();
+            assert_eq!(text, n.to_string());
+            let back = parse(&text).unwrap();
+            assert_eq!(back, JsonValue::Int(i128::from(n)));
+            assert_eq!(back.as_f64(), Some(n as f64));
+            assert_eq!(u64::from_json(&back), Ok(n));
+        }
+        // One past either end is an error, not a wrapped value.
+        let past = parse("18446744073709551616").unwrap();
+        assert!(u64::from_json(&past).is_err());
+        assert_eq!(past.as_int(), None);
+        assert!(i64::from_json(&parse("-9223372036854775809").unwrap()).is_err());
     }
 }

@@ -12,7 +12,9 @@
 //! and an exact span-path profile ([`MetricsSnapshot::profile`]).
 //!
 //! Everything is **off by default** and costs one relaxed atomic load per
-//! instrumentation site until [`set_enabled`]`(true)` — the flow's hot
+//! instrumentation site until [`set_enabled`]`(true)`, plus a span's two
+//! clock reads: a span times its work even when nothing records it, so
+//! the flow's phase times come from the spans alone. The flow's hot
 //! paths stay hot with observability compiled in. The
 //! [`nanomap-events-v1` bus](events) is a second, independent switch;
 //! iterative kernels feed both through one [`progress`] call per

@@ -1,8 +1,10 @@
 //! Hierarchical wall-clock spans with RAII guards.
 //!
 //! `let _g = span!("fds", items = n);` opens a span that closes when the
-//! guard drops. Nesting is tracked per thread, so concurrent flows build
-//! independent subtrees under the shared collector.
+//! guard drops; `span!(…).finish()` closes it and returns its duration,
+//! which is how the flow times its phases. Nesting is tracked per
+//! thread, so concurrent flows build independent subtrees under the
+//! shared collector.
 
 use std::time::Instant;
 
@@ -42,11 +44,16 @@ impl SpanRecord {
 }
 
 /// RAII guard for an open span. Created by [`crate::span!`] or
-/// [`SpanGuard::enter`]; records the span into the global collector on
-/// drop. Inert (zero-cost beyond one atomic load) while observability is
-/// disabled.
+/// [`SpanGuard::enter`]; records the span into the global collector when
+/// it drops or [finishes](SpanGuard::finish). The guard reads the clock
+/// when it opens whether or not observability is enabled, so
+/// [`SpanGuard::finish`] can time the bracketed work either way; while
+/// observability is disabled it costs one relaxed atomic load plus the
+/// two clock reads (one when dropped without finishing) and records
+/// nothing.
 #[derive(Debug)]
 pub struct SpanGuard {
+    started: Instant,
     open: Option<OpenSpan>,
 }
 
@@ -57,7 +64,6 @@ struct OpenSpan {
     name: &'static str,
     attrs: Vec<SpanAttr>,
     depth: u32,
-    started: Instant,
     /// Phase index to restore in the allocator's attribution slot, when
     /// this span switched it.
     saved_phase: Option<usize>,
@@ -66,21 +72,20 @@ struct OpenSpan {
 impl SpanGuard {
     /// Opens a span. Prefer the [`crate::span!`] macro.
     pub fn enter(name: &'static str, attrs: Vec<SpanAttr>) -> Self {
-        if !enabled() {
-            return Self { open: None };
-        }
-        let (id, parent, depth) = collector::open_span(name);
-        let saved_phase = crate::alloc::phase_enter(name);
-        Self {
-            open: Some(OpenSpan {
+        let open = enabled().then(|| {
+            let (id, parent, depth) = collector::open_span(name);
+            OpenSpan {
                 id,
                 parent,
                 name,
                 attrs,
                 depth,
-                started: Instant::now(),
-                saved_phase,
-            }),
+                saved_phase: crate::alloc::phase_enter(name),
+            }
+        });
+        Self {
+            started: Instant::now(),
+            open,
         }
     }
 
@@ -91,29 +96,40 @@ impl SpanGuard {
             open.attrs.push((key, value.into()));
         }
     }
+
+    /// Closes the span and returns its duration in whole microseconds —
+    /// the very `duration_us` the collector records when it is enabled.
+    pub fn finish(mut self) -> u64 {
+        self.close()
+    }
+
+    /// Reads the duration and records the span, once.
+    fn close(&mut self) -> u64 {
+        let duration_us = self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        if let Some(open) = self.open.take() {
+            if let Some(previous) = open.saved_phase {
+                crate::alloc::phase_exit(previous);
+            }
+            collector::close_span(SpanRecord {
+                id: open.id,
+                parent: open.parent,
+                name: open.name,
+                attrs: open.attrs,
+                depth: open.depth,
+                tid: collector::thread_ordinal(),
+                start_us: collector::since_epoch_us(self.started),
+                duration_us,
+            });
+        }
+        duration_us
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(open) = self.open.take() else {
-            return;
-        };
-        let duration = open.started.elapsed();
-        if let Some(previous) = open.saved_phase {
-            crate::alloc::phase_exit(previous);
+        if self.open.is_some() {
+            self.close();
         }
-        let duration_us = duration.as_micros().min(u128::from(u64::MAX)) as u64;
-        let start_us = collector::since_epoch_us(open.started);
-        collector::close_span(SpanRecord {
-            id: open.id,
-            parent: open.parent,
-            name: open.name,
-            attrs: open.attrs,
-            depth: open.depth,
-            tid: collector::thread_ordinal(),
-            start_us,
-            duration_us,
-        });
     }
 }
 

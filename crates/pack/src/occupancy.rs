@@ -28,11 +28,6 @@ impl SliceOccupancy {
     pub fn total_luts(&self) -> u32 {
         self.luts.iter().sum()
     }
-
-    /// Flip-flop bits across every SMB in this cycle.
-    pub fn total_ffs(&self) -> u32 {
-        self.ffs.iter().sum()
-    }
 }
 
 /// Per-SMB, per-slice resource occupancy with capacities attached.

@@ -65,13 +65,11 @@ impl Gen {
         }
     }
 
-    /// A `u64` the encoder writes as a JSON integer (`From<u64>` turns
-    /// larger values into floats; see `huge_u64_is_an_error_not_a_value`).
     fn u64(&mut self) -> u64 {
         match self.below(4) {
-            0 => i64::MAX as u64,
+            0 => u64::MAX,
             1 => self.below(1_000),
-            _ => self.0.next_u64() >> 1,
+            _ => self.0.next_u64(),
         }
     }
 
@@ -275,14 +273,10 @@ impl Int {
         let out_of_range = match self {
             Int::U16 => vec![JsonValue::Int(-1), JsonValue::Int(1 << 16)],
             Int::U32 => vec![JsonValue::Int(-1), JsonValue::Int(1 << 32)],
-            // 2^63 parses as a float: outside every integer reading.
-            Int::U64 => vec![
-                JsonValue::Int(-1),
-                json::parse("9223372036854775808").expect("a number"),
-            ],
+            Int::U64 => vec![JsonValue::Int(-1), JsonValue::Int(1 << 64)],
             Int::I32 => vec![
-                JsonValue::Int(i64::from(i32::MIN) - 1),
-                JsonValue::Int(i64::from(i32::MAX) + 1),
+                JsonValue::Int(i128::from(i32::MIN) - 1),
+                JsonValue::Int(i128::from(i32::MAX) + 1),
             ],
         };
         let mistyped = [JsonValue::Float(1.5), JsonValue::from("7")];
@@ -516,7 +510,7 @@ fn response_lines_round_trip_and_reject_bad_integers() {
         let doc = json::parse(&line).unwrap();
         let parsed = Response::parse(&line).expect("parses");
         // Every field the line carries comes back as written.
-        let read = |key: &str| doc.get(key).and_then(JsonValue::as_int).map(|v| v as u64);
+        let read = |key: &str| doc.opt::<u64>(key).expect("an unsigned integer");
         match parsed {
             Response::Queued { depth } => assert_eq!(Some(depth), read("depth")),
             Response::Pong {
@@ -649,15 +643,21 @@ fn formerly_wrapped_integers_are_typed_errors() {
     assert!(err.contains("stages"), "{err}");
 }
 
-/// `From<u64>` writes values above `i64::MAX` as floats; the readers
-/// refuse them instead of reading back a rounded value.
+/// A seed at or above 2^63 is written as the integer it is and read
+/// back exactly, so the ledger keeps the run.
 #[test]
-fn huge_u64_is_an_error_not_a_value() {
+fn huge_u64_seeds_round_trip_through_the_ledger() {
     let mut record = Gen::new(8).run_record();
     record.place_seed = u64::MAX;
-    let ledger = Ledger::parse(&record.to_json().to_compact_string());
-    assert!(ledger.records.is_empty());
-    assert_eq!(ledger.skipped_lines, vec![1]);
+    record.route_seed = 1 << 63;
+    let line = record.to_json().to_compact_string();
+    assert!(
+        line.contains(&format!("\"place_seed\":{}", u64::MAX)),
+        "{line}"
+    );
+    let ledger = Ledger::parse(&line);
+    assert!(ledger.skipped_lines.is_empty());
+    assert_eq!(ledger.records, vec![record]);
 }
 
 /// The emitter writes `-0.0` as `-0`, which the parser reads as the
